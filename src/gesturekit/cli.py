@@ -15,27 +15,26 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConvergenceError, ParseError, ValidationError
-from .features import (DEFAULT_SAMPLES, FeatureRegistry, Scaler,
-                       featurize_segments, feature_vector, read_feature_csv,
-                       standardize, write_feature_csv)
+from .features import (DEFAULT_SAMPLES, FeatureRegistry, featurize_segments,
+                       feature_vector, read_feature_csv, write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, DEFAULT_RATE_HZ, LabeledDataset, extract_segment,
                   parse_imu_csv, parse_label_csv)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, identify_segments, is_sample_feature,
-                       noise_augment, permutation_importance, loso_evaluate,
-                       subset_features, train_identifier, write_confusion_csv,
-                       write_importance_csv, write_report_csv)
+                       permutation_importance, loso_evaluate,
+                       standardize_augment, train_identifier,
+                       write_confusion_csv, write_importance_csv,
+                       write_report_csv)
 from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
                   recurrence_plot, time_delay_embed, windowed_rqa,
                   write_rp_pgm, write_rqa_csv)
 from .svm import (KERNEL_KINDS, KernelConfig, load_model, ovo_predict,
-                  ovo_train, save_model)
+                  save_model)
 from .synth import SynthConfig, generate_dataset, write_dataset
 
 DEFAULTS_EPILOG = """\
@@ -60,10 +59,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@contextmanager
 def _pool(jobs: int):
+    """Yield ``map``, or a ``jobs``-process pool's map shut down on exit."""
     if jobs < 1:
         raise ValidationError("--jobs must be >= 1")
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    if jobs == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
 
 
 def _add_common(sub, jobs=False):
@@ -138,16 +143,13 @@ def _kernel_from(args) -> KernelConfig:
                         coef0=args.coef0, degree=args.degree)
 
 
-def _id_config(args) -> IdentificationConfig:
+def _id_config(args, **training) -> IdentificationConfig:
+    """Window geometry from the RQA flags; ``training`` sets the rest."""
     return IdentificationConfig(
         window=RqaWindowConfig(window_len=args.window_len, step=args.step),
         embedding=EmbeddingConfig(m=args.dimension, tau=args.delay),
         rp=RpConfig(epsilon=args.epsilon, norm=args.norm),
-        series=args.series,
-        overlap_fraction=getattr(args, "overlap", 0.5),
-        n_balance_iters=getattr(args, "iterations", 100),
-        kernel=_kernel_from(args),
-        cost=args.cost)
+        series=args.series, **training)
 
 
 def _data_dir(root, kind: str) -> Path:
@@ -193,7 +195,7 @@ def _segment_dataset(args) -> LabeledDataset:
     dataset = featurize_segments(_load_segments(args.data, args.rate),
                                  n_samples=args.samples)
     cols = _feature_columns(dataset.feature_names, args.features)
-    return dataset if cols is None else subset_features(dataset, cols)
+    return dataset if cols is None else dataset.take(columns=cols)
 
 
 def read_params(path) -> dict[str, str]:
@@ -241,12 +243,8 @@ def _cmd_synth(args) -> int:
     cfg = SynthConfig(n_subjects=args.subjects, reps=args.reps,
                       rate_hz=args.rate, adl_minutes=args.adl_minutes,
                       gesture_fraction=args.gesture_fraction, seed=args.seed)
-    pool = _pool(args.jobs)
-    try:
-        result = generate_dataset(cfg, pool.map if pool else map)
-    finally:
-        if pool:
-            pool.shutdown()
+    with _pool(args.jobs) as mapper:
+        result = generate_dataset(cfg, mapper)
     write_dataset(result, args.out)
     n_seg = sum(len(iv) for _, iv in result.recognition)
     line = f"wrote {cfg.n_subjects} subjects, {n_seg} segments"
@@ -258,11 +256,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_rqa_features(args) -> int:
     stream = parse_imu_csv(args.infile, rate_hz=args.rate)
-    rows = windowed_rqa(stream.channel(args.series),
-                        EmbeddingConfig(m=args.dimension, tau=args.delay),
-                        RpConfig(epsilon=args.epsilon, norm=args.norm),
-                        RqaWindowConfig(window_len=args.window_len,
-                                        step=args.step))
+    cfg = _id_config(args)
+    rows = windowed_rqa(stream.channel(cfg.series), cfg.embedding, cfg.rp,
+                        cfg.window)
     write_rqa_csv(rows, args.outfile)
     print(f"wrote {len(rows)} windows to {args.outfile}")
     return 0
@@ -271,13 +267,13 @@ def _cmd_rqa_features(args) -> int:
 def _cmd_rp_export(args) -> int:
     stream = parse_imu_csv(args.infile, rate_hz=args.rate)
     series = stream.channel(args.series)
-    if args.length is not None:
-        end = args.start + args.length
-        if args.start < 0 or end > len(series):
-            raise ValidationError(
-                f"window [{args.start}, {end}) out of bounds for "
-                f"{len(series)} samples")
-        series = series[args.start:end]
+    start = args.start
+    end = len(series) if args.length is None else start + args.length
+    if not 0 <= start < end <= len(series):
+        raise ValidationError(
+            f"window [{start}, {end}) is empty or out of bounds for "
+            f"{len(series)} samples")
+    series = series[start:end]
     emb = EmbeddingConfig(m=args.dimension, tau=args.delay)
     plot = recurrence_plot(time_delay_embed(series, emb),
                            RpConfig(epsilon=args.epsilon, norm=args.norm),
@@ -289,14 +285,12 @@ def _cmd_rp_export(args) -> int:
 
 def _cmd_train_identifier(args) -> int:
     data = _load_streams(_data_dir(args.data, "identification"), args.rate)
-    cfg = _id_config(args)
-    pool = _pool(args.jobs)
-    try:
+    cfg = _id_config(args, overlap_fraction=args.overlap,
+                     n_balance_iters=args.iterations,
+                     kernel=_kernel_from(args), cost=args.cost)
+    with _pool(args.jobs) as mapper:
         model, report = train_identifier(data, cfg, seed=args.seed,
-                                         mapper=pool.map if pool else map)
-    finally:
-        if pool:
-            pool.shutdown()
+                                         mapper=mapper)
     save_model(model, args.out)
     if args.report:
         write_report_csv(report, args.report)
@@ -318,23 +312,11 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _train_recognizer_model(dataset: LabeledDataset, args):
-    kernel = _kernel_from(args)
-    if args.augment_sigma is not None:
-        scaler, scaled, _ = standardize(dataset.X)
-        augmented = noise_augment(
-            LabeledDataset(X=scaled, labels=list(dataset.labels),
-                           subjects=list(dataset.subjects),
-                           feature_names=list(dataset.feature_names)),
-            args.augment_sigma, seed=args.seed)
-        return ovo_train(augmented, kernel, args.cost, seed=args.seed,
-                         scaler=scaler, prescaled=True)
-    return ovo_train(dataset, kernel, args.cost, seed=args.seed)
-
-
 def _cmd_train_recognizer(args) -> int:
     dataset = _segment_dataset(args)
-    model = _train_recognizer_model(dataset, args)
+    trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost,
+                         augment_sigma=args.augment_sigma)
+    model = trainer.model(dataset, seed=args.seed)
     save_model(model, args.out)
     print(f"trained {len(model.models)} pairwise models on "
           f"{len(dataset)} segments, {dataset.X.shape[1]} features")
@@ -373,13 +355,9 @@ def _cmd_evaluate(args) -> int:
     else:
         trainer = ForestTrainer(ForestConfig(n_trees=args.trees,
                                              max_depth=args.depth))
-    pool = _pool(args.jobs)
-    try:
+    with _pool(args.jobs) as mapper:
         report = loso_evaluate(dataset, trainer, seed=args.seed,
-                               mapper=pool.map if pool else map)
-    finally:
-        if pool:
-            pool.shutdown()
+                               mapper=mapper)
     write_report_csv(report, args.report)
     if args.confusion:
         write_confusion_csv(report, args.confusion)
@@ -393,14 +371,9 @@ def _cmd_importance(args) -> int:
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost)
     else:
         trainer = CentroidTrainer()
-    pool = _pool(args.jobs)
-    try:
+    with _pool(args.jobs) as mapper:
         result = permutation_importance(dataset, trainer, n_reps=args.reps,
-                                        seed=args.seed,
-                                        mapper=pool.map if pool else map)
-    finally:
-        if pool:
-            pool.shutdown()
+                                        seed=args.seed, mapper=mapper)
     write_importance_csv(result, args.outfile)
     ranked = sorted(zip(result.drop, result.feature_names), reverse=True)
     top = ", ".join(f"{nm} ({d:+.4f})" for d, nm in ranked[:3])
@@ -410,18 +383,11 @@ def _cmd_importance(args) -> int:
 
 def _cmd_augment(args) -> int:
     dataset = read_feature_csv(args.infile)
-    scaler = Scaler.fit(dataset.X)
-    scaled = LabeledDataset(X=scaler.transform(dataset.X),
-                            labels=list(dataset.labels),
-                            subjects=list(dataset.subjects),
-                            feature_names=list(dataset.feature_names))
-    augmented = noise_augment(scaled, args.sigma, seed=args.seed)
+    scaler, out = standardize_augment(dataset, args.sigma, seed=args.seed)
+    # back to raw units; the originals are copied, not round-tripped
     n = len(dataset)
-    noisy_raw = augmented.X[n:] * scaler.std + scaler.mean
-    out = LabeledDataset(X=np.vstack([dataset.X, noisy_raw]),
-                         labels=list(augmented.labels),
-                         subjects=list(augmented.subjects),
-                         feature_names=list(dataset.feature_names))
+    out.X[:n] = dataset.X
+    out.X[n:] = out.X[n:] * scaler.std + scaler.mean
     write_feature_csv(out, args.outfile)
     print(f"wrote {len(out)} rows ({n} original + {n} noisy) to "
           f"{args.outfile}")
@@ -518,7 +484,6 @@ def build_parser():
     p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
                    help="sampling rate in Hz (default 50)")
     _add_rqa(p)
-    _add_id_svm(p)
 
     p = sub("train-recognizer", _cmd_train_recognizer,
             "Train the 12-class gesture recognizer on labeled segments.")
@@ -548,8 +513,6 @@ def build_parser():
             jobs=True)
     p.add_argument("--data", required=True, metavar="DIR",
                    help="dataset root or folder of segment streams")
-    p.add_argument("--mode", default="loso", choices=("loso",),
-                   help="cross-validation scheme (default loso)")
     p.add_argument("--classifier", default="svm", choices=("svm", "forest"),
                    help="model family (default svm)")
     p.add_argument("--report", default="report.csv", metavar="CSV",

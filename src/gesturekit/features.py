@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .imu import CHANNELS, ImuStream, LabeledDataset
+from .imu import CHANNELS, ImuStream, LabeledDataset, format_float
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
 DEFAULT_SAMPLES = 10
@@ -50,10 +50,6 @@ class FeatureRegistry:
     def recognition(cls, n_samples: int = DEFAULT_SAMPLES) -> "FeatureRegistry":
         """63 statistical names followed by 3*S acceleration-sample names."""
         return cls(tuple(cls.statistical_names() + cls.sample_names(n_samples)))
-
-    @classmethod
-    def identification(cls) -> "FeatureRegistry":
-        return cls(("rr", "tra"))
 
 
 def channel_statistics(x: np.ndarray) -> list[float]:
@@ -172,7 +168,7 @@ def write_feature_csv(dataset: LabeledDataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(list(dataset.feature_names) + ["label", "subject"]) + "\n")
         for i in range(len(dataset)):
-            cells = [repr(float(v)) for v in dataset.X[i]]
+            cells = [format_float(v) for v in dataset.X[i]]
             fh.write(",".join(cells + [dataset.labels[i], dataset.subjects[i]]) + "\n")
 
 

@@ -23,7 +23,6 @@ class ForestConfig:
     min_split: int = 2
     min_leaf: int = 1
     features_per_split: int | None = None   # None: max(1, floor(sqrt(d)))
-    bootstrap: bool = True                  # test hook
     seed: int = 0
 
     def __post_init__(self):
@@ -192,10 +191,7 @@ def forest_train_predict(train, test_rows, cfg: ForestConfig) -> list[str]:
     votes = np.zeros((test.shape[0], len(classes)), dtype=np.int64)
     for child in children:
         rng = np.random.default_rng(child)
-        if cfg.bootstrap:
-            idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        else:
-            idx = np.arange(X.shape[0])
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
         tree = tree_train(X[idx], list(labels[idx]), cfg, rng,
                           classes=classes)
         for i, lab in enumerate(tree_predict(tree, test)):

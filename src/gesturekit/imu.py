@@ -41,15 +41,6 @@ def canonical_class_order(labels) -> list[str]:
 
 
 @dataclass(frozen=True)
-class ImuSample:
-    """One 9-channel reading at sample index ``t`` (50 Hz clock)."""
-    t: int
-    acc: np.ndarray
-    gyro: np.ndarray
-    mag: np.ndarray
-
-
-@dataclass(frozen=True)
 class ImuStream:
     """Immutable uniformly-sampled 9-channel sensor sequence.
 
@@ -103,13 +94,6 @@ class ImuStream:
         except ValueError:
             raise ValidationError(f"unknown channel {name!r}") from None
 
-    def sample(self, i: int) -> ImuSample:
-        return ImuSample(int(self.t[i]), self.acc[i], self.gyro[i], self.mag[i])
-
-    @property
-    def samples(self):
-        return [self.sample(i) for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class LabeledInterval:
@@ -162,8 +146,33 @@ class LabeledDataset:
         wanted = set(subject_ids)
         return np.array([s in wanted for s in self.subjects], dtype=bool)
 
+    def take(self, rows=None, columns=None) -> "LabeledDataset":
+        """A new dataset of the given rows and columns, in the given order.
 
-def _format(x: float) -> str:
+        ``rows`` is a boolean mask or an index array (default: all rows);
+        ``columns`` an index sequence (default: all columns). Labels,
+        subjects and feature names follow the rows and columns they
+        belong to.
+        """
+        X = self.X
+        labels, subjects = list(self.labels), list(self.subjects)
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.dtype == bool:
+                rows = np.flatnonzero(rows)
+            X = X[rows]
+            labels = [labels[i] for i in rows]
+            subjects = [subjects[i] for i in rows]
+        names = list(self.feature_names)
+        if columns is not None:
+            columns = list(columns)
+            X = X[:, columns]
+            names = [names[i] for i in columns]
+        return LabeledDataset(X=X, labels=labels, subjects=subjects,
+                              feature_names=names)
+
+
+def format_float(x: float) -> str:
     """Shortest decimal that round-trips the float exactly."""
     return repr(float(x))
 
@@ -222,7 +231,7 @@ def write_imu_csv(stream: ImuStream, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(STREAM_HEADER) + "\n")
         for i in range(len(stream)):
-            cells = [str(int(stream.t[i]))] + [_format(v) for v in stream.channels[i]]
+            cells = [str(int(stream.t[i]))] + [format_float(v) for v in stream.channels[i]]
             fh.write(",".join(cells) + "\n")
 
 

@@ -21,13 +21,14 @@ import numpy as np
 from .errors import ValidationError
 from .features import standardize
 from .forest import ForestConfig, forest_train_predict
-from .imu import ADL_LABEL, ImuStream, LabeledDataset
+from .imu import ADL_LABEL, ImuStream, LabeledDataset, format_float
 from .rqa import EmbeddingConfig, RpConfig, RqaWindowConfig, windowed_rqa
 from .seeding import (AUGMENT, BALANCE, FINAL, FOLD, PERMUTE, TRAINER,
                       derive_int, derive_rng)
-from .svm import PRESETS, KernelConfig, ovo_train
+from .svm import PRESETS, KernelConfig, OvoSvmModel, ovo_train
 
 GESTURE_WINDOW_LABEL = "gesture"
+_WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
 _SAMPLE_NAME = re.compile(r"acc_[xyz]_s\d+")
 
 
@@ -75,6 +76,16 @@ class EvaluationReport:
         object.__setattr__(self, "accuracy", acc)
         object.__setattr__(self, "balanced", bal)
         object.__setattr__(self, "confusion", conf)
+
+    @classmethod
+    def from_folds(cls, rows, classes) -> "EvaluationReport":
+        """Report from ``(subject, accuracy, balanced, confusion)`` rows."""
+        rows = list(rows)
+        return cls(folds=tuple(r[0] for r in rows),
+                   accuracy=np.array([r[1] for r in rows]),
+                   balanced=np.array([r[2] for r in rows]),
+                   classes=classes,
+                   confusion=np.sum([r[3] for r in rows], axis=0))
 
     @property
     def mean_accuracy(self) -> float:
@@ -152,15 +163,6 @@ def windows_dataset(data, cfg: IdentificationConfig) -> LabeledDataset:
                           subjects=subjects, feature_names=["rr", "tra"])
 
 
-def subset_features(dataset: LabeledDataset, indices) -> LabeledDataset:
-    indices = list(indices)
-    return LabeledDataset(X=dataset.X[:, indices],
-                          labels=list(dataset.labels),
-                          subjects=list(dataset.subjects),
-                          feature_names=[dataset.feature_names[i]
-                                         for i in indices])
-
-
 def _balanced_subset(dataset, rng) -> LabeledDataset:
     """All gesture windows plus an equal-size ADL draw (no replacement)."""
     labels = np.asarray(dataset.labels)
@@ -171,34 +173,22 @@ def _balanced_subset(dataset, rng) -> LabeledDataset:
     if len(adl) < len(gesture):
         raise ValidationError("not enough ADL windows for a balanced draw")
     pick = rng.choice(adl, size=len(gesture), replace=False)
-    idx = np.concatenate([gesture, np.sort(pick)])
-    return LabeledDataset(X=dataset.X[idx],
-                          labels=[dataset.labels[i] for i in idx],
-                          subjects=[dataset.subjects[i] for i in idx],
-                          feature_names=list(dataset.feature_names))
+    return dataset.take(np.concatenate([gesture, np.sort(pick)]))
 
 
 def _identifier_fold(args):
     dataset, cfg, seed, fi, subject = args
-    test_mask = dataset.rows_for_subjects([subject])
-    train = LabeledDataset(X=dataset.X[~test_mask],
-                           labels=[l for l, m in zip(dataset.labels, test_mask)
-                                   if not m],
-                           subjects=[s for s, m in
-                                     zip(dataset.subjects, test_mask) if not m],
-                           feature_names=list(dataset.feature_names))
-    test_X = dataset.X[test_mask]
-    test_labels = [l for l, m in zip(dataset.labels, test_mask) if m]
-    order = (ADL_LABEL, GESTURE_WINDOW_LABEL)
+    mask = dataset.rows_for_subjects([subject])
+    train, test = dataset.take(~mask), dataset.take(mask)
     accs, bals = [], []
-    gesture_votes = np.zeros(len(test_labels), dtype=np.int64)
+    gesture_votes = np.zeros(len(test), dtype=np.int64)
     for it in range(cfg.n_balance_iters):
         rng = derive_rng(seed, BALANCE, fi, it)
         subset = _balanced_subset(train, rng)
         model = ovo_train(subset, cfg.kernel, cfg.cost,
                           seed=derive_int(seed, TRAINER, fi, it))
-        pred = model.predict(test_X)
-        conf = confusion_matrix(order, test_labels, pred)
+        pred = model.predict(test.X)
+        conf = confusion_matrix(_WINDOW_CLASSES, test.labels, pred)
         accs.append(float(np.trace(conf) / conf.sum()))
         bals.append(balanced_accuracy(conf))
         gesture_votes += np.asarray(pred) == GESTURE_WINDOW_LABEL
@@ -206,7 +196,7 @@ def _identifier_fold(args):
     majority = [GESTURE_WINDOW_LABEL
                 if 2 * v > cfg.n_balance_iters else ADL_LABEL
                 for v in gesture_votes]
-    conf = confusion_matrix(order, test_labels, majority)
+    conf = confusion_matrix(_WINDOW_CLASSES, test.labels, majority)
     return subject, float(np.mean(accs)), float(np.mean(bals)), conf
 
 
@@ -227,14 +217,8 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
     if GESTURE_WINDOW_LABEL not in dataset.labels:
         raise ValidationError("no gesture windows in the training data")
     tasks = [(dataset, cfg, seed, fi, s) for fi, s in enumerate(subjects)]
-    rows = list(mapper(_identifier_fold, tasks))
-    order = (ADL_LABEL, GESTURE_WINDOW_LABEL)
-    report = EvaluationReport(
-        folds=tuple(r[0] for r in rows),
-        accuracy=np.array([r[1] for r in rows]),
-        balanced=np.array([r[2] for r in rows]),
-        classes=order,
-        confusion=np.sum([r[3] for r in rows], axis=0))
+    report = EvaluationReport.from_folds(mapper(_identifier_fold, tasks),
+                                         _WINDOW_CLASSES)
     final_subset = _balanced_subset(dataset, derive_rng(seed, FINAL))
     model = ovo_train(final_subset, cfg.kernel, cfg.cost,
                       seed=derive_int(seed, FINAL, 0))
@@ -296,15 +280,11 @@ def _stratified_split(labels):
     return np.sort(train_idx), np.sort(test_idx)
 
 
-def _importance_accuracy(X, dataset, train_idx, test_idx, trainer,
+def _importance_accuracy(dataset, train_idx, test_idx, trainer,
                          trainer_seed):
-    train = LabeledDataset(X=X[train_idx],
-                           labels=[dataset.labels[i] for i in train_idx],
-                           subjects=[dataset.subjects[i] for i in train_idx],
-                           feature_names=list(dataset.feature_names))
-    pred = trainer(train, X[test_idx], trainer_seed)
-    truth = [dataset.labels[i] for i in test_idx]
-    return float(np.mean([p == t for p, t in zip(pred, truth)]))
+    test = dataset.take(test_idx)
+    pred = trainer(dataset.take(train_idx), test.X, trainer_seed)
+    return float(np.mean([p == t for p, t in zip(pred, test.labels)]))
 
 
 def _importance_feature(args):
@@ -314,8 +294,8 @@ def _importance_feature(args):
         rng = derive_rng(seed, PERMUTE, f, r)
         Xp = dataset.X.copy()
         Xp[:, f] = Xp[rng.permutation(len(Xp)), f]
-        out[r] = _importance_accuracy(Xp, dataset, train_idx, test_idx,
-                                      trainer, t_seed)
+        out[r] = _importance_accuracy(replace(dataset, X=Xp), train_idx,
+                                      test_idx, trainer, t_seed)
     return out
 
 
@@ -334,8 +314,8 @@ def permutation_importance(dataset: LabeledDataset, trainer, n_reps=100,
         raise ValidationError("every feature is constant; nothing to rank")
     train_idx, test_idx = _stratified_split(dataset.labels)
     t_seed = derive_int(seed, TRAINER)
-    baseline = _importance_accuracy(dataset.X, dataset, train_idx, test_idx,
-                                    trainer, t_seed)
+    baseline = _importance_accuracy(dataset, train_idx, test_idx, trainer,
+                                    t_seed)
     tasks = [(dataset, f, n_reps, seed, trainer, train_idx, test_idx, t_seed)
              for f in range(dataset.X.shape[1])]
     per_rep = np.vstack(list(mapper(_importance_feature, tasks)))
@@ -380,11 +360,17 @@ def noise_augment(train: LabeledDataset, sigma: float = 0.5,
     if sigma < 0:
         raise ValidationError("sigma must be non-negative")
     rng = derive_rng(seed, AUGMENT)
-    noisy = train.X + rng.normal(0.0, 1.0, train.X.shape) * sigma
-    return LabeledDataset(X=np.vstack([train.X, noisy]),
-                          labels=list(train.labels) * 2,
-                          subjects=list(train.subjects) * 2,
-                          feature_names=list(train.feature_names))
+    n = len(train)
+    out = train.take(np.tile(np.arange(n), 2))
+    out.X[n:] += rng.normal(0.0, 1.0, train.X.shape) * sigma
+    return out
+
+
+def standardize_augment(train: LabeledDataset, sigma: float, seed=0):
+    """``(scaler, augmented)``: z-score ``train`` with a scaler fit on its
+    own rows, then append the noisy copies of ``noise_augment``."""
+    scaler, Xs, _ = standardize(train.X)
+    return scaler, noise_augment(replace(train, X=Xs), sigma, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -404,6 +390,12 @@ class CentroidTrainer:
         return [classes[i] for i in np.argmin(d, axis=1)]
 
 
+# per-fold feature selection ranks features by nearest-centroid
+# permutation importance over this many repetitions
+SELECTION_RANKER = CentroidTrainer()
+SELECTION_REPS = 20
+
+
 @dataclass(frozen=True)
 class SvmTrainer:
     """One-against-one SVM trainer with optional per-fold feature
@@ -411,41 +403,34 @@ class SvmTrainer:
 
     ``select_k`` turns on permutation-ranked selection of that many
     statistical features (sample features always kept), computed on the
-    training rows with ``ranking`` (default: nearest centroid).
-    ``augment_sigma`` standardizes, augments, then trains prescaled.
+    training rows. ``augment_sigma`` standardizes, augments, then trains
+    prescaled.
     """
     kernel: KernelConfig = PRESETS["recognition"][0]
     cost: float = PRESETS["recognition"][1]
-    columns: tuple[int, ...] | None = None
     select_k: int | None = None
-    importance_reps: int = 20
-    ranking: object = CentroidTrainer()
     augment_sigma: float | None = None
+
+    def model(self, train: LabeledDataset, seed=0) -> OvoSvmModel:
+        """The pairwise ensemble fit on all of ``train``, standardized and
+        noise-augmented first when ``augment_sigma`` is set."""
+        if self.augment_sigma is None:
+            return ovo_train(train, self.kernel, self.cost, seed=seed)
+        scaler, augmented = standardize_augment(train, self.augment_sigma,
+                                                seed=seed)
+        return ovo_train(augmented, self.kernel, self.cost, seed=seed,
+                         scaler=scaler, prescaled=True)
 
     def __call__(self, train: LabeledDataset, test_rows, seed=0):
         test = np.atleast_2d(np.asarray(test_rows, dtype=np.float64))
-        if self.columns is not None:
-            train = subset_features(train, self.columns)
-            test = test[:, list(self.columns)]
         if self.select_k is not None:
-            imp = permutation_importance(train, self.ranking,
-                                         n_reps=self.importance_reps,
-                                         seed=seed)
+            imp = permutation_importance(train, SELECTION_RANKER,
+                                         n_reps=SELECTION_REPS, seed=seed)
             idx = select_features(train.feature_names, imp.mean_accuracy,
                                   imp.baseline, k=self.select_k)
-            train = subset_features(train, idx)
+            train = train.take(columns=idx)
             test = test[:, idx]
-        if self.augment_sigma is not None:
-            scaler, Xs, _ = standardize(train.X)
-            scaled = LabeledDataset(X=Xs, labels=list(train.labels),
-                                    subjects=list(train.subjects),
-                                    feature_names=list(train.feature_names))
-            augmented = noise_augment(scaled, self.augment_sigma, seed=seed)
-            model = ovo_train(augmented, self.kernel, self.cost, seed=seed,
-                              scaler=scaler, prescaled=True)
-        else:
-            model = ovo_train(train, self.kernel, self.cost, seed=seed)
-        return model.predict(test)
+        return self.model(train, seed=seed).predict(test)
 
 
 @dataclass(frozen=True)
@@ -460,16 +445,9 @@ class ForestTrainer:
 def _loso_fold(args):
     dataset, trainer, classes, seed, fi, subject = args
     mask = dataset.rows_for_subjects([subject])
-    train = LabeledDataset(X=dataset.X[~mask],
-                           labels=[l for l, m in zip(dataset.labels, mask)
-                                   if not m],
-                           subjects=[s for s, m in zip(dataset.subjects, mask)
-                                     if not m],
-                           feature_names=list(dataset.feature_names))
-    test_X = dataset.X[mask]
-    truth = [l for l, m in zip(dataset.labels, mask) if m]
-    pred = trainer(train, test_X, derive_int(seed, FOLD, fi))
-    conf = confusion_matrix(classes, truth, pred)
+    test = dataset.take(mask)
+    pred = trainer(dataset.take(~mask), test.X, derive_int(seed, FOLD, fi))
+    conf = confusion_matrix(classes, test.labels, pred)
     acc = float(np.trace(conf) / conf.sum())
     present = conf.sum(axis=1) > 0
     recalls = np.diag(conf)[present] / conf.sum(axis=1)[present]
@@ -490,16 +468,7 @@ def loso_evaluate(dataset: LabeledDataset, trainer, seed=0,
     classes = tuple(dataset.classes)
     tasks = [(dataset, trainer, classes, seed, fi, s)
              for fi, s in enumerate(subjects)]
-    rows = list(mapper(_loso_fold, tasks))
-    return EvaluationReport(folds=tuple(r[0] for r in rows),
-                            accuracy=np.array([r[1] for r in rows]),
-                            balanced=np.array([r[2] for r in rows]),
-                            classes=classes,
-                            confusion=np.sum([r[3] for r in rows], axis=0))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    return EvaluationReport.from_folds(mapper(_loso_fold, tasks), classes)
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:
@@ -507,8 +476,8 @@ def write_report_csv(report: EvaluationReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("fold,subject,accuracy,balanced_accuracy\n")
         for i, subject in enumerate(report.folds):
-            fh.write(f"{i},{subject},{_fmt(report.accuracy[i])},"
-                     f"{_fmt(report.balanced[i])}\n")
+            fh.write(f"{i},{subject},{format_float(report.accuracy[i])},"
+                     f"{format_float(report.balanced[i])}\n")
 
 
 def write_confusion_csv(report: EvaluationReport, path) -> None:
@@ -525,7 +494,8 @@ def write_importance_csv(result: ImportanceResult, path) -> None:
     baseline under the name ``original``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("feature,mean_accuracy,drop\n")
-        fh.write(f"original,{_fmt(result.baseline)},{_fmt(0.0)}\n")
+        fh.write(f"original,{format_float(result.baseline)},"
+                 f"{format_float(0.0)}\n")
         for i, name in enumerate(result.feature_names):
-            fh.write(f"{name},{_fmt(result.mean_accuracy[i])},"
-                     f"{_fmt(result.drop[i])}\n")
+            fh.write(f"{name},{format_float(result.mean_accuracy[i])},"
+                     f"{format_float(result.drop[i])}\n")

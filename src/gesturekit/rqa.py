@@ -34,12 +34,6 @@ DEFAULT_WINDOW_LEN = 125
 DEFAULT_STEP = 25
 
 
-def rule_of_thumb_epsilon(m: int) -> float:
-    """0.2 * sqrt(m), the generic threshold heuristic; kept as a helper
-    because the tuned default 0.1 is what the pipeline actually uses."""
-    return 0.2 * np.sqrt(m)
-
-
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Delay-embedding parameters: dimension ``m`` and delay ``tau``."""

@@ -90,15 +90,6 @@ def gram(cfg: KernelConfig, A, B) -> np.ndarray:
     return np.exp(-cfg.gamma * cdist(A, B, "sqeuclidean"))
 
 
-def kernel_eval(cfg: KernelConfig, u, v) -> float:
-    """Kernel value for a single vector pair."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1 or len(u) != len(v):
-        raise ValidationError("kernel_eval expects two equal-length vectors")
-    return float(gram(cfg, u[None, :], v[None, :])[0, 0])
-
-
 def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
     """Dual objective W(alpha) = sum(alpha) - 1/2 (alpha y)' K (alpha y)."""
     v = alpha * y
@@ -386,15 +377,8 @@ class OvoSvmModel:
 
     def predict(self, X, prescaled=False) -> list[str]:
         D = self.decision_matrix(X, prescaled=prescaled)
-        votes, margins = vote_tally(self.classes, self.pairs, D)
-        out = []
-        for i in range(D.shape[0]):
-            cand = np.flatnonzero(votes[i] == votes[i].max())
-            if len(cand) > 1:
-                m = margins[i, cand]
-                cand = cand[m == m.max()]
-            out.append(self.classes[cand[0]])
-        return out
+        winners = vote_winners(*vote_tally(self.classes, self.pairs, D))
+        return [self.classes[i] for i in winners]
 
 
 def vote_tally(classes, pairs, D):
@@ -416,6 +400,17 @@ def vote_tally(classes, pairs, D):
         margins[won_a, ia] += np.abs(d[won_a])
         margins[~won_a, ib] += np.abs(d[~won_a])
     return votes, margins
+
+
+def vote_winners(votes, margins) -> np.ndarray:
+    """Winning class index per row of a ``vote_tally`` result.
+
+    Most votes wins; a tie goes to the largest margin sum among the tied
+    classes, then to the earliest class in canonical order.
+    """
+    tied = votes == votes.max(axis=1, keepdims=True)
+    m = np.where(tied, margins, -np.inf)
+    return np.argmax(tied & (m == m.max(axis=1, keepdims=True)), axis=1)
 
 
 def ovo_train(dataset, cfg: KernelConfig, cost: float, seed=0,
@@ -460,12 +455,8 @@ def ovo_predict(model: OvoSvmModel, x):
         raise ValidationError("ovo_predict expects a single feature vector")
     D = model.decision_matrix(x[None, :])
     votes, margins = vote_tally(model.classes, model.pairs, D)
-    cand = np.flatnonzero(votes[0] == votes[0].max())
-    if len(cand) > 1:
-        m = margins[0, cand]
-        cand = cand[m == m.max()]
     histogram = {c: int(votes[0, i]) for i, c in enumerate(model.classes)}
-    return model.classes[cand[0]], histogram
+    return model.classes[vote_winners(votes, margins)[0]], histogram
 
 
 def _fmt(v: float) -> str:

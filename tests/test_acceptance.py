@@ -61,10 +61,10 @@ def eval_selected(corpus):
 @pytest.fixture(scope="session")
 def eval_samples_only(corpus):
     dataset, _ = corpus
-    cols = tuple(i for i, nm in enumerate(dataset.feature_names)
-                 if is_sample_feature(nm))
+    cols = [i for i, nm in enumerate(dataset.feature_names)
+            if is_sample_feature(nm)]
     t0 = time.perf_counter()
-    report = loso_evaluate(dataset, SvmTrainer(columns=cols),
+    report = loso_evaluate(dataset.take(columns=cols), SvmTrainer(),
                            seed=MASTER_SEED)
     return report, time.perf_counter() - t0
 

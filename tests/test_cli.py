@@ -213,6 +213,27 @@ class TestRpExport:
                          "--start", "2950", "--length", "125"])
         assert code == 3
 
+    def test_start_without_length_runs_to_stream_end(self, stream_csv,
+                                                     tmp_path, capsys):
+        out = tmp_path / "tail.pgm"
+        assert dispatch(["rp-export", "--in", str(stream_csv),
+                         "--out", str(out), "--start", "2900"]) == 0
+        # 100 samples, m = 4, tau = 1: 97 states
+        assert "97 x 97" in capsys.readouterr().out
+        same = tmp_path / "span.pgm"
+        assert dispatch(["rp-export", "--in", str(stream_csv),
+                         "--out", str(same), "--start", "2900",
+                         "--length", "100"]) == 0
+        assert out.read_bytes() == same.read_bytes()
+
+    @pytest.mark.parametrize("start", ["-5", "3000", "9999"])
+    def test_start_out_of_range_without_length(self, stream_csv, tmp_path,
+                                               start):
+        out = tmp_path / "p.pgm"
+        assert dispatch(["rp-export", "--in", str(stream_csv),
+                         "--out", str(out), "--start", start]) == 3
+        assert not out.exists()
+
 
 class TestTrainIdentifier:
     def test_model_and_report(self, identifier, capsys):
@@ -251,6 +272,21 @@ class TestIdentify:
         assert dispatch(["identify", "--in", str(stream_csv),
                          "--model", str(tmp_path / "none.model"),
                          "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_kernel_flags_rejected(self, identifier, stream_csv, tmp_path):
+        # the kernel comes from the model file
+        assert dispatch(["identify", "--in", str(stream_csv),
+                         "--model", str(identifier[0]),
+                         "--out", str(tmp_path / "o.csv"),
+                         "--kernel", "linear"]) == 1
+
+    def test_kernel_params_rejected(self, identifier, stream_csv, tmp_path):
+        params = tmp_path / "id.params"
+        params.write_text("gamma = 0.5\n")
+        assert dispatch(["identify", "--in", str(stream_csv),
+                         "--model", str(identifier[0]),
+                         "--out", str(tmp_path / "o.csv"),
+                         "--params", str(params)]) == 2
 
 
 class TestTrainRecognizer:
@@ -320,6 +356,11 @@ class TestEvaluate:
                          "--report", str(b), "--seed", "2",
                          "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_mode_flag_rejected(self, data_dir, tmp_path):
+        assert dispatch(["evaluate", "--data", str(data_dir),
+                         "--report", str(tmp_path / "r.csv"),
+                         "--mode", "loso"]) == 1
 
     def test_zero_jobs_rejected(self, data_dir, tmp_path):
         assert dispatch(["evaluate", "--data", str(data_dir),

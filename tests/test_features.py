@@ -25,7 +25,6 @@ def test_registry_shapes_and_names():
     assert reg.names[62] == "mag_z_kurt"
     assert reg.names[63] == "acc_x_s1"
     assert reg.names[-1] == f"acc_z_s{DEFAULT_SAMPLES}"
-    assert FeatureRegistry.identification().names == ("rr", "tra")
     with pytest.raises(ValidationError):
         FeatureRegistry(("a", "a"))
 

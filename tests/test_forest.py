@@ -214,14 +214,15 @@ def clustered_dataset(seed=0, per_class=30, noise=0.3):
 
 
 class TestForest:
-    def test_single_tree_without_bootstrap_equals_tree_train(self):
+    def test_single_tree_equals_tree_train_on_its_bootstrap_draw(self):
         data = clustered_dataset()
-        cfg = ForestConfig(n_trees=1, bootstrap=False, seed=5)
+        cfg = ForestConfig(n_trees=1, seed=5)
         got = forest_train_predict(data, data.X, cfg)
-        child = np.random.SeedSequence(5).spawn(1)[0]
-        tree = tree_train(data.X, data.labels, cfg,
-                          np.random.default_rng(child),
-                          classes=data.classes)
+        # the tree's stream draws the bootstrap rows first, then splits
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+        idx = rng.integers(0, len(data), size=len(data))
+        tree = tree_train(data.X[idx], [data.labels[i] for i in idx], cfg,
+                          rng, classes=data.classes)
         assert got == tree_predict(tree, data.X)
 
     def test_separable_self_prediction(self):

@@ -115,3 +115,42 @@ def test_dataset_validation():
     assert ds.classes == ["a", "b"]
     assert ds.subject_ids() == ["s1", "s2"]
     assert list(ds.rows_for_subjects(["s2"])) == [True, False, True]
+
+
+def small_dataset():
+    return LabeledDataset(X=np.arange(12.0).reshape(4, 3),
+                          labels=["a", "b", "c", "d"],
+                          subjects=["s1", "s2", "s1", "s2"],
+                          feature_names=["f0", "f1", "f2"])
+
+
+def test_take_mask_matches_boolean_indexing():
+    ds = small_dataset()
+    mask = ds.rows_for_subjects(["s2"])
+    part = ds.take(mask)
+    assert np.array_equal(part.X, ds.X[mask])
+    assert part.labels == ["b", "d"]
+    assert part.subjects == ["s2", "s2"]
+    assert part.feature_names == ds.feature_names
+
+
+def test_take_keeps_index_order_and_repeats():
+    ds = small_dataset()
+    part = ds.take(np.array([3, 0, 3]))
+    assert np.array_equal(part.X, ds.X[[3, 0, 3]])
+    assert part.labels == ["d", "a", "d"]
+    assert part.subjects == ["s2", "s1", "s2"]
+
+
+def test_take_columns():
+    ds = small_dataset()
+    part = ds.take([1, 2], columns=[2, 0])
+    assert np.array_equal(part.X, ds.X[[1, 2]][:, [2, 0]])
+    assert part.feature_names == ["f2", "f0"]
+    assert part.labels == ["b", "c"]
+    whole = ds.take(columns=[1])
+    assert np.array_equal(whole.X, ds.X[:, [1]])
+    assert whole.labels == ds.labels and whole.feature_names == ["f1"]
+    # the slice owns its metadata
+    whole.labels.append("e")
+    assert ds.labels == ["a", "b", "c", "d"]

@@ -409,15 +409,10 @@ class TestLosoEvaluate:
         seed = 11
         rep = loso_evaluate(data, CentroidTrainer(), seed=seed)
         mask = data.rows_for_subjects(["s0"])
-        train = LabeledDataset(
-            X=data.X[~mask],
-            labels=[l for l, m in zip(data.labels, mask) if not m],
-            subjects=[s for s, m in zip(data.subjects, mask) if not m],
-            feature_names=list(data.feature_names))
-        pred = CentroidTrainer()(train, data.X[mask],
+        test = data.take(mask)
+        pred = CentroidTrainer()(data.take(~mask), test.X,
                                  derive_int(seed, FOLD, 0))
-        truth = [l for l, m in zip(data.labels, mask) if m]
-        acc = float(np.mean([p == t for p, t in zip(pred, truth)]))
+        acc = float(np.mean([p == t for p, t in zip(pred, test.labels)]))
         assert rep.accuracy[0] == acc
 
     def test_parallel_mapper_matches_serial(self):
@@ -450,12 +445,12 @@ class TestTrainers:
 
     def test_column_restriction(self):
         data = informative_dataset()
-        noisy_first = SvmTrainer(columns=(1,))
-        pred = noisy_first(data, data.X, seed=0)
-        acc_noise = np.mean([p == t for p, t in zip(pred, data.labels)])
-        informative = SvmTrainer(columns=(0,))
-        pred = informative(data, data.X, seed=0)
-        acc_info = np.mean([p == t for p, t in zip(pred, data.labels)])
+        accs = []
+        for col in (1, 0):
+            sliced = data.take(columns=[col])
+            pred = SvmTrainer()(sliced, sliced.X, seed=0)
+            accs.append(np.mean([p == t for p, t in zip(pred, data.labels)]))
+        acc_noise, acc_info = accs
         assert acc_info == 1.0 and acc_info > acc_noise
 
     def test_augment_path_is_deterministic(self):

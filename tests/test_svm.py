@@ -15,7 +15,6 @@ from gesturekit.svm import (
     decision_value,
     dual_objective,
     gram,
-    kernel_eval,
     kkt_max_violation,
     load_model,
     ovo_predict,
@@ -24,6 +23,7 @@ from gesturekit.svm import (
     smo_solve,
     smo_train,
     vote_tally,
+    vote_winners,
 )
 
 from oracles import dual_objective as oracle_objective
@@ -135,19 +135,6 @@ class TestGram:
         K = gram(KernelConfig(kind="radial", gamma=1.0), A, A)
         assert np.allclose(K, K.T)
         assert np.allclose(np.diag(K), 1.0)
-
-    def test_kernel_eval_matches_gram_entry(self, vectors):
-        A, B = vectors
-        cfg = KernelConfig(kind="polynomial", gamma=0.9, coef0=2.0, degree=2)
-        K = gram(cfg, A, B)
-        assert kernel_eval(cfg, A[2], B[3]) == pytest.approx(K[2, 3])
-
-    def test_kernel_eval_rejects_bad_shapes(self):
-        cfg = KernelConfig(kind="linear")
-        with pytest.raises(ValidationError):
-            kernel_eval(cfg, np.zeros((2, 2)), np.zeros(4))
-        with pytest.raises(ValidationError):
-            kernel_eval(cfg, np.zeros(3), np.zeros(4))
 
 
 class TestSmoSolver:
@@ -344,14 +331,10 @@ class TestOvo:
         classes, pairs = model.classes, model.pairs
         D = r.normal(size=(25, len(pairs)))
         D[r.random(size=D.shape) < 0.2] = 0.0
-        votes, margins = vote_tally(classes, pairs, D)
+        winners = vote_winners(*vote_tally(classes, pairs, D))
         for i in range(len(D)):
             want = naive_vote_winner(classes, pairs, D[i])
-            cand = np.flatnonzero(votes[i] == votes[i].max())
-            if len(cand) > 1:
-                m = margins[i, cand]
-                cand = cand[m == m.max()]
-            assert classes[cand[0]] == want
+            assert classes[winners[i]] == want
 
     def test_ovo_predict_histogram(self, model):
         data = twelve_class_dataset()
