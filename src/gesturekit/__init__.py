@@ -20,8 +20,7 @@ from .features import (FeatureRegistry, Scaler, feature_vector,
                        featurize_segments, read_feature_csv, standardize,
                        write_feature_csv)
 from .svm import (PRESETS, BinarySvmModel, KernelConfig, OvoSvmModel,
-                  decision_value, load_model, ovo_predict, ovo_train,
-                  save_model, smo_train)
+                  load_model, ovo_predict, ovo_train, save_model, smo_train)
 from .forest import ForestConfig, forest_train_predict
 from .pipeline import (CentroidTrainer, EvaluationReport, ForestTrainer,
                        IdentificationConfig, ImportanceResult, SvmTrainer,

@@ -23,7 +23,7 @@ from .features import (DEFAULT_SAMPLES, FeatureRegistry, featurize_segments,
                        feature_vector, read_feature_csv, write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, DEFAULT_RATE_HZ, LabeledDataset, extract_segment,
-                  parse_imu_csv, parse_label_csv)
+                  parse_imu_csv, parse_label_csv, read_text)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, identify_segments, is_sample_feature,
                        permutation_importance, loso_evaluate,
@@ -84,12 +84,16 @@ def _add_common(sub, jobs=False):
 
 
 def _add_rqa(sub):
-    sub.add_argument("--series", default="acc_y", choices=CHANNELS,
-                     help="channel to analyse (default acc_y)")
     sub.add_argument("--window-len", type=int, default=125,
                      help="window length in samples (default 125)")
     sub.add_argument("--step", type=int, default=25,
                      help="window step in samples (default 25)")
+    _add_rp(sub)
+
+
+def _add_rp(sub):
+    sub.add_argument("--series", default="acc_y", choices=CHANNELS,
+                     help="channel to analyse (default acc_y)")
     sub.add_argument("--delay", type=int, default=1,
                      help="embedding delay (default 1)")
     sub.add_argument("--dimension", type=int, default=4,
@@ -202,7 +206,7 @@ def read_params(path) -> dict[str, str]:
     """Flat config file: one ``key = value`` per line, ``#`` comments."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
     out = {}
@@ -318,7 +322,7 @@ def _cmd_train_recognizer(args) -> int:
                          augment_sigma=args.augment_sigma)
     model = trainer.model(dataset, seed=args.seed)
     save_model(model, args.out)
-    print(f"trained {len(model.models)} pairwise models on "
+    print(f"trained {len(model.pairs)} pairwise models on "
           f"{len(dataset)} segments, {dataset.X.shape[1]} features")
     return 0
 
@@ -450,7 +454,7 @@ def build_parser():
                    help="first sample of the exported span (default 0)")
     p.add_argument("--length", type=int, default=None,
                    help="span length in samples (default: whole stream)")
-    _add_rqa(p)
+    _add_rp(p)
 
     p = sub("train-identifier", _cmd_train_identifier,
             "Train the gesture-window identifier on continuous streams.",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .imu import CHANNELS, ImuStream, LabeledDataset, format_float
+from .imu import CHANNELS, ImuStream, LabeledDataset, format_float, read_text
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
 DEFAULT_SAMPLES = 10
@@ -173,10 +173,7 @@ def write_feature_csv(dataset: LabeledDataset, path) -> None:
 
 
 def read_feature_csv(path) -> LabeledDataset:
-    from pathlib import Path
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]

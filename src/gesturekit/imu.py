@@ -177,6 +177,17 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode raise
+    ParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
 def parse_imu_csv(path, subject_id: str | None = None,
                   rate_hz: float = DEFAULT_RATE_HZ) -> ImuStream:
     """Parse a stream CSV into a validated ImuStream.
@@ -187,8 +198,7 @@ def parse_imu_csv(path, subject_id: str | None = None,
     """
     from pathlib import Path
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = tuple(c.strip() for c in lines[0].split(","))
@@ -237,10 +247,7 @@ def write_imu_csv(stream: ImuStream, path) -> None:
 
 def parse_label_csv(path) -> list[LabeledInterval]:
     """Parse a label CSV into intervals sorted by start; overlaps are errors."""
-    from pathlib import Path
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = tuple(c.strip() for c in lines[0].split(","))

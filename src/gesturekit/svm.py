@@ -2,7 +2,9 @@
 
 Binary models are solved two Lagrange multipliers at a time with
 first/second-choice working-pair heuristics; multiclass problems train one
-binary model per unordered class pair and combine them by voting. Models
+binary model per unordered class pair and combine them by voting. The
+pairs share one store of support vectors, each row held once with one
+weight column per pair, so prediction takes one kernel matrix. Models
 serialize to a line-oriented text format that round-trips decision values
 exactly (17 significant digits).
 
@@ -25,7 +27,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import FeatureRegistry, Scaler
-from .imu import canonical_class_order
+from .imu import read_text
 
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
 
@@ -116,8 +118,7 @@ def kkt_max_violation(K, y, alpha, bias, cost) -> float:
     return float(viol.max(initial=0.0))
 
 
-def smo_solve(K, y, cost, rng, tol=KKT_TOL, floor=ALPHA_FLOOR,
-              max_sweeps=None):
+def smo_solve(K, y, cost, rng, tol=KKT_TOL, max_sweeps=None):
     """Solve the dual QP on a precomputed Gram matrix.
 
     Returns ``(alpha, bias)``. The error cache holds f(x_i) - y_i for
@@ -174,23 +175,23 @@ def smo_solve(K, y, cost, rng, tol=KKT_TOL, floor=ALPHA_FLOOR,
                     + 0.5 * lo * lo * k22 + s * lo * l1 * k12)
             hobj = (h1 * f1 + hi * f2 + 0.5 * h1 * h1 * k11
                     + 0.5 * hi * hi * k22 + s * hi * h1 * k12)
-            if lobj < hobj - floor:
+            if lobj < hobj - ALPHA_FLOOR:
                 a2n = lo
-            elif lobj > hobj + floor:
+            elif lobj > hobj + ALPHA_FLOOR:
                 a2n = hi
             else:
                 return False
-        if abs(a2n - a2o) < floor * (a2n + a2o + floor):
+        if abs(a2n - a2o) < ALPHA_FLOOR * (a2n + a2o + ALPHA_FLOOR):
             return False
         a1n = a1o + s * (a2o - a2n)
         # snap to the box so bound multipliers are exact
-        if a1n < floor:
+        if a1n < ALPHA_FLOOR:
             a1n = 0.0
-        elif a1n > cost - floor:
+        elif a1n > cost - ALPHA_FLOOR:
             a1n = cost
-        if a2n < floor:
+        if a2n < ALPHA_FLOOR:
             a2n = 0.0
-        elif a2n > cost - floor:
+        elif a2n > cost - ALPHA_FLOOR:
             a2n = cost
         d1 = (a1n - a1o) * y1
         d2 = (a2n - a2o) * y2
@@ -296,27 +297,7 @@ class BinarySvmModel:
         ay.setflags(write=False)
 
 
-def decision_value(model: BinarySvmModel, x):
-    """f(x) = sum_i alpha_i y_i K(s_i, x) + b; sign is the prediction.
-
-    Accepts a single vector (returns a float) or a matrix of rows
-    (returns a vector). A value of exactly 0 predicts +1.
-    """
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    X2 = np.atleast_2d(X)
-    if X2.shape[1] != model.sv.shape[1]:
-        raise ValidationError("dimension mismatch with support vectors")
-    if model.sv.shape[0] == 0:
-        f = np.full(X2.shape[0], model.bias)
-    else:
-        f = gram(model.cfg, X2, model.sv) @ model.alpha_y + model.bias
-    return float(f[0]) if single else f
-
-
-def smo_train(X, y, cfg: KernelConfig, cost: float, seed=0,
-              tol=KKT_TOL, floor=ALPHA_FLOOR,
-              max_sweeps=None) -> BinarySvmModel:
+def smo_train(X, y, cfg: KernelConfig, cost: float, seed=0) -> BinarySvmModel:
     """Train one binary model on feature rows with +1/-1 labels."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -331,8 +312,7 @@ def smo_train(X, y, cfg: KernelConfig, cost: float, seed=0,
     cfg = cfg.resolved(X.shape[1])
     K = gram(cfg, X, X)
     rng = np.random.default_rng(seed)
-    alpha, bias = smo_solve(K, y, cost, rng, tol=tol, floor=floor,
-                            max_sweeps=max_sweeps)
+    alpha, bias = smo_solve(K, y, cost, rng)
     mask = alpha > 0.0
     return BinarySvmModel(cfg=cfg, cost=cost, sv=X[mask].copy(),
                           alpha_y=(alpha * y)[mask], bias=bias)
@@ -340,40 +320,54 @@ def smo_train(X, y, cfg: KernelConfig, cost: float, seed=0,
 
 @dataclass(frozen=True)
 class OvoSvmModel:
-    """One-against-one ensemble with its scaler and feature registry.
+    """One-against-one ensemble over one shared set of support vectors.
 
-    ``models`` is keyed by (a, b) class pairs in canonical order; the
-    member for (a, b) treats a as the +1 side.
+    ``sv`` holds each distinct support vector once. Column p of ``coef``
+    holds the dual weights alpha_i y_i of pair p, 0 where a row is not a
+    support vector of that pair, and ``bias[p]`` is that pair's bias.
+    Pairs run in ``combinations(classes, 2)`` order; pair (a, b) treats a
+    as the +1 side. All pairs share one kernel and one cost.
     """
     classes: tuple[str, ...]
-    models: dict[tuple[str, str], BinarySvmModel]
+    cfg: KernelConfig
+    cost: float
+    sv: np.ndarray
+    coef: np.ndarray
+    bias: np.ndarray
     scaler: Scaler
     registry: FeatureRegistry
 
     def __post_init__(self):
-        k = len(self.classes)
-        if len(self.models) != k * (k - 1) // 2:
-            raise ValidationError("pair-model count must be K(K-1)/2")
-        d = len(self.registry)
-        for (a, b), m in self.models.items():
-            if a not in self.classes or b not in self.classes:
-                raise ValidationError(f"pair ({a}, {b}) names an unknown class")
-            if m.sv.shape[1] != d:
-                raise ValidationError("pair model dimension differs from registry")
+        # one contiguous, read-only layout, so a loaded model multiplies
+        # exactly as the trained one did
+        for name in ("sv", "coef", "bias"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        d, n_pairs = len(self.registry), len(self.pairs)
+        if self.sv.ndim != 2 or self.sv.shape[1] != d:
+            raise ValidationError("support-vector width differs from registry")
+        if (self.coef.shape != (len(self.sv), n_pairs)
+                or self.bias.shape != (n_pairs,)):
+            raise ValidationError("need one weight column and one bias per "
+                                  "class pair, K(K-1)/2 in all")
         if len(self.scaler.mean) != d:
             raise ValidationError("scaler dimension differs from registry")
 
     @property
     def pairs(self) -> list[tuple[str, str]]:
-        return list(self.models)
+        return list(combinations(self.classes, 2))
 
     def decision_matrix(self, X, prescaled=False) -> np.ndarray:
-        """(n, n_pairs) decision values in pair order."""
+        """(n, n_pairs) decision values f(x) = K(x, sv) @ coef + bias.
+
+        Accepts one feature vector or a matrix of rows. A value of
+        exactly 0 counts as a vote for the pair's +1 side.
+        """
         Xs = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if not prescaled:
             Xs = self.scaler.transform(Xs)
-        return np.column_stack([decision_value(m, Xs)
-                                for m in self.models.values()])
+        return gram(self.cfg, Xs, self.sv) @ self.coef + self.bias
 
     def predict(self, X, prescaled=False) -> list[str]:
         D = self.decision_matrix(X, prescaled=prescaled)
@@ -437,14 +431,24 @@ def ovo_train(dataset, cfg: KernelConfig, cost: float, seed=0,
     labels = np.asarray(dataset.labels)
     pairs = list(combinations(classes, 2))
     children = np.random.SeedSequence(seed).spawn(len(pairs))
-    models = {}
+    fits = []
     for (a, b), child in zip(pairs, children):
         mask = (labels == a) | (labels == b)
         if not np.any(labels == a) or not np.any(labels == b):
             raise ValidationError(f"class pair ({a}, {b}) has an empty side")
         yy = np.where(labels[mask] == a, 1.0, -1.0)
-        models[(a, b)] = smo_train(Xs[mask], yy, cfg, cost, seed=child)
-    return OvoSvmModel(classes=tuple(classes), models=models, scaler=scaler,
+        fits.append(smo_train(Xs[mask], yy, cfg, cost, seed=child))
+    # a row that is a support vector of several pairs is stored once; equal
+    # rows merge and their weights add up within each pair's column
+    sv, row = np.unique(np.vstack([f.sv for f in fits]), axis=0,
+                        return_inverse=True)
+    column = np.repeat(np.arange(len(fits)), [len(f.alpha_y) for f in fits])
+    coef = np.zeros((len(sv), len(fits)))
+    np.add.at(coef, (row.ravel(), column),
+              np.concatenate([f.alpha_y for f in fits]))
+    return OvoSvmModel(classes=tuple(classes), cfg=cfg, cost=cost, sv=sv,
+                       coef=coef, bias=np.array([f.bias for f in fits]),
+                       scaler=scaler,
                        registry=FeatureRegistry(tuple(dataset.feature_names)))
 
 
@@ -471,52 +475,52 @@ def _check_token(kind: str, token: str) -> str:
 
 
 def save_model(model: OvoSvmModel, path) -> None:
-    """Write the ensemble to the versioned text format."""
-    costs = {m.cost for m in model.models.values()}
-    if len(costs) != 1:
-        raise ValidationError("pair models disagree on cost")
-    cfg = next(iter(model.models.values())).cfg
-    lines = ["GKMODEL v1",
+    """Write the ensemble to the GKMODEL v2 text format: one ``sv`` line
+    per support vector, then per class pair one weight per ``sv`` line and
+    the bias."""
+    cfg = model.cfg
+    lines = ["GKMODEL v2",
              "[kernel]",
              f"kind {cfg.kind}",
              f"gamma {_fmt(cfg.gamma if cfg.gamma is not None else 0.0)}",
              f"coef0 {_fmt(cfg.coef0)}",
              f"degree {cfg.degree}",
-             f"cost {_fmt(costs.pop())}",
+             f"cost {_fmt(model.cost)}",
              "[scaler]",
              "mean " + " ".join(_fmt(v) for v in model.scaler.mean),
              "std " + " ".join(_fmt(v) for v in model.scaler.std),
              "[registry]"]
     lines.extend(_check_token("feature name", nm) for nm in model.registry.names)
-    for (a, b), m in model.models.items():
+    lines.append("[sv]")
+    lines.extend("sv " + " ".join(_fmt(v) for v in row) for row in model.sv)
+    for p, (a, b) in enumerate(model.pairs):
         _check_token("class name", a)
         _check_token("class name", b)
         lines.append(f"[pair {a} {b}]")
-        lines.append("alpha_y " + " ".join(_fmt(v) for v in m.alpha_y))
-        for row in m.sv:
-            lines.append("sv " + " ".join(_fmt(v) for v in row))
-        lines.append("bias " + _fmt(m.bias))
+        lines.append("alpha_y " + " ".join(_fmt(v) for v in model.coef[:, p]))
+        lines.append("bias " + _fmt(model.bias[p]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
                           newline="\n")
 
 
 def _floats(path, section, line, prefix, expect=None):
-    if line is None or not line.startswith(prefix + " ") and line != prefix:
-        raise ParseError(f"{path}: truncated {section} section")
-    vals = line[len(prefix):].split()
+    if not (line.startswith(prefix + " ") or line == prefix):
+        raise ParseError(f"{path}: expected a {prefix!r} line in {section}")
     try:
-        out = np.array([float(v) for v in vals])
+        out = np.array([float(v) for v in line[len(prefix):].split()])
     except ValueError:
         raise ParseError(f"{path}: bad number in {section} section") from None
     if expect is not None and len(out) != expect:
         raise ParseError(f"{path}: wrong value count in {section} section")
+    if not np.all(np.isfinite(out)):
+        raise ParseError(f"{path}: non-finite value in {section} section")
     return out
 
 
 def load_model(path) -> OvoSvmModel:
-    """Parse a GKMODEL v1 file back into an ensemble."""
+    """Parse a GKMODEL v2 file back into an ensemble."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -524,77 +528,65 @@ def load_model(path) -> OvoSvmModel:
     head = re.fullmatch(r"GKMODEL v(\d+)", lines[0].strip())
     if head is None:
         raise ParseError(f"{path}: not a GKMODEL file")
-    if head.group(1) != "1":
+    if head.group(1) == "1":
+        raise ParseError(f"{path}: GKMODEL v1 files are not read; retrain "
+                         "the model to write v2")
+    if head.group(1) != "2":
         raise ParseError(f"{path}: unsupported model version v{head.group(1)}")
 
-    pos = 1
+    sections = []       # (header line, the lines under it)
+    for ln in lines[1:]:
+        if ln.startswith("[") or not sections:
+            sections.append((ln, []))
+        else:
+            sections[-1][1].append(ln)
+    if ([h for h, _ in sections[:4]]
+            != ["[kernel]", "[scaler]", "[registry]", "[sv]"]):
+        raise ParseError(f"{path}: expected [kernel], [scaler], [registry] "
+                         "and [sv] sections")
+    (_, kernel), (_, scaler), (_, names), (_, rows) = sections[:4]
 
-    def take(section):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"{path}: truncated {section} section")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    if take("[kernel]") != "[kernel]":
-        raise ParseError(f"{path}: expected [kernel] section")
-    fields = {}
-    for _ in range(5):
-        parts = take("[kernel]").split(None, 1)
-        if len(parts) != 2:
-            raise ParseError(f"{path}: truncated [kernel] section")
-        fields[parts[0]] = parts[1]
     try:
+        fields = dict(ln.split(None, 1) for ln in kernel)
         cfg = KernelConfig(kind=fields["kind"], gamma=float(fields["gamma"]),
                            coef0=float(fields["coef0"]),
                            degree=int(fields["degree"]))
         cost = float(fields["cost"])
     except (KeyError, ValueError, ValidationError) as e:
         raise ParseError(f"{path}: bad [kernel] section: {e}") from None
+    if len(kernel) != 5 or not np.all(np.isfinite([cfg.gamma, cfg.coef0,
+                                                   cost])):
+        raise ParseError(f"{path}: bad [kernel] section")
 
-    if take("[scaler]") != "[scaler]":
-        raise ParseError(f"{path}: expected [scaler] section")
-    mean = _floats(path, "[scaler]", take("[scaler]"), "mean")
-    std = _floats(path, "[scaler]", take("[scaler]"), "std", expect=len(mean))
-    scaler = Scaler(mean=mean, std=std)
-
-    if take("[registry]") != "[registry]":
-        raise ParseError(f"{path}: expected [registry] section")
-    names = []
-    while pos < len(lines) and not lines[pos].startswith("["):
-        names.append(lines[pos].strip())
-        pos += 1
-    if len(names) != len(mean):
+    if len(scaler) != 2:
+        raise ParseError(f"{path}: [scaler] needs a mean and a std line")
+    mean = _floats(path, "[scaler]", scaler[0], "mean")
+    std = _floats(path, "[scaler]", scaler[1], "std", expect=len(mean))
+    if np.any(std <= 0.0):
+        raise ParseError(f"{path}: scaler std must be positive")
+    names = [ln.strip() for ln in names]
+    if not names or len(names) != len(mean):
         raise ParseError(f"{path}: registry size differs from scaler width")
+    sv = np.array([_floats(path, "[sv]", ln, "sv", expect=len(names))
+                   for ln in rows]).reshape(len(rows), len(names))
 
-    models = {}
-    while pos < len(lines):
-        m = re.fullmatch(r"\[pair (\S+) (\S+)\]", lines[pos])
-        if m is None:
-            raise ParseError(f"{path}: expected a [pair] section at line "
-                             f"{pos + 1}")
-        pos += 1
-        a, b = m.group(1), m.group(2)
-        section = f"[pair {a} {b}]"
-        alpha_y = _floats(path, section, take(section), "alpha_y")
-        sv = np.zeros((len(alpha_y), len(names)))
-        for i in range(len(alpha_y)):
-            sv[i] = _floats(path, section, take(section), "sv",
-                            expect=len(names))
-        bias = _floats(path, section, take(section), "bias", expect=1)[0]
-        if (a, b) in models:
-            raise ParseError(f"{path}: duplicate {section}")
-        models[(a, b)] = BinarySvmModel(cfg=cfg, cost=cost, sv=sv,
-                                        alpha_y=alpha_y, bias=float(bias))
-    if not models:
-        raise ParseError(f"{path}: model file has no [pair] sections")
-    classes = canonical_class_order({c for pair in models for c in pair})
-    ordered = {pair: models[pair] for pair in combinations(classes, 2)
-               if pair in models}
+    pairs, coef, bias = [], [], []
+    for title, body in sections[4:]:
+        m = re.fullmatch(r"\[pair (\S+) (\S+)\]", title)
+        if m is None or len(body) != 2:
+            raise ParseError(f"{path}: expected a [pair] section with an "
+                             f"alpha_y and a bias line, got {title!r}")
+        pairs.append(m.groups())
+        coef.append(_floats(path, title, body[0], "alpha_y", expect=len(sv)))
+        bias.append(_floats(path, title, body[1], "bias", expect=1)[0])
+    classes = tuple(dict.fromkeys(c for pair in pairs for c in pair))
+    if not pairs or pairs != list(combinations(classes, 2)):
+        raise ParseError(f"{path}: [pair] sections must cover every class "
+                         "pair once, in order")
     try:
-        return OvoSvmModel(classes=tuple(classes), models=ordered,
-                           scaler=scaler,
+        return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv,
+                           coef=np.reshape(coef, (len(pairs), len(sv))).T,
+                           bias=np.array(bias), scaler=Scaler(mean, std),
                            registry=FeatureRegistry(tuple(names)))
     except ValidationError as e:
         raise ParseError(f"{path}: inconsistent model: {e}") from None

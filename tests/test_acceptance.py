@@ -229,8 +229,8 @@ def test_05_twelve_classes_train_66_pairwise_models(corpus):
     kernel, cost = PRESETS["recognition"]
     model = ovo_train(small, kernel, cost, seed=0)
     n_classes = len(model.classes)
-    verdict(5, n_classes == 12 and len(model.models) == 66,
-            f"{n_classes} classes trained exactly {len(model.models)} "
+    verdict(5, n_classes == 12 and len(model.pairs) == 66,
+            f"{n_classes} classes trained exactly {len(model.pairs)} "
             f"pairwise models")
 
 

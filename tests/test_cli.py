@@ -11,6 +11,7 @@ import pytest
 import gesturekit
 from gesturekit.cli import dispatch, read_params
 from gesturekit.errors import ParseError
+from gesturekit.features import read_feature_csv
 from gesturekit.imu import extract_segment, parse_imu_csv, parse_label_csv, \
     write_imu_csv
 from gesturekit.svm import load_model
@@ -103,6 +104,46 @@ class TestParsing:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "COMMAND" in proc.stdout
+
+
+def with_bad_byte(text: str, path: Path) -> Path:
+    """Write ``text`` with one byte that is not UTF-8 after its first line."""
+    head, _, tail = text.partition("\n")
+    path.write_bytes(head.encode() + b"\n\xff" + tail.encode())
+    return path
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("reader", ["stream", "labels", "features",
+                                        "model", "params"])
+    def test_reader_raises_parse_error(self, reader, stream_csv, identifier,
+                                       tmp_path):
+        labels = stream_csv.with_name(stream_csv.stem + "_labels.csv")
+        read, text = {
+            "stream": (parse_imu_csv, stream_csv.read_text()),
+            "labels": (parse_label_csv, labels.read_text()),
+            "features": (read_feature_csv, "f0,label,subject\n1.0,Up,s01\n"),
+            "model": (load_model, identifier[0].read_text()),
+            "params": (read_params, "window_len = 250\n"),
+        }[reader]
+        path = with_bad_byte(text, tmp_path / f"bad-{reader}.txt")
+        with pytest.raises(ParseError, match=f"bad-{reader}.txt: not UTF-8"):
+            read(path)
+
+    @pytest.mark.parametrize("command,option", [
+        ("rqa-features", "--in"), ("identify", "--model"),
+        ("identify", "--params")])
+    def test_cli_exits_2(self, command, option, stream_csv, identifier,
+                         tmp_path, capsys):
+        argv = {"--in": stream_csv, "--model": identifier[0],
+                "--out": tmp_path / "o.csv"}
+        if command == "rqa-features":
+            del argv["--model"]
+        text = argv[option].read_text() if option in argv else "delay = 1\n"
+        argv[option] = with_bad_byte(text, tmp_path / "bad.txt")
+        assert dispatch([command] + [str(x) for kv in argv.items()
+                                     for x in kv]) == 2
+        assert "bad.txt: not UTF-8" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -235,6 +276,20 @@ class TestRpExport:
         assert not out.exists()
 
 
+    def test_window_flags_rejected(self, stream_csv, tmp_path):
+        # one span is plotted; there are no windows to size
+        assert dispatch(["rp-export", "--in", str(stream_csv),
+                         "--out", str(tmp_path / "p.pgm"),
+                         "--window-len", "250"]) == 1
+
+    def test_window_params_rejected(self, stream_csv, tmp_path):
+        params = tmp_path / "rp.params"
+        params.write_text("step = 50\n")
+        assert dispatch(["rp-export", "--in", str(stream_csv),
+                         "--out", str(tmp_path / "p.pgm"),
+                         "--params", str(params)]) == 2
+
+
 class TestTrainIdentifier:
     def test_model_and_report(self, identifier, capsys):
         model, report = identifier
@@ -287,6 +342,17 @@ class TestIdentify:
                          "--model", str(identifier[0]),
                          "--out", str(tmp_path / "o.csv"),
                          "--params", str(params)]) == 2
+
+
+    def test_v1_model_asks_for_retraining(self, identifier, stream_csv,
+                                          tmp_path, capsys):
+        old = tmp_path / "v1.model"
+        old.write_text(identifier[0].read_text().replace("GKMODEL v2",
+                                                         "GKMODEL v1", 1))
+        assert dispatch(["identify", "--in", str(stream_csv),
+                         "--model", str(old),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+        assert "retrain" in capsys.readouterr().err
 
 
 class TestTrainRecognizer:

@@ -1,10 +1,13 @@
 """Kernel, SMO solver, one-against-one ensemble, and model persistence."""
 
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from gesturekit.errors import ConvergenceError, ParseError, ValidationError
-from gesturekit.features import Scaler
+from gesturekit.features import FeatureRegistry, Scaler
 from gesturekit.imu import LabeledDataset
 from gesturekit.svm import (
     ALPHA_FLOOR,
@@ -12,7 +15,6 @@ from gesturekit.svm import (
     BinarySvmModel,
     KernelConfig,
     OvoSvmModel,
-    decision_value,
     dual_objective,
     gram,
     kkt_max_violation,
@@ -210,7 +212,7 @@ class TestSmoTrain:
                        r.normal(loc=3.0, size=(15, 2))])
         y = np.array([-1.0] * 15 + [1.0] * 15)
         model = smo_train(X, y, KernelConfig(kind="linear"), 1.0, seed=0)
-        pred = np.sign(decision_value(model, X))
+        pred = np.sign(X @ model.sv.T @ model.alpha_y + model.bias)
         assert np.array_equal(pred, y)
 
     def test_keeps_only_support_vectors(self):
@@ -244,42 +246,55 @@ class TestSmoTrain:
 
 
 class TestDecisionValue:
-    def build_model(self):
-        cfg = KernelConfig(kind="radial", gamma=0.5)
-        sv = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
-        ay = np.array([0.5, -0.75, 0.25])
-        return BinarySvmModel(cfg=cfg, cost=1.0, sv=sv, alpha_y=ay, bias=0.1)
+    """f(x) = sum_i alpha_i y_i K(s_i, x) + b, one column per class pair."""
+
+    def build_model(self, sv=((0.0, 1.0), (2.0, -1.0), (1.0, 1.0)),
+                    coef=((0.5, 0.0, 1.0), (-0.75, 0.25, 0.0),
+                          (0.25, -0.5, -1.0))):
+        return OvoSvmModel(classes=("A", "B", "C"),
+                           cfg=KernelConfig(kind="radial", gamma=0.5),
+                           cost=1.0, sv=np.reshape(sv, (-1, 2)), coef=coef,
+                           bias=np.array([0.1, -0.2, 0.3]),
+                           scaler=Scaler(np.zeros(2), np.ones(2)),
+                           registry=FeatureRegistry(("f0", "f1")))
 
     def test_matches_hand_computation(self):
         model = self.build_model()
         x = np.array([0.5, 0.5])
-        want = model.bias
-        for s, w in zip(model.sv, model.alpha_y):
-            want += w * np.exp(-0.5 * float(np.sum((s - x) ** 2)))
-        assert decision_value(model, x) == pytest.approx(want)
+        got = model.decision_matrix(x)
+        assert got.shape == (1, 3)
+        for p in range(3):
+            want = model.bias[p]
+            for s, w in zip(model.sv, model.coef[:, p]):
+                want += w * np.exp(-0.5 * float(np.sum((s - x) ** 2)))
+            assert got[0, p] == pytest.approx(want)
 
     def test_matrix_input_returns_vector(self):
         model = self.build_model()
         X = np.array([[0.5, 0.5], [1.0, 0.0]])
-        out = decision_value(model, X)
-        assert out.shape == (2,)
-        assert out[0] == pytest.approx(decision_value(model, X[0]))
+        out = model.decision_matrix(X)
+        assert out.shape == (2, 3)
+        assert np.allclose(out[0], model.decision_matrix(X[0])[0],
+                           rtol=0.0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = self.build_model()
         with pytest.raises(ValidationError):
-            decision_value(model, np.zeros(3))
+            model.decision_matrix(np.zeros(3))
+        with pytest.raises(ValidationError):
+            model.decision_matrix(np.zeros(3), prescaled=True)
 
     def test_empty_support_set_returns_bias(self):
-        cfg = KernelConfig(kind="linear")
-        model = BinarySvmModel(cfg=cfg, cost=1.0, sv=np.empty((0, 2)),
-                               alpha_y=np.empty(0), bias=-0.25)
-        assert decision_value(model, np.zeros(2)) == -0.25
+        model = self.build_model(sv=np.empty((0, 2)), coef=np.empty((0, 3)))
+        assert np.array_equal(model.decision_matrix(np.zeros(2))[0],
+                              model.bias)
 
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             BinarySvmModel(cfg=KernelConfig(kind="linear"), cost=1.0,
                            sv=np.zeros((2, 2)), alpha_y=np.zeros(3), bias=0.0)
+        with pytest.raises(ValidationError):
+            self.build_model(coef=np.zeros((2, 3)))
 
 
 def twelve_class_dataset(seed=0, per_class=6, d=3):
@@ -310,8 +325,9 @@ class TestOvo:
         return ovo_model
 
     def test_pair_count_is_66(self, model):
-        assert len(model.models) == 66
         assert len(model.pairs) == len(set(model.pairs)) == 66
+        assert model.coef.shape == (len(model.sv), 66)
+        assert model.bias.shape == (66,)
 
     def test_pair_orientation(self, model):
         # the (a, b) member treats a as the +1 side: a row of class a
@@ -319,8 +335,7 @@ class TestOvo:
         data = twelve_class_dataset()
         a, b = model.pairs[0]
         row = data.X[data.labels.index(a)]
-        scaled = model.scaler.transform(row[None, :])[0]
-        assert decision_value(model.models[(a, b)], scaled) > 0.0
+        assert model.decision_matrix(row)[0, 0] > 0.0
 
     def test_training_rows_recovered(self, model):
         data = twelve_class_dataset()
@@ -361,7 +376,7 @@ class TestOvo:
                                subjects=[data.subjects[i] for i in keep],
                                feature_names=data.feature_names)
         trained = ovo_train(small, KernelConfig(kind="linear"), 1.0)
-        assert len(trained.models) == 1
+        assert trained.pairs == [("G00", "G01")]
 
     def test_prescaled_requires_scaler(self):
         with pytest.raises(ValidationError):
@@ -369,10 +384,36 @@ class TestOvo:
                       1.0, prescaled=True)
 
     def test_pair_model_count_validated(self, model):
-        partial = dict(list(model.models.items())[:10])
         with pytest.raises(ValidationError):
-            OvoSvmModel(classes=model.classes, models=partial,
-                        scaler=model.scaler, registry=model.registry)
+            replace(model, coef=model.coef[:, :10])
+        with pytest.raises(ValidationError):
+            replace(model, bias=model.bias[:10])
+
+    @pytest.mark.parametrize("kind", ["linear", "radial"])
+    def test_matches_per_pair_reference(self, kind):
+        # every pair rebuilt from its own smo_train run and its own support
+        # vectors, seeded and sliced as ovo_train does
+        data = twelve_class_dataset()
+        model = ovo_train(data, KernelConfig(kind=kind, gamma=0.8), 1.0,
+                          seed=3)
+        Xs = model.scaler.transform(data.X)
+        labels = np.asarray(data.labels)
+        pairs = list(combinations(model.classes, 2))
+        children = np.random.SeedSequence(3).spawn(len(pairs))
+        D = model.decision_matrix(data.X)
+        assert model.pairs == pairs and D.shape == (len(data), 66)
+        for p, ((a, b), child) in enumerate(zip(pairs, children)):
+            mask = (labels == a) | (labels == b)
+            y = np.where(labels[mask] == a, 1.0, -1.0)
+            ref = smo_train(Xs[mask], y, model.cfg, model.cost, seed=child)
+            want = gram(model.cfg, Xs, ref.sv) @ ref.alpha_y + ref.bias
+            assert np.max(np.abs(D[:, p] - want)) <= 1e-12
+            assert np.count_nonzero(model.coef[:, p]) == len(ref.sv)
+
+    def test_support_vectors_stored_once(self, model):
+        assert len(np.unique(model.sv, axis=0)) == len(model.sv)
+        # several pairs share rows: fewer rows than per-pair support sets
+        assert len(model.sv) < np.count_nonzero(model.coef)
 
 
 @pytest.fixture(scope="module")
@@ -397,11 +438,10 @@ class TestPersistence:
         assert list(back.registry.names) == list(model.registry.names)
         assert np.array_equal(back.scaler.mean, model.scaler.mean)
         assert np.array_equal(back.scaler.std, model.scaler.std)
-        for pair in model.pairs:
-            m0, m1 = model.models[pair], back.models[pair]
-            assert np.array_equal(m0.sv, m1.sv)
-            assert np.array_equal(m0.alpha_y, m1.alpha_y)
-            assert m0.bias == m1.bias
+        assert back.cfg == model.cfg and back.cost == model.cost
+        assert np.array_equal(back.sv, model.sv)
+        assert np.array_equal(back.coef, model.coef)
+        assert np.array_equal(back.bias, model.bias)
         d0 = model.decision_matrix(data.X)
         d1 = back.decision_matrix(data.X)
         assert np.array_equal(d0, d1)
@@ -417,9 +457,43 @@ class TestPersistence:
         _, model = trained
         path = tmp_path / "m.gkmodel"
         save_model(model, path)
-        text = path.read_text().replace("GKMODEL v1", "GKMODEL v999", 1)
+        text = path.read_text().replace("GKMODEL v2", "GKMODEL v999", 1)
         path.write_text(text)
         with pytest.raises(ParseError, match="unsupported model version"):
+            load_model(path)
+
+    def test_v1_file_asks_for_retraining(self, trained, tmp_path):
+        _, model = trained
+        path = tmp_path / "m.gkmodel"
+        save_model(model, path)
+        path.write_text(path.read_text().replace("GKMODEL v2", "GKMODEL v1"))
+        with pytest.raises(ParseError, match="retrain"):
+            load_model(path)
+
+    def test_saved_support_vectors_are_distinct(self, trained, tmp_path):
+        _, model = trained
+        path = tmp_path / "m.gkmodel"
+        save_model(model, path)
+        rows = [ln for ln in path.read_text().splitlines()
+                if ln.startswith("sv ")]
+        assert len(rows) == len(set(rows)) == len(model.sv)
+
+    @pytest.mark.parametrize("key,value", [
+        ("sv", "nan"), ("sv", "inf"), ("alpha_y", "-inf"), ("bias", "nan"),
+        ("mean", "inf"), ("std", "0"), ("std", "-1"), ("gamma", "inf"),
+        ("cost", "nan")])
+    def test_non_finite_or_zero_scale_rejected(self, trained, tmp_path,
+                                               key, value):
+        _, model = trained
+        path = tmp_path / "m.gkmodel"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        idx = next(i for i, ln in enumerate(lines)
+                   if ln.startswith(key + " "))
+        width = len(lines[idx].split()) - 1
+        lines[idx] = " ".join([key] + [value] * width)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
@@ -464,21 +538,6 @@ class TestPersistence:
         def fix(c):
             return "bad name" if c == victim else c
 
-        renamed = {(fix(a), fix(b)): m for (a, b), m in model.models.items()}
-        classes = tuple(fix(c) for c in model.classes)
-        broken = OvoSvmModel(classes=classes, models=renamed,
-                             scaler=model.scaler, registry=model.registry)
+        broken = replace(model, classes=tuple(fix(c) for c in model.classes))
         with pytest.raises(ValidationError):
-            save_model(broken, tmp_path / "m.gkmodel")
-
-    def test_cost_disagreement_rejected_on_save(self, trained, tmp_path):
-        _, model = trained
-        models = dict(model.models)
-        pair, member = next(iter(models.items()))
-        models[pair] = BinarySvmModel(cfg=member.cfg, cost=member.cost + 1.0,
-                                      sv=member.sv, alpha_y=member.alpha_y,
-                                      bias=member.bias)
-        broken = OvoSvmModel(classes=model.classes, models=models,
-                             scaler=model.scaler, registry=model.registry)
-        with pytest.raises(ValidationError, match="cost"):
             save_model(broken, tmp_path / "m.gkmodel")
