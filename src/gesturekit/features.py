@@ -191,6 +191,8 @@ def read_feature_csv(path) -> LabeledDataset:
             rows.append([float(c) for c in cells[:-2]])
         except ValueError:
             raise ParseError(f"{path}: non-numeric cell at line {i + 2}") from None
+        if not np.all(np.isfinite(rows[-1])):
+            raise ParseError(f"{path}: non-finite value at line {i + 2}")
         labels.append(cells[-2].strip())
         subjects.append(cells[-1].strip())
     if not rows:

@@ -185,8 +185,7 @@ def _identifier_fold(args):
     for it in range(cfg.n_balance_iters):
         rng = derive_rng(seed, BALANCE, fi, it)
         subset = _balanced_subset(train, rng)
-        model = ovo_train(subset, cfg.kernel, cfg.cost,
-                          seed=derive_int(seed, TRAINER, fi, it))
+        model = ovo_train(subset, cfg.kernel, cfg.cost)
         pred = model.predict(test.X)
         conf = confusion_matrix(_WINDOW_CLASSES, test.labels, pred)
         accs.append(float(np.trace(conf) / conf.sum()))
@@ -220,8 +219,7 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
     report = EvaluationReport.from_folds(mapper(_identifier_fold, tasks),
                                          _WINDOW_CLASSES)
     final_subset = _balanced_subset(dataset, derive_rng(seed, FINAL))
-    model = ovo_train(final_subset, cfg.kernel, cfg.cost,
-                      seed=derive_int(seed, FINAL, 0))
+    model = ovo_train(final_subset, cfg.kernel, cfg.cost)
     return model, report
 
 
@@ -413,13 +411,14 @@ class SvmTrainer:
 
     def model(self, train: LabeledDataset, seed=0) -> OvoSvmModel:
         """The pairwise ensemble fit on all of ``train``, standardized and
-        noise-augmented first when ``augment_sigma`` is set."""
+        noise-augmented first when ``augment_sigma`` is set; ``seed`` only
+        draws the noise."""
         if self.augment_sigma is None:
-            return ovo_train(train, self.kernel, self.cost, seed=seed)
+            return ovo_train(train, self.kernel, self.cost)
         scaler, augmented = standardize_augment(train, self.augment_sigma,
                                                 seed=seed)
-        return ovo_train(augmented, self.kernel, self.cost, seed=seed,
-                         scaler=scaler, prescaled=True)
+        return ovo_train(augmented, self.kernel, self.cost, scaler=scaler,
+                         prescaled=True)
 
     def __call__(self, train: LabeledDataset, test_rows, seed=0):
         test = np.atleast_2d(np.asarray(test_rows, dtype=np.float64))

@@ -31,5 +31,5 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def derive_int(master_seed: int, *key: int) -> int:
-    """A plain integer seed for components that take one (e.g. the SMO solver)."""
+    """A plain integer seed for components that take one (e.g. a trainer)."""
     return int(derive_seq(master_seed, *key).generate_state(1)[0])

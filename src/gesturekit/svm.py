@@ -1,12 +1,13 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
-Binary models are solved two Lagrange multipliers at a time with
-first/second-choice working-pair heuristics; multiclass problems train one
-binary model per unordered class pair and combine them by voting. The
-pairs share one store of support vectors, each row held once with one
-weight column per pair, so prediction takes one kernel matrix. Models
-serialize to a line-oriented text format that round-trips decision values
-exactly (17 significant digits).
+Binary models are solved two Lagrange multipliers at a time, each pair
+picked by deterministic second-order working-set selection (WSS2), so a
+trained model depends on its data and settings alone. Multiclass problems
+train one binary model per unordered class pair and combine them by
+voting. The pairs share one store of support vectors, each row held once
+with one weight column per pair, so prediction takes one kernel matrix.
+Models serialize to a line-oriented text format that round-trips
+decision values exactly (17 significant digits).
 
 Conventions used throughout: labels are +1/-1 on the binary level, a
 decision value of exactly 0 counts as +1, and within a class pair (a, b)
@@ -31,10 +32,7 @@ from .imu import read_text
 
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
 
-# solver tolerances: KKT slack, and the floor below which a multiplier
-# change does not count as progress
-KKT_TOL = 1e-3
-ALPHA_FLOOR = 1e-8
+KKT_TOL = 1e-3      # solver stopping tolerance on the KKT gap
 
 
 @dataclass(frozen=True)
@@ -118,145 +116,59 @@ def kkt_max_violation(K, y, alpha, bias, cost) -> float:
     return float(viol.max(initial=0.0))
 
 
-def smo_solve(K, y, cost, rng, tol=KKT_TOL, max_sweeps=None):
+def smo_solve(K, y, cost, tol=KKT_TOL, max_iter=None):
     """Solve the dual QP on a precomputed Gram matrix.
 
-    Returns ``(alpha, bias)``. The error cache holds f(x_i) - y_i for
-    every training point and is updated in O(n) per accepted step. The rng
-    only breaks ties in the fallback scans for a second working variable,
-    so results are deterministic for a fixed seed. ``max_sweeps`` (default
-    10n) budgets full passes over the data; if no full pass comes back
-    clean within it, a ConvergenceError is raised instead of returning a
-    half-optimized model.
+    Returns ``(alpha, bias)``. Each step moves one pair of multipliers,
+    picked by second-order working-set selection (Fan, Chen & Lin 2005,
+    JMLR 6:1889) from the gradient g = y - K(alpha y): i maximizes g over
+    I_up, the points whose alpha y may grow, and j maximizes the gain
+    b^2/a over I_low, those whose alpha y may shrink. Ties go to the lowest
+    index, so the result depends on the inputs alone. Curvature a <= 0
+    (an indefinite kernel) is floored at 1e-12. The loop stops when the
+    gap max g(I_up) - min g(I_low) is at most ``tol``; ``max_iter``
+    (default 100n) budgets the steps, past which a ConvergenceError is
+    raised instead of returning a half-optimized model.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     if K.shape != (n, n):
         raise ValidationError("Gram matrix shape does not match labels")
-    if cost <= 0:
-        raise ValidationError("cost must be positive")
-    if max_sweeps is None:
-        max_sweeps = 10 * n
+    if not 0.0 < cost < np.inf:
+        raise ValidationError("cost must be positive and finite")
+    if max_iter is None:
+        max_iter = 100 * n
 
-    alpha = np.zeros(n)
+    # v = alpha y lives in the box [lo, hi]; g = y - K v is the gradient
+    v = np.zeros(n)
+    hi = np.where(y > 0.0, cost, 0.0)
+    lo = hi - cost
+    g = y.copy()
+    diag = np.diag(K)
+    curvature = np.maximum(diag[:, None] + diag - 2.0 * K, 1e-12)
+    for step in range(max_iter + 1):
+        up_g = np.where(v < hi, g, -np.inf)     # g over I_up
+        low_g = np.where(v > lo, g, np.inf)     # g over I_low
+        i = int(up_g.argmax())
+        gap = up_g[i] - low_g.min()
+        if not gap > tol:
+            break
+        if step == max_iter:
+            raise ConvergenceError(
+                f"SMO did not converge within {max_iter} steps "
+                f"(n={n}, cost={cost}, gap={gap:.3g})")
+        b = np.maximum(up_g[i] - low_g, 0.0)
+        j = int((b * b / curvature[i]).argmax())
+        # v_i grows and v_j shrinks by t, keeping sum(v) = 0; a capped
+        # multiplier lands exactly on its bound
+        cap_i, cap_j = hi[i] - v[i], v[j] - lo[j]
+        t = min(b[j] / curvature[i, j], cap_i, cap_j)
+        v[i] = hi[i] if t == cap_i else v[i] + t
+        v[j] = lo[j] if t == cap_j else v[j] - t
+        g -= t * (K[i] - K[j])
+    alpha = np.abs(v)
     bias = 0.0
-    err = -y.copy()
-
-    def take_step(i1, i2):
-        nonlocal bias, err
-        if i1 == i2:
-            return False
-        a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = err[i1], err[i2]
-        s = y1 * y2
-        if s < 0:
-            lo = max(0.0, a2o - a1o)
-            hi = min(cost, cost + a2o - a1o)
-        else:
-            lo = max(0.0, a1o + a2o - cost)
-            hi = min(cost, a1o + a2o)
-        if lo >= hi:
-            return False
-        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0.0:
-            a2n = a2o + y2 * (e1 - e2) / eta
-            a2n = min(max(a2n, lo), hi)
-        else:
-            # degenerate curvature: evaluate the restricted objective at
-            # both box ends and move to the lower one (minimization form)
-            f1 = y1 * (e1 + bias) - a1o * k11 - s * a2o * k12
-            f2 = y2 * (e2 + bias) - s * a1o * k12 - a2o * k22
-            l1 = a1o + s * (a2o - lo)
-            h1 = a1o + s * (a2o - hi)
-            lobj = (l1 * f1 + lo * f2 + 0.5 * l1 * l1 * k11
-                    + 0.5 * lo * lo * k22 + s * lo * l1 * k12)
-            hobj = (h1 * f1 + hi * f2 + 0.5 * h1 * h1 * k11
-                    + 0.5 * hi * hi * k22 + s * hi * h1 * k12)
-            if lobj < hobj - ALPHA_FLOOR:
-                a2n = lo
-            elif lobj > hobj + ALPHA_FLOOR:
-                a2n = hi
-            else:
-                return False
-        if abs(a2n - a2o) < ALPHA_FLOOR * (a2n + a2o + ALPHA_FLOOR):
-            return False
-        a1n = a1o + s * (a2o - a2n)
-        # snap to the box so bound multipliers are exact
-        if a1n < ALPHA_FLOOR:
-            a1n = 0.0
-        elif a1n > cost - ALPHA_FLOOR:
-            a1n = cost
-        if a2n < ALPHA_FLOOR:
-            a2n = 0.0
-        elif a2n > cost - ALPHA_FLOOR:
-            a2n = cost
-        d1 = (a1n - a1o) * y1
-        d2 = (a2n - a2o) * y2
-        b1 = bias - e1 - d1 * k11 - d2 * k12
-        b2 = bias - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1n < cost:
-            bn = b1
-        elif 0.0 < a2n < cost:
-            bn = b2
-        else:
-            bn = 0.5 * (b1 + b2)
-        err += d1 * K[i1] + d2 * K[i2] + (bn - bias)
-        alpha[i1] = a1n
-        alpha[i2] = a2n
-        bias = bn
-        return True
-
-    def examine(i2):
-        a2 = alpha[i2]
-        r2 = err[i2] * y[i2]
-        if not ((r2 < -tol and a2 < cost) or (r2 > tol and a2 > 0.0)):
-            return False
-        unbound = np.flatnonzero((alpha > 0.0) & (alpha < cost))
-        if len(unbound) > 1:
-            # second-choice heuristic: largest |E1 - E2|, lowest index on ties
-            i1 = int(unbound[np.argmax(np.abs(err[unbound] - err[i2]))])
-            if take_step(i1, i2):
-                return True
-        if len(unbound):
-            start = int(rng.integers(len(unbound)))
-            for k in range(len(unbound)):
-                if take_step(int(unbound[(start + k) % len(unbound)]), i2):
-                    return True
-        start = int(rng.integers(n))
-        for k in range(n):
-            if take_step((start + k) % n, i2):
-                return True
-        return False
-
-    # the budget counts full passes; the cheap unbound-only refinement
-    # passes between them are bounded separately so the loop still
-    # terminates on cycling inputs
-    sweeps = 0
-    refines = 0
-    changed = 0
-    examine_all = True
-    while changed > 0 or examine_all:
-        changed = 0
-        if examine_all:
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(
-                    f"SMO did not converge within {max_sweeps} sweeps "
-                    f"(n={n}, cost={cost})")
-            refines = 0
-            for i2 in range(n):
-                changed += examine(i2)
-        else:
-            refines += 1
-            for i2 in np.flatnonzero((alpha > 0.0) & (alpha < cost)):
-                changed += examine(int(i2))
-        if examine_all:
-            examine_all = False
-        elif changed == 0 or refines >= n:
-            examine_all = True
     # settle the bias from the final multipliers: unbound points pin it
     # exactly, otherwise the feasible interval's midpoint is taken. This
     # drops the drift the incremental updates accumulate.
@@ -297,7 +209,7 @@ class BinarySvmModel:
         ay.setflags(write=False)
 
 
-def smo_train(X, y, cfg: KernelConfig, cost: float, seed=0) -> BinarySvmModel:
+def smo_train(X, y, cfg: KernelConfig, cost: float) -> BinarySvmModel:
     """Train one binary model on feature rows with +1/-1 labels."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -310,9 +222,7 @@ def smo_train(X, y, cfg: KernelConfig, cost: float, seed=0) -> BinarySvmModel:
     if len(np.unique(y)) < 2:
         raise ValidationError("single-class input: need both +1 and -1 labels")
     cfg = cfg.resolved(X.shape[1])
-    K = gram(cfg, X, X)
-    rng = np.random.default_rng(seed)
-    alpha, bias = smo_solve(K, y, cost, rng)
+    alpha, bias = smo_solve(gram(cfg, X, X), y, cost)
     mask = alpha > 0.0
     return BinarySvmModel(cfg=cfg, cost=cost, sv=X[mask].copy(),
                           alpha_y=(alpha * y)[mask], bias=bias)
@@ -407,7 +317,7 @@ def vote_winners(votes, margins) -> np.ndarray:
     return np.argmax(tied & (m == m.max(axis=1, keepdims=True)), axis=1)
 
 
-def ovo_train(dataset, cfg: KernelConfig, cost: float, seed=0,
+def ovo_train(dataset, cfg: KernelConfig, cost: float,
               scaler: Scaler | None = None,
               prescaled: bool = False) -> OvoSvmModel:
     """Train the full pairwise ensemble on a labeled dataset.
@@ -429,15 +339,13 @@ def ovo_train(dataset, cfg: KernelConfig, cost: float, seed=0,
     Xs = X if prescaled else scaler.transform(X)
     cfg = cfg.resolved(Xs.shape[1])
     labels = np.asarray(dataset.labels)
-    pairs = list(combinations(classes, 2))
-    children = np.random.SeedSequence(seed).spawn(len(pairs))
     fits = []
-    for (a, b), child in zip(pairs, children):
+    for a, b in combinations(classes, 2):
         mask = (labels == a) | (labels == b)
         if not np.any(labels == a) or not np.any(labels == b):
             raise ValidationError(f"class pair ({a}, {b}) has an empty side")
         yy = np.where(labels[mask] == a, 1.0, -1.0)
-        fits.append(smo_train(Xs[mask], yy, cfg, cost, seed=child))
+        fits.append(smo_train(Xs[mask], yy, cfg, cost))
     # a row that is a support vector of several pairs is stored once; equal
     # rows merge and their weights add up within each pair's column
     sv, row = np.unique(np.vstack([f.sv for f in fits]), axis=0,

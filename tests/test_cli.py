@@ -370,6 +370,21 @@ class TestTrainRecognizer:
                              "--features", which]) == 0
             assert f"{width} features" in capsys.readouterr().out
 
+    def test_plain_model_does_not_depend_on_seed(self, data_dir, tmp_path):
+        # the solver is deterministic and only augmentation draws noise
+        paths = [tmp_path / f"seed{seed}.model" for seed in (1, 2)]
+        for seed, path in zip((1, 2), paths):
+            assert dispatch(["train-recognizer", "--data", str(data_dir),
+                             "--out", str(path), "--seed", str(seed)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("cost", ["nan", "inf"])
+    def test_non_finite_cost_rejected(self, data_dir, tmp_path, cost):
+        model = tmp_path / "rec.model"
+        assert dispatch(["train-recognizer", "--data", str(data_dir),
+                         "--out", str(model), "--cost", cost]) == 3
+        assert not model.exists()
+
     def test_augmented_variant(self, data_dir, tmp_path):
         model = tmp_path / "aug.model"
         assert dispatch(["train-recognizer", "--data", str(data_dir),
@@ -474,6 +489,17 @@ class TestAugment:
         assert len(augmented) == 2 * len(dataset)
         assert (augmented.X[:len(dataset)] == dataset.X).all()
         assert "48 original + 48 noisy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, capsys, cell):
+        table = tmp_path / "features.csv"
+        table.write_text("f0,f1,label,subject\n1.0,2.0,Up,s01\n"
+                         f"3.0,{cell},Down,s01\n5.0,6.0,Up,s02\n")
+        out = tmp_path / "o.csv"
+        assert dispatch(["augment", "--in", str(table),
+                         "--out", str(out)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_sigma_rejected(self, tmp_path):
         table = tmp_path / "features.csv"

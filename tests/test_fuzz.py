@@ -1,5 +1,5 @@
-"""Fuzzed parser input: a damaged model or parameter file either parses or
-raises ParseError, never another exception."""
+"""Fuzzed parser input: a damaged model, parameter or CSV file either parses
+or raises ParseError, never another exception."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from gesturekit.cli import read_params
 from gesturekit.errors import ParseError
-from gesturekit.imu import LabeledDataset
+from gesturekit.features import read_feature_csv, write_feature_csv
+from gesturekit.imu import (ImuStream, LabeledDataset, LabeledInterval,
+                            parse_imu_csv, parse_label_csv, write_imu_csv,
+                            write_label_csv)
 from gesturekit.svm import KernelConfig, OvoSvmModel, load_model, ovo_train, \
     save_model
 
@@ -37,12 +40,17 @@ def model_bytes(workdir):
     return path.read_bytes()
 
 
-def load_or_parse_error(path, data: bytes):
+def read_or_parse_error(reader, path, data: bytes):
     path.write_bytes(data)
     try:
-        assert isinstance(load_model(path), OvoSvmModel)
+        return reader(path)
     except ParseError:
-        pass
+        return None
+
+
+def load_or_parse_error(path, data: bytes):
+    model = read_or_parse_error(load_model, path, data)
+    assert model is None or isinstance(model, OvoSvmModel)
 
 
 def test_valid_file_loads(workdir, model_bytes):
@@ -90,3 +98,67 @@ def test_params_text(workdir, text):
         return
     assert all(isinstance(k, str) and k and isinstance(v, str) and v
                for k, v in params.items())
+
+
+def write_stream(path):
+    r = np.random.default_rng(1)
+    write_imu_csv(ImuStream(subject_id="s01", rate_hz=50.0, t=np.arange(6),
+                            channels=r.normal(size=(6, 9))), path)
+
+
+def write_labels(path):
+    write_label_csv([LabeledInterval(0, 40, "Up", "s01"),
+                     LabeledInterval(40, 95, "ADL", "s01"),
+                     LabeledInterval(120, 160, "Pull", "s01")], path)
+
+
+def write_features(path):
+    r = np.random.default_rng(2)
+    write_feature_csv(LabeledDataset(X=r.normal(size=(4, 3)),
+                                     labels=["Up", "Down", "Up", "Down"],
+                                     subjects=["s01", "s01", "s02", "s02"],
+                                     feature_names=["f0", "f1", "f2"]), path)
+
+
+# each CSV reader with a writer for a small valid file it must accept
+CSV_READERS = {"stream": (parse_imu_csv, write_stream),
+               "labels": (parse_label_csv, write_labels),
+               "features": (read_feature_csv, write_features)}
+
+
+@pytest.fixture(scope="module", params=sorted(CSV_READERS))
+def csv_case(request, workdir):
+    """(reader, path to fuzz into, bytes of a valid file)."""
+    reader, write = CSV_READERS[request.param]
+    path = workdir / f"{request.param}.csv"
+    write(path)
+    assert reader(path) is not None
+    return reader, path, path.read_bytes()
+
+
+@FUZZ
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_csv(csv_case, cut):
+    reader, path, valid = csv_case
+    read_or_parse_error(reader, path, valid[:int(cut * len(valid))])
+
+
+@FUZZ
+@given(drop=st.sets(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+def test_csv_with_lines_dropped(csv_case, drop):
+    reader, path, valid = csv_case
+    lines = valid.splitlines(keepends=True)
+    gone = {i % len(lines) for i in drop}
+    read_or_parse_error(reader, path, b"".join(
+        ln for i, ln in enumerate(lines) if i not in gone))
+
+
+@FUZZ
+@given(flips=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.integers(1, 255)), min_size=1, max_size=4))
+def test_csv_with_bytes_flipped(csv_case, flips):
+    reader, path, valid = csv_case
+    data = bytearray(valid)
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    read_or_parse_error(reader, path, bytes(data))
