@@ -35,7 +35,6 @@ from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
                   write_rp_pgm, write_rqa_csv)
 from .svm import (KERNEL_KINDS, KernelConfig, load_model, ovo_predict,
                   save_model)
-from .synth import SynthConfig, generate_dataset, write_dataset
 
 DEFAULTS_EPILOG = """\
 tuned defaults:
@@ -244,6 +243,8 @@ def _typed_overrides(sub: argparse.ArgumentParser, params_path) -> dict:
 
 
 def _cmd_synth(args) -> int:
+    # synth pulls in scipy.signal, which no other command needs
+    from .synth import SynthConfig, generate_dataset, write_dataset
     cfg = SynthConfig(n_subjects=args.subjects, reps=args.reps,
                       rate_hz=args.rate, adl_minutes=args.adl_minutes,
                       gesture_fraction=args.gesture_fraction, seed=args.seed)

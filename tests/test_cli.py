@@ -97,6 +97,19 @@ class TestParsing:
         assert proc.returncode == 0
         assert "COMMAND" in proc.stdout
 
+    def test_cli_import_leaves_out_scipy_signal(self):
+        """Only synth needs scipy.signal, so the other commands do not
+        pay for importing it."""
+        package_root = str(Path(gesturekit.__file__).resolve().parents[1])
+        probe = ("import sys\n"
+                 f"sys.path.insert(0, {package_root!r})\n"
+                 "import gesturekit.cli\n"
+                 "print('scipy.signal' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.skipif(shutil.which("gesturekit") is None,
                         reason="no gesturekit executable on PATH")
     def test_console_script_on_path(self):
@@ -183,6 +196,18 @@ class TestRqaFeatures:
                          "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_index_beyond_int64_is_data_error(self, stream_csv, tmp_path,
+                                              capsys):
+        lines = stream_csv.read_text().splitlines()
+        lines[3] = "99999999999999999999" + lines[3][lines[3].index(","):]
+        bad = tmp_path / "s01.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = dispatch(["rqa-features", "--in", str(bad),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "sample index out of int64 range at line 4" in \
+            capsys.readouterr().err
 
 
 class TestParams:

@@ -100,10 +100,16 @@ def test_params_text(workdir, text):
                for k, v in params.items())
 
 
-def write_stream(path):
+def write_stream(path, n=6):
     r = np.random.default_rng(1)
-    write_imu_csv(ImuStream(subject_id="s01", rate_hz=50.0, t=np.arange(6),
-                            channels=r.normal(size=(6, 9))), path)
+    write_imu_csv(ImuStream(subject_id="s01", rate_hz=50.0, t=np.arange(n),
+                            channels=r.normal(size=(n, 9))), path)
+
+
+def write_long_stream(path):
+    """More rows than two parse blocks of 1024, so damage can land in
+    any of three blocks."""
+    write_stream(path, n=2100)
 
 
 def write_labels(path):
@@ -122,6 +128,7 @@ def write_features(path):
 
 # each CSV reader with a writer for a small valid file it must accept
 CSV_READERS = {"stream": (parse_imu_csv, write_stream),
+               "long-stream": (parse_imu_csv, write_long_stream),
                "labels": (parse_label_csv, write_labels),
                "features": (read_feature_csv, write_features)}
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gesturekit.errors import ParseError, ValidationError
-from gesturekit.imu import (ADL_LABEL, CHANNELS, GESTURES, ImuStream,
-                            LabeledDataset, LabeledInterval,
+from gesturekit.imu import (_BLOCK_ROWS, ADL_LABEL, CHANNELS, GESTURES,
+                            ImuStream, LabeledDataset, LabeledInterval,
                             canonical_class_order, extract_segment,
                             parse_imu_csv, parse_label_csv, write_imu_csv,
                             write_label_csv)
@@ -68,6 +68,119 @@ def test_imu_csv_rejects_bad_cells(tmp_path):
     p.write_text("t,a,b\n")
     with pytest.raises(ParseError):
         parse_imu_csv(p)
+
+
+BIG_ROWS = 5500      # several parse blocks, the last one partial
+
+
+@pytest.fixture(scope="module")
+def big_stream(tmp_path_factory):
+    """A valid multi-block stream: (its parsed stream, its CSV lines)."""
+    # BAD_STREAMS's rows 2048 and 4096 start blocks, and more follow
+    assert 2048 % _BLOCK_ROWS == 0 and BIG_ROWS > 4096 + _BLOCK_ROWS
+    path = tmp_path_factory.mktemp("big") / "s.csv"
+    stream = make_stream(BIG_ROWS, seed=4)
+    write_imu_csv(stream, path)
+    return stream, path.read_text().splitlines()
+
+
+def set_cell(line, col, value):
+    cells = line.split(",")
+    cells[col] = value
+    return ",".join(cells)
+
+
+def drop_last_cell(line):
+    return line[:line.rindex(",")]
+
+
+# ({data row: edit}, expected message); data row k is file line k + 2, so
+# rows 2047/2048 and 4095/4096 straddle the parser's block boundaries
+BAD_STREAMS = {
+    "nine-cells-at-boundary": (
+        {2048: drop_last_cell},
+        "expected 10 cells at line 2050, got 9"),
+    "eleven-cells": (
+        {3001: lambda ln: ln + ",1"},
+        "expected 10 cells at line 3003, got 11"),
+    "nine-then-eleven-across-blocks": (
+        {2047: drop_last_cell, 2048: lambda ln: ln + ",1"},
+        "expected 10 cells at line 2049, got 9"),
+    "nine-then-eleven-in-block": (
+        {3000: drop_last_cell, 3001: lambda ln: ln + ",1"},
+        "expected 10 cells at line 3002, got 9"),
+    "non-numeric-channel": (
+        {4096: lambda ln: set_cell(ln, 4, "oops")},
+        "non-numeric cell at line 4098: "
+        "could not convert string to float: 'oops'"),
+    "non-numeric-index": (
+        {2049: lambda ln: set_cell(ln, 0, "2049.0")},
+        "non-numeric cell at line 2051: "
+        "invalid literal for int() with base 10: '2049.0'"),
+    "index-beyond-int64": (
+        {2048: lambda ln: set_cell(ln, 0, "99999999999999999999")},
+        "sample index out of int64 range at line 2050"),
+    "nan": (
+        {2048: lambda ln: set_cell(ln, 9, "nan")},
+        "non-finite value at line 2050"),
+    "1e999": (
+        {4095: lambda ln: set_cell(ln, 1, "1e999")},
+        "non-finite value at line 4097"),
+    "non-monotonic": (
+        {2048: lambda ln: set_cell(ln, 0, "2047")},
+        "non-monotonic index at line 2050"),
+    "gap": (
+        {4096: lambda ln: set_cell(ln, 0, "4097")},
+        "missing sample before line 4098"),
+    # one line, several problems: the first in the order above wins
+    "cells-before-non-numeric": (
+        {2500: lambda ln: drop_last_cell(set_cell(ln, 2, "x"))},
+        "expected 10 cells at line 2502, got 9"),
+    "non-numeric-before-non-finite": (
+        {2500: lambda ln: set_cell(set_cell(ln, 2, "inf"), 3, "x")},
+        "non-numeric cell at line 2502: "
+        "could not convert string to float: 'x'"),
+    "non-finite-before-non-monotonic": (
+        {2500: lambda ln: set_cell(set_cell(ln, 0, "7"), 5, "-inf")},
+        "non-finite value at line 2502"),
+    # an earlier line wins over an earlier problem kind in a later block
+    "non-finite-before-later-cell-count": (
+        {2100: lambda ln: set_cell(ln, 1, "nan"),
+         4500: drop_last_cell},
+        "non-finite value at line 2102"),
+    "gap-before-later-non-numeric": (
+        {3000: lambda ln: set_cell(ln, 0, "3001"),
+         3001: lambda ln: set_cell(ln, 1, "?")},
+        "missing sample before line 3002"),
+    "cell-count-before-later-non-finite": (
+        {2047: drop_last_cell, 2048: lambda ln: set_cell(ln, 1, "nan")},
+        "expected 10 cells at line 2049, got 9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STREAMS))
+def test_big_stream_errors_name_first_bad_line(big_stream, tmp_path, case):
+    edits, message = BAD_STREAMS[case]
+    lines = list(big_stream[1])
+    for row, edit in edits.items():
+        lines[row + 1] = edit(lines[row + 1])
+    p = tmp_path / "s.csv"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        parse_imu_csv(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
+def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
+    stream, lines = big_stream
+    spaced = list(lines)
+    for k in (4096, 2048, 2047, 10):      # blank lines around block edges
+        spaced.insert(k, "  " if k % 2 else "")
+    p = tmp_path / "s.csv"
+    p.write_bytes(("\r\n".join(spaced) + "\r\n").encode())
+    back = parse_imu_csv(p)
+    assert np.array_equal(back.t, stream.t)
+    assert np.array_equal(back.channels, stream.channels)
 
 
 def test_interval_validation():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gesturekit.errors import ValidationError
-from gesturekit.rqa import (EmbeddingConfig, RpConfig, RqaWindowConfig,
+from gesturekit.rqa import (NORMS, _WINDOW_CHUNK, EmbeddingConfig,
+                            RecurrencePlot, RpConfig, RqaWindowConfig,
                             ami_curve, estimate_delay, estimate_dimension,
                             fnn_fraction, recurrence_plot, recurrence_rate,
                             time_delay_embed, transitivity, windowed_rqa,
@@ -42,6 +43,15 @@ def test_recurrence_plot_tie_is_recurrence():
     plot = recurrence_plot(states, RpConfig(epsilon=1.0, norm="L2"))
     assert plot.matrix[0, 1] == 1 and plot.matrix[1, 0] == 1
     assert plot.matrix[0, 2] == 0
+
+
+@pytest.mark.parametrize("matrix", [
+    np.zeros((3, 3)), 2 * np.eye(3), np.triu(np.ones((3, 3)))],
+    ids=["zero-diagonal", "not-0/1", "asymmetric"])
+def test_recurrence_plot_rejects_other_matrices(matrix):
+    # rr and tra count the diagonal as ones and A @ A * A as trace(A^3)
+    with pytest.raises(ValidationError):
+        RecurrencePlot(matrix=matrix, rp_config=RpConfig())
 
 
 def test_rqa_values_match_oracles():
@@ -149,6 +159,47 @@ def test_windowed_rqa_layout():
                         RqaWindowConfig(window_len=125, step=25))
     assert rows[2].rr == solo[0].rr
     assert rows[2].tra == solo[0].tra
+
+
+def per_window_reference(series, emb, rp, win):
+    """(start, rr, tra) of each window from its own plot and the oracles."""
+    out = []
+    for start in range(0, len(series) - win.window_len + 1, win.step):
+        window = series[start: start + win.window_len]
+        plot = recurrence_plot(naive_embed(window, emb.m, emb.tau), rp)
+        out.append((start, naive_recurrence_rate(plot.matrix),
+                    naive_transitivity(plot.matrix)))
+    return out
+
+
+EXACT_WIN = RqaWindowConfig(window_len=20, step=3)
+EXACT_EMB = EmbeddingConfig(m=3, tau=2)
+EXACT_N = 20 + (2 * _WINDOW_CHUNK + 4) * 3   # 3 chunks, the last partial
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_windowed_rqa_bit_equals_per_window_oracle(norm):
+    rng = np.random.default_rng(12)
+    r = np.cumsum(rng.normal(scale=0.1, size=EXACT_N))
+    rp = RpConfig(epsilon=0.3, norm=norm)
+    rows = windowed_rqa(r, EXACT_EMB, rp, EXACT_WIN)
+    assert len(rows) > _WINDOW_CHUNK and len(rows) % _WINDOW_CHUNK != 0
+    got = [(row.window_start, row.rr, row.tra) for row in rows]
+    want = per_window_reference(r, EXACT_EMB, rp, EXACT_WIN)
+    assert got == want            # exact: no tolerance
+    assert len({tra for _, _, tra in got}) > 30     # not a trivial graph
+
+
+@pytest.mark.parametrize("series,rr,tra", [
+    (np.full(EXACT_N, 3.0), 1.0, 1.0),              # every pair recurs
+    (100.0 * np.arange(EXACT_N), 1.0 / 16, 0.0),    # only the diagonal
+], ids=["constant", "far-apart"])
+def test_windowed_rqa_extreme_graphs(series, rr, tra):
+    rp = RpConfig(epsilon=0.1)
+    rows = windowed_rqa(series, EXACT_EMB, rp, EXACT_WIN)
+    assert [(row.window_start, row.rr, row.tra) for row in rows] == \
+        per_window_reference(series, EXACT_EMB, rp, EXACT_WIN)
+    assert {(row.rr, row.tra) for row in rows} == {(rr, tra)}
 
 
 def test_windowed_rqa_rejects_short_input():
