@@ -22,12 +22,12 @@ from .errors import ConvergenceError, ParseError, ValidationError
 from .features import (DEFAULT_SAMPLES, FeatureRegistry, featurize_segments,
                        feature_vector, read_feature_csv, write_feature_csv)
 from .forest import ForestConfig
-from .imu import (CHANNELS, DEFAULT_RATE_HZ, LabeledDataset, extract_segment,
-                  parse_imu_csv, parse_label_csv, read_text)
+from .imu import (CHANNELS, LabeledDataset, extract_segment, parse_imu_csv,
+                  parse_label_csv, read_text)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, identify_segments, is_sample_feature,
-                       permutation_importance, loso_evaluate,
-                       standardize_augment, train_identifier,
+                       load_identifier, permutation_importance,
+                       loso_evaluate, standardize_augment, train_identifier,
                        write_confusion_csv, write_importance_csv,
                        write_report_csv)
 from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
@@ -120,8 +120,7 @@ def _add_rec_svm(sub):
     sub.add_argument("--kernel", default="radial", choices=KERNEL_KINDS,
                      help="kernel kind (default radial)")
     sub.add_argument("--gamma", type=float, default=0.005,
-                     help="kernel gamma; omit --gamma for 1/n_features "
-                          "(default 0.005)")
+                     help="kernel gamma (default 0.005)")
     sub.add_argument("--cost", type=float, default=1.0,
                      help="soft-margin cost (default 1)")
     sub.add_argument("--degree", type=int, default=3,
@@ -161,7 +160,7 @@ def _data_dir(root, kind: str) -> Path:
     return sub if sub.is_dir() else root
 
 
-def _load_streams(folder, rate_hz: float):
+def _load_streams(folder):
     folder = Path(folder)
     pairs = []
     for p in sorted(folder.glob("*.csv")):
@@ -170,17 +169,15 @@ def _load_streams(folder, rate_hz: float):
         labels = p.with_name(p.stem + "_labels.csv")
         if not labels.exists():
             raise ParseError(f"{labels}: missing label file")
-        pairs.append((parse_imu_csv(p, rate_hz=rate_hz),
-                      parse_label_csv(labels)))
+        pairs.append((parse_imu_csv(p), parse_label_csv(labels)))
     if not pairs:
         raise ParseError(f"{folder}: no stream CSVs found")
     return pairs
 
 
-def _load_segments(root, rate_hz: float):
+def _load_segments(root):
     out = []
-    for stream, intervals in _load_streams(_data_dir(root, "recognition"),
-                                           rate_hz):
+    for stream, intervals in _load_streams(_data_dir(root, "recognition")):
         for iv in intervals:
             out.append((extract_segment(stream, iv), iv.label))
     return out
@@ -195,7 +192,7 @@ def _feature_columns(names, which: str):
 
 
 def _segment_dataset(args) -> LabeledDataset:
-    dataset = featurize_segments(_load_segments(args.data, args.rate),
+    dataset = featurize_segments(_load_segments(args.data),
                                  n_samples=args.samples)
     cols = _feature_columns(dataset.feature_names, args.features)
     return dataset if cols is None else dataset.take(columns=cols)
@@ -260,7 +257,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_rqa_features(args) -> int:
-    stream = parse_imu_csv(args.infile, rate_hz=args.rate)
+    stream = parse_imu_csv(args.infile)
     cfg = _id_config(args)
     rows = windowed_rqa(stream.channel(cfg.series), cfg.embedding, cfg.rp,
                         cfg.window)
@@ -270,7 +267,7 @@ def _cmd_rqa_features(args) -> int:
 
 
 def _cmd_rp_export(args) -> int:
-    stream = parse_imu_csv(args.infile, rate_hz=args.rate)
+    stream = parse_imu_csv(args.infile)
     series = stream.channel(args.series)
     start = args.start
     end = len(series) if args.length is None else start + args.length
@@ -289,7 +286,7 @@ def _cmd_rp_export(args) -> int:
 
 
 def _cmd_train_identifier(args) -> int:
-    data = _load_streams(_data_dir(args.data, "identification"), args.rate)
+    data = _load_streams(_data_dir(args.data, "identification"))
     cfg = _id_config(args, overlap_fraction=args.overlap,
                      n_balance_iters=args.iterations,
                      kernel=_kernel_from(args), cost=args.cost)
@@ -306,9 +303,9 @@ def _cmd_train_identifier(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    stream = parse_imu_csv(args.infile, rate_hz=args.rate)
-    model = load_model(args.model)
-    segments = identify_segments(stream, model, _id_config(args))
+    stream = parse_imu_csv(args.infile)
+    model, cfg = load_identifier(args.model)
+    segments = identify_segments(stream, model, cfg)
     with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
         fh.write("start,end,subject\n")
         for start, end in segments:
@@ -342,7 +339,7 @@ def _cmd_recognize(args) -> int:
         raise ValidationError(
             f"model expects feature {exc.args[0]!r}, which segment "
             "featurization does not produce") from None
-    segment = parse_imu_csv(args.infile, rate_hz=args.rate)
+    segment = parse_imu_csv(args.infile)
     label, votes = ovo_predict(model, feature_vector(segment, n_samples)[cols])
     runner = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
     detail = ", ".join(f"{c}={v}" for c, v in runner[:3])
@@ -424,7 +421,7 @@ def build_parser():
                    help="number of synthetic subjects (default 15)")
     p.add_argument("--reps", type=int, default=5,
                    help="repetitions of each gesture per subject (default 5)")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
+    p.add_argument("--rate", type=float, default=50.0,
                    help="sampling rate in Hz (default 50)")
     p.add_argument("--adl-minutes", type=float, default=0.0,
                    help="continuous background stream length per subject; "
@@ -439,8 +436,6 @@ def build_parser():
                    help="input IMU stream")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output feature table")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
     _add_rqa(p)
 
     p = sub("rp-export", _cmd_rp_export,
@@ -449,8 +444,6 @@ def build_parser():
                    help="input IMU stream")
     p.add_argument("--out", dest="outfile", required=True, metavar="PGM",
                    help="output image (P5, white = recurrence)")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
     p.add_argument("--start", type=int, default=0,
                    help="first sample of the exported span (default 0)")
     p.add_argument("--length", type=int, default=None,
@@ -468,8 +461,6 @@ def build_parser():
                    help="per-fold metric table")
     p.add_argument("--confusion", metavar="CSV",
                    help="summed confusion matrix")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
     p.add_argument("--overlap", type=float, default=0.5,
                    help="fraction of a gesture that must fall inside a "
                         "window to label it positive (default 0.5)")
@@ -486,9 +477,6 @@ def build_parser():
                    help="identifier model file")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output segment table (start,end,subject)")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
-    _add_rqa(p)
 
     p = sub("train-recognizer", _cmd_train_recognizer,
             "Train the 12-class gesture recognizer on labeled segments.")
@@ -496,8 +484,6 @@ def build_parser():
                    help="dataset root or folder of segment streams")
     p.add_argument("--out", required=True, metavar="MODEL",
                    help="output model file")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
     p.add_argument("--augment-sigma", type=float, default=None,
                    help="train on originals plus noisy copies with this "
                         "z-score noise scale (default: off; tuned 0.5)")
@@ -510,8 +496,6 @@ def build_parser():
                    help="segment stream to classify")
     p.add_argument("--model", required=True, metavar="MODEL",
                    help="recognizer model file")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
 
     p = sub("evaluate", _cmd_evaluate,
             "Leave-one-subject-out evaluation on labeled segments.",
@@ -524,8 +508,6 @@ def build_parser():
                    help="per-fold metric table (default report.csv)")
     p.add_argument("--confusion", metavar="CSV",
                    help="summed confusion matrix")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
     p.add_argument("--select", type=int, default=None,
                    help="rank statistical features per fold and keep this "
                         "many (default: off; tuned 43)")
@@ -545,8 +527,6 @@ def build_parser():
                    help="dataset root or folder of segment streams")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output table (feature,mean_accuracy,drop)")
-    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ,
-                   help="sampling rate in Hz (default 50)")
     p.add_argument("--reps", type=int, default=100,
                    help="permutations per feature (default 100)")
     p.add_argument("--classifier", default="svm",

@@ -30,8 +30,6 @@ CHANNELS = ("acc_x", "acc_y", "acc_z",
 STREAM_HEADER = ("t",) + CHANNELS
 LABEL_HEADER = ("start", "end", "label", "subject")
 
-DEFAULT_RATE_HZ = 50.0
-
 
 def canonical_class_order(labels) -> list[str]:
     """Sort class labels: gestures by dictionary rank, other labels after
@@ -49,7 +47,6 @@ class ImuStream:
     contiguous integer sample index. Channel triples are exposed as views.
     """
     subject_id: str
-    rate_hz: float
     t: np.ndarray
     channels: np.ndarray
 
@@ -62,8 +59,6 @@ class ImuStream:
             raise ValidationError("t and channels length mismatch")
         if len(t) == 0:
             raise ValidationError("empty stream")
-        if self.rate_hz <= 0:
-            raise ValidationError("rate_hz must be positive")
         if not np.all(np.isfinite(ch)):
             raise ValidationError("non-finite channel value")
         if len(t) > 1 and not np.all(np.diff(t) == 1):
@@ -225,15 +220,14 @@ def _row_error(row: str, lineno: int) -> str | None:
     return None
 
 
-def parse_imu_csv(path, subject_id: str | None = None,
-                  rate_hz: float = DEFAULT_RATE_HZ) -> ImuStream:
+def parse_imu_csv(path) -> ImuStream:
     """Parse a stream CSV into a validated ImuStream.
 
-    The subject id defaults to the file stem. Errors (bad header, wrong
-    cell count, non-numeric cell, index out of int64 range, non-finite
-    value, non-monotonic or gapped index) name the 1-based line in the
-    file, counted without blank lines. The first bad row is reported,
-    with the first of those problems it has.
+    The subject id is the file stem. Errors (bad header, wrong cell
+    count, non-numeric cell, index out of int64 range, non-finite value,
+    non-monotonic or gapped index) name the 1-based line in the file,
+    blank lines included. The first bad row is reported, with the first
+    of those problems it has.
 
     Rows are converted in blocks of ``_BLOCK_ROWS``; a block that fails
     is scanned row by row only to name the row.
@@ -255,6 +249,9 @@ def parse_imu_csv(path, subject_id: str | None = None,
     rows = [ln for ln in lines[1:] if ln.strip()]
     if not rows:
         raise ParseError(f"{path}: empty stream")
+    # file line of each row; blank lines are skipped but still counted
+    linenos = (range(2, len(lines) + 1) if len(rows) == len(lines) - 1 else
+               [i for i, ln in enumerate(lines[1:], 2) if ln.strip()])
     n = len(rows)
     t = np.empty(n, dtype=np.int64)
     ch = np.empty((n, 9), dtype=np.float64)
@@ -267,7 +264,7 @@ def parse_imu_csv(path, subject_id: str | None = None,
             t[lo: lo + len(block)], ch[lo: lo + len(block)] = _convert_rows(block)
         except (ValueError, OverflowError):
             for j, row in enumerate(block):
-                message = _row_error(row, lo + j + 2)
+                message = _row_error(row, linenos[lo + j])
                 if message is not None:
                     break
             t[lo: lo + j], ch[lo: lo + j] = _convert_rows(block[:j])
@@ -282,13 +279,12 @@ def parse_imu_csv(path, subject_id: str | None = None,
         rows_hit = np.flatnonzero(bad)
         if len(rows_hit):
             row = int(rows_hit[0]) + offset
-            problems.append((row, f"{what} {row + 2}"))
+            problems.append((row, f"{what} {linenos[row]}"))
     if problems:
         # min keeps the first of equal rows, so the precedence order holds
         row, message = min(problems, key=lambda p: p[0])
         raise ParseError(f"{path}: {message}")
-    return ImuStream(subject_id=subject_id if subject_id is not None else path.stem,
-                     rate_hz=rate_hz, t=t, channels=ch)
+    return ImuStream(subject_id=path.stem, t=t, channels=ch)
 
 
 def write_imu_csv(stream: ImuStream, path) -> None:
@@ -341,12 +337,12 @@ def write_label_csv(intervals, path) -> None:
 
 def extract_segment(stream: ImuStream, interval: LabeledInterval) -> ImuStream:
     """Cut [start, end) out of a stream. The segment is re-originated to
-    sample index 0 and keeps subject id and rate."""
+    sample index 0 and keeps the subject id."""
     if interval.end > len(stream):
         raise ValidationError(
             f"interval [{interval.start}, {interval.end}) out of bounds "
             f"for stream of length {len(stream)}")
     n = interval.end - interval.start
-    return ImuStream(subject_id=stream.subject_id, rate_hz=stream.rate_hz,
+    return ImuStream(subject_id=stream.subject_id,
                      t=np.arange(n, dtype=np.int64),
                      channels=stream.channels[interval.start:interval.end].copy())

@@ -18,18 +18,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .features import standardize
 from .forest import ForestConfig, forest_train_predict
-from .imu import ADL_LABEL, ImuStream, LabeledDataset, format_float
+from .imu import ADL_LABEL, CHANNELS, ImuStream, LabeledDataset, format_float
 from .rqa import EmbeddingConfig, RpConfig, RqaWindowConfig, windowed_rqa
 from .seeding import (AUGMENT, BALANCE, FINAL, FOLD, PERMUTE, TRAINER,
                       derive_int, derive_rng)
-from .svm import PRESETS, KernelConfig, OvoSvmModel, ovo_train
+from .svm import PRESETS, KernelConfig, OvoSvmModel, load_model, ovo_train
 
 GESTURE_WINDOW_LABEL = "gesture"
 _WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
 _SAMPLE_NAME = re.compile(r"acc_[xyz]_s\d+")
+# keys of an identifier file's [rqa] section, named as train-identifier's
+# RQA options
+RQA_KEYS = ("series", "window_len", "step", "dimension", "delay", "epsilon",
+            "norm")
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,15 @@ class IdentificationConfig:
             raise ValidationError("overlap_fraction must be in (0, 1]")
         if self.n_balance_iters < 1:
             raise ValidationError("n_balance_iters must be >= 1")
+        if self.series not in CHANNELS:
+            raise ValidationError(f"unknown channel {self.series!r}")
+
+    def rqa_fields(self) -> tuple[tuple[str, str], ...]:
+        """The window geometry as ``(key, value)`` pairs in RQA_KEYS order."""
+        values = (self.series, self.window.window_len, self.window.step,
+                  self.embedding.m, self.embedding.tau,
+                  format_float(self.rp.epsilon), self.rp.norm)
+        return tuple(zip(RQA_KEYS, map(str, values)))
 
 
 @dataclass(frozen=True)
@@ -207,20 +220,48 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
     all training gesture windows plus an equal-size ADL draw and tests on
     the held-out subject's windows. The report averages the iterations
     per fold and sums a majority-vote confusion matrix over folds; the
-    returned model is trained on one balanced draw over all subjects.
+    returned model is trained on one balanced draw over all subjects and
+    carries ``cfg``'s window geometry.
     """
     dataset = windows_dataset(data, cfg)
     subjects = dataset.subject_ids()
     if len(subjects) < 2:
         raise ValidationError("need >=2 subjects")
-    if GESTURE_WINDOW_LABEL not in dataset.labels:
-        raise ValidationError("no gesture windows in the training data")
+    spotted = {s for s, label in zip(dataset.subjects, dataset.labels)
+               if label == GESTURE_WINDOW_LABEL}
+    if missing := [s for s in subjects if s not in spotted]:
+        raise ValidationError(f"no gesture windows in subject "
+                              f"{', '.join(missing)}; every held-out "
+                              "subject needs one")
     tasks = [(dataset, cfg, seed, fi, s) for fi, s in enumerate(subjects)]
     report = EvaluationReport.from_folds(mapper(_identifier_fold, tasks),
                                          _WINDOW_CLASSES)
     final_subset = _balanced_subset(dataset, derive_rng(seed, FINAL))
     model = ovo_train(final_subset, cfg.kernel, cfg.cost)
-    return model, report
+    return replace(model, rqa=cfg.rqa_fields()), report
+
+
+def load_identifier(path) -> tuple[OvoSvmModel, IdentificationConfig]:
+    """An identifier model and the window geometry its [rqa] section
+    records, read back through the RQA configs' own checks."""
+    model = load_model(path)
+    if not model.rqa:
+        raise ParseError(f"{path}: no [rqa] section records the window "
+                         "geometry; retrain the model with train-identifier")
+    fields = dict(model.rqa)
+    try:
+        if sorted(k for k, _ in model.rqa) != sorted(RQA_KEYS):
+            raise ValueError(f"want one line each for {', '.join(RQA_KEYS)}")
+        cfg = IdentificationConfig(
+            window=RqaWindowConfig(int(fields["window_len"]),
+                                   int(fields["step"])),
+            embedding=EmbeddingConfig(int(fields["dimension"]),
+                                      int(fields["delay"])),
+            rp=RpConfig(float(fields["epsilon"]), fields["norm"]),
+            series=fields["series"])
+    except (ValueError, ValidationError) as exc:
+        raise ParseError(f"{path}: bad [rqa] section: {exc}") from None
+    return model, cfg
 
 
 def identify_segments(stream: ImuStream, model,

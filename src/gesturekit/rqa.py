@@ -59,8 +59,8 @@ class RpConfig:
     norm: str = "L2"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValidationError("epsilon must be positive and finite")
         if self.norm not in NORMS:
             raise ValidationError(f"norm must be one of {NORMS}")
 

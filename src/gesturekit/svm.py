@@ -236,7 +236,9 @@ class OvoSvmModel:
     holds the dual weights alpha_i y_i of pair p, 0 where a row is not a
     support vector of that pair, and ``bias[p]`` is that pair's bias.
     Pairs run in ``combinations(classes, 2)`` order; pair (a, b) treats a
-    as the +1 side. All pairs share one kernel and one cost.
+    as the +1 side. All pairs share one kernel and one cost. ``rqa`` holds
+    an identifier's window geometry as ``(key, value)`` text pairs; it is
+    empty for a recognizer.
     """
     classes: tuple[str, ...]
     cfg: KernelConfig
@@ -246,6 +248,7 @@ class OvoSvmModel:
     bias: np.ndarray
     scaler: Scaler
     registry: FeatureRegistry
+    rqa: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         # one contiguous, read-only layout, so a loaded model multiplies
@@ -268,19 +271,17 @@ class OvoSvmModel:
     def pairs(self) -> list[tuple[str, str]]:
         return list(combinations(self.classes, 2))
 
-    def decision_matrix(self, X, prescaled=False) -> np.ndarray:
+    def decision_matrix(self, X) -> np.ndarray:
         """(n, n_pairs) decision values f(x) = K(x, sv) @ coef + bias.
 
         Accepts one feature vector or a matrix of rows. A value of
         exactly 0 counts as a vote for the pair's +1 side.
         """
-        Xs = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if not prescaled:
-            Xs = self.scaler.transform(Xs)
+        Xs = self.scaler.transform(X)
         return gram(self.cfg, Xs, self.sv) @ self.coef + self.bias
 
-    def predict(self, X, prescaled=False) -> list[str]:
-        D = self.decision_matrix(X, prescaled=prescaled)
+    def predict(self, X) -> list[str]:
+        D = self.decision_matrix(X)
         winners = vote_winners(*vote_tally(self.classes, self.pairs, D))
         return [self.classes[i] for i in winners]
 
@@ -383,12 +384,16 @@ def _check_token(kind: str, token: str) -> str:
 
 
 def save_model(model: OvoSvmModel, path) -> None:
-    """Write the ensemble to the GKMODEL v2 text format: one ``sv`` line
-    per support vector, then per class pair one weight per ``sv`` line and
-    the bias."""
+    """Write the ensemble to the GKMODEL v2 text format: the ``rqa`` pairs
+    (if any) as a leading ``[rqa]`` section, one ``sv`` line per support
+    vector, then per class pair one weight per ``sv`` line and the bias."""
     cfg = model.cfg
-    lines = ["GKMODEL v2",
-             "[kernel]",
+    lines = ["GKMODEL v2"]
+    if model.rqa:
+        lines.append("[rqa]")
+        lines.extend(f"{_check_token('[rqa] key', k)} "
+                     f"{_check_token('[rqa] value', v)}" for k, v in model.rqa)
+    lines += ["[kernel]",
              f"kind {cfg.kind}",
              f"gamma {_fmt(cfg.gamma if cfg.gamma is not None else 0.0)}",
              f"coef0 {_fmt(cfg.coef0)}",
@@ -448,6 +453,11 @@ def load_model(path) -> OvoSvmModel:
             sections.append((ln, []))
         else:
             sections[-1][1].append(ln)
+    rqa = ()
+    if sections and sections[0][0] == "[rqa]":
+        rqa = tuple(tuple(ln.split()) for ln in sections.pop(0)[1])
+        if not rqa or any(len(kv) != 2 for kv in rqa):
+            raise ParseError(f"{path}: [rqa] needs `key value` lines")
     if ([h for h, _ in sections[:4]]
             != ["[kernel]", "[scaler]", "[registry]", "[sv]"]):
         raise ParseError(f"{path}: expected [kernel], [scaler], [registry] "
@@ -495,6 +505,6 @@ def load_model(path) -> OvoSvmModel:
         return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv,
                            coef=np.reshape(coef, (len(pairs), len(sv))).T,
                            bias=np.array(bias), scaler=Scaler(mean, std),
-                           registry=FeatureRegistry(tuple(names)))
+                           registry=FeatureRegistry(tuple(names)), rqa=rqa)
     except ValidationError as e:
         raise ParseError(f"{path}: inconsistent model: {e}") from None

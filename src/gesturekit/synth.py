@@ -221,7 +221,7 @@ def trajectory_to_imu(positions, profile: SubjectProfile, rate_hz: float,
     mag = np.tile(profile.tilt @ MAG_FIELD_UT, (len(P), 1))
     mag += rng.normal(0.0, 1.0, P.shape) * profile.noise_mag
 
-    return ImuStream(subject_id=profile.subject_id, rate_hz=rate_hz,
+    return ImuStream(subject_id=profile.subject_id,
                      t=np.arange(len(P), dtype=np.int64),
                      channels=np.hstack([acc, gyro, mag]))
 

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import gesturekit
-from gesturekit.cli import dispatch, read_params
+from gesturekit.cli import build_parser, dispatch, read_params
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv
 from gesturekit.imu import extract_segment, parse_imu_csv, parse_label_csv, \
     write_imu_csv
+from gesturekit.pipeline import RQA_KEYS
 from gesturekit.svm import load_model
 from gesturekit.synth import TEMPLATES
 
@@ -109,6 +110,23 @@ class TestParsing:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_geometry_options_match_the_model_file(self):
+        """Only synth takes a rate (`evaluate --rate 50` exits 1), identify
+        takes no RQA option (`identify --window-len 250` exits 1), and
+        every train-identifier option that is not a training setting is
+        recorded in the model file's [rqa] section."""
+        _, subs = build_parser()
+        dests = {name: {a.dest for a in p._actions}
+                 for name, p in subs.items()}
+        assert [name for name, d in dests.items() if "rate" in d] == \
+            ["synth"]
+        training = {"help", "seed", "params", "jobs", "data", "out",
+                    "report", "confusion", "overlap", "iterations", "kernel",
+                    "gamma", "cost", "degree", "coef0"}
+        assert dests["train-identifier"] - training == set(RQA_KEYS)
+        assert dests["identify"] == {"help", "seed", "params", "infile",
+                                     "model", "outfile"}
 
     @pytest.mark.skipif(shutil.which("gesturekit") is None,
                         reason="no gesturekit executable on PATH")
@@ -334,6 +352,22 @@ class TestTrainIdentifier:
         assert code == 2
         assert "missing label file" in capsys.readouterr().err
 
+    def test_model_records_geometry(self, identifier):
+        lines = identifier[0].read_text().splitlines()
+        assert lines[1:9] == ["[rqa]", "series acc_y", "window_len 125",
+                              "step 25", "dimension 4", "delay 1",
+                              "epsilon 0.1", "norm L2"]
+
+
+@pytest.fixture(scope="module")
+def spot_corpus(tmp_path_factory):
+    """Four subjects with five-minute streams, seed 20."""
+    out = tmp_path_factory.mktemp("spot") / "data"
+    assert dispatch(["synth", "--out", str(out), "--seed", "20",
+                     "--subjects", "4", "--reps", "1", "--adl-minutes", "5",
+                     "--gesture-fraction", "0.005"]) == 0
+    return out
+
 
 class TestIdentify:
     def test_segment_table(self, identifier, stream_csv, tmp_path, capsys):
@@ -368,6 +402,57 @@ class TestIdentify:
                          "--out", str(tmp_path / "o.csv"),
                          "--params", str(params)]) == 2
 
+
+    def test_trained_geometry_is_used(self, spot_corpus, tmp_path):
+        # the saved model is the seed's final balanced draw, whatever
+        # --iterations is; identify takes the 250/50 windows from it
+        model = tmp_path / "m250.model"
+        assert dispatch(["train-identifier", "--data", str(spot_corpus),
+                         "--out", str(model), "--iterations", "1",
+                         "--window-len", "250", "--step", "50"]) == 0
+        hits = tmp_path / "hits.csv"
+        assert dispatch(["identify", "--in",
+                         str(spot_corpus / "identification" / "s04.csv"),
+                         "--model", str(model), "--out", str(hits)]) == 0
+        assert hits.read_text().splitlines() == ["start,end,subject",
+                                                 "1275,1525,s04"]
+
+    def test_rqa_params_rejected(self, identifier, stream_csv, tmp_path):
+        params = tmp_path / "id.params"
+        params.write_text("window_len = 250\n")
+        assert dispatch(["identify", "--in", str(stream_csv),
+                         "--model", str(identifier[0]),
+                         "--out", str(tmp_path / "o.csv"),
+                         "--params", str(params)]) == 2
+
+    def test_model_without_rqa_asks_for_retraining(self, identifier,
+                                                   stream_csv, tmp_path,
+                                                   capsys):
+        lines = identifier[0].read_text().splitlines()
+        old = tmp_path / "old.model"
+        old.write_text("\n".join(lines[:1] + lines[9:]) + "\n")
+        assert dispatch(["identify", "--in", str(stream_csv),
+                         "--model", str(old),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+        assert "retrain the model with train-identifier" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        ("norm L2", "norm L7"), ("step 25", "step 0"),
+        ("window_len 125", "window_len 20"), ("dimension 4", "dimension 0"),
+        ("epsilon 0.1", "epsilon nan"), ("epsilon 0.1", "epsilon inf"),
+        ("delay 1", "delay 1.5"), ("series acc_y", "series acc_w"),
+        ("dimension 4\n", ""),
+        ("norm L2", "norm L2\nnorm L1"), ("norm L2", "norm L2\nlength 9")])
+    def test_bad_rqa_section_rejected(self, identifier, stream_csv,
+                                      tmp_path, capsys, edit):
+        bad = tmp_path / "bad.model"
+        bad.write_text(identifier[0].read_text().replace(*edit, 1))
+        out = tmp_path / "o.csv"
+        assert dispatch(["identify", "--in", str(stream_csv),
+                         "--model", str(bad), "--out", str(out)]) == 2
+        assert "bad [rqa] section" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_v1_model_asks_for_retraining(self, identifier, stream_csv,
                                           tmp_path, capsys):
@@ -505,7 +590,7 @@ class TestAugment:
         from gesturekit.features import featurize_segments, \
             read_feature_csv, write_feature_csv
         table = tmp_path / "features.csv"
-        dataset = featurize_segments(_load_segments(data_dir, 50.0))
+        dataset = featurize_segments(_load_segments(data_dir))
         write_feature_csv(dataset, table)
         out = tmp_path / "augmented.csv"
         assert dispatch(["augment", "--in", str(table),

@@ -13,7 +13,7 @@ from gesturekit.imu import ImuStream
 
 def make_segment(n=60, seed=0, subject="s01"):
     rng = np.random.default_rng(seed)
-    return ImuStream(subject_id=subject, rate_hz=50.0,
+    return ImuStream(subject_id=subject,
                      t=np.arange(n, dtype=np.int64),
                      channels=rng.normal(size=(n, 9)))
 

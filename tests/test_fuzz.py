@@ -1,6 +1,8 @@
 """Fuzzed parser input: a damaged model, parameter or CSV file either parses
 or raises ParseError, never another exception."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gesturekit.features import read_feature_csv, write_feature_csv
 from gesturekit.imu import (ImuStream, LabeledDataset, LabeledInterval,
                             parse_imu_csv, parse_label_csv, write_imu_csv,
                             write_label_csv)
+from gesturekit.pipeline import IdentificationConfig, load_identifier
 from gesturekit.svm import KernelConfig, OvoSvmModel, load_model, ovo_train, \
     save_model
 
@@ -87,6 +90,60 @@ def test_model_with_bytes_flipped(workdir, model_bytes, flips):
     load_or_parse_error(workdir / "m.model", bytes(data))
 
 
+@pytest.fixture(scope="module")
+def identifier_bytes(workdir):
+    """An identifier file: the [rqa] section, then a two-class model."""
+    r = np.random.default_rng(3)
+    data = LabeledDataset(X=r.uniform(size=(8, 2)) + [[0.0], [1.0]] * 4,
+                          labels=["ADL", "gesture"] * 4,
+                          subjects=["s01", "s01", "s02", "s02"] * 2,
+                          feature_names=["rr", "tra"])
+    model = ovo_train(data, KernelConfig(kind="polynomial", gamma=0.95,
+                                         coef0=2.0), 3.0)
+    path = workdir / "identifier.model"
+    save_model(replace(model, rqa=IdentificationConfig().rqa_fields()), path)
+    return path.read_bytes()
+
+
+def identify_or_parse_error(path, data: bytes):
+    """Read through the loader ``identify`` uses."""
+    loaded = read_or_parse_error(load_identifier, path, data)
+    assert loaded is None or isinstance(loaded[1], IdentificationConfig)
+
+
+def test_valid_identifier_loads(workdir, identifier_bytes):
+    path = workdir / "id.model"
+    path.write_bytes(identifier_bytes)
+    assert load_identifier(path)[1] == IdentificationConfig()
+
+
+@FUZZ
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_identifier(workdir, identifier_bytes, cut):
+    data = identifier_bytes
+    identify_or_parse_error(workdir / "id.model", data[:int(cut * len(data))])
+
+
+@FUZZ
+@given(drop=st.sets(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+def test_identifier_with_lines_dropped(workdir, identifier_bytes, drop):
+    lines = identifier_bytes.splitlines(keepends=True)
+    gone = {i % len(lines) for i in drop}
+    identify_or_parse_error(workdir / "id.model",
+                            b"".join(ln for i, ln in enumerate(lines)
+                                     if i not in gone))
+
+
+@FUZZ
+@given(flips=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.integers(1, 255)), min_size=1, max_size=4))
+def test_identifier_with_bytes_flipped(workdir, identifier_bytes, flips):
+    data = bytearray(identifier_bytes)
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    identify_or_parse_error(workdir / "id.model", bytes(data))
+
+
 @FUZZ
 @given(text=st.text())
 def test_params_text(workdir, text):
@@ -102,7 +159,7 @@ def test_params_text(workdir, text):
 
 def write_stream(path, n=6):
     r = np.random.default_rng(1)
-    write_imu_csv(ImuStream(subject_id="s01", rate_hz=50.0, t=np.arange(n),
+    write_imu_csv(ImuStream(subject_id="s01", t=np.arange(n),
                             channels=r.normal(size=(n, 9))), path)
 
 

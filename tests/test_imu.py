@@ -11,7 +11,7 @@ from gesturekit.imu import (_BLOCK_ROWS, ADL_LABEL, CHANNELS, GESTURES,
 
 def make_stream(n=40, subject="s01", seed=0):
     rng = np.random.default_rng(seed)
-    return ImuStream(subject_id=subject, rate_hz=50.0,
+    return ImuStream(subject_id=subject,
                      t=np.arange(n, dtype=np.int64),
                      channels=rng.normal(size=(n, 9)))
 
@@ -94,8 +94,9 @@ def drop_last_cell(line):
     return line[:line.rindex(",")]
 
 
-# ({data row: edit}, expected message); data row k is file line k + 2, so
-# rows 2047/2048 and 4095/4096 straddle the parser's block boundaries
+# ({data row: edit}, expected message); data row k is file line k + 2
+# unless an edit adds blank lines, and rows 2047/2048 and 4095/4096
+# straddle the parser's block boundaries
 BAD_STREAMS = {
     "nine-cells-at-boundary": (
         {2048: drop_last_cell},
@@ -155,6 +156,16 @@ BAD_STREAMS = {
     "cell-count-before-later-non-finite": (
         {2047: drop_last_cell, 2048: lambda ln: set_cell(ln, 1, "nan")},
         "expected 10 cells at line 2049, got 9"),
+    # blank lines still count: file lines 3-4 are blank, so data row 2
+    # is file line 6
+    "non-numeric-after-blank-lines": (
+        {1: lambda ln: "\n\n" + ln, 2: lambda ln: set_cell(ln, 9, "oops")},
+        "non-numeric cell at line 6: "
+        "could not convert string to float: 'oops'"),
+    "gap-after-blank-line": (
+        {3000: lambda ln: "  \n" + ln,
+         4096: lambda ln: set_cell(ln, 0, "4097")},
+        "missing sample before line 4099"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gesturekit.pipeline import (
     identify_segments,
     is_sample_feature,
     label_windows,
+    load_identifier,
     loso_evaluate,
     noise_augment,
     permutation_importance,
@@ -35,12 +37,14 @@ from gesturekit.pipeline import (
     write_report_csv,
 )
 from gesturekit.pipeline import _balanced_subset
+from gesturekit.rqa import EmbeddingConfig, RpConfig, RqaWindowConfig
 from gesturekit.seeding import FOLD, derive_int, derive_rng
+from gesturekit.svm import KernelConfig, ovo_train, save_model
 from gesturekit.synth import SynthConfig, generate_dataset
 
 
 def flat_stream(n, subject="s01"):
-    return ImuStream(subject_id=subject, rate_hz=50.0,
+    return ImuStream(subject_id=subject,
                      t=np.arange(n, dtype=np.int64),
                      channels=np.zeros((n, 9)))
 
@@ -216,6 +220,31 @@ class TestTrainIdentifier:
         stripped = [(s, []) for s, _ in id_corpus]
         with pytest.raises(ValidationError):
             train_identifier(stripped, id_config, seed=0)
+
+    def test_subject_without_gestures_named_before_folds(self, id_corpus,
+                                                         id_config):
+        def no_folds(fn, tasks):
+            pytest.fail("a fold ran")
+
+        data = [id_corpus[0], (id_corpus[1][0], [])]
+        with pytest.raises(ValidationError, match="no gesture windows in "
+                           "subject s02; every held-out subject needs one"):
+            train_identifier(data, id_config, seed=0, mapper=no_folds)
+
+
+def test_geometry_round_trips_through_the_model_file(tmp_path):
+    cfg = IdentificationConfig(window=RqaWindowConfig(window_len=150, step=30),
+                               embedding=EmbeddingConfig(m=3, tau=2),
+                               rp=RpConfig(epsilon=0.3, norm="Linf"),
+                               series="gyro_z")
+    data = LabeledDataset(X=[[0.0, 0.1], [0.1, 0.0], [1.0, 0.9], [0.9, 1.0]],
+                          labels=[ADL_LABEL] * 2 + [GESTURE_WINDOW_LABEL] * 2,
+                          subjects=["s01", "s02"] * 2,
+                          feature_names=["rr", "tra"])
+    path = tmp_path / "id.model"
+    save_model(replace(ovo_train(data, KernelConfig(kind="linear"), 1.0),
+                       rqa=cfg.rqa_fields()), path)
+    assert load_identifier(path)[1] == cfg
 
 
 class StubModel:
@@ -504,6 +533,8 @@ class TestIdentificationConfig:
         assert cfg.cost == 3.0
 
     def test_validation(self):
+        with pytest.raises(ValidationError):
+            IdentificationConfig(series="acc_w")
         with pytest.raises(ValidationError):
             IdentificationConfig(overlap_fraction=0.0)
         with pytest.raises(ValidationError):

@@ -300,8 +300,6 @@ class TestDecisionValue:
         model = self.build_model()
         with pytest.raises(ValidationError):
             model.decision_matrix(np.zeros(3))
-        with pytest.raises(ValidationError):
-            model.decision_matrix(np.zeros(3), prescaled=True)
 
     def test_empty_support_set_returns_bias(self):
         model = self.build_model(sv=np.empty((0, 2)), coef=np.empty((0, 3)))
@@ -384,8 +382,9 @@ class TestOvo:
 
     def test_scaler_is_embedded(self, model):
         data = twelve_class_dataset()
-        scaled = model.scaler.transform(data.X)
-        assert model.predict(data.X) == model.predict(scaled, prescaled=True)
+        expected = gram(model.cfg, model.scaler.transform(data.X),
+                        model.sv) @ model.coef + model.bias
+        assert np.array_equal(model.decision_matrix(data.X), expected)
 
     def test_two_class_minimum(self):
         data = twelve_class_dataset()
@@ -558,3 +557,26 @@ class TestPersistence:
         broken = replace(model, classes=tuple(fix(c) for c in model.classes))
         with pytest.raises(ValidationError):
             save_model(broken, tmp_path / "m.gkmodel")
+
+    def test_rqa_section_round_trip(self, trained, tmp_path):
+        _, model = trained
+        plain, tagged = tmp_path / "plain.gkmodel", tmp_path / "rqa.gkmodel"
+        save_model(model, plain)
+        assert "[rqa]" not in plain.read_text()
+        save_model(replace(model, rqa=(("step", "25"), ("norm", "L2"))),
+                   tagged)
+        lines = tagged.read_text().splitlines()
+        assert lines[:4] == ["GKMODEL v2", "[rqa]", "step 25", "norm L2"]
+        assert lines[4:] == plain.read_text().splitlines()[1:]
+        assert load_model(tagged).rqa == (("step", "25"), ("norm", "L2"))
+        assert load_model(plain).rqa == ()
+
+    @pytest.mark.parametrize("entry", ["step", "step 25 50", "[rqa]"])
+    def test_rqa_line_needs_key_and_value(self, trained, tmp_path, entry):
+        _, model = trained
+        path = tmp_path / "m.gkmodel"
+        save_model(model, path)
+        head, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{head}\n[rqa]\n{entry}\n{rest}")
+        with pytest.raises(ParseError):
+            load_model(path)
