@@ -36,10 +36,11 @@ from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
 from .svm import (KERNEL_KINDS, KernelConfig, load_model, ovo_predict,
                   save_model)
 
-DEFAULTS_EPILOG = """\
-tuned defaults:
+RQA_DEFAULTS = """\
   windowed RQA        window 125, step 25, delay 1, dimension 4,
                       threshold 0.1, L2 (Euclidean) norm
+"""
+DEFAULTS_EPILOG = "tuned defaults:\n" + RQA_DEFAULTS + """\
   identification SVM  polynomial kernel, gamma 0.95, cost 3,
                       degree 3, coef0 2
   recognition SVM     radial kernel, gamma 0.005, cost 1
@@ -471,10 +472,11 @@ def build_parser():
 
     p = sub("identify", _cmd_identify,
             "Locate candidate gesture segments in a continuous stream.")
+    p.epilog = DEFAULTS_EPILOG.replace(RQA_DEFAULTS, "")
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="input IMU stream")
     p.add_argument("--model", required=True, metavar="MODEL",
-                   help="identifier model file")
+                   help="identifier model; [rqa] sets the window geometry")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output segment table (start,end,subject)")
 

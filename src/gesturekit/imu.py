@@ -249,9 +249,9 @@ def parse_imu_csv(path) -> ImuStream:
     rows = [ln for ln in lines[1:] if ln.strip()]
     if not rows:
         raise ParseError(f"{path}: empty stream")
-    # file line of each row; blank lines are skipped but still counted
-    linenos = (range(2, len(lines) + 1) if len(rows) == len(lines) - 1 else
-               [i for i, ln in enumerate(lines[1:], 2) if ln.strip()])
+    def lineno(row: int) -> int:
+        # file line of a row: blank lines are skipped but still counted
+        return [i for i, ln in enumerate(lines[1:], 2) if ln.strip()][row]
     n = len(rows)
     t = np.empty(n, dtype=np.int64)
     ch = np.empty((n, 9), dtype=np.float64)
@@ -264,7 +264,7 @@ def parse_imu_csv(path) -> ImuStream:
             t[lo: lo + len(block)], ch[lo: lo + len(block)] = _convert_rows(block)
         except (ValueError, OverflowError):
             for j, row in enumerate(block):
-                message = _row_error(row, linenos[lo + j])
+                message = _row_error(row, lineno(lo + j))
                 if message is not None:
                     break
             t[lo: lo + j], ch[lo: lo + j] = _convert_rows(block[:j])
@@ -279,7 +279,7 @@ def parse_imu_csv(path) -> ImuStream:
         rows_hit = np.flatnonzero(bad)
         if len(rows_hit):
             row = int(rows_hit[0]) + offset
-            problems.append((row, f"{what} {linenos[row]}"))
+            problems.append((row, f"{what} {lineno(row)}"))
     if problems:
         # min keeps the first of equal rows, so the precedence order holds
         row, message = min(problems, key=lambda p: p[0])

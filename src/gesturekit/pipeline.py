@@ -30,8 +30,7 @@ from .svm import PRESETS, KernelConfig, OvoSvmModel, load_model, ovo_train
 GESTURE_WINDOW_LABEL = "gesture"
 _WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
 _SAMPLE_NAME = re.compile(r"acc_[xyz]_s\d+")
-# keys of an identifier file's [rqa] section, named as train-identifier's
-# RQA options
+# an identifier file's [rqa] keys, named as train-identifier's RQA options
 RQA_KEYS = ("series", "window_len", "step", "dimension", "delay", "epsilon",
             "norm")
 
@@ -56,6 +55,8 @@ class IdentificationConfig:
             raise ValidationError("n_balance_iters must be >= 1")
         if self.series not in CHANNELS:
             raise ValidationError(f"unknown channel {self.series!r}")
+        if self.window.window_len < (self.embedding.m - 1) * self.embedding.tau + 2:
+            raise ValidationError("window shorter than the embedding needs")
 
     def rqa_fields(self) -> tuple[tuple[str, str], ...]:
         """The window geometry as ``(key, value)`` pairs in RQA_KEYS order."""

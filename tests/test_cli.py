@@ -72,6 +72,10 @@ class TestParsing:
         assert "gesturekit" in capsys.readouterr().out
         assert dispatch(["synth", "--help"]) == 0
         assert "tuned defaults" in capsys.readouterr().out
+        assert dispatch(["identify", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "[rqa] sets" in out and "window 125" not in out
+        assert "identification SVM" in out
 
     def test_console_script_installed(self):
         """The entry point pyproject.toml declares runs as its launcher would.
@@ -443,7 +447,9 @@ class TestIdentify:
         ("epsilon 0.1", "epsilon nan"), ("epsilon 0.1", "epsilon inf"),
         ("delay 1", "delay 1.5"), ("series acc_y", "series acc_w"),
         ("dimension 4\n", ""),
-        ("norm L2", "norm L2\nnorm L1"), ("norm L2", "norm L2\nlength 9")])
+        ("norm L2", "norm L2\nnorm L1"), ("norm L2", "norm L2\nlength 9"),
+        ("window_len 125\nstep 25\ndimension 4\ndelay 1",
+         "window_len 5\nstep 5\ndimension 4\ndelay 3")])
     def test_bad_rqa_section_rejected(self, identifier, stream_csv,
                                       tmp_path, capsys, edit):
         bad = tmp_path / "bad.model"

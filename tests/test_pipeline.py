@@ -541,3 +541,6 @@ class TestIdentificationConfig:
             IdentificationConfig(overlap_fraction=1.5)
         with pytest.raises(ValidationError):
             IdentificationConfig(n_balance_iters=0)
+        with pytest.raises(ValidationError):
+            IdentificationConfig(window=RqaWindowConfig(window_len=5, step=5),
+                                 embedding=EmbeddingConfig(m=4, tau=3))
