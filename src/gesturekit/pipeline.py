@@ -164,16 +164,18 @@ def window_features(stream: ImuStream, cfg: IdentificationConfig):
     return starts, X
 
 
-def windows_dataset(data, cfg: IdentificationConfig) -> LabeledDataset:
-    """Stack (stream, intervals) pairs into a window-level dataset."""
-    X_parts, labels, subjects = [], [], []
-    for stream, intervals in data:
-        _, X = window_features(stream, cfg)
-        X_parts.append(X)
-        labels.extend(label_windows(stream, intervals, cfg.window,
-                                    cfg.overlap_fraction))
-        subjects.extend([stream.subject_id] * len(X))
-    return LabeledDataset(X=np.vstack(X_parts), labels=labels,
+def windows_dataset(data, cfg: IdentificationConfig, labels) -> LabeledDataset:
+    """Stack (stream, intervals) pairs into a window-level dataset.
+
+    ``labels`` holds each stream's ``label_windows`` list, in ``data``
+    order.
+    """
+    X_parts, subjects = [], []
+    for (stream, _), stream_labels in zip(data, labels):
+        X_parts.append(window_features(stream, cfg)[1])
+        subjects.extend([stream.subject_id] * len(stream_labels))
+    return LabeledDataset(X=np.vstack(X_parts),
+                          labels=[lab for ls in labels for lab in ls],
                           subjects=subjects, feature_names=["rr", "tra"])
 
 
@@ -224,16 +226,22 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
     returned model is trained on one balanced draw over all subjects and
     carries ``cfg``'s window geometry.
     """
-    dataset = windows_dataset(data, cfg)
-    subjects = dataset.subject_ids()
+    # window labels need only the stream lengths, so both checks run
+    # before any windowed RQA
+    labels = [label_windows(stream, intervals, cfg.window,
+                            cfg.overlap_fraction)
+              for stream, intervals in data]
+    subjects = sorted({stream.subject_id
+                       for (stream, _), ls in zip(data, labels) if ls})
     if len(subjects) < 2:
         raise ValidationError("need >=2 subjects")
-    spotted = {s for s, label in zip(dataset.subjects, dataset.labels)
-               if label == GESTURE_WINDOW_LABEL}
+    spotted = {stream.subject_id for (stream, _), ls in zip(data, labels)
+               if GESTURE_WINDOW_LABEL in ls}
     if missing := [s for s in subjects if s not in spotted]:
         raise ValidationError(f"no gesture windows in subject "
                               f"{', '.join(missing)}; every held-out "
                               "subject needs one")
+    dataset = windows_dataset(data, cfg, labels)
     tasks = [(dataset, cfg, seed, fi, s) for fi, s in enumerate(subjects)]
     report = EvaluationReport.from_folds(mapper(_identifier_fold, tasks),
                                          _WINDOW_CLASSES)

@@ -186,6 +186,48 @@ def naive_best_split(X, yi, n_classes, feat_ids, min_leaf):
     return best
 
 
+def loop_best_split(X, yi, n_classes, feat_ids, min_leaf):
+    """The per-feature split scan that the batched ``_best_split`` replaced.
+
+    Kept verbatim as a differential oracle: the batched scan must return
+    the same tuple, bit for bit, including every tie.
+    """
+    n = len(yi)
+    parent = np.bincount(yi, minlength=n_classes).astype(np.float64)
+    g_parent = 1.0 - ((parent / n) ** 2).sum()
+    best = None
+    best_dec = 0.0
+    for f in feat_ids:
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = yi[order]
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        if len(cut) == 0:
+            continue
+        left_n = cut + 1
+        keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        cut = cut[keep]
+        if len(cut) == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ys] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        lc = prefix[cut]
+        rc = parent - lc
+        nl = (cut + 1).astype(np.float64)
+        nr = n - nl
+        gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        dec = g_parent - (nl * gl + nr * gr) / n
+        j = int(np.argmax(dec))
+        if dec[j] > best_dec:
+            best_dec = float(dec[j])
+            thr = 0.5 * (xs[cut[j]] + xs[cut[j] + 1])
+            best = (int(f), float(thr), best_dec)
+    return best
+
+
 def naive_vote_winner(classes, pairs, decisions):
     """OvO vote count with the tie rules spelled out long-hand.
 

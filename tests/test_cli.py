@@ -14,6 +14,7 @@ from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv
 from gesturekit.imu import extract_segment, parse_imu_csv, parse_label_csv, \
     write_imu_csv
+from gesturekit import pipeline
 from gesturekit.pipeline import RQA_KEYS
 from gesturekit.svm import load_model
 from gesturekit.synth import TEMPLATES
@@ -355,6 +356,24 @@ class TestTrainIdentifier:
                          "--out", str(tmp_path / "m.model")])
         assert code == 2
         assert "missing label file" in capsys.readouterr().err
+
+    def test_subject_without_gestures_fails_before_rqa(self, spot_corpus,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        def no_rqa(stream, cfg):
+            pytest.fail("windowed RQA ran")
+
+        monkeypatch.setattr(pipeline, "window_features", no_rqa)
+        data = tmp_path / "data"
+        shutil.copytree(spot_corpus, data)
+        labels = data / "identification" / "s03_labels.csv"
+        labels.write_text(labels.read_text().splitlines()[0] + "\n")
+        code = dispatch(["train-identifier", "--data", str(data),
+                         "--out", str(tmp_path / "m.model")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: no gesture windows in subject s03; every held-out "
+            "subject needs one\n")
 
     def test_model_records_geometry(self, identifier):
         lines = identifier[0].read_text().splitlines()

@@ -1,5 +1,7 @@
 """CART trees, Gini splitting, and the bagged-forest baseline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,41 +9,13 @@ from gesturekit.errors import ValidationError
 from gesturekit.forest import (
     ForestConfig,
     forest_train_predict,
-    gini_impurity,
     tree_predict,
     tree_train,
 )
 from gesturekit.forest import _best_split
 from gesturekit.imu import LabeledDataset
 
-from oracles import naive_best_split
-
-
-class TestGini:
-    def test_pure_node_is_zero(self):
-        assert gini_impurity([10, 0]) == 0.0
-
-    def test_even_binary_split(self):
-        assert gini_impurity([5, 5]) == 0.5
-
-    def test_four_way_uniform(self):
-        assert gini_impurity([1, 1, 1, 1]) == 0.75
-
-    def test_range_bound(self):
-        r = np.random.default_rng(0)
-        for _ in range(20):
-            k = int(r.integers(2, 6))
-            counts = r.integers(0, 50, size=k)
-            if counts.sum() == 0:
-                counts[0] = 1
-            g = gini_impurity(counts)
-            assert 0.0 <= g <= 1.0 - 1.0 / k + 1e-12
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValidationError):
-            gini_impurity([3, -1])
-        with pytest.raises(ValidationError):
-            gini_impurity([0, 0])
+from oracles import loop_best_split, naive_best_split
 
 
 class TestForestConfig:
@@ -77,11 +51,11 @@ class TestBestSplit:
         r = np.random.default_rng(1)
         for trial in range(25):
             n = int(r.integers(4, 30))
-            d = int(r.integers(1, 5))
+            d = int(r.integers(1, 7))
             k = int(r.integers(2, 4))
             X = np.round(r.normal(size=(n, d)), 1)
             yi = r.integers(0, k, size=n)
-            feat_ids = np.arange(d)
+            feat_ids = r.permutation(d)[:int(r.integers(1, d + 1))]
             got = _best_split(X, yi, k, feat_ids, min_leaf=1)
             want = naive_best_split(X, yi, k, feat_ids, min_leaf=1)
             if want is None:
@@ -90,6 +64,60 @@ class TestBestSplit:
                 assert got[0] == want[0]
                 assert got[1] == pytest.approx(want[1])
                 assert got[2] == pytest.approx(want[2])
+
+    def test_equals_per_feature_scan_exactly(self):
+        # tie-heavy data: small integers, coarsely rounded normals and
+        # duplicated columns, so equal decreases across cuts and
+        # features are common and the tie rules decide
+        r = np.random.default_rng(8)
+        found = 0
+        for trial in range(400):
+            n = int(r.integers(2, 120))
+            d = int(r.integers(1, 30))
+            k = int(r.integers(1, 13))
+            if trial % 2:
+                X = r.integers(0, 4, size=(n, d)).astype(np.float64)
+            else:
+                X = np.round(r.normal(size=(n, d)), 1)
+            if d > 1:
+                X[:, r.integers(0, d)] = X[:, r.integers(0, d)]
+            yi = r.integers(0, k, size=n)
+            feat_ids = r.permutation(d)[:int(r.integers(1, d + 1))]
+            min_leaf = int(r.integers(1, 5))
+            got = _best_split(X, yi, k, feat_ids, min_leaf)
+            assert got == loop_best_split(X, yi, k, feat_ids, min_leaf)
+            found += got is not None
+        assert found > 200
+
+    def test_pure_node_has_no_split(self):
+        X = np.arange(10, dtype=np.float64)[:, None]
+        assert _best_split(X, np.zeros(10, dtype=np.int64), 2,
+                           np.array([0]), 1) is None
+
+    def test_separating_an_even_binary_node(self):
+        # [5, 5] parent: gini 0.5 drops to two pure children
+        X = np.arange(10, dtype=np.float64)[:, None]
+        yi = np.array([0] * 5 + [1] * 5)
+        assert _best_split(X, yi, 2, np.array([0]), 1) == (0, 4.5, 0.5)
+
+    def test_four_way_uniform_child(self):
+        # [5, 1, 1, 1] parent (gini 36/64) splits into a four-way uniform
+        # child (gini 0.75) and a pure one: decrease 36/64 - 4 * 0.75 / 8
+        X = np.array([[0.0]] * 4 + [[1.0]] * 4)
+        yi = np.array([0, 1, 2, 3, 0, 0, 0, 0])
+        assert _best_split(X, yi, 4, np.array([0]), 1) == (0, 0.5, 0.1875)
+
+    def test_decrease_bounded_by_parent_impurity(self):
+        r = np.random.default_rng(0)
+        for _ in range(20):
+            k = int(r.integers(2, 6))
+            yi = r.integers(0, k, size=40)
+            X = r.normal(size=(40, 3))
+            counts = np.bincount(yi, minlength=k)
+            parent = 1.0 - ((counts / 40) ** 2).sum()
+            out = _best_split(X, yi, k, np.arange(3), 1)
+            assert out is not None
+            assert 0.0 < out[2] <= parent <= 1.0 - 1.0 / k + 1e-12
 
     def test_zero_decrease_split_not_taken(self):
         # both children would mirror the parent mix, so no split counts
@@ -224,6 +252,36 @@ class TestForest:
         tree = tree_train(data.X[idx], [data.labels[i] for i in idx], cfg,
                           rng, classes=data.classes)
         assert got == tree_predict(tree, data.X)
+
+    def test_first_twenty_trees_are_pinned(self):
+        # Preorder (feature, threshold bits, label) of the first 20 trees
+        # of a seed-5 forest, each grown from its own stream as in the
+        # test above. The digest was computed with the per-feature split
+        # scan that the batched one replaced, so any change to a split,
+        # a threshold bit or a tie rule shows here.
+        data = clustered_dataset(noise=2.0)
+        cfg = ForestConfig(seed=5)
+        digest = hashlib.sha256()
+        nodes = 0
+
+        def preorder(node):
+            yield node.feature, node.threshold.hex(), node.label
+            if node.label is None:
+                yield from preorder(node.left)
+                yield from preorder(node.right)
+
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+        for child in children[:20]:
+            rng = np.random.default_rng(child)
+            idx = rng.integers(0, len(data), size=len(data))
+            tree = tree_train(data.X[idx], [data.labels[i] for i in idx],
+                              cfg, rng, classes=data.classes)
+            walk = list(preorder(tree))
+            nodes += len(walk)
+            digest.update(repr(walk).encode())
+        assert nodes == 574
+        assert digest.hexdigest() == ("8b72dd842ed2bd22648bd15755ddcd5f"
+                                      "e79e524026c350a47cc60232595ad2ef")
 
     def test_separable_self_prediction(self):
         data = clustered_dataset(seed=3)

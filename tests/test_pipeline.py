@@ -43,6 +43,11 @@ from gesturekit.svm import KernelConfig, ovo_train, save_model
 from gesturekit.synth import SynthConfig, generate_dataset
 
 
+def corpus_labels(data, cfg):
+    return [label_windows(stream, intervals, cfg.window, cfg.overlap_fraction)
+            for stream, intervals in data]
+
+
 def flat_stream(n, subject="s01"):
     return ImuStream(subject_id=subject,
                      t=np.arange(n, dtype=np.int64),
@@ -151,7 +156,8 @@ class TestLabelWindows:
 
 class TestWindowsDataset:
     def test_stacking_and_feature_names(self, id_corpus, id_config):
-        data = windows_dataset(id_corpus, id_config)
+        data = windows_dataset(id_corpus, id_config,
+                               corpus_labels(id_corpus, id_config))
         per_stream = [(len(s.t) - 125) // 25 + 1 for s, _ in id_corpus]
         assert len(data) == sum(per_stream)
         assert data.feature_names == ["rr", "tra"]
@@ -169,7 +175,8 @@ class TestWindowsDataset:
 
 class TestBalancedSubset:
     def test_exact_balance_every_draw(self, id_corpus, id_config):
-        data = windows_dataset(id_corpus, id_config)
+        data = windows_dataset(id_corpus, id_config,
+                               corpus_labels(id_corpus, id_config))
         n_gesture = data.labels.count(GESTURE_WINDOW_LABEL)
         for it in range(5):
             subset = _balanced_subset(data, np.random.default_rng(it))
@@ -207,7 +214,8 @@ class TestTrainIdentifier:
     def test_confusion_row_sums_match_window_counts(self, id_corpus,
                                                     id_config):
         _, rep = train_identifier(id_corpus, id_config, seed=3)
-        data = windows_dataset(id_corpus, id_config)
+        data = windows_dataset(id_corpus, id_config,
+                               corpus_labels(id_corpus, id_config))
         assert rep.confusion.sum() == len(data)
         assert rep.confusion[1].sum() == data.labels.count(
             GESTURE_WINDOW_LABEL)
