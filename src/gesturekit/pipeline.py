@@ -25,7 +25,8 @@ from .imu import ADL_LABEL, CHANNELS, ImuStream, LabeledDataset, format_float
 from .rqa import EmbeddingConfig, RpConfig, RqaWindowConfig, windowed_rqa
 from .seeding import (AUGMENT, BALANCE, FINAL, FOLD, PERMUTE, TRAINER,
                       derive_int, derive_rng)
-from .svm import PRESETS, KernelConfig, OvoSvmModel, load_model, ovo_train
+from .svm import (PRESETS, KernelConfig, OvoSvmModel, load_model, ovo_train,
+                  ovo_train_many)
 
 GESTURE_WINDOW_LABEL = "gesture"
 _WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
@@ -198,10 +199,10 @@ def _identifier_fold(args):
     train, test = dataset.take(~mask), dataset.take(mask)
     accs, bals = [], []
     gesture_votes = np.zeros(len(test), dtype=np.int64)
-    for it in range(cfg.n_balance_iters):
-        rng = derive_rng(seed, BALANCE, fi, it)
-        subset = _balanced_subset(train, rng)
-        model = ovo_train(subset, cfg.kernel, cfg.cost)
+    # every balance iteration's draw, then all their SVMs in one solve
+    subsets = [_balanced_subset(train, derive_rng(seed, BALANCE, fi, it))
+               for it in range(cfg.n_balance_iters)]
+    for model in ovo_train_many(subsets, cfg.kernel, cfg.cost):
         pred = model.predict(test.X)
         conf = confusion_matrix(_WINDOW_CLASSES, test.labels, pred)
         accs.append(float(np.trace(conf) / conf.sum()))

@@ -4,7 +4,11 @@ Binary models are solved two Lagrange multipliers at a time, each pair
 picked by deterministic second-order working-set selection (WSS2), so a
 trained model depends on its data and settings alone. Multiclass problems
 train one binary model per unordered class pair and combine them by
-voting. The pairs share one store of support vectors, each row held once
+voting. All pairs (of one dataset or of several) are solved as one
+zero-padded stack that steps in lockstep, which pays numpy's per-call
+cost once per step instead of once per pair; every step is elementwise
+per problem, so each model is bit-equal to solving its pairs one by one.
+The pairs share one store of support vectors, each row held once
 with one weight column per pair, so prediction takes one kernel matrix.
 Models serialize to a line-oriented text format that round-trips
 decision values exactly (17 significant digits).
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 import numpy as np
@@ -119,113 +123,123 @@ def kkt_max_violation(K, y, alpha, bias, cost) -> float:
 def smo_solve(K, y, cost, tol=KKT_TOL, max_iter=None):
     """Solve the dual QP on a precomputed Gram matrix.
 
-    Returns ``(alpha, bias)``. Each step moves one pair of multipliers,
-    picked by second-order working-set selection (Fan, Chen & Lin 2005,
-    JMLR 6:1889) from the gradient g = y - K(alpha y): i maximizes g over
-    I_up, the points whose alpha y may grow, and j maximizes the gain
-    b^2/a over I_low, those whose alpha y may shrink. Ties go to the lowest
-    index, so the result depends on the inputs alone. Curvature a <= 0
-    (an indefinite kernel) is floored at 1e-12. The loop stops when the
-    gap max g(I_up) - min g(I_low) is at most ``tol``; ``max_iter``
+    Returns ``(alpha, bias)`` for labels ``y`` of +1/-1. This is
+    ``smo_solve_stack`` on a stack of one: the lockstep loop that
+    ``ovo_train`` runs over all class pairs at once, which documents the
+    steps and why a problem's result is bit-equal in any stack. ``max_iter``
     (default 100n) budgets the steps, past which a ConvergenceError is
     raised instead of returning a half-optimized model.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    if K.shape != (n, n):
+    if K.shape != (len(y), len(y)):
         raise ValidationError("Gram matrix shape does not match labels")
-    if not 0.0 < cost < np.inf:
-        raise ValidationError("cost must be positive and finite")
-    if max_iter is None:
-        max_iter = 100 * n
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValidationError("labels must be +1 or -1")
+    return smo_solve_stack([K], [y], [cost], tol, max_iter)[0]
 
-    # v = alpha y lives in the box [lo, hi]; g = y - K v is the gradient
-    v = np.zeros(n)
+
+def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
+    """Solve several dual QPs in lockstep; one ``(alpha, bias)`` each.
+
+    Each step moves one pair of multipliers per problem, picked by
+    second-order working-set selection (Fan, Chen & Lin 2005, JMLR
+    6:1889) from the gradient g = y - K(alpha y): i maximizes g over I_up,
+    the points whose alpha y may grow, and j maximizes the gain b^2/a over
+    I_low, those whose alpha y may shrink. Ties go to the lowest index, so
+    a result depends on its own inputs alone. Curvature a <= 0 (an
+    indefinite kernel) is floored at 1e-12. A problem leaves the stack
+    once its gap max g(I_up) - min g(I_low) is at most ``tol``; one that
+    is still open after its ``max_iter`` steps (default 100n for its own
+    n) raises ConvergenceError.
+
+    The problems are zero-padded to a common size n, and a padded row sits
+    in neither I_up nor I_low, so it never wins an argmax. Every step runs
+    the one-problem arithmetic elementwise, row by row of the stack, and
+    the bias is settled per problem on its own unpadded Gram, so each
+    alpha and bias is bit-equal to solving that problem alone.
+    """
+    cost = np.asarray(costs, dtype=np.float64)[:, None]
+    if not np.all((0.0 < cost) & (cost < np.inf)):
+        raise ValidationError("cost must be positive and finite")
+    sizes = [len(y) for y in ys]
+    n = max(sizes)
+    K = np.zeros((len(Ks), n, n))
+    y = np.zeros((len(Ks), n))
+    for p, (Kp, yp) in enumerate(zip(Ks, ys)):
+        K[p, :len(yp), :len(yp)] = Kp
+        y[p, :len(yp)] = yp
+    budget = np.array([100 * m if max_iter is None else max_iter
+                       for m in sizes])
+    # v = alpha y lives in the box [lo, hi] (lo is exactly hi - cost on a
+    # real row), which is empty on padded rows; g = y - K v is the
+    # gradient. The loop keeps the rows of open problems, ids ``live``.
+    v = np.zeros_like(y)
     hi = np.where(y > 0.0, cost, 0.0)
-    lo = hi - cost
+    lo = np.where(y < 0.0, -cost, 0.0)
     g = y.copy()
-    diag = np.diag(K)
-    curvature = np.maximum(diag[:, None] + diag - 2.0 * K, 1e-12)
-    for step in range(max_iter + 1):
+    diag = np.einsum("pii->pi", K)
+    final = np.zeros_like(y)
+    live = np.arange(len(Ks))
+    for step in count():
         up_g = np.where(v < hi, g, -np.inf)     # g over I_up
         low_g = np.where(v > lo, g, np.inf)     # g over I_low
-        i = int(up_g.argmax())
-        gap = up_g[i] - low_g.min()
-        if not gap > tol:
-            break
-        if step == max_iter:
+        i = up_g.argmax(axis=1)
+        r = np.arange(len(live))
+        gap = up_g[r, i] - low_g.min(axis=1)
+        if not np.all(open_ := gap > tol):
+            final[live[~open_]] = v[~open_]
+            live, v, hi, lo, g, diag, budget, i, up_g, low_g, gap = (
+                a[open_] for a in (live, v, hi, lo, g, diag, budget, i,
+                                   up_g, low_g, gap))
+            if not len(live):
+                break
+            r = np.arange(len(live))
+        if np.any(budget == step):
+            p = int(np.argmax(budget == step))
             raise ConvergenceError(
-                f"SMO did not converge within {max_iter} steps "
-                f"(n={n}, cost={cost}, gap={gap:.3g})")
-        b = np.maximum(up_g[i] - low_g, 0.0)
-        j = int((b * b / curvature[i]).argmax())
+                f"SMO did not converge within {step} steps "
+                f"(n={sizes[live[p]]}, cost={costs[live[p]]}, "
+                f"gap={gap[p]:.3g})")
+        b = np.maximum(up_g[r, i][:, None] - low_g, 0.0)
+        K_i = K[live, i]
+        # row i of the curvature diag_i + diag - 2 K, for this step only
+        curvature = np.maximum(diag[r, i][:, None] + diag - 2.0 * K_i, 1e-12)
+        gain = b * b
+        gain /= curvature
+        j = gain.argmax(axis=1)
         # v_i grows and v_j shrinks by t, keeping sum(v) = 0; a capped
-        # multiplier lands exactly on its bound
-        cap_i, cap_j = hi[i] - v[i], v[j] - lo[j]
-        t = min(b[j] / curvature[i, j], cap_i, cap_j)
-        v[i] = hi[i] if t == cap_i else v[i] + t
-        v[j] = lo[j] if t == cap_j else v[j] - t
-        g -= t * (K[i] - K[j])
-    alpha = np.abs(v)
-    bias = 0.0
-    # settle the bias from the final multipliers: unbound points pin it
-    # exactly, otherwise the feasible interval's midpoint is taken. This
-    # drops the drift the incremental updates accumulate.
+        # multiplier lands exactly on its bound. t is min(step, cap_i,
+        # cap_j) by Python's rule: a later value wins only if smaller
+        v_i, hi_i, lo_j = v[r, i], hi[r, i], lo[r, j]
+        cap_i, cap_j = hi_i - v_i, v[r, j] - lo_j
+        t = b[r, j] / curvature[r, j]
+        t = np.where(cap_i < t, cap_i, t)
+        t = np.where(cap_j < t, cap_j, t)
+        v[r, i] = np.where(t == cap_i, hi_i, v_i + t)
+        v[r, j] = np.where(t == cap_j, lo_j, v[r, j] - t)
+        g -= t[:, None] * (K_i - K[live, j])
+    alphas = [np.abs(final[p, :m]) for p, m in enumerate(sizes)]
+    return [(a, _settle_bias(Kp, yp, a, c))
+            for a, Kp, yp, c in zip(alphas, Ks, ys, costs)]
+
+
+def _settle_bias(K, y, alpha, cost) -> float:
+    """The bias from final multipliers: unbound points pin it exactly,
+    otherwise the feasible interval's midpoint is taken. This drops the
+    drift the incremental updates accumulate."""
     target = y - K @ (alpha * y)
     unbound = (alpha > 0.0) & (alpha < cost)
     if unbound.any():
-        bias = float(target[unbound].mean())
-    else:
-        ends = []
-        lo_mask = ((alpha == 0.0) & (y > 0.0)) | ((alpha == cost) & (y < 0.0))
-        hi_mask = ((alpha == 0.0) & (y < 0.0)) | ((alpha == cost) & (y > 0.0))
-        if lo_mask.any():
-            ends.append(float(target[lo_mask].max()))
-        if hi_mask.any():
-            ends.append(float(target[hi_mask].min()))
-        if ends:
-            bias = sum(ends) / len(ends)
-    return alpha, bias
-
-
-@dataclass(frozen=True)
-class BinarySvmModel:
-    """Trained two-class model: support vectors, dual weights, bias."""
-    cfg: KernelConfig
-    cost: float
-    sv: np.ndarray
-    alpha_y: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        sv = np.atleast_2d(np.asarray(self.sv, dtype=np.float64))
-        ay = np.asarray(self.alpha_y, dtype=np.float64).ravel()
-        if sv.shape[0] != len(ay):
-            raise ValidationError("one dual weight per support vector required")
-        object.__setattr__(self, "sv", sv)
-        object.__setattr__(self, "alpha_y", ay)
-        sv.setflags(write=False)
-        ay.setflags(write=False)
-
-
-def smo_train(X, y, cfg: KernelConfig, cost: float) -> BinarySvmModel:
-    """Train one binary model on feature rows with +1/-1 labels."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if len(y) != X.shape[0]:
-        raise ValidationError("one label per row required")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("non-finite features")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValidationError("labels must be +1 or -1")
-    if len(np.unique(y)) < 2:
-        raise ValidationError("single-class input: need both +1 and -1 labels")
-    cfg = cfg.resolved(X.shape[1])
-    alpha, bias = smo_solve(gram(cfg, X, X), y, cost)
-    mask = alpha > 0.0
-    return BinarySvmModel(cfg=cfg, cost=cost, sv=X[mask].copy(),
-                          alpha_y=(alpha * y)[mask], bias=bias)
+        return float(target[unbound].mean())
+    ends = []
+    lo_mask = ((alpha == 0.0) & (y > 0.0)) | ((alpha == cost) & (y < 0.0))
+    hi_mask = ((alpha == 0.0) & (y < 0.0)) | ((alpha == cost) & (y > 0.0))
+    if lo_mask.any():
+        ends.append(float(target[lo_mask].max()))
+    if hi_mask.any():
+        ends.append(float(target[hi_mask].min()))
+    return sum(ends) / len(ends) if ends else 0.0
 
 
 @dataclass(frozen=True)
@@ -318,6 +332,11 @@ def vote_winners(votes, margins) -> np.ndarray:
     return np.argmax(tied & (m == m.max(axis=1, keepdims=True)), axis=1)
 
 
+# bytes of padded Gram matrices one lockstep SMO stack may hold; a longer
+# list of problems is solved in consecutive stacks under this budget
+_STACK_BYTES = 8 << 20
+
+
 def ovo_train(dataset, cfg: KernelConfig, cost: float,
               scaler: Scaler | None = None,
               prescaled: bool = False) -> OvoSvmModel:
@@ -329,34 +348,68 @@ def ovo_train(dataset, cfg: KernelConfig, cost: float,
     that scaler for prediction time; this is how noise-augmented
     (already standardized) matrices are trained.
     """
-    classes = dataset.classes
-    if len(classes) < 2:
-        raise ValidationError("need at least 2 classes")
+    return ovo_train_many([dataset], cfg, cost, scaler, prescaled)[0]
+
+
+def ovo_train_many(datasets, cfg: KernelConfig, cost: float,
+                   scaler: Scaler | None = None,
+                   prescaled: bool = False) -> list[OvoSvmModel]:
+    """``ovo_train`` on each dataset, the class pairs of all of them solved
+    together by ``smo_solve_stack``; one model per dataset. Consecutive
+    pairs share a stack while their padded Gram matrices fit in
+    ``_STACK_BYTES``."""
     if prescaled and scaler is None:
         raise ValidationError("prescaled training requires an explicit scaler")
-    X = dataset.X
-    if scaler is None:
-        scaler = Scaler.fit(X)
-    Xs = X if prescaled else scaler.transform(X)
-    cfg = cfg.resolved(Xs.shape[1])
-    labels = np.asarray(dataset.labels)
-    fits = []
-    for a, b in combinations(classes, 2):
-        mask = (labels == a) | (labels == b)
-        if not np.any(labels == a) or not np.any(labels == b):
-            raise ValidationError(f"class pair ({a}, {b}) has an empty side")
-        yy = np.where(labels[mask] == a, 1.0, -1.0)
-        fits.append(smo_train(Xs[mask], yy, cfg, cost))
-    # a row that is a support vector of several pairs is stored once; equal
-    # rows merge and their weights add up within each pair's column
-    sv, row = np.unique(np.vstack([f.sv for f in fits]), axis=0,
-                        return_inverse=True)
-    column = np.repeat(np.arange(len(fits)), [len(f.alpha_y) for f in fits])
+    setups = []
+    for dataset in datasets:
+        if len(dataset.classes) < 2:
+            raise ValidationError("need at least 2 classes")
+        fitted = scaler if scaler is not None else Scaler.fit(dataset.X)
+        Xs = dataset.X if prescaled else fitted.transform(dataset.X)
+        if not np.all(np.isfinite(Xs)):
+            raise ValidationError("non-finite features")
+        labels = np.asarray(dataset.labels)
+        pairs = [(rows, np.where(labels[rows] == a, 1.0, -1.0))
+                 for a, b in combinations(dataset.classes, 2)
+                 for rows in [np.flatnonzero((labels == a) | (labels == b))]]
+        setups.append((dataset, cfg.resolved(Xs.shape[1]), fitted, Xs, pairs))
+    solved, Ks, ys = [], [], []
+    for _, kernel, _, Xs, pairs in setups:
+        for rows, y in pairs:
+            n = max(len(y), *map(len, ys)) if ys else len(y)
+            if ys and (len(ys) + 1) * n * n * 8 > _STACK_BYTES:
+                solved += smo_solve_stack(Ks, ys, [cost] * len(ys))
+                Ks, ys = [], []
+            X = Xs[rows]
+            # one array as both arguments: numpy then forms X @ X.T as a
+            # symmetric product, whose rounding differs from X @ copy.T
+            Ks.append(gram(kernel, X, X))
+            ys.append(y)
+    solved = iter(solved + smo_solve_stack(Ks, ys, [cost] * len(ys)))
+    return [_shared_sv_model(dataset, kernel, cost, fitted, Xs,
+                             [(rows, y, *next(solved)) for rows, y in pairs])
+            for dataset, kernel, fitted, Xs, pairs in setups]
+
+
+def _shared_sv_model(dataset, cfg, cost, scaler, Xs, fits) -> OvoSvmModel:
+    """Build one ensemble from its pairs' ``(rows, y, alpha, bias)``.
+
+    A row that is a support vector of several pairs is stored once, and
+    equal rows merge with their weights added within each pair's column.
+    Rows merge on their training index first, so the sort that merges
+    equal values (and orders ``sv``) runs only over distinct rows.
+    """
+    sv_of = [rows[alpha > 0.0] for rows, _, alpha, _ in fits]
+    index, first = np.unique(np.concatenate(sv_of), return_inverse=True)
+    sv, row = np.unique(Xs[index], axis=0, return_inverse=True)
+    column = np.repeat(np.arange(len(fits)), [len(s) for s in sv_of])
     coef = np.zeros((len(sv), len(fits)))
-    np.add.at(coef, (row.ravel(), column),
-              np.concatenate([f.alpha_y for f in fits]))
-    return OvoSvmModel(classes=tuple(classes), cfg=cfg, cost=cost, sv=sv,
-                       coef=coef, bias=np.array([f.bias for f in fits]),
+    np.add.at(coef, (row.ravel()[first], column),
+              np.concatenate([(alpha * y)[alpha > 0.0]
+                              for _, y, alpha, _ in fits]))
+    return OvoSvmModel(classes=tuple(dataset.classes), cfg=cfg, cost=cost,
+                       sv=sv, coef=coef,
+                       bias=np.array([bias for _, _, _, bias in fits]),
                        scaler=scaler,
                        registry=FeatureRegistry(tuple(dataset.feature_names)))
 

@@ -228,6 +228,72 @@ def loop_best_split(X, yi, n_classes, feat_ids, min_leaf):
     return best
 
 
+def loop_smo_solve(K, y, cost, tol=1e-3, max_iter=None):
+    """The one-problem WSS2 loop that the lockstep SMO stack replaced.
+
+    Kept verbatim as a differential oracle (only its two error types are
+    builtins here): the stacked solve must return the same alpha and bias,
+    bit for bit.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    if K.shape != (n, n):
+        raise ValueError("Gram matrix shape does not match labels")
+    if not 0.0 < cost < np.inf:
+        raise ValueError("cost must be positive and finite")
+    if max_iter is None:
+        max_iter = 100 * n
+
+    # v = alpha y lives in the box [lo, hi]; g = y - K v is the gradient
+    v = np.zeros(n)
+    hi = np.where(y > 0.0, cost, 0.0)
+    lo = hi - cost
+    g = y.copy()
+    diag = np.diag(K)
+    curvature = np.maximum(diag[:, None] + diag - 2.0 * K, 1e-12)
+    for step in range(max_iter + 1):
+        up_g = np.where(v < hi, g, -np.inf)     # g over I_up
+        low_g = np.where(v > lo, g, np.inf)     # g over I_low
+        i = int(up_g.argmax())
+        gap = up_g[i] - low_g.min()
+        if not gap > tol:
+            break
+        if step == max_iter:
+            raise RuntimeError(
+                f"SMO did not converge within {max_iter} steps "
+                f"(n={n}, cost={cost}, gap={gap:.3g})")
+        b = np.maximum(up_g[i] - low_g, 0.0)
+        j = int((b * b / curvature[i]).argmax())
+        # v_i grows and v_j shrinks by t, keeping sum(v) = 0; a capped
+        # multiplier lands exactly on its bound
+        cap_i, cap_j = hi[i] - v[i], v[j] - lo[j]
+        t = min(b[j] / curvature[i, j], cap_i, cap_j)
+        v[i] = hi[i] if t == cap_i else v[i] + t
+        v[j] = lo[j] if t == cap_j else v[j] - t
+        g -= t * (K[i] - K[j])
+    alpha = np.abs(v)
+    bias = 0.0
+    # settle the bias from the final multipliers: unbound points pin it
+    # exactly, otherwise the feasible interval's midpoint is taken. This
+    # drops the drift the incremental updates accumulate.
+    target = y - K @ (alpha * y)
+    unbound = (alpha > 0.0) & (alpha < cost)
+    if unbound.any():
+        bias = float(target[unbound].mean())
+    else:
+        ends = []
+        lo_mask = ((alpha == 0.0) & (y > 0.0)) | ((alpha == cost) & (y < 0.0))
+        hi_mask = ((alpha == 0.0) & (y < 0.0)) | ((alpha == cost) & (y > 0.0))
+        if lo_mask.any():
+            ends.append(float(target[lo_mask].max()))
+        if hi_mask.any():
+            ends.append(float(target[hi_mask].min()))
+        if ends:
+            bias = sum(ends) / len(ends)
+    return alpha, bias
+
+
 def naive_vote_winner(classes, pairs, decisions):
     """OvO vote count with the tie rules spelled out long-hand.
 

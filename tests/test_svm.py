@@ -6,12 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gesturekit import svm
 from gesturekit.errors import ConvergenceError, ParseError, ValidationError
 from gesturekit.features import FeatureRegistry, Scaler
 from gesturekit.imu import LabeledDataset
 from gesturekit.svm import (
     PRESETS,
-    BinarySvmModel,
     KernelConfig,
     OvoSvmModel,
     dual_objective,
@@ -20,15 +20,16 @@ from gesturekit.svm import (
     load_model,
     ovo_predict,
     ovo_train,
+    ovo_train_many,
     save_model,
     smo_solve,
-    smo_train,
+    smo_solve_stack,
     vote_tally,
     vote_winners,
 )
 
 from oracles import dual_objective as oracle_objective
-from oracles import naive_vote_winner, pg_dual_solve
+from oracles import loop_smo_solve, naive_vote_winner, pg_dual_solve
 
 
 def random_problem(seed, n=None, d=None, separation=0.3):
@@ -224,44 +225,136 @@ class TestSmoSolver:
             smo_solve(K, y, 1.0, max_iter=1)
 
 
+KERNELS = (KernelConfig(kind="linear"),
+           KernelConfig(kind="polynomial", gamma=0.5, coef0=1.0, degree=2),
+           KernelConfig(kind="radial", gamma=0.7),
+           KernelConfig(kind="sigmoid", gamma=0.5, coef0=-1.0))
+
+
+def stacked_problems(r, count):
+    """``count`` random (K, y, cost) problems of mixed kernel, cost, size
+    (2 to 60) and feature width, some with duplicated or rounded rows, and
+    the kernel kind of each."""
+    out, kinds = [], []
+    for _ in range(count):
+        n, d = int(r.integers(2, 61)), int(r.integers(1, 6))
+        X = r.normal(size=(n, d))
+        if r.random() < 0.3:
+            X[n // 2:] = X[:n - n // 2]
+        if r.random() < 0.2:
+            X = np.round(X)
+        y = np.where(r.random(n) < 0.5, 1.0, -1.0)
+        y[0], y[-1] = 1.0, -1.0
+        kernel = KERNELS[int(r.integers(len(KERNELS)))]
+        out.append((gram(kernel, X, X), y, float(r.choice([0.5, 1.0, 3.0]))))
+        kinds.append(kernel.kind)
+    return out, kinds
+
+
+class TestSmoStack:
+    def test_equals_one_problem_loop_exactly(self):
+        # the one-problem WSS2 loop is the oracle, bit for bit, on stacks
+        # of 1 to 11 problems whose sizes differ, so padding is exercised
+        r = np.random.default_rng(909)
+        solved = midpoint = floored = duplicated = 0
+        kinds_seen = set()
+        while solved < 320:
+            problems, kinds = stacked_problems(r, int(r.integers(1, 12)))
+            got = smo_solve_stack(*zip(*problems))
+            kinds_seen.update(kinds)
+            for (K, y, cost), kind, (alpha, bias) in zip(problems, kinds,
+                                                        got):
+                want_alpha, want_bias = loop_smo_solve(K, y, cost)
+                assert alpha.tobytes() == want_alpha.tobytes()
+                assert bias == want_bias
+                solved += 1
+                midpoint += not np.any((alpha > 0.0) & (alpha < cost))
+                diag = np.diag(K)
+                floored += kind == "sigmoid" and np.any(
+                    diag[:, None] + diag - 2.0 * K < 0.0)
+                duplicated += len(np.unique(K, axis=0)) < len(K)
+        # every kernel, the midpoint-bias branch, the 1e-12 floor under a
+        # negative curvature and duplicated rows all took part
+        assert kinds_seen == {k.kind for k in KERNELS}
+        assert midpoint > 0 and floored > 0 and duplicated > 0
+
+    def test_one_problem_runs_out_of_its_own_budget(self):
+        # an explicit budget: the small problems converge within it and the
+        # last one does not; the error names that problem as the loop would
+        r = np.random.default_rng(31)
+        problems = [p for p in stacked_problems(r, 60)[0]
+                    if len(p[1]) <= 6][:3]
+        X, y = random_problem(17, n=30, d=3)
+        problems.append((gram(KERNELS[2], X, X), y, 1.0))
+        with pytest.raises(RuntimeError) as want:
+            loop_smo_solve(*problems[-1], max_iter=8)
+        with pytest.raises(ConvergenceError, match="n=30") as got:
+            smo_solve_stack(*zip(*problems), max_iter=8)
+        assert str(got.value) == str(want.value)
+        for K, y, cost in problems[:-1]:
+            loop_smo_solve(K, y, cost, max_iter=8)
+
+    def test_default_budget_is_per_problem(self):
+        # with tol=-inf no problem converges, so the smallest one (n=4)
+        # runs out first, after its own 100n = 400 steps
+        problems = []
+        for n in (30, 4, 12):
+            X, y = random_problem(n, n=n, d=3)
+            problems.append((gram(KERNELS[0], X, X), y, 1.0))
+        with pytest.raises(RuntimeError) as want:
+            loop_smo_solve(*problems[1], tol=-np.inf)
+        with pytest.raises(ConvergenceError, match="within 400 steps") as got:
+            smo_solve_stack(*zip(*problems), tol=-np.inf)
+        assert str(got.value) == str(want.value)
+
+
 class TestSmoTrain:
+    """Binary SMO training: ``ovo_train`` on two classes, and the label
+    checks of ``smo_solve``."""
+
+    @staticmethod
+    def two_class(X, y):
+        labels = ["a" if v > 0 else "b" for v in y]
+        return LabeledDataset(X=X, labels=labels, subjects=["S"] * len(y),
+                              feature_names=[f"f{k}" for k in
+                                             range(X.shape[1])])
+
     def test_separable_problem_is_classified(self):
         r = np.random.default_rng(2)
         X = np.vstack([r.normal(loc=-3.0, size=(15, 2)),
                        r.normal(loc=3.0, size=(15, 2))])
         y = np.array([-1.0] * 15 + [1.0] * 15)
-        model = smo_train(X, y, KernelConfig(kind="linear"), 1.0)
-        pred = np.sign(X @ model.sv.T @ model.alpha_y + model.bias)
-        assert np.array_equal(pred, y)
+        model = ovo_train(self.two_class(X, y), KernelConfig(kind="linear"),
+                          1.0)
+        assert model.predict(X) == self.two_class(X, y).labels
 
     def test_keeps_only_support_vectors(self):
         X, y = random_problem(23, n=40, d=3, separation=2.0)
-        model = smo_train(X, y, KernelConfig(kind="linear"), 1.0)
+        model = ovo_train(self.two_class(X, y), KernelConfig(kind="linear"),
+                          1.0)
         assert 0 < model.sv.shape[0] <= len(X)
-        assert np.all(model.alpha_y != 0.0)
+        assert np.all(model.coef != 0.0)
 
     def test_rejects_single_class(self):
         X = np.zeros((4, 2))
         with pytest.raises(ValidationError):
-            smo_train(X, np.ones(4), KernelConfig(kind="linear"), 1.0)
+            ovo_train(self.two_class(X, np.ones(4)),
+                      KernelConfig(kind="linear"), 1.0)
 
     def test_rejects_non_pm1_labels(self):
-        X = np.zeros((4, 2))
         with pytest.raises(ValidationError):
-            smo_train(X, np.array([1.0, 0.0, -1.0, 1.0]),
-                      KernelConfig(kind="linear"), 1.0)
+            smo_solve(np.zeros((4, 4)), np.array([1.0, 0.0, -1.0, 1.0]), 1.0)
 
     def test_rejects_non_finite_features(self):
         X = np.zeros((4, 2))
         X[1, 1] = np.nan
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        with pytest.raises(ValidationError):
-            smo_train(X, y, KernelConfig(kind="linear"), 1.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            ovo_train(self.two_class(X, y), KernelConfig(kind="linear"), 1.0)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
-            smo_train(np.zeros((4, 2)), np.array([1.0, -1.0]),
-                      KernelConfig(kind="linear"), 1.0)
+            smo_solve(np.zeros((4, 4)), np.array([1.0, -1.0]), 1.0)
 
 
 class TestDecisionValue:
@@ -307,9 +400,6 @@ class TestDecisionValue:
                               model.bias)
 
     def test_weight_count_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            BinarySvmModel(cfg=KernelConfig(kind="linear"), cost=1.0,
-                           sv=np.zeros((2, 2)), alpha_y=np.zeros(3), bias=0.0)
         with pytest.raises(ValidationError):
             self.build_model(coef=np.zeros((2, 3)))
 
@@ -409,8 +499,8 @@ class TestOvo:
 
     @pytest.mark.parametrize("kind", ["linear", "radial"])
     def test_matches_per_pair_reference(self, kind):
-        # every pair rebuilt from its own smo_train run and its own support
-        # vectors, sliced as ovo_train does
+        # every pair rebuilt from its own one-problem loop solve and its own
+        # support vectors, sliced as ovo_train does
         data = twelve_class_dataset()
         model = ovo_train(data, KernelConfig(kind=kind, gamma=0.8), 1.0)
         Xs = model.scaler.transform(data.X)
@@ -420,11 +510,28 @@ class TestOvo:
         assert model.pairs == pairs and D.shape == (len(data), 66)
         for p, (a, b) in enumerate(pairs):
             mask = (labels == a) | (labels == b)
-            y = np.where(labels[mask] == a, 1.0, -1.0)
-            ref = smo_train(Xs[mask], y, model.cfg, model.cost)
-            want = gram(model.cfg, Xs, ref.sv) @ ref.alpha_y + ref.bias
+            X, y = Xs[mask], np.where(labels[mask] == a, 1.0, -1.0)
+            alpha, bias = loop_smo_solve(gram(model.cfg, X, X), y, 1.0)
+            assert model.bias[p] == bias
+            sv = alpha > 0.0
+            want = gram(model.cfg, Xs, X[sv]) @ (alpha * y)[sv] + bias
             assert np.max(np.abs(D[:, p] - want)) <= 1e-12
-            assert np.count_nonzero(model.coef[:, p]) == len(ref.sv)
+            assert np.count_nonzero(model.coef[:, p]) == np.count_nonzero(sv)
+
+    def test_list_form_equals_one_dataset_at_a_time(self, monkeypatch):
+        # datasets of different sizes in one solve, cut into many small
+        # stacks, give the same bytes as training each dataset on its own
+        datasets = [twelve_class_dataset(seed=s, per_class=k)
+                    for s, k in ((1, 3), (2, 6), (3, 4))]
+        cfg = KernelConfig(kind="radial", gamma=0.8)
+        alone = [ovo_train(ds, cfg, 1.0) for ds in datasets]
+        monkeypatch.setattr(svm, "_STACK_BYTES", 8 * 12 * 12 * 5)
+        for one, many in zip(alone, ovo_train_many(datasets, cfg, 1.0)):
+            assert many.classes == one.classes and many.cfg == one.cfg
+            for name in ("sv", "coef", "bias"):
+                assert getattr(many, name).tobytes() == \
+                    getattr(one, name).tobytes()
+            assert np.array_equal(many.scaler.mean, one.scaler.mean)
 
     def test_support_vectors_stored_once(self, model):
         assert len(np.unique(model.sv, axis=0)) == len(model.sv)
