@@ -5,9 +5,12 @@ Every subcommand accepts ``--seed`` and derives all randomness from it,
 so repeating an invocation with identical flags writes byte-identical
 files; ``--jobs`` changes wall time only. ``--params FILE`` reads a flat
 ``key = value`` text file whose keys are long option names with
-underscores (``window_len = 250``); explicit flags still win. Exit
-codes: 0 success, 1 usage, 2 unreadable input data, 3 validation or
-convergence failure.
+underscores (``window_len = 250``); explicit flags still win. An option
+for a tuned setting takes its default from the library object that owns
+the setting (an RQA config, an SVM preset, ``SynthConfig`` or
+``ForestConfig``), and its help line shows that default. Exit codes: 0
+success, 1 usage, 2 unreadable input data, 3 validation or convergence
+failure.
 """
 
 from __future__ import annotations
@@ -33,23 +36,14 @@ from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
 from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
                   recurrence_plot, time_delay_embed, windowed_rqa,
                   write_rp_pgm, write_rqa_csv)
-from .svm import (KERNEL_KINDS, KernelConfig, load_model, ovo_predict,
-                  save_model)
+from .svm import (KERNEL_KINDS, PRESETS, KernelConfig, load_model,
+                  ovo_predict, save_model)
+from .synth import SynthConfig, generate_dataset, write_dataset
 
-RQA_DEFAULTS = """\
-  windowed RQA        window 125, step 25, delay 1, dimension 4,
-                      threshold 0.1, L2 (Euclidean) norm
-"""
-DEFAULTS_EPILOG = "tuned defaults:\n" + RQA_DEFAULTS + """\
-  identification SVM  polynomial kernel, gamma 0.95, cost 3,
-                      degree 3, coef0 2
-  recognition SVM     radial kernel, gamma 0.005, cost 1
-  features            43 selected statistics + 10 resampled samples per
-                      acceleration axis (73 total); augmentation sigma 0.5
-  synthesis           15 subjects, 5 repetitions of each of 12 gestures,
-                      50 Hz sampling
-  forest baseline     100 trees, depth 10
-"""
+# the library objects whose fields are the options' defaults
+_IDENTIFICATION = IdentificationConfig()
+_SYNTH = SynthConfig()
+_FOREST = ForestConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,61 +67,52 @@ def _pool(jobs: int):
 
 def _add_common(sub, jobs=False):
     sub.add_argument("--seed", type=int, default=0,
-                     help="master seed for every random draw (default 0)")
+                     help="master seed for every random draw "
+                          "(default %(default)s)")
     sub.add_argument("--params", metavar="FILE",
                      help="flat `key = value` file overriding option "
                           "defaults")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
                          help="worker processes; results are identical "
-                              "for any value (default 1)")
+                              "for any value (default %(default)s)")
 
 
 def _add_rqa(sub):
-    sub.add_argument("--window-len", type=int, default=125,
-                     help="window length in samples (default 125)")
-    sub.add_argument("--step", type=int, default=25,
-                     help="window step in samples (default 25)")
+    window = _IDENTIFICATION.window
+    sub.add_argument("--window-len", type=int, default=window.window_len,
+                     help="window length in samples (default %(default)s)")
+    sub.add_argument("--step", type=int, default=window.step,
+                     help="window step in samples (default %(default)s)")
     _add_rp(sub)
 
 
 def _add_rp(sub):
-    sub.add_argument("--series", default="acc_y", choices=CHANNELS,
-                     help="channel to analyse (default acc_y)")
-    sub.add_argument("--delay", type=int, default=1,
-                     help="embedding delay (default 1)")
-    sub.add_argument("--dimension", type=int, default=4,
-                     help="embedding dimension (default 4)")
-    sub.add_argument("--epsilon", type=float, default=0.1,
-                     help="recurrence threshold (default 0.1)")
-    sub.add_argument("--norm", default="L2", choices=NORMS,
-                     help="state-distance norm (default L2)")
+    cfg = _IDENTIFICATION
+    sub.add_argument("--series", default=cfg.series, choices=CHANNELS,
+                     help="channel to analyse (default %(default)s)")
+    sub.add_argument("--delay", type=int, default=cfg.embedding.tau,
+                     help="embedding delay (default %(default)s)")
+    sub.add_argument("--dimension", type=int, default=cfg.embedding.m,
+                     help="embedding dimension (default %(default)s)")
+    sub.add_argument("--epsilon", type=float, default=cfg.rp.epsilon,
+                     help="recurrence threshold (default %(default)s)")
+    sub.add_argument("--norm", default=cfg.rp.norm, choices=NORMS,
+                     help="state-distance norm (default %(default)s)")
 
 
-def _add_id_svm(sub):
-    sub.add_argument("--kernel", default="polynomial", choices=KERNEL_KINDS,
-                     help="kernel kind (default polynomial)")
-    sub.add_argument("--gamma", type=float, default=0.95,
-                     help="kernel gamma (default 0.95)")
-    sub.add_argument("--cost", type=float, default=3.0,
-                     help="soft-margin cost (default 3)")
-    sub.add_argument("--degree", type=int, default=3,
-                     help="polynomial degree (default 3)")
-    sub.add_argument("--coef0", type=float, default=2.0,
-                     help="polynomial/sigmoid offset (default 2)")
-
-
-def _add_rec_svm(sub):
-    sub.add_argument("--kernel", default="radial", choices=KERNEL_KINDS,
-                     help="kernel kind (default radial)")
-    sub.add_argument("--gamma", type=float, default=0.005,
-                     help="kernel gamma (default 0.005)")
-    sub.add_argument("--cost", type=float, default=1.0,
-                     help="soft-margin cost (default 1)")
-    sub.add_argument("--degree", type=int, default=3,
-                     help="polynomial degree (default 3)")
-    sub.add_argument("--coef0", type=float, default=0.0,
-                     help="polynomial/sigmoid offset (default 0)")
+def _add_svm(sub, preset: str):
+    kernel, cost = PRESETS[preset]
+    sub.add_argument("--kernel", default=kernel.kind, choices=KERNEL_KINDS,
+                     help="kernel kind (default %(default)s)")
+    sub.add_argument("--gamma", type=float, default=kernel.gamma,
+                     help="kernel gamma (default %(default)s)")
+    sub.add_argument("--cost", type=float, default=cost,
+                     help="soft-margin cost (default %(default)s)")
+    sub.add_argument("--degree", type=int, default=kernel.degree,
+                     help="polynomial degree (default %(default)s)")
+    sub.add_argument("--coef0", type=float, default=kernel.coef0,
+                     help="polynomial/sigmoid offset (default %(default)s)")
 
 
 def _add_features(sub, default="full"):
@@ -135,10 +120,10 @@ def _add_features(sub, default="full"):
                      choices=("full", "stats", "samples"),
                      help="feature set: 63 statistics + samples, "
                           "statistics only, or resampled accelerations "
-                          f"only (default {default})")
+                          "only (default %(default)s)")
     sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                      help="resampled points per acceleration axis "
-                          "(default 10)")
+                          "(default %(default)s)")
 
 
 def _kernel_from(args) -> KernelConfig:
@@ -241,8 +226,6 @@ def _typed_overrides(sub: argparse.ArgumentParser, params_path) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    # synth pulls in scipy.signal, which no other command needs
-    from .synth import SynthConfig, generate_dataset, write_dataset
     cfg = SynthConfig(n_subjects=args.subjects, reps=args.reps,
                       rate_hz=args.rate, adl_minutes=args.adl_minutes,
                       gesture_fraction=args.gesture_fraction, seed=args.seed)
@@ -405,10 +388,7 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def sub(name, handler, help_text, jobs=False):
-        p = commands.add_parser(
-            name, help=help_text, description=help_text,
-            epilog=DEFAULTS_EPILOG,
-            formatter_class=argparse.RawDescriptionHelpFormatter)
+        p = commands.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=handler)
         _add_common(p, jobs=jobs)
         subs[name] = p
@@ -418,18 +398,21 @@ def build_parser():
             "Generate a synthetic labeled IMU corpus.", jobs=True)
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output dataset directory")
-    p.add_argument("--subjects", type=int, default=15,
-                   help="number of synthetic subjects (default 15)")
-    p.add_argument("--reps", type=int, default=5,
-                   help="repetitions of each gesture per subject (default 5)")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="sampling rate in Hz (default 50)")
-    p.add_argument("--adl-minutes", type=float, default=0.0,
+    p.add_argument("--subjects", type=int, default=_SYNTH.n_subjects,
+                   help="number of synthetic subjects (default %(default)s)")
+    p.add_argument("--reps", type=int, default=_SYNTH.reps,
+                   help="repetitions of each gesture per subject "
+                        "(default %(default)s)")
+    p.add_argument("--rate", type=float, default=_SYNTH.rate_hz,
+                   help="sampling rate in Hz (default %(default)s)")
+    p.add_argument("--adl-minutes", type=float, default=_SYNTH.adl_minutes,
                    help="continuous background stream length per subject; "
-                        "0 skips identification streams (default 0)")
-    p.add_argument("--gesture-fraction", type=float, default=0.005,
+                        "0 skips identification streams (default "
+                        "%(default)s)")
+    p.add_argument("--gesture-fraction", type=float,
+                   default=_SYNTH.gesture_fraction,
                    help="fraction of background samples inside gestures "
-                        "(default 0.005)")
+                        "(default %(default)s)")
 
     p = sub("rqa-features", _cmd_rqa_features,
             "Windowed recurrence features (rr, tra) from one stream.")
@@ -446,7 +429,8 @@ def build_parser():
     p.add_argument("--out", dest="outfile", required=True, metavar="PGM",
                    help="output image (P5, white = recurrence)")
     p.add_argument("--start", type=int, default=0,
-                   help="first sample of the exported span (default 0)")
+                   help="first sample of the exported span "
+                        "(default %(default)s)")
     p.add_argument("--length", type=int, default=None,
                    help="span length in samples (default: whole stream)")
     _add_rp(p)
@@ -462,17 +446,18 @@ def build_parser():
                    help="per-fold metric table")
     p.add_argument("--confusion", metavar="CSV",
                    help="summed confusion matrix")
-    p.add_argument("--overlap", type=float, default=0.5,
+    p.add_argument("--overlap", type=float,
+                   default=_IDENTIFICATION.overlap_fraction,
                    help="fraction of a gesture that must fall inside a "
-                        "window to label it positive (default 0.5)")
-    p.add_argument("--iterations", type=int, default=100,
-                   help="balanced redraws per fold (default 100)")
+                        "window to label it positive (default %(default)s)")
+    p.add_argument("--iterations", type=int,
+                   default=_IDENTIFICATION.n_balance_iters,
+                   help="balanced redraws per fold (default %(default)s)")
     _add_rqa(p)
-    _add_id_svm(p)
+    _add_svm(p, "identification")
 
     p = sub("identify", _cmd_identify,
             "Locate candidate gesture segments in a continuous stream.")
-    p.epilog = DEFAULTS_EPILOG.replace(RQA_DEFAULTS, "")
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="input IMU stream")
     p.add_argument("--model", required=True, metavar="MODEL",
@@ -490,7 +475,7 @@ def build_parser():
                    help="train on originals plus noisy copies with this "
                         "z-score noise scale (default: off; tuned 0.5)")
     _add_features(p)
-    _add_rec_svm(p)
+    _add_svm(p, "recognition")
 
     p = sub("recognize", _cmd_recognize,
             "Classify one gesture segment with a trained recognizer.")
@@ -505,9 +490,9 @@ def build_parser():
     p.add_argument("--data", required=True, metavar="DIR",
                    help="dataset root or folder of segment streams")
     p.add_argument("--classifier", default="svm", choices=("svm", "forest"),
-                   help="model family (default svm)")
+                   help="model family (default %(default)s)")
     p.add_argument("--report", default="report.csv", metavar="CSV",
-                   help="per-fold metric table (default report.csv)")
+                   help="per-fold metric table (default %(default)s)")
     p.add_argument("--confusion", metavar="CSV",
                    help="summed confusion matrix")
     p.add_argument("--select", type=int, default=None,
@@ -516,12 +501,12 @@ def build_parser():
     p.add_argument("--augment-sigma", type=float, default=None,
                    help="per-fold noise augmentation scale "
                         "(default: off; tuned 0.5)")
-    p.add_argument("--trees", type=int, default=100,
-                   help="forest size (default 100)")
-    p.add_argument("--depth", type=int, default=10,
-                   help="forest depth cap (default 10)")
+    p.add_argument("--trees", type=int, default=_FOREST.n_trees,
+                   help="forest size (default %(default)s)")
+    p.add_argument("--depth", type=int, default=_FOREST.max_depth,
+                   help="forest depth cap (default %(default)s)")
     _add_features(p)
-    _add_rec_svm(p)
+    _add_svm(p, "recognition")
 
     p = sub("importance", _cmd_importance,
             "Permutation importance of segment features.", jobs=True)
@@ -530,13 +515,13 @@ def build_parser():
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output table (feature,mean_accuracy,drop)")
     p.add_argument("--reps", type=int, default=100,
-                   help="permutations per feature (default 100)")
+                   help="permutations per feature (default %(default)s)")
     p.add_argument("--classifier", default="svm",
                    choices=("svm", "centroid"),
                    help="model retrained per permutation; centroid is a "
-                        "fast approximation (default svm)")
+                        "fast approximation (default %(default)s)")
     _add_features(p, default="stats")
-    _add_rec_svm(p)
+    _add_svm(p, "recognition")
 
     p = sub("augment", _cmd_augment,
             "Append noisy copies to a feature table.")
@@ -546,7 +531,7 @@ def build_parser():
                    help="output table with originals then noisy copies")
     p.add_argument("--sigma", type=float, default=0.5,
                    help="noise scale in per-feature standard deviations "
-                        "(default 0.5)")
+                        "(default %(default)s)")
 
     return parser, subs
 

@@ -135,7 +135,7 @@ def balanced_accuracy(confusion) -> float:
 
 
 def label_windows(stream: ImuStream, intervals, win: RqaWindowConfig,
-                  overlap_fraction: float = 0.5) -> list[str]:
+                  overlap_fraction: float) -> list[str]:
     """Binary window labels: gesture if enough of some interval is inside.
 
     A window is a gesture window iff at least ``overlap_fraction`` of any
@@ -348,7 +348,7 @@ def _importance_feature(args):
     return out
 
 
-def permutation_importance(dataset: LabeledDataset, trainer, n_reps=100,
+def permutation_importance(dataset: LabeledDataset, trainer, n_reps: int,
                            seed=0, mapper=map) -> ImportanceResult:
     """Mean accuracy after permuting each feature column, plus baseline.
 
@@ -398,7 +398,7 @@ def select_features(feature_names, mean_accuracy, baseline,
     return sorted(chosen + samples)
 
 
-def noise_augment(train: LabeledDataset, sigma: float = 0.5,
+def noise_augment(train: LabeledDataset, sigma: float,
                   seed=0) -> LabeledDataset:
     """Originals plus Gaussian-corrupted copies (2n rows).
 
@@ -406,8 +406,8 @@ def noise_augment(train: LabeledDataset, sigma: float = 0.5,
     is produced on z-scored features. Labels and subjects duplicate
     one-to-one, so class and subject marginals are preserved exactly.
     """
-    if sigma < 0:
-        raise ValidationError("sigma must be non-negative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValidationError("sigma must be non-negative and finite")
     rng = derive_rng(seed, AUGMENT)
     n = len(train)
     out = train.take(np.tile(np.arange(n), 2))

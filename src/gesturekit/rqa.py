@@ -24,15 +24,6 @@ from .errors import ValidationError
 NORMS = ("L1", "L2", "Linf")
 _CDIST_METRIC = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
 
-# Defaults tuned on the identification data: delay 1, dimension 4,
-# threshold 0.1 (the 0.2*sqrt(m) rule of thumb gives 0.4 but 0.1 measured
-# better), Euclidean distances, 125-sample windows stepped by 25.
-DEFAULT_TAU = 1
-DEFAULT_DIM = 4
-DEFAULT_EPSILON = 0.1
-DEFAULT_WINDOW_LEN = 125
-DEFAULT_STEP = 25
-
 # windows counted per batch by windowed_rqa. 32 x 121^2 float32 is 1.9 MB;
 # 64 ran no faster and raised a spot run's peak RSS by 3.5 MB.
 _WINDOW_CHUNK = 32
@@ -41,8 +32,10 @@ _WINDOW_CHUNK = 32
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Delay-embedding parameters: dimension ``m`` and delay ``tau``."""
-    m: int = DEFAULT_DIM
-    tau: int = DEFAULT_TAU
+    # this config's, RpConfig's and RqaWindowConfig's defaults were tuned
+    # on the identification data
+    m: int = 4
+    tau: int = 1
 
     def __post_init__(self):
         if self.m < 1 or self.tau < 1:
@@ -55,7 +48,8 @@ class EmbeddingConfig:
 @dataclass(frozen=True)
 class RpConfig:
     """Recurrence threshold and the norm used for state distances."""
-    epsilon: float = DEFAULT_EPSILON
+    # the 0.2*sqrt(m) rule of thumb gives 0.4, but 0.1 measured better
+    epsilon: float = 0.1
     norm: str = "L2"
 
     def __post_init__(self):
@@ -68,8 +62,8 @@ class RpConfig:
 @dataclass(frozen=True)
 class RqaWindowConfig:
     """Sliding-window geometry for windowed RQA (80% overlap by default)."""
-    window_len: int = DEFAULT_WINDOW_LEN
-    step: int = DEFAULT_STEP
+    window_len: int = 125
+    step: int = 25
 
     def __post_init__(self):
         if not (0 < self.step <= self.window_len):

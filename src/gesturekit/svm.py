@@ -23,7 +23,7 @@ order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, count
 from pathlib import Path
 
@@ -43,8 +43,8 @@ KKT_TOL = 1e-3      # solver stopping tolerance on the KKT gap
 class KernelConfig:
     """Kernel family and its shape parameters.
 
-    ``gamma=None`` is the exploratory default and resolves to
-    1/n_features when training starts.
+    Every kind but linear needs a gamma; linear ignores gamma and coef0,
+    which still have to be finite.
     """
     kind: str = "radial"
     gamma: float | None = None
@@ -54,17 +54,18 @@ class KernelConfig:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if (self.kind != "linear" and self.gamma is not None
-                and not self.gamma > 0):
+        if self.gamma is None:
+            if self.kind != "linear":
+                raise ValidationError(f"a {self.kind} kernel needs a gamma")
+        elif not np.isfinite(self.gamma):
+            raise ValidationError("gamma must be finite")
+        elif self.kind != "linear" and not self.gamma > 0:
             raise ValidationError("gamma must be positive")
+        if not np.isfinite(self.coef0):
+            raise ValidationError("coef0 must be finite")
         if self.degree < 1 or int(self.degree) != self.degree:
             raise ValidationError("degree must be a positive integer")
         object.__setattr__(self, "degree", int(self.degree))
-
-    def resolved(self, n_features: int) -> "KernelConfig":
-        if self.gamma is not None or self.kind == "linear":
-            return self
-        return replace(self, gamma=1.0 / n_features)
 
 
 # tuned hyperparameter presets: (kernel, cost)
@@ -83,8 +84,6 @@ def gram(cfg: KernelConfig, A, B) -> np.ndarray:
         raise ValidationError("dimension mismatch between kernel arguments")
     if cfg.kind == "linear":
         return A @ B.T
-    if cfg.gamma is None:
-        raise ValidationError("gamma is unresolved; call cfg.resolved(d) first")
     if cfg.kind == "polynomial":
         return (cfg.gamma * (A @ B.T) + cfg.coef0) ** cfg.degree
     if cfg.kind == "sigmoid":
@@ -372,9 +371,9 @@ def ovo_train_many(datasets, cfg: KernelConfig, cost: float,
         pairs = [(rows, np.where(labels[rows] == a, 1.0, -1.0))
                  for a, b in combinations(dataset.classes, 2)
                  for rows in [np.flatnonzero((labels == a) | (labels == b))]]
-        setups.append((dataset, cfg.resolved(Xs.shape[1]), fitted, Xs, pairs))
+        setups.append((dataset, fitted, Xs, pairs))
     solved, Ks, ys = [], [], []
-    for _, kernel, _, Xs, pairs in setups:
+    for _, _, Xs, pairs in setups:
         for rows, y in pairs:
             n = max(len(y), *map(len, ys)) if ys else len(y)
             if ys and (len(ys) + 1) * n * n * 8 > _STACK_BYTES:
@@ -383,12 +382,12 @@ def ovo_train_many(datasets, cfg: KernelConfig, cost: float,
             X = Xs[rows]
             # one array as both arguments: numpy then forms X @ X.T as a
             # symmetric product, whose rounding differs from X @ copy.T
-            Ks.append(gram(kernel, X, X))
+            Ks.append(gram(cfg, X, X))
             ys.append(y)
     solved = iter(solved + smo_solve_stack(Ks, ys, [cost] * len(ys)))
-    return [_shared_sv_model(dataset, kernel, cost, fitted, Xs,
+    return [_shared_sv_model(dataset, cfg, cost, fitted, Xs,
                              [(rows, y, *next(solved)) for rows, y in pairs])
-            for dataset, kernel, fitted, Xs, pairs in setups]
+            for dataset, fitted, Xs, pairs in setups]
 
 
 def _shared_sv_model(dataset, cfg, cost, scaler, Xs, fits) -> OvoSvmModel:
@@ -525,8 +524,7 @@ def load_model(path) -> OvoSvmModel:
         cost = float(fields["cost"])
     except (KeyError, ValueError, ValidationError) as e:
         raise ParseError(f"{path}: bad [kernel] section: {e}") from None
-    if len(kernel) != 5 or not np.all(np.isfinite([cfg.gamma, cfg.coef0,
-                                                   cost])):
+    if len(kernel) != 5 or not np.isfinite(cost):
         raise ParseError(f"{path}: bad [kernel] section")
 
     if len(scaler) != 2:

@@ -26,8 +26,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import lfilter
 from scipy.spatial.transform import Rotation
 
 from .errors import ValidationError
@@ -190,7 +188,7 @@ def gesture_trajectory(template: GestureTemplate, profile: SubjectProfile,
 
 
 def trajectory_to_imu(positions, profile: SubjectProfile, rate_hz: float,
-                      rng=None, gravity=GRAVITY_MS2) -> ImuStream:
+                      rng=None) -> ImuStream:
     """Inverse sensor model: positions to a 9-channel stream.
 
     Accelerometer rows are the second central difference times rate^2
@@ -209,7 +207,7 @@ def trajectory_to_imu(positions, profile: SubjectProfile, rate_hz: float,
     acc[1:-1] = (P[2:] - 2.0 * P[1:-1] + P[:-2]) * rate_hz ** 2
     acc[0] = acc[1]
     acc[-1] = acc[-2]
-    acc = acc + profile.tilt @ np.array([0.0, 0.0, gravity])
+    acc = acc + profile.tilt @ np.array([0.0, 0.0, GRAVITY_MS2])
     acc += rng.normal(0.0, 1.0, P.shape) * profile.noise_acc
 
     ori = ORI_GAIN * (P - P[0])
@@ -233,7 +231,6 @@ class SynthConfig:
     rate_hz: float = 50.0
     adl_minutes: float = 0.0        # per subject; 0 skips the ADL streams
     gesture_fraction: float = 0.005
-    gravity: float = GRAVITY_MS2
     seed: int = 0
 
     def __post_init__(self):
@@ -241,10 +238,11 @@ class SynthConfig:
             raise ValidationError("n_subjects must be >= 2")
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
-        if self.rate_hz <= 0:
-            raise ValidationError("rate must be positive")
-        if self.adl_minutes < 0:
-            raise ValidationError("adl_minutes must be non-negative")
+        if not 0.0 < self.rate_hz < np.inf:
+            raise ValidationError("rate must be positive and finite")
+        if not 0.0 <= self.adl_minutes < np.inf:
+            raise ValidationError("adl_minutes must be non-negative and "
+                                  "finite")
         if not 0.0 < self.gesture_fraction < 0.5:
             raise ValidationError("gesture_fraction must be in (0, 0.5)")
 
@@ -290,8 +288,7 @@ def _recognition_stream(cfg: SynthConfig, profile: SubjectProfile,
         cursor += hold
     positions = np.vstack(pieces)
     stream = trajectory_to_imu(positions, profile, cfg.rate_hz,
-                               rng=derive_rng(cfg.seed, NOISE, si, 0),
-                               gravity=cfg.gravity)
+                               rng=derive_rng(cfg.seed, NOISE, si, 0))
     return stream, intervals
 
 
@@ -304,6 +301,11 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
     damped while a gesture plays; gesture velocity is added on top so the
     position stays continuous across gesture boundaries.
     """
+    # only the ADL streams filter; importing these here keeps them out of
+    # every command that imports synth for its SynthConfig defaults
+    from scipy.ndimage import uniform_filter1d
+    from scipy.signal import lfilter
+
     rng = derive_rng(cfg.seed, ADL, si)
     L = int(round(cfg.adl_minutes * 60.0 * cfg.rate_hz))
     nominal = int(round(1.2 * cfg.rate_hz))
@@ -353,8 +355,7 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
 
     positions = np.cumsum(v_bg * (env * damp)[:, None] + v_gest, axis=0)
     stream = trajectory_to_imu(positions, profile, cfg.rate_hz,
-                               rng=derive_rng(cfg.seed, NOISE, si, 1),
-                               gravity=cfg.gravity)
+                               rng=derive_rng(cfg.seed, NOISE, si, 1))
     return stream, intervals
 
 

@@ -4,20 +4,24 @@ import os
 import shutil
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
 import gesturekit
-from gesturekit.cli import build_parser, dispatch, read_params
+from gesturekit.cli import (_id_config, _kernel_from, build_parser, dispatch,
+                            read_params)
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv
+from gesturekit.forest import ForestConfig
 from gesturekit.imu import extract_segment, parse_imu_csv, parse_label_csv, \
     write_imu_csv
 from gesturekit import pipeline
-from gesturekit.pipeline import RQA_KEYS
-from gesturekit.svm import load_model
-from gesturekit.synth import TEMPLATES
+from gesturekit.pipeline import RQA_KEYS, IdentificationConfig
+from gesturekit.rqa import EmbeddingConfig, RpConfig
+from gesturekit.svm import PRESETS, load_model
+from gesturekit.synth import TEMPLATES, SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +75,47 @@ class TestParsing:
     def test_help_exits_clean(self, capsys):
         assert dispatch(["--help"]) == 0
         assert "gesturekit" in capsys.readouterr().out
+        assert dispatch(["train-identifier", "--help"]) == 0
+        gamma = PRESETS["identification"][0].gamma
+        assert f"gamma (default {gamma})" in \
+            " ".join(capsys.readouterr().out.split())
         assert dispatch(["synth", "--help"]) == 0
-        assert "tuned defaults" in capsys.readouterr().out
+        assert f"subjects (default {SynthConfig().n_subjects})" in \
+            " ".join(capsys.readouterr().out.split())
         assert dispatch(["identify", "--help"]) == 0
         out = capsys.readouterr().out
         assert "[rqa] sets" in out and "window 125" not in out
-        assert "identification SVM" in out
+
+    def test_option_defaults_are_the_library_defaults(self):
+        """Every tuned option defaults to the value of the library object
+        that owns it, so the CLI and the library cannot disagree."""
+        _, subs = build_parser()
+
+        def defaults(name):
+            return Namespace(**{a.dest: a.default for a in subs[name]._actions})
+
+        ident = IdentificationConfig()
+        args = defaults("train-identifier")
+        assert _id_config(args, overlap_fraction=args.overlap,
+                          n_balance_iters=args.iterations,
+                          kernel=_kernel_from(args), cost=args.cost) == ident
+        assert (_kernel_from(args), args.cost) == PRESETS["identification"]
+        assert _id_config(defaults("rqa-features")) == ident
+        args = defaults("rp-export")
+        assert (EmbeddingConfig(m=args.dimension, tau=args.delay),
+                RpConfig(epsilon=args.epsilon, norm=args.norm),
+                args.series) == (ident.embedding, ident.rp, ident.series)
+        for name in ("train-recognizer", "evaluate", "importance"):
+            args = defaults(name)
+            assert (_kernel_from(args), args.cost) == PRESETS["recognition"]
+        args = defaults("evaluate")
+        assert ForestConfig(n_trees=args.trees,
+                            max_depth=args.depth) == ForestConfig()
+        args = defaults("synth")
+        assert SynthConfig(n_subjects=args.subjects, reps=args.reps,
+                           rate_hz=args.rate, adl_minutes=args.adl_minutes,
+                           gesture_fraction=args.gesture_fraction,
+                           seed=args.seed) == SynthConfig()
 
     def test_console_script_installed(self):
         """The entry point pyproject.toml declares runs as its launcher would.
@@ -642,3 +681,32 @@ class TestAugment:
         assert dispatch(["augment", "--in", str(table),
                          "--out", str(tmp_path / "o.csv"),
                          "--sigma", "-1"]) == 3
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("train-recognizer", "--coef0", "nan"),
+    ("train-recognizer", "--coef0", "inf"),
+    ("train-recognizer", "--gamma", "inf"),
+    ("evaluate", "--gamma", "inf"),
+    ("augment", "--sigma", "nan"),
+    ("augment", "--sigma", "inf"),
+    ("synth", "--rate", "nan"),
+    ("synth", "--rate", "inf"),
+    ("synth", "--adl-minutes", "nan"),
+    ("synth", "--adl-minutes", "inf"),
+])
+def test_non_finite_setting_exits_3_and_writes_nothing(
+        command, option, value, data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = {
+        "train-recognizer": ["--data", str(data_dir), "--out", str(out)],
+        "evaluate": ["--data", str(data_dir), "--report", str(out)],
+        "augment": ["--in", str(tmp_path / "features.csv"),
+                    "--out", str(out)],
+        "synth": ["--out", str(out), "--subjects", "2", "--reps", "1"],
+    }[command]
+    (tmp_path / "features.csv").write_text(
+        "f0,label,subject\n1.0,Up,s01\n2.0,Down,s01\n")
+    assert dispatch([command, *argv, option, value]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

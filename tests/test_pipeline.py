@@ -117,7 +117,8 @@ class TestLabelWindows:
         stream = flat_stream(300)
         intervals = [LabeledInterval(100, 160, "Up", "s01")]
         labels = label_windows(stream, intervals,
-                               IdentificationConfig().window)
+                               IdentificationConfig().window,
+                               overlap_fraction=0.5)
         # starts 0,25,...,175; window [50,175) holds all 60 samples
         assert labels[2] == GESTURE_WINDOW_LABEL
 
@@ -125,7 +126,8 @@ class TestLabelWindows:
         stream = flat_stream(300)
         intervals = [LabeledInterval(100, 160, "Up", "s01")]
         labels = label_windows(stream, intervals,
-                               IdentificationConfig().window)
+                               IdentificationConfig().window,
+                               overlap_fraction=0.5)
         # window [150,275) holds only 10 of the 60 samples
         assert labels[6] == ADL_LABEL
         assert labels == [ADL_LABEL] + [GESTURE_WINDOW_LABEL] * 5 \
@@ -133,7 +135,8 @@ class TestLabelWindows:
 
     def test_no_intervals_is_all_adl(self):
         labels = label_windows(flat_stream(300), [],
-                               IdentificationConfig().window)
+                               IdentificationConfig().window,
+                               overlap_fraction=0.5)
         assert labels == [ADL_LABEL] * 8
 
     def test_full_fraction_requires_containment(self):
@@ -151,7 +154,8 @@ class TestLabelWindows:
         with pytest.raises(ValidationError):
             label_windows(flat_stream(300),
                           [LabeledInterval(200, 400, "Up", "s01")],
-                          IdentificationConfig().window)
+                          IdentificationConfig().window,
+                          overlap_fraction=0.5)
 
 
 class TestWindowsDataset:
@@ -401,8 +405,9 @@ class TestNoiseAugment:
         assert np.array_equal(a.X, b.X)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValidationError):
-            noise_augment(informative_dataset(), sigma=-0.1)
+        for sigma in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                noise_augment(informative_dataset(), sigma=sigma)
 
 
 def subject_dataset(n_subjects=3, per=8, d=4, seed=0, copy_rows=False):

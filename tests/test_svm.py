@@ -11,6 +11,7 @@ from gesturekit.errors import ConvergenceError, ParseError, ValidationError
 from gesturekit.features import FeatureRegistry, Scaler
 from gesturekit.imu import LabeledDataset
 from gesturekit.svm import (
+    KERNEL_KINDS,
     PRESETS,
     KernelConfig,
     OvoSvmModel,
@@ -70,14 +71,18 @@ class TestKernelConfig:
         with pytest.raises(ValidationError):
             KernelConfig(kind="polynomial", gamma=1.0, degree=2.5)
 
-    def test_resolved_fills_inverse_feature_count(self):
-        cfg = KernelConfig(kind="radial")
-        assert cfg.gamma is None
-        assert cfg.resolved(8).gamma == pytest.approx(1.0 / 8)
+    def test_non_linear_kernel_needs_gamma(self):
+        with pytest.raises(ValidationError, match="radial kernel needs"):
+            KernelConfig(kind="radial")
+        assert KernelConfig(kind="linear").gamma is None
 
-    def test_resolved_keeps_explicit_gamma(self):
-        cfg = KernelConfig(kind="radial", gamma=0.25)
-        assert cfg.resolved(100) is cfg
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_non_finite_gamma_or_coef0_rejected(self, kind):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="gamma must be finite"):
+                KernelConfig(kind=kind, gamma=value)
+            with pytest.raises(ValidationError, match="coef0 must be finite"):
+                KernelConfig(kind=kind, gamma=0.5, coef0=value)
 
     def test_presets(self):
         ident, ident_cost = PRESETS["identification"]

@@ -157,10 +157,12 @@ class TestSynthConfig:
             SynthConfig(n_subjects=1)
         with pytest.raises(ValidationError):
             SynthConfig(reps=0)
-        with pytest.raises(ValidationError):
-            SynthConfig(rate_hz=0.0)
-        with pytest.raises(ValidationError):
-            SynthConfig(adl_minutes=-1.0)
+        for rate in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                SynthConfig(rate_hz=rate)
+        for minutes in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                SynthConfig(adl_minutes=minutes)
         with pytest.raises(ValidationError):
             SynthConfig(gesture_fraction=0.0)
         with pytest.raises(ValidationError):
