@@ -22,22 +22,23 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConvergenceError, ParseError, ValidationError
-from .features import (DEFAULT_SAMPLES, FeatureRegistry, featurize_segments,
-                       feature_vector, read_feature_csv, write_feature_csv)
+from .features import (DEFAULT_SAMPLES, featurize_segments,
+                       is_sample_feature, read_feature_csv, sample_count,
+                       write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, extract_segment, parse_imu_csv,
                   parse_label_csv, read_text)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
-                       SvmTrainer, identify_segments, is_sample_feature,
-                       load_identifier, permutation_importance,
-                       loso_evaluate, standardize_augment, train_identifier,
+                       SvmTrainer, identify_segments, load_identifier,
+                       permutation_importance, loso_evaluate,
+                       standardize_augment, train_identifier,
                        write_confusion_csv, write_importance_csv,
                        write_report_csv)
 from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
                   recurrence_plot, time_delay_embed, windowed_rqa,
                   write_rp_pgm, write_rqa_csv)
 from .svm import (KERNEL_KINDS, PRESETS, KernelConfig, load_model,
-                  ovo_predict, save_model)
+                  save_model, vote_ranking, vote_tally)
 from .synth import SynthConfig, generate_dataset, write_dataset
 
 # the library objects whose fields are the options' defaults
@@ -311,28 +312,29 @@ def _cmd_train_recognizer(args) -> int:
 
 def _cmd_recognize(args) -> int:
     model = load_model(args.model)
-    wanted = model.registry.names
-    sample_idx = [int(nm.rsplit("_s", 1)[1]) for nm in wanted
-                  if is_sample_feature(nm)]
-    n_samples = max(sample_idx, default=DEFAULT_SAMPLES)
-    full = FeatureRegistry.recognition(n_samples)
-    index = {nm: i for i, nm in enumerate(full.names)}
+    dataset = featurize_segments([(parse_imu_csv(args.infile), "")],
+                                 sample_count(model.registry.names))
+    index = {nm: i for i, nm in enumerate(dataset.feature_names)}
     try:
-        cols = [index[nm] for nm in wanted]
+        cols = [index[nm] for nm in model.registry.names]
     except KeyError as exc:
         raise ValidationError(
             f"model expects feature {exc.args[0]!r}, which segment "
             "featurization does not produce") from None
-    segment = parse_imu_csv(args.infile)
-    label, votes = ovo_predict(model, feature_vector(segment, n_samples)[cols])
-    runner = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
-    detail = ", ".join(f"{c}={v}" for c, v in runner[:3])
-    print(label)
-    print(f"votes: {detail}", file=sys.stderr)
+    votes, margins = vote_tally(model.classes, model.pairs,
+                                model.decision_matrix(dataset.X[:, cols]))
+    ranking = vote_ranking(votes, margins)[0]
+    print(model.classes[ranking[0]])
+    print("votes: " + ", ".join(f"{model.classes[i]}={votes[0, i]}"
+                                for i in ranking[:3]), file=sys.stderr)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    for flag, value in (("--select", args.select),
+                        ("--augment-sigma", args.augment_sigma)):
+        if args.classifier == "forest" and value is not None:
+            raise ValidationError(f"{flag} applies to --classifier svm only")
     dataset = _segment_dataset(args)
     if args.classifier == "svm":
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost,

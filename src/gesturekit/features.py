@@ -8,10 +8,16 @@ resamples each acceleration axis to a fixed length S (default 10), giving
 63 + 3*S features per segment. All moments are population moments
 (divide by n); skewness and kurtosis of a zero-variance channel are 0 by
 convention, and kurtosis is the non-excess m4/m2^2.
+
+``featurize_segments`` is the one featurizer: training, evaluation and
+``recognize`` all build their rows through it, one pass per segment over
+all 9 channels. This module alone knows the sample-name format
+``acc_{axis}_s{i}`` (``is_sample_feature``, ``sample_count``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +27,7 @@ from .imu import CHANNELS, ImuStream, LabeledDataset, format_float, read_text
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
 DEFAULT_SAMPLES = 10
+_SAMPLE_NAME = re.compile(r"acc_[xyz]_s(\d+)")
 
 
 @dataclass(frozen=True)
@@ -52,33 +59,16 @@ class FeatureRegistry:
         return cls(tuple(cls.statistical_names() + cls.sample_names(n_samples)))
 
 
-def channel_statistics(x: np.ndarray) -> list[float]:
-    """The 7 statistics of one channel, in STATS order."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = float(np.mean(x))
-    med = float(np.median(x))
-    rms = float(np.sqrt(np.mean(x * x)))
-    m2 = float(np.mean((x - mean) ** 2))
-    std = float(np.sqrt(m2))
-    if m2 > 0.0:
-        m3 = float(np.mean((x - mean) ** 3))
-        m4 = float(np.mean((x - mean) ** 4))
-        skew = m3 / m2 ** 1.5
-        kurt = m4 / m2 ** 2
-    else:
-        skew = 0.0
-        kurt = 0.0
-    return [mean, med, rms, std, m2, skew, kurt]
+def is_sample_feature(name: str) -> bool:
+    """Whether ``name`` has the form of ``FeatureRegistry.sample_names``."""
+    return _SAMPLE_NAME.fullmatch(name) is not None
 
 
-def statistical_features(segment: ImuStream) -> np.ndarray:
-    """63-vector of channel statistics in registry order."""
-    if len(segment) < 2:
-        raise ValidationError("segment must have at least 2 samples")
-    out = []
-    for ch in range(9):
-        out.extend(channel_statistics(segment.channels[:, ch]))
-    return np.array(out, dtype=np.float64)
+def sample_count(names) -> int:
+    """The resampled length S that ``names`` ask for: their largest sample
+    index, or DEFAULT_SAMPLES when none is a sample name."""
+    return max((int(m[1]) for m in map(_SAMPLE_NAME.fullmatch, names) if m),
+               default=DEFAULT_SAMPLES)
 
 
 def resample_linear(series, n_samples: int) -> np.ndarray:
@@ -97,31 +87,39 @@ def resample_linear(series, n_samples: int) -> np.ndarray:
     return np.interp(pos, np.arange(len(x), dtype=np.float64), x)
 
 
-def sample_features(segment: ImuStream, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Resampled x, y and z acceleration, concatenated axis-major."""
-    if len(segment) < 2:
-        raise ValidationError("segment must have at least 2 samples")
-    return np.concatenate([resample_linear(segment.acc[:, axis], n_samples)
-                           for axis in range(3)])
-
-
-def feature_vector(segment: ImuStream, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Full recognition feature row: statistics then samples."""
-    return np.concatenate([statistical_features(segment),
-                           sample_features(segment, n_samples)])
-
-
 def featurize_segments(segments, n_samples: int = DEFAULT_SAMPLES) -> LabeledDataset:
     """Build a LabeledDataset from (segment, label) pairs."""
     segments = list(segments)
     if not segments:
         raise ValidationError("no segments to featurize")
     registry = FeatureRegistry.recognition(n_samples)
-    X = np.vstack([feature_vector(seg, n_samples) for seg, _ in segments])
+    X = np.vstack([_segment_row(seg, n_samples) for seg, _ in segments])
     labels = [label for _, label in segments]
     subjects = [seg.subject_id for seg, _ in segments]
     return LabeledDataset(X=X, labels=labels, subjects=subjects,
                           feature_names=list(registry.names))
+
+
+def _segment_row(segment: ImuStream, n_samples: int) -> np.ndarray:
+    """One registry-ordered row: each statistic is one reduction over the
+    rows of a (9, n) channel copy, then the x, y, z acceleration samples."""
+    if len(segment) < 2:
+        raise ValidationError("segment must have at least 2 samples")
+    c = np.ascontiguousarray(segment.channels.T, dtype=np.float64)
+    mean = c.mean(axis=1)
+    d = c - mean[:, None]
+    m2 = (d ** 2).mean(axis=1)
+    # Python-float powers: numpy's array power rounds m2 ** 1.5 and
+    # m2 ** 2 differently in the last bit
+    shape = [(m3 / v ** 1.5, m4 / v ** 2) if v > 0.0 else (0.0, 0.0)
+             for m3, m4, v in zip((d ** 3).mean(axis=1).tolist(),
+                                  (d ** 4).mean(axis=1).tolist(),
+                                  m2.tolist())]
+    stats = np.column_stack([mean, np.median(c, axis=1),
+                             np.sqrt((c * c).mean(axis=1)), np.sqrt(m2), m2,
+                             np.array(shape)])
+    return np.concatenate([stats.ravel()] + [resample_linear(c[axis], n_samples)
+                                             for axis in range(3)])
 
 
 @dataclass(frozen=True)
@@ -142,25 +140,14 @@ class Scaler:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":
+        """Mean and std of the given (training) rows."""
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValidationError("training matrix must be non-empty and 2-D")
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std = np.where(std > 0.0, std, 1.0)
         return cls(mean=mean, std=std)
-
-
-def standardize(train_X: np.ndarray, other_X: np.ndarray | None = None):
-    """Fit a Scaler on the training rows and apply it to both matrices.
-
-    Returns (scaler, scaled_train, scaled_other); ``scaled_other`` is None
-    when no second matrix is given. Test rows never influence the fit.
-    """
-    train_X = np.asarray(train_X, dtype=np.float64)
-    if train_X.ndim != 2 or train_X.shape[0] == 0:
-        raise ValidationError("training matrix must be non-empty and 2-D")
-    scaler = Scaler.fit(train_X)
-    scaled_other = None if other_X is None else scaler.transform(other_X)
-    return scaler, scaler.transform(train_X), scaled_other
 
 
 def write_feature_csv(dataset: LabeledDataset, path) -> None:

@@ -13,13 +13,12 @@ inside the trainer on its training rows only.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .features import standardize
+from .features import Scaler, is_sample_feature
 from .forest import ForestConfig, forest_train_predict
 from .imu import ADL_LABEL, CHANNELS, ImuStream, LabeledDataset, format_float
 from .rqa import EmbeddingConfig, RpConfig, RqaWindowConfig, windowed_rqa
@@ -30,7 +29,6 @@ from .svm import (PRESETS, KernelConfig, OvoSvmModel, load_model, ovo_train,
 
 GESTURE_WINDOW_LABEL = "gesture"
 _WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
-_SAMPLE_NAME = re.compile(r"acc_[xyz]_s\d+")
 # an identifier file's [rqa] keys, named as train-identifier's RQA options
 RQA_KEYS = ("series", "window_len", "step", "dimension", "delay", "epsilon",
             "norm")
@@ -373,10 +371,6 @@ def permutation_importance(dataset: LabeledDataset, trainer, n_reps: int,
                             mean_accuracy=per_rep.mean(axis=1))
 
 
-def is_sample_feature(name: str) -> bool:
-    return _SAMPLE_NAME.fullmatch(name) is not None
-
-
 def select_features(feature_names, mean_accuracy, baseline,
                     k: int = 43) -> list[int]:
     """Indices (ascending) of the k highest-drop statistical features
@@ -390,9 +384,9 @@ def select_features(feature_names, mean_accuracy, baseline,
         raise ValidationError("one mean accuracy per feature required")
     stats = [i for i, nm in enumerate(names) if not is_sample_feature(nm)]
     samples = [i for i, nm in enumerate(names) if is_sample_feature(nm)]
-    if k > len(stats):
-        raise ValidationError(f"k={k} exceeds the {len(stats)} statistical "
-                              "features")
+    if not 1 <= k <= len(stats):
+        raise ValidationError(f"k={k} must lie in 1..{len(stats)}, the "
+                              "statistical feature count")
     drop = baseline - mean_accuracy
     chosen = sorted(stats, key=lambda i: (-drop[i], i))[:k]
     return sorted(chosen + samples)
@@ -418,8 +412,9 @@ def noise_augment(train: LabeledDataset, sigma: float,
 def standardize_augment(train: LabeledDataset, sigma: float, seed=0):
     """``(scaler, augmented)``: z-score ``train`` with a scaler fit on its
     own rows, then append the noisy copies of ``noise_augment``."""
-    scaler, Xs, _ = standardize(train.X)
-    return scaler, noise_augment(replace(train, X=Xs), sigma, seed=seed)
+    scaler = Scaler.fit(train.X)
+    return scaler, noise_augment(replace(train, X=scaler.transform(train.X)),
+                                 sigma, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -431,7 +426,8 @@ class CentroidTrainer:
     """
 
     def __call__(self, train: LabeledDataset, test_rows, seed=0):
-        scaler, Xs, test = standardize(train.X, test_rows)
+        scaler = Scaler.fit(train.X)
+        Xs, test = scaler.transform(train.X), scaler.transform(test_rows)
         classes = train.classes
         labels = np.asarray(train.labels)
         centroids = np.vstack([Xs[labels == c].mean(axis=0) for c in classes])

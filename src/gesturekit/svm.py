@@ -295,8 +295,8 @@ class OvoSvmModel:
 
     def predict(self, X) -> list[str]:
         D = self.decision_matrix(X)
-        winners = vote_winners(*vote_tally(self.classes, self.pairs, D))
-        return [self.classes[i] for i in winners]
+        ranking = vote_ranking(*vote_tally(self.classes, self.pairs, D))
+        return [self.classes[i] for i in ranking[:, 0]]
 
 
 def vote_tally(classes, pairs, D):
@@ -320,15 +320,14 @@ def vote_tally(classes, pairs, D):
     return votes, margins
 
 
-def vote_winners(votes, margins) -> np.ndarray:
-    """Winning class index per row of a ``vote_tally`` result.
+def vote_ranking(votes, margins) -> np.ndarray:
+    """Class indices per row of a ``vote_tally`` result, best first.
 
-    Most votes wins; a tie goes to the largest margin sum among the tied
-    classes, then to the earliest class in canonical order.
+    Most votes ranks first; a tie goes to the larger margin sum, then
+    (the sort is stable) to the earlier class in canonical order. Column
+    0 is the predicted class.
     """
-    tied = votes == votes.max(axis=1, keepdims=True)
-    m = np.where(tied, margins, -np.inf)
-    return np.argmax(tied & (m == m.max(axis=1, keepdims=True)), axis=1)
+    return np.lexsort((-margins, -votes), axis=1)
 
 
 # bytes of padded Gram matrices one lockstep SMO stack may hold; a longer
@@ -411,17 +410,6 @@ def _shared_sv_model(dataset, cfg, cost, scaler, Xs, fits) -> OvoSvmModel:
                        bias=np.array([bias for _, _, _, bias in fits]),
                        scaler=scaler,
                        registry=FeatureRegistry(tuple(dataset.feature_names)))
-
-
-def ovo_predict(model: OvoSvmModel, x):
-    """Predicted class and the vote histogram for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError("ovo_predict expects a single feature vector")
-    D = model.decision_matrix(x[None, :])
-    votes, margins = vote_tally(model.classes, model.pairs, D)
-    histogram = {c: int(votes[0, i]) for i, c in enumerate(model.classes)}
-    return model.classes[vote_winners(votes, margins)[0]], histogram
 
 
 def _fmt(v: float) -> str:

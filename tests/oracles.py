@@ -337,3 +337,27 @@ def naive_vote_winner(classes, pairs, decisions):
     for c in tied:
         if margin[c] == strongest:
             return c
+
+
+def loop_channel_statistics(x):
+    """The 7 statistics of one channel, one numpy reduction each.
+
+    The per-channel body that the one-pass ``featurize_segments`` replaced,
+    kept verbatim as a differential oracle: each of its values must equal
+    the featurizer's cell bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    mean = float(np.mean(x))
+    med = float(np.median(x))
+    rms = float(np.sqrt(np.mean(x * x)))
+    m2 = float(np.mean((x - mean) ** 2))
+    std = float(np.sqrt(m2))
+    if m2 > 0.0:
+        m3 = float(np.mean((x - mean) ** 3))
+        m4 = float(np.mean((x - mean) ** 4))
+        skew = m3 / m2 ** 1.5
+        kurt = m4 / m2 ** 2
+    else:
+        skew = 0.0
+        kurt = 0.0
+    return [mean, med, rms, std, m2, skew, kurt]

@@ -19,12 +19,11 @@ from oracles import (duality_gap, naive_embed, naive_recurrence_matrix,
                      pg_dual_solve)
 
 from gesturekit.cli import dispatch
-from gesturekit.features import featurize_segments
+from gesturekit.features import featurize_segments, is_sample_feature
 from gesturekit.imu import LabeledDataset
 from gesturekit.pipeline import (IdentificationConfig, SvmTrainer,
-                                 is_sample_feature, loso_evaluate,
-                                 permutation_importance, train_identifier,
-                                 write_report_csv)
+                                 loso_evaluate, permutation_importance,
+                                 train_identifier, write_report_csv)
 from gesturekit.rqa import (NORMS, EmbeddingConfig, RpConfig, RqaWindowConfig,
                             ami_curve, estimate_delay, estimate_dimension,
                             recurrence_plot, recurrence_rate,

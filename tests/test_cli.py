@@ -583,6 +583,22 @@ class TestRecognize:
         assert interval.label in TEMPLATES
         assert "votes:" in captured.err
 
+    def test_votes_line_lists_winner_first(self, tmp_path, capsys):
+        # on this corpus a whole stream ties Down and Right on 10 votes;
+        # Right wins on margin sum, so it must lead the line
+        data = tmp_path / "data"
+        model = tmp_path / "rec.model"
+        assert dispatch(["synth", "--out", str(data), "--subjects", "3",
+                         "--reps", "1", "--seed", "3"]) == 0
+        assert dispatch(["train-recognizer", "--data", str(data),
+                         "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert dispatch(["recognize", "--model", str(model), "--in",
+                         str(data / "recognition" / "s01.csv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "Right\n"
+        assert captured.err == "votes: Right=10, Down=10, Z=9\n"
+
 
 class TestEvaluate:
     def test_svm_report(self, data_dir, tmp_path, capsys):
@@ -611,6 +627,25 @@ class TestEvaluate:
                          "--report", str(b), "--seed", "2",
                          "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_select_below_one_rejected(self, data_dir, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        assert dispatch(["evaluate", "--data", str(data_dir),
+                         "--report", str(report), "--select", "0"]) == 3
+        assert "k=0" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("option", [("--select", "43"),
+                                        ("--augment-sigma", "0.5")])
+    def test_svm_option_rejected_for_forest(self, tmp_path, capsys, option):
+        # the data folder does not exist: the option check comes first
+        report = tmp_path / "r.csv"
+        assert dispatch(["evaluate", "--data", str(tmp_path / "missing"),
+                         "--classifier", "forest", "--report", str(report),
+                         *option]) == 3
+        assert (f"{option[0]} applies to --classifier svm only"
+                in capsys.readouterr().err)
+        assert not report.exists()
 
     def test_mode_flag_rejected(self, data_dir, tmp_path):
         assert dispatch(["evaluate", "--data", str(data_dir),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gesturekit.errors import ValidationError
-from gesturekit.features import FeatureRegistry
+from gesturekit.features import FeatureRegistry, is_sample_feature
 from gesturekit.forest import ForestConfig
 from gesturekit.imu import ADL_LABEL, ImuStream, LabeledDataset, LabeledInterval
 from gesturekit.pipeline import (
@@ -22,7 +22,6 @@ from gesturekit.pipeline import (
     balanced_accuracy,
     confusion_matrix,
     identify_segments,
-    is_sample_feature,
     label_windows,
     load_identifier,
     loso_evaluate,
@@ -380,8 +379,10 @@ class TestSelectFeatures:
         assert idx == [0, 1, 3]
 
     def test_oversized_k_rejected(self):
-        with pytest.raises(ValidationError):
-            select_features(["a", "b"], [0.5, 0.5], 0.9, k=3)
+        # k must lie in 1..len(stats); 0 and -1 used to slice silently
+        for k in (3, 0, -1):
+            with pytest.raises(ValidationError, match="must lie in 1..2"):
+                select_features(["a", "b"], [0.5, 0.5], 0.9, k=k)
 
 
 class TestNoiseAugment:

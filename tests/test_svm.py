@@ -19,14 +19,13 @@ from gesturekit.svm import (
     gram,
     kkt_max_violation,
     load_model,
-    ovo_predict,
     ovo_train,
     ovo_train_many,
     save_model,
     smo_solve,
     smo_solve_stack,
+    vote_ranking,
     vote_tally,
-    vote_winners,
 )
 
 from oracles import dual_objective as oracle_objective
@@ -458,22 +457,28 @@ class TestOvo:
         classes, pairs = model.classes, model.pairs
         D = r.normal(size=(25, len(pairs)))
         D[r.random(size=D.shape) < 0.2] = 0.0
-        winners = vote_winners(*vote_tally(classes, pairs, D))
+        # whole-number decisions tie on margin sums as well as on votes
+        D = np.vstack([D, r.integers(-1, 2, size=D.shape).astype(float)])
+        votes, margins = vote_tally(classes, pairs, D)
+        ranking = vote_ranking(votes, margins)
         for i in range(len(D)):
             want = naive_vote_winner(classes, pairs, D[i])
-            assert classes[winners[i]] == want
+            assert classes[ranking[i, 0]] == want
+            assert list(ranking[i]) == sorted(
+                range(len(classes)),
+                key=lambda c: (-votes[i, c], -margins[i, c], c))
 
-    def test_ovo_predict_histogram(self, model):
+    def test_vote_tally_histogram(self, model):
         data = twelve_class_dataset()
-        label, hist = ovo_predict(model, data.X[0])
-        assert label == data.labels[0]
-        assert set(hist) == set(model.classes)
-        assert sum(hist.values()) == 66
-        assert hist[label] == max(hist.values())
-
-    def test_ovo_predict_rejects_matrix(self, model):
-        with pytest.raises(ValidationError):
-            ovo_predict(model, np.zeros((2, 3)))
+        votes, margins = vote_tally(model.classes, model.pairs,
+                                    model.decision_matrix(data.X))
+        assert votes.shape == (len(data), len(model.classes))
+        assert np.all(votes.sum(axis=1) == 66)
+        ranking = vote_ranking(votes, margins)
+        rows = np.arange(len(data))[:, None]
+        assert np.all(np.sort(ranking, axis=1) == np.arange(12))
+        assert np.all(np.diff(votes[rows, ranking], axis=1) <= 0)
+        assert [model.classes[w] for w in ranking[:, 0]] == data.labels
 
     def test_scaler_is_embedded(self, model):
         data = twelve_class_dataset()
