@@ -27,7 +27,7 @@ from .features import (DEFAULT_SAMPLES, featurize_segments,
                        write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, extract_segment, parse_imu_csv,
-                  parse_label_csv, read_text)
+                  parse_label_csv, read_text, write_file)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, identify_segments, load_identifier,
                        permutation_importance, loso_evaluate,
@@ -291,10 +291,8 @@ def _cmd_identify(args) -> int:
     stream = parse_imu_csv(args.infile)
     model, cfg = load_identifier(args.model)
     segments = identify_segments(stream, model, cfg)
-    with open(args.outfile, "w", encoding="utf-8", newline="") as fh:
-        fh.write("start,end,subject\n")
-        for start, end in segments:
-            fh.write(f"{start},{end},{stream.subject_id}\n")
+    write_file(args.outfile, "start,end,subject\n" + "".join(
+        f"{start},{end},{stream.subject_id}\n" for start, end in segments))
     print(f"found {len(segments)} candidate segments in {args.infile}")
     return 0
 
@@ -335,7 +333,6 @@ def _cmd_evaluate(args) -> int:
                         ("--augment-sigma", args.augment_sigma)):
         if args.classifier == "forest" and value is not None:
             raise ValidationError(f"{flag} applies to --classifier svm only")
-    dataset = _segment_dataset(args)
     if args.classifier == "svm":
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost,
                              select_k=args.select,
@@ -343,6 +340,7 @@ def _cmd_evaluate(args) -> int:
     else:
         trainer = ForestTrainer(ForestConfig(n_trees=args.trees,
                                              max_depth=args.depth))
+    dataset = _segment_dataset(args)
     with _pool(args.jobs) as mapper:
         report = loso_evaluate(dataset, trainer, seed=args.seed,
                                mapper=mapper)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .imu import CHANNELS, ImuStream, LabeledDataset, format_float, read_text
+from .imu import (CHANNELS, ImuStream, LabeledDataset, format_float, read_text,
+                  write_file)
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
 DEFAULT_SAMPLES = 10
@@ -41,9 +42,6 @@ class FeatureRegistry:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
     @staticmethod
     def statistical_names() -> list[str]:
@@ -152,11 +150,10 @@ class Scaler:
 
 def write_feature_csv(dataset: LabeledDataset, path) -> None:
     """Feature matrix CSV: registry names plus ``label,subject`` columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(list(dataset.feature_names) + ["label", "subject"]) + "\n")
-        for i in range(len(dataset)):
-            cells = [format_float(v) for v in dataset.X[i]]
-            fh.write(",".join(cells + [dataset.labels[i], dataset.subjects[i]]) + "\n")
+    header = list(dataset.feature_names) + ["label", "subject"]
+    rows = ([format_float(v) for v in x] + [label, subject]
+            for x, label, subject in zip(dataset.X, dataset.labels, dataset.subjects))
+    write_file(path, "".join(",".join(cells) + "\n" for cells in [header, *rows]))
 
 
 def read_feature_csv(path) -> LabeledDataset:

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .features import Scaler, is_sample_feature
 from .forest import ForestConfig, forest_train_predict
-from .imu import ADL_LABEL, CHANNELS, ImuStream, LabeledDataset, format_float
+from .imu import (ADL_LABEL, CHANNELS, ImuStream, LabeledDataset, format_float,
+                  write_file)
 from .rqa import EmbeddingConfig, RpConfig, RqaWindowConfig, windowed_rqa
 from .seeding import (AUGMENT, BALANCE, FINAL, FOLD, PERMUTE, TRAINER,
                       derive_int, derive_rng)
@@ -456,6 +457,10 @@ class SvmTrainer:
     select_k: int | None = None
     augment_sigma: float | None = None
 
+    def __post_init__(self):
+        if self.select_k is not None and self.select_k < 1:
+            raise ValidationError(f"select_k={self.select_k} must be >= 1")
+
     def model(self, train: LabeledDataset, seed=0) -> OvoSvmModel:
         """The pairwise ensemble fit on all of ``train``, standardized and
         noise-augmented first when ``augment_sigma`` is set; ``seed`` only
@@ -519,29 +524,24 @@ def loso_evaluate(dataset: LabeledDataset, trainer, seed=0,
 
 def write_report_csv(report: EvaluationReport, path) -> None:
     """Per-fold metrics: ``fold,subject,accuracy,balanced_accuracy``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("fold,subject,accuracy,balanced_accuracy\n")
-        for i, subject in enumerate(report.folds):
-            fh.write(f"{i},{subject},{format_float(report.accuracy[i])},"
-                     f"{format_float(report.balanced[i])}\n")
+    rows = zip(report.folds, report.accuracy, report.balanced)
+    write_file(path, "fold,subject,accuracy,balanced_accuracy\n" + "".join(
+        f"{i},{subject},{format_float(acc)},{format_float(bal)}\n"
+        for i, (subject, acc, bal) in enumerate(rows)))
 
 
 def write_confusion_csv(report: EvaluationReport, path) -> None:
     """K x K counts with class-name header and row labels."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("," + ",".join(report.classes) + "\n")
-        for i, cls in enumerate(report.classes):
-            row = ",".join(str(int(v)) for v in report.confusion[i])
-            fh.write(f"{cls},{row}\n")
+    write_file(path, "," + ",".join(report.classes) + "\n" + "".join(
+        f"{cls},{','.join(str(int(v)) for v in report.confusion[i])}\n"
+        for i, cls in enumerate(report.classes)))
 
 
 def write_importance_csv(result: ImportanceResult, path) -> None:
     """``feature,mean_accuracy,drop`` rows; first row is the unpermuted
     baseline under the name ``original``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("feature,mean_accuracy,drop\n")
-        fh.write(f"original,{format_float(result.baseline)},"
-                 f"{format_float(0.0)}\n")
-        for i, name in enumerate(result.feature_names):
-            fh.write(f"{name},{format_float(result.mean_accuracy[i])},"
-                     f"{format_float(result.drop[i])}\n")
+    rows = [("original", result.baseline, 0.0),
+            *zip(result.feature_names, result.mean_accuracy, result.drop)]
+    write_file(path, "feature,mean_accuracy,drop\n" + "".join(
+        f"{name},{format_float(acc)},{format_float(drop)}\n"
+        for name, acc, drop in rows))

@@ -20,6 +20,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
+from .imu import write_file
 
 NORMS = ("L1", "L2", "Linf")
 _CDIST_METRIC = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
@@ -382,10 +383,8 @@ def windowed_rqa(series, emb: EmbeddingConfig, rp: RpConfig,
 
 def write_rqa_csv(rows, path) -> None:
     """Feature export: header ``window_start,rr,tra``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("window_start,rr,tra\n")
-        for row in rows:
-            fh.write(f"{row.window_start},{row.rr!r},{row.tra!r}\n")
+    write_file(path, "window_start,rr,tra\n" + "".join(
+        f"{row.window_start},{row.rr!r},{row.tra!r}\n" for row in rows))
 
 
 def write_rp_pgm(rp: RecurrencePlot, path) -> None:
@@ -395,6 +394,5 @@ def write_rp_pgm(rp: RecurrencePlot, path) -> None:
     non-recurrent one; row i of the image is state i.
     """
     n = rp.n_states
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{n} {n}\n255\n".encode("ascii"))
-        fh.write((rp.matrix * np.uint8(255)).tobytes())
+    write_file(path, f"P5\n{n} {n}\n255\n".encode("ascii")
+               + (rp.matrix * np.uint8(255)).tobytes())

@@ -32,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import FeatureRegistry, Scaler
-from .imu import read_text
+from .imu import read_text, write_file
 
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
 
@@ -452,8 +452,7 @@ def save_model(model: OvoSvmModel, path) -> None:
         lines.append(f"[pair {a} {b}]")
         lines.append("alpha_y " + " ".join(_fmt(v) for v in model.coef[:, p]))
         lines.append("bias " + _fmt(model.bias[p]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
-                          newline="\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _floats(path, section, line, prefix, expect=None):

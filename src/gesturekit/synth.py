@@ -30,7 +30,7 @@ from scipy.spatial.transform import Rotation
 
 from .errors import ValidationError
 from .imu import (GESTURES, ImuStream, LabeledInterval, extract_segment,
-                  write_imu_csv, write_label_csv)
+                  write_file, write_imu_csv, write_label_csv)
 from .seeding import ADL, NOISE, SEGMENT, SUBJECT, derive_rng
 
 GRAVITY_MS2 = 9.81
@@ -433,6 +433,5 @@ def write_dataset(result: SynthResult, out_dir) -> None:
             write_imu_csv(stream, ident / f"{stream.subject_id}.csv")
             write_label_csv(intervals,
                             ident / f"{stream.subject_id}_labels.csv")
-    (out / "manifest.json").write_text(
-        json.dumps(result.manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_file(out / "manifest.json",
+               json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")

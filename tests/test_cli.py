@@ -628,9 +628,10 @@ class TestEvaluate:
                          "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_select_below_one_rejected(self, data_dir, tmp_path, capsys):
+    def test_select_below_one_rejected(self, tmp_path, capsys):
+        # the data folder does not exist: the bound check comes first
         report = tmp_path / "r.csv"
-        assert dispatch(["evaluate", "--data", str(data_dir),
+        assert dispatch(["evaluate", "--data", str(tmp_path / "missing"),
                          "--report", str(report), "--select", "0"]) == 3
         assert "k=0" in capsys.readouterr().err
         assert not report.exists()

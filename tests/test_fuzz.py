@@ -12,8 +12,8 @@ from gesturekit.cli import read_params
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv, write_feature_csv
 from gesturekit.imu import (ImuStream, LabeledDataset, LabeledInterval,
-                            parse_imu_csv, parse_label_csv, write_imu_csv,
-                            write_label_csv)
+                            parse_imu_csv, parse_label_csv, write_file,
+                            write_imu_csv, write_label_csv)
 from gesturekit.pipeline import IdentificationConfig, load_identifier
 from gesturekit.svm import KernelConfig, OvoSvmModel, load_model, ovo_train, \
     save_model
@@ -44,7 +44,7 @@ def model_bytes(workdir):
 
 
 def read_or_parse_error(reader, path, data: bytes):
-    path.write_bytes(data)
+    write_file(path, data)
     try:
         return reader(path)
     except ParseError:
@@ -58,7 +58,7 @@ def load_or_parse_error(path, data: bytes):
 
 def test_valid_file_loads(workdir, model_bytes):
     path = workdir / "m.model"
-    path.write_bytes(model_bytes)
+    write_file(path, model_bytes)
     assert load_model(path).pairs == [("G01", "G02"), ("G01", "G03"),
                                       ("G02", "G03")]
 
@@ -113,7 +113,7 @@ def identify_or_parse_error(path, data: bytes):
 
 def test_valid_identifier_loads(workdir, identifier_bytes):
     path = workdir / "id.model"
-    path.write_bytes(identifier_bytes)
+    write_file(path, identifier_bytes)
     assert load_identifier(path)[1] == IdentificationConfig()
 
 
@@ -148,7 +148,7 @@ def test_identifier_with_bytes_flipped(workdir, identifier_bytes, flips):
 @given(text=st.text())
 def test_params_text(workdir, text):
     path = workdir / "p.params"
-    path.write_bytes(text.encode("utf-8"))
+    write_file(path, text)
     try:
         params = read_params(path)
     except ParseError:

@@ -1,12 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gesturekit
+from gesturekit.cli import dispatch
 from gesturekit.errors import ParseError, ValidationError
 from gesturekit.imu import (_BLOCK_ROWS, ADL_LABEL, CHANNELS, GESTURES,
                             ImuStream, LabeledDataset, LabeledInterval,
                             canonical_class_order, extract_segment,
-                            parse_imu_csv, parse_label_csv, write_imu_csv,
-                            write_label_csv)
+                            parse_imu_csv, parse_label_csv, write_file,
+                            write_imu_csv, write_label_csv)
 
 
 def make_stream(n=40, subject="s01", seed=0):
@@ -278,3 +283,64 @@ def test_take_columns():
     # the slice owns its metadata
     whole.labels.append("e")
     assert ds.labels == ["a", "b", "c", "d"]
+
+
+def test_write_file_replaces_longer_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"x" * 100 + b"\r\n")
+    write_file(path, "\u00e9,b\n")
+    assert path.read_bytes() == b"\xc3\xa9,b\n"
+    write_file(path, b"\x00\xff")
+    assert path.read_bytes() == b"\x00\xff"
+
+
+def test_write_file_replaces_symlink_not_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_file(link, "new\n")
+    assert not link.is_symlink()
+    assert link.read_bytes() == b"new\n"
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_directory_output_path_is_an_io_error(tmp_path, capsys):
+    stream = tmp_path / "s01.csv"
+    write_imu_csv(make_stream(n=300), stream)
+    out = tmp_path / "out"
+    (out / "inner").mkdir(parents=True)
+    assert dispatch(["rqa-features", "--in", str(stream),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (out / "inner").is_dir()
+
+
+def _writes_outside_helper(tree):
+    """(line, call) of each file write in ``tree`` outside ``write_file``."""
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "write_file" for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno, name
+        elif name == "open":
+            # open(path, mode) or Path.open(mode)
+            at = 1 if isinstance(func, ast.Name) else 0
+            mode = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wxa")):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_every_file_write_goes_through_write_file():
+    src = Path(gesturekit.__file__).parent
+    found = [f"{path.name}:{line}: {call}" for path in sorted(src.glob("*.py"))
+             for line, call in _writes_outside_helper(ast.parse(path.read_text()))]
+    assert found == []

@@ -384,6 +384,13 @@ class TestSelectFeatures:
             with pytest.raises(ValidationError, match="must lie in 1..2"):
                 select_features(["a", "b"], [0.5, 0.5], 0.9, k=k)
 
+    def test_trainer_rejects_select_below_one(self):
+        # the lower bound needs no data, so it is checked at construction
+        for k in (0, -1):
+            with pytest.raises(ValidationError, match=f"select_k={k} "):
+                SvmTrainer(select_k=k)
+        assert SvmTrainer(select_k=1).select_k == 1
+
 
 class TestNoiseAugment:
     def test_doubles_rows_and_preserves_marginals(self):
