@@ -26,17 +26,17 @@ from .features import (DEFAULT_SAMPLES, featurize_segments,
                        is_sample_feature, read_feature_csv, sample_count,
                        write_feature_csv)
 from .forest import ForestConfig
-from .imu import (CHANNELS, LabeledDataset, extract_segment, parse_imu_csv,
+from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
                   parse_label_csv, read_text, write_file)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, identify_segments, load_identifier,
                        permutation_importance, loso_evaluate,
                        standardize_augment, train_identifier,
-                       write_confusion_csv, write_importance_csv,
-                       write_report_csv)
+                       window_features, write_confusion_csv,
+                       write_importance_csv, write_report_csv)
 from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
-                  recurrence_plot, time_delay_embed, windowed_rqa,
-                  write_rp_pgm, write_rqa_csv)
+                  recurrence_plot, time_delay_embed, write_rp_pgm,
+                  write_rqa_csv)
 from .svm import (KERNEL_KINDS, PRESETS, KernelConfig, load_model,
                   save_model, vote_ranking, vote_tally)
 from .synth import SynthConfig, generate_dataset, write_dataset
@@ -163,11 +163,7 @@ def _load_streams(folder):
 
 
 def _load_segments(root):
-    out = []
-    for stream, intervals in _load_streams(_data_dir(root, "recognition")):
-        for iv in intervals:
-            out.append((extract_segment(stream, iv), iv.label))
-    return out
+    return cut_segments(_load_streams(_data_dir(root, "recognition")))
 
 
 def _feature_columns(names, which: str):
@@ -242,12 +238,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_rqa_features(args) -> int:
-    stream = parse_imu_csv(args.infile)
-    cfg = _id_config(args)
-    rows = windowed_rqa(stream.channel(cfg.series), cfg.embedding, cfg.rp,
-                        cfg.window)
-    write_rqa_csv(rows, args.outfile)
-    print(f"wrote {len(rows)} windows to {args.outfile}")
+    starts, X = window_features(parse_imu_csv(args.infile), _id_config(args))
+    write_rqa_csv(starts, X, args.outfile)
+    print(f"wrote {len(X)} windows to {args.outfile}")
     return 0
 
 
@@ -298,9 +291,9 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_train_recognizer(args) -> int:
-    dataset = _segment_dataset(args)
     trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost,
                          augment_sigma=args.augment_sigma)
+    dataset = _segment_dataset(args)
     model = trainer.model(dataset, seed=args.seed)
     save_model(model, args.out)
     print(f"trained {len(model.pairs)} pairwise models on "

@@ -244,7 +244,6 @@ def parse_imu_csv(path) -> ImuStream:
     Rows are converted in blocks of ``_BLOCK_ROWS``; a block that fails
     is scanned row by row only to name the row.
     """
-    from pathlib import Path
     path = Path(path)
     lines = read_text(path).splitlines()
     if not lines:
@@ -354,3 +353,10 @@ def extract_segment(stream: ImuStream, interval: LabeledInterval) -> ImuStream:
     return ImuStream(subject_id=stream.subject_id,
                      t=np.arange(n, dtype=np.int64),
                      channels=stream.channels[interval.start:interval.end].copy())
+
+
+def cut_segments(pairs) -> list[tuple[ImuStream, str]]:
+    """``(segment, label)`` for every interval of ``(stream, intervals)``
+    pairs, each cut by ``extract_segment``."""
+    return [(extract_segment(stream, iv), iv.label)
+            for stream, intervals in pairs for iv in intervals]

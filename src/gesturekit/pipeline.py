@@ -124,13 +124,15 @@ def confusion_matrix(classes, true_labels, pred_labels) -> np.ndarray:
     return out
 
 
-def balanced_accuracy(confusion) -> float:
-    """Mean per-class recall; for a 2x2 matrix this is (TPR + TNR) / 2."""
-    conf = np.asarray(confusion, dtype=np.float64)
+def fold_scores(classes, truth, pred) -> tuple[float, float, np.ndarray]:
+    """``(accuracy, balanced accuracy, confusion)`` of one fold's
+    predictions. Balanced accuracy is the mean recall over the classes
+    present in ``truth``; for two present classes it is (TPR + TNR) / 2."""
+    conf = confusion_matrix(classes, truth, pred)
     totals = conf.sum(axis=1)
-    if np.any(totals == 0):
-        raise ValidationError("every true class needs at least one sample")
-    return float((np.diag(conf) / totals).mean())
+    present = totals > 0
+    recalls = np.diag(conf)[present] / totals[present]
+    return float(np.trace(conf) / conf.sum()), float(recalls.mean()), conf
 
 
 def label_windows(stream: ImuStream, intervals, win: RqaWindowConfig,
@@ -145,23 +147,20 @@ def label_windows(stream: ImuStream, intervals, win: RqaWindowConfig,
         if iv.end > n:
             raise ValidationError(
                 f"interval [{iv.start}, {iv.end}) exceeds stream length {n}")
-    labels = []
-    for s in win.starts(n):
-        s = int(s)
-        e = s + win.window_len
-        hit = any(min(iv.end, e) - max(iv.start, s)
-                  >= overlap_fraction * len(iv) for iv in intervals)
-        labels.append(GESTURE_WINDOW_LABEL if hit else ADL_LABEL)
-    return labels
+    begin, end = np.array([(iv.start, iv.end) for iv in intervals],
+                          dtype=np.int64).reshape(-1, 2).T
+    s = win.starts(n)[:, None]
+    inside = np.minimum(end, s + win.window_len) - np.maximum(begin, s)
+    hit = (inside >= overlap_fraction * (end - begin)).any(axis=1)
+    return [_WINDOW_CLASSES[h] for h in hit.tolist()]
 
 
 def window_features(stream: ImuStream, cfg: IdentificationConfig):
-    """(window starts, (n, 2) rr/tra matrix) for one stream."""
-    rows = windowed_rqa(stream.channel(cfg.series), cfg.embedding, cfg.rp,
-                        cfg.window)
-    starts = np.array([r.window_start for r in rows], dtype=np.int64)
-    X = np.array([[r.rr, r.tra] for r in rows], dtype=np.float64)
-    return starts, X
+    """``(starts, X)`` of one stream: each window's start and its
+    ``rr, tra`` row of ``windowed_rqa`` on ``cfg``'s series and geometry."""
+    X = windowed_rqa(stream.channel(cfg.series), cfg.embedding, cfg.rp,
+                     cfg.window)
+    return cfg.window.starts(len(stream)), X
 
 
 def windows_dataset(data, cfg: IdentificationConfig, labels) -> LabeledDataset:
@@ -170,13 +169,12 @@ def windows_dataset(data, cfg: IdentificationConfig, labels) -> LabeledDataset:
     ``labels`` holds each stream's ``label_windows`` list, in ``data``
     order.
     """
-    X_parts, subjects = [], []
-    for (stream, _), stream_labels in zip(data, labels):
-        X_parts.append(window_features(stream, cfg)[1])
-        subjects.extend([stream.subject_id] * len(stream_labels))
-    return LabeledDataset(X=np.vstack(X_parts),
-                          labels=[lab for ls in labels for lab in ls],
-                          subjects=subjects, feature_names=["rr", "tra"])
+    return LabeledDataset(
+        X=np.vstack([window_features(stream, cfg)[1] for stream, _ in data]),
+        labels=[lab for ls in labels for lab in ls],
+        subjects=[stream.subject_id
+                  for (stream, _), ls in zip(data, labels) for _ in ls],
+        feature_names=["rr", "tra"])
 
 
 def _balanced_subset(dataset, rng) -> LabeledDataset:
@@ -203,9 +201,9 @@ def _identifier_fold(args):
                for it in range(cfg.n_balance_iters)]
     for model in ovo_train_many(subsets, cfg.kernel, cfg.cost):
         pred = model.predict(test.X)
-        conf = confusion_matrix(_WINDOW_CLASSES, test.labels, pred)
-        accs.append(float(np.trace(conf) / conf.sum()))
-        bals.append(balanced_accuracy(conf))
+        acc, bal, _ = fold_scores(_WINDOW_CLASSES, test.labels, pred)
+        accs.append(acc)
+        bals.append(bal)
         gesture_votes += np.asarray(pred) == GESTURE_WINDOW_LABEL
     # majority vote across iterations; exact ties fall to ADL
     majority = [GESTURE_WINDOW_LABEL
@@ -282,22 +280,17 @@ def identify_segments(stream: ImuStream, model,
     emissions keep the earlier one.
     """
     starts, X = window_features(stream, cfg)
-    pred = model.predict(X)
-    positive = [int(s) for s, p in zip(starts, pred)
-                if p == GESTURE_WINDOW_LABEL]
-    runs = []
-    for s in positive:
-        if runs and s - runs[-1][-1] == cfg.window.step:
-            runs[-1].append(s)
-        else:
-            runs.append([s])
+    hits = starts[np.asarray(model.predict(X)) == GESTURE_WINDOW_LABEL]
+    if not len(hits):
+        return []
+    # where in hits each run after the first begins
+    new = np.flatnonzero(np.diff(hits) != cfg.window.step) + 1
     out = []
-    for run in runs:
-        mid = (run[0] + run[-1]) // 2
-        iv = (mid, mid + cfg.window.window_len)
-        if out and iv[0] < out[-1][1]:
-            continue
-        out.append(iv)
+    for first, last in zip(hits[np.r_[0, new]].tolist(),
+                           hits[np.r_[new - 1, -1]].tolist()):
+        mid = (first + last) // 2
+        if not out or mid >= out[-1][1]:
+            out.append((mid, mid + cfg.window.window_len))
     return out
 
 
@@ -393,6 +386,11 @@ def select_features(feature_names, mean_accuracy, baseline,
     return sorted(chosen + samples)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < np.inf:
+        raise ValidationError("sigma must be non-negative and finite")
+
+
 def noise_augment(train: LabeledDataset, sigma: float,
                   seed=0) -> LabeledDataset:
     """Originals plus Gaussian-corrupted copies (2n rows).
@@ -401,8 +399,7 @@ def noise_augment(train: LabeledDataset, sigma: float,
     is produced on z-scored features. Labels and subjects duplicate
     one-to-one, so class and subject marginals are preserved exactly.
     """
-    if not 0.0 <= sigma < np.inf:
-        raise ValidationError("sigma must be non-negative and finite")
+    _check_sigma(sigma)
     rng = derive_rng(seed, AUGMENT)
     n = len(train)
     out = train.take(np.tile(np.arange(n), 2))
@@ -450,7 +447,7 @@ class SvmTrainer:
     ``select_k`` turns on permutation-ranked selection of that many
     statistical features (sample features always kept), computed on the
     training rows. ``augment_sigma`` standardizes, augments, then trains
-    prescaled.
+    on the standardized rows.
     """
     kernel: KernelConfig = PRESETS["recognition"][0]
     cost: float = PRESETS["recognition"][1]
@@ -460,6 +457,8 @@ class SvmTrainer:
     def __post_init__(self):
         if self.select_k is not None and self.select_k < 1:
             raise ValidationError(f"select_k={self.select_k} must be >= 1")
+        if self.augment_sigma is not None:
+            _check_sigma(self.augment_sigma)
 
     def model(self, train: LabeledDataset, seed=0) -> OvoSvmModel:
         """The pairwise ensemble fit on all of ``train``, standardized and
@@ -469,8 +468,7 @@ class SvmTrainer:
             return ovo_train(train, self.kernel, self.cost)
         scaler, augmented = standardize_augment(train, self.augment_sigma,
                                                 seed=seed)
-        return ovo_train(augmented, self.kernel, self.cost, scaler=scaler,
-                         prescaled=True)
+        return ovo_train(augmented, self.kernel, self.cost, scaler=scaler)
 
     def __call__(self, train: LabeledDataset, test_rows, seed=0):
         test = np.atleast_2d(np.asarray(test_rows, dtype=np.float64))
@@ -498,11 +496,7 @@ def _loso_fold(args):
     mask = dataset.rows_for_subjects([subject])
     test = dataset.take(mask)
     pred = trainer(dataset.take(~mask), test.X, derive_int(seed, FOLD, fi))
-    conf = confusion_matrix(classes, test.labels, pred)
-    acc = float(np.trace(conf) / conf.sum())
-    present = conf.sum(axis=1) > 0
-    recalls = np.diag(conf)[present] / conf.sum(axis=1)[present]
-    return subject, acc, float(recalls.mean()), conf
+    return (subject, *fold_scores(classes, test.labels, pred))
 
 
 def loso_evaluate(dataset: LabeledDataset, trainer, seed=0,

@@ -108,14 +108,6 @@ class RecurrencePlot:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class RqaFeatureRow:
-    """Recurrence rate and transitivity of one analysis window."""
-    window_start: int
-    rr: float
-    tra: float
-
-
 def time_delay_embed(series, cfg: EmbeddingConfig) -> np.ndarray:
     """Reconstruct the phase-space trajectory of a scalar series.
 
@@ -345,10 +337,12 @@ def estimate_dimension(series, tau: int, cap: int = 10,
 
 
 def windowed_rqa(series, emb: EmbeddingConfig, rp: RpConfig,
-                 win: RqaWindowConfig) -> list[RqaFeatureRow]:
-    """RR and TRA per sliding window of a scalar series.
+                 win: RqaWindowConfig) -> np.ndarray:
+    """RR and TRA per sliding window of a scalar series, as an
+    ``(n_windows, 2)`` float64 array of ``rr, tra`` rows.
 
-    Window k covers samples ``[k*step, k*step + window_len)``; there are
+    Row k is the window covering samples ``[k*step, k*step + window_len)``,
+    the one starting at ``win.starts(N)[k]``; there are
     ``floor((N - window_len)/step) + 1`` windows. The series is embedded
     once, and window k's states are rows ``k*step`` onwards of that
     embedding, bit for bit the states of the window embedded on its own.
@@ -369,22 +363,22 @@ def windowed_rqa(series, emb: EmbeddingConfig, rp: RpConfig,
     n = emb.n_states(win.window_len)
     starts = win.starts(len(r))
     stack = np.empty((min(len(starts), _WINDOW_CHUNK), n, n), dtype=np.float32)
-    rr = np.empty(len(starts))
-    tra = np.empty(len(starts))
+    out = np.empty((len(starts), 2))
     for lo in range(0, len(starts), _WINDOW_CHUNK):
         chunk = starts[lo: lo + _WINDOW_CHUNK]
         for k, start in enumerate(chunk):
             _threshold(states[start: start + n], rp, stack[k])
         hi = lo + len(chunk)
-        rr[lo:hi], tra[lo:hi] = _rr_tra(stack[:len(chunk)])
-    return [RqaFeatureRow(window_start=int(start), rr=float(a), tra=float(b))
-            for start, a, b in zip(starts, rr, tra)]
+        out[lo:hi, 0], out[lo:hi, 1] = _rr_tra(stack[:len(chunk)])
+    return out
 
 
-def write_rqa_csv(rows, path) -> None:
-    """Feature export: header ``window_start,rr,tra``."""
+def write_rqa_csv(starts, X, path) -> None:
+    """Feature export of window starts and their ``rr, tra`` rows: header
+    ``window_start,rr,tra``."""
     write_file(path, "window_start,rr,tra\n" + "".join(
-        f"{row.window_start},{row.rr!r},{row.tra!r}\n" for row in rows))
+        f"{start},{rr!r},{tra!r}\n"
+        for start, (rr, tra) in zip(starts.tolist(), X.tolist())))
 
 
 def write_rp_pgm(rp: RecurrencePlot, path) -> None:

@@ -16,7 +16,6 @@ FOLD = 4
 BALANCE = 5
 PERMUTE = 6
 TRAINER = 7
-TREE = 8
 AUGMENT = 9
 FINAL = 10
 NOISE = 11

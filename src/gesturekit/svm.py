@@ -336,34 +336,30 @@ _STACK_BYTES = 8 << 20
 
 
 def ovo_train(dataset, cfg: KernelConfig, cost: float,
-              scaler: Scaler | None = None,
-              prescaled: bool = False) -> OvoSvmModel:
+              scaler: Scaler | None = None) -> OvoSvmModel:
     """Train the full pairwise ensemble on a labeled dataset.
 
     By default a scaler is fit on the given rows (training rows only by
-    construction) and applied before solving. Passing ``prescaled=True``
-    with an explicit scaler trains on ``dataset.X`` as-is while embedding
-    that scaler for prediction time; this is how noise-augmented
+    construction) and applied before solving. A given ``scaler`` means the
+    rows are already scaled by it: ``dataset.X`` is trained as-is and the
+    scaler is embedded for prediction time; this is how noise-augmented
     (already standardized) matrices are trained.
     """
-    return ovo_train_many([dataset], cfg, cost, scaler, prescaled)[0]
+    return ovo_train_many([dataset], cfg, cost, scaler)[0]
 
 
 def ovo_train_many(datasets, cfg: KernelConfig, cost: float,
-                   scaler: Scaler | None = None,
-                   prescaled: bool = False) -> list[OvoSvmModel]:
+                   scaler: Scaler | None = None) -> list[OvoSvmModel]:
     """``ovo_train`` on each dataset, the class pairs of all of them solved
     together by ``smo_solve_stack``; one model per dataset. Consecutive
     pairs share a stack while their padded Gram matrices fit in
     ``_STACK_BYTES``."""
-    if prescaled and scaler is None:
-        raise ValidationError("prescaled training requires an explicit scaler")
     setups = []
     for dataset in datasets:
         if len(dataset.classes) < 2:
             raise ValidationError("need at least 2 classes")
         fitted = scaler if scaler is not None else Scaler.fit(dataset.X)
-        Xs = dataset.X if prescaled else fitted.transform(dataset.X)
+        Xs = dataset.X if scaler is not None else fitted.transform(dataset.X)
         if not np.all(np.isfinite(Xs)):
             raise ValidationError("non-finite features")
         labels = np.asarray(dataset.labels)

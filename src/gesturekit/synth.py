@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .errors import ValidationError
-from .imu import (GESTURES, ImuStream, LabeledInterval, extract_segment,
+from .imu import (GESTURES, ImuStream, LabeledInterval, cut_segments,
                   write_file, write_imu_csv, write_label_csv)
 from .seeding import ADL, NOISE, SEGMENT, SUBJECT, derive_rng
 
@@ -308,7 +308,7 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
 
     rng = derive_rng(cfg.seed, ADL, si)
     L = int(round(cfg.adl_minutes * 60.0 * cfg.rate_hz))
-    nominal = int(round(1.2 * cfg.rate_hz))
+    nominal = int(round(GestureTemplate.duration_s * cfg.rate_hz))
     margin = int(round(1.0 * cfg.rate_hz))
     if L < 4 * (nominal + 2 * margin):
         raise ValidationError("adl_minutes too small for gesture embedding")
@@ -379,11 +379,7 @@ class SynthResult:
 
     def segments(self):
         """Recognition (segment, label) pairs cut at ground-truth bounds."""
-        out = []
-        for stream, intervals in self.recognition:
-            for iv in intervals:
-                out.append((extract_segment(stream, iv), iv.label))
-        return out
+        return cut_segments(self.recognition)
 
 
 def generate_dataset(cfg: SynthConfig, mapper=map) -> SynthResult:

@@ -361,3 +361,46 @@ def loop_channel_statistics(x):
         skew = 0.0
         kurt = 0.0
     return [mean, med, rms, std, m2, skew, kurt]
+
+
+def loop_label_windows(stream, intervals, win, overlap_fraction):
+    """Binary window labels, one window and one interval at a time.
+
+    The loop ``label_windows`` replaced with one broadcast over window
+    starts and intervals, kept verbatim (its out-of-bounds check aside) as
+    a differential oracle.
+    """
+    n = len(stream)
+    labels = []
+    for s in win.starts(n):
+        s = int(s)
+        e = s + win.window_len
+        hit = any(min(iv.end, e) - max(iv.start, s)
+                  >= overlap_fraction * len(iv) for iv in intervals)
+        labels.append("gesture" if hit else "ADL")
+    return labels
+
+
+def loop_identify_segments(starts, pred, step, window_len):
+    """Candidate intervals from window starts and their predicted labels.
+
+    The run-building loop ``identify_segments`` replaced with ``np.diff``,
+    kept verbatim as a differential oracle: runs of positive windows one
+    step apart collapse to one interval at the run's midpoint start, and
+    an emission that overlaps the previous one is dropped.
+    """
+    positive = [int(s) for s, p in zip(starts, pred) if p == "gesture"]
+    runs = []
+    for s in positive:
+        if runs and s - runs[-1][-1] == step:
+            runs[-1].append(s)
+        else:
+            runs.append([s])
+    out = []
+    for run in runs:
+        mid = (run[0] + run[-1]) // 2
+        iv = (mid, mid + window_len)
+        if out and iv[0] < out[-1][1]:
+            continue
+        out.append(iv)
+    return out

@@ -559,6 +559,17 @@ class TestTrainRecognizer:
                          "--out", str(model), "--cost", cost]) == 3
         assert not model.exists()
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_bad_augment_sigma_rejected(self, tmp_path, capsys, sigma):
+        # the data folder does not exist: the sigma check comes first
+        model = tmp_path / "rec.model"
+        assert dispatch(["train-recognizer", "--data",
+                         str(tmp_path / "missing"), "--out", str(model),
+                         "--augment-sigma", sigma]) == 3
+        assert ("sigma must be non-negative and finite"
+                in capsys.readouterr().err)
+        assert not model.exists()
+
     def test_augmented_variant(self, data_dir, tmp_path):
         model = tmp_path / "aug.model"
         assert dispatch(["train-recognizer", "--data", str(data_dir),
@@ -634,6 +645,17 @@ class TestEvaluate:
         assert dispatch(["evaluate", "--data", str(tmp_path / "missing"),
                          "--report", str(report), "--select", "0"]) == 3
         assert "k=0" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_bad_augment_sigma_rejected(self, tmp_path, capsys, sigma):
+        # the data folder does not exist: the sigma check comes first
+        report = tmp_path / "r.csv"
+        assert dispatch(["evaluate", "--data", str(tmp_path / "missing"),
+                         "--report", str(report),
+                         "--augment-sigma", sigma]) == 3
+        assert ("sigma must be non-negative and finite"
+                in capsys.readouterr().err)
         assert not report.exists()
 
     @pytest.mark.parametrize("option", [("--select", "43"),

@@ -19,8 +19,8 @@ from gesturekit.pipeline import (
     IdentificationConfig,
     ImportanceResult,
     SvmTrainer,
-    balanced_accuracy,
     confusion_matrix,
+    fold_scores,
     identify_segments,
     label_windows,
     load_identifier,
@@ -40,6 +40,7 @@ from gesturekit.rqa import EmbeddingConfig, RpConfig, RqaWindowConfig
 from gesturekit.seeding import FOLD, derive_int, derive_rng
 from gesturekit.svm import KernelConfig, ovo_train, save_model
 from gesturekit.synth import SynthConfig, generate_dataset
+from oracles import loop_identify_segments, loop_label_windows
 
 
 def corpus_labels(data, cfg):
@@ -70,19 +71,33 @@ class TestMetrics:
                                 ["a", "b", "b", "b", "a"])
         assert conf.tolist() == [[1, 1], [1, 2]]
 
+    @staticmethod
+    def scores(conf):
+        """fold_scores of labels laid out to give the confusion ``conf``."""
+        classes = ("a", "b")
+        truth, pred = [], []
+        for t, row in zip(classes, conf):
+            for p, count in zip(classes, row):
+                truth += [t] * count
+                pred += [p] * count
+        acc, bal, got = fold_scores(classes, truth, pred)
+        assert got.tolist() == conf
+        return acc, bal
+
     def test_balanced_accuracy_two_class(self):
-        conf = [[90, 10], [30, 70]]
-        assert balanced_accuracy(conf) == pytest.approx(0.8)
+        acc, bal = self.scores([[90, 10], [30, 70]])
+        assert acc == 0.8
+        assert bal == pytest.approx(0.8)
 
     def test_balanced_accuracy_perfect(self):
-        assert balanced_accuracy([[5, 0], [0, 5]]) == 1.0
+        assert self.scores([[5, 0], [0, 5]]) == (1.0, 1.0)
 
     def test_all_positive_predictor_on_balanced_data(self):
-        assert balanced_accuracy([[50, 0], [50, 0]]) == 0.5
+        assert self.scores([[50, 0], [50, 0]]) == (0.5, 0.5)
 
-    def test_empty_true_class_rejected(self):
-        with pytest.raises(ValidationError):
-            balanced_accuracy([[3, 1], [0, 0]])
+    def test_absent_true_class_left_out_of_balanced(self):
+        # no row is truly "b": balanced is the recall of "a" alone
+        assert self.scores([[3, 1], [0, 0]]) == (0.75, 0.75)
 
 
 class TestEvaluationReport:
@@ -148,6 +163,32 @@ class TestLabelWindows:
         for i in (2, 3, 4):
             want[i] = GESTURE_WINDOW_LABEL
         assert labels == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            window_len = int(rng.integers(5, 80))
+            win = RqaWindowConfig(window_len,
+                                  int(rng.integers(1, window_len + 1)))
+            n = int(rng.integers(window_len, 600))
+            bounds = np.sort(rng.choice(n + 1, size=2 * int(rng.integers(6)),
+                                        replace=False))
+            if rng.random() < 0.5 and len(bounds):
+                bounds[0], bounds[-1] = 0, n     # intervals at both edges
+            intervals = [LabeledInterval(int(a), int(b), "Up", "s01")
+                         for a, b in bounds.reshape(-1, 2)]
+            if rng.random() < 0.3 and intervals:
+                # one more interval, adjacent to the first one or, when
+                # that ends the stream, overlapping its last sample
+                iv = intervals[0]
+                intervals.append(LabeledInterval(
+                    iv.end - 1 if iv.end == n else iv.end,
+                    n, "Down", "s01"))
+            fraction = rng.choice([1.0, 1e-9, rng.uniform(1e-9, 1.0)])
+            stream = flat_stream(n)
+            assert label_windows(stream, intervals, win, fraction) == \
+                loop_label_windows(stream, intervals, win, fraction)
 
     def test_out_of_bounds_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -299,6 +340,25 @@ class TestIdentifySegments:
         stream, cfg, model = self.stub({0, 250})
         assert identify_segments(stream, model, cfg) == [(0, 125),
                                                          (250, 375)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_oracle(self, seed):
+        # adjacent and gapped runs, emissions that overlap the one
+        # before, and no positive window at all
+        rng = np.random.default_rng(seed)
+        for density in np.repeat([0.0, 0.1, 0.5, 0.9, 1.0], 10):
+            step = int(rng.integers(1, 40))
+            cfg = IdentificationConfig(window=RqaWindowConfig(
+                window_len=int(rng.integers(max(5, step), 3 * step + 6)),
+                step=step))
+            stream = flat_stream(int(rng.integers(cfg.window.window_len,
+                                                  900)))
+            starts = cfg.window.starts(len(stream))
+            positive = set(starts[rng.random(len(starts)) < density])
+            model = StubModel(starts, positive)
+            assert identify_segments(stream, model, cfg) == \
+                loop_identify_segments(starts, model.labels, step,
+                                       cfg.window.window_len)
 
 
 def informative_dataset(n=40, seed=0):

@@ -150,15 +150,22 @@ def test_window_count_formula():
 def test_windowed_rqa_layout():
     rng = np.random.default_rng(9)
     r = rng.normal(size=300)
-    rows = windowed_rqa(r, EmbeddingConfig(), RpConfig(),
-                        RqaWindowConfig(window_len=125, step=25))
-    assert len(rows) == 8
-    assert [row.window_start for row in rows] == list(range(0, 200, 25))
+    win = RqaWindowConfig(window_len=125, step=25)
+    X = windowed_rqa(r, EmbeddingConfig(), RpConfig(), win)
+    assert len(X) == 8
+    assert X.shape == (8, 2) and X.dtype == np.float64
+    assert win.starts(len(r)).tolist() == list(range(0, 200, 25))
     # each window is quantified independently of its neighbours
-    solo = windowed_rqa(r[50:175], EmbeddingConfig(), RpConfig(),
-                        RqaWindowConfig(window_len=125, step=25))
-    assert rows[2].rr == solo[0].rr
-    assert rows[2].tra == solo[0].tra
+    solo = windowed_rqa(r[50:175], EmbeddingConfig(), RpConfig(), win)
+    assert X[2, 0] == solo[0, 0]
+    assert X[2, 1] == solo[0, 1]
+
+
+def window_table(series, emb, rp, win):
+    """(start, rr, tra) of each window from ``windowed_rqa``."""
+    X = windowed_rqa(series, emb, rp, win)
+    return [(start, rr, tra) for start, (rr, tra)
+            in zip(win.starts(len(series)).tolist(), X.tolist())]
 
 
 def per_window_reference(series, emb, rp, win):
@@ -182,9 +189,8 @@ def test_windowed_rqa_bit_equals_per_window_oracle(norm):
     rng = np.random.default_rng(12)
     r = np.cumsum(rng.normal(scale=0.1, size=EXACT_N))
     rp = RpConfig(epsilon=0.3, norm=norm)
-    rows = windowed_rqa(r, EXACT_EMB, rp, EXACT_WIN)
-    assert len(rows) > _WINDOW_CHUNK and len(rows) % _WINDOW_CHUNK != 0
-    got = [(row.window_start, row.rr, row.tra) for row in rows]
+    got = window_table(r, EXACT_EMB, rp, EXACT_WIN)
+    assert len(got) > _WINDOW_CHUNK and len(got) % _WINDOW_CHUNK != 0
     want = per_window_reference(r, EXACT_EMB, rp, EXACT_WIN)
     assert got == want            # exact: no tolerance
     assert len({tra for _, _, tra in got}) > 30     # not a trivial graph
@@ -196,10 +202,9 @@ def test_windowed_rqa_bit_equals_per_window_oracle(norm):
 ], ids=["constant", "far-apart"])
 def test_windowed_rqa_extreme_graphs(series, rr, tra):
     rp = RpConfig(epsilon=0.1)
-    rows = windowed_rqa(series, EXACT_EMB, rp, EXACT_WIN)
-    assert [(row.window_start, row.rr, row.tra) for row in rows] == \
-        per_window_reference(series, EXACT_EMB, rp, EXACT_WIN)
-    assert {(row.rr, row.tra) for row in rows} == {(rr, tra)}
+    got = window_table(series, EXACT_EMB, rp, EXACT_WIN)
+    assert got == per_window_reference(series, EXACT_EMB, rp, EXACT_WIN)
+    assert {(a, b) for _, a, b in got} == {(rr, tra)}
 
 
 def test_windowed_rqa_rejects_short_input():
@@ -214,15 +219,16 @@ def test_windowed_rqa_rejects_short_input():
 def test_rqa_csv_and_pgm(tmp_path):
     rng = np.random.default_rng(10)
     r = rng.normal(size=150)
-    rows = windowed_rqa(r, EmbeddingConfig(), RpConfig(),
-                        RqaWindowConfig())
+    win = RqaWindowConfig()
+    X = windowed_rqa(r, EmbeddingConfig(), RpConfig(), win)
     p = tmp_path / "f.csv"
-    write_rqa_csv(rows, p)
+    write_rqa_csv(win.starts(len(r)), X, p)
     lines = p.read_text().splitlines()
     assert lines[0] == "window_start,rr,tra"
-    assert len(lines) == len(rows) + 1
+    assert len(lines) == len(X) + 1
     first = lines[1].split(",")
-    assert float(first[1]) == rows[0].rr
+    assert float(first[1]) == X[0, 0]
+    assert float(first[2]) == X[0, 1]
 
     plot = recurrence_plot(time_delay_embed(r, EmbeddingConfig()),
                            RpConfig())

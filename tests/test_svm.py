@@ -496,10 +496,17 @@ class TestOvo:
         trained = ovo_train(small, KernelConfig(kind="linear"), 1.0)
         assert trained.pairs == [("G00", "G01")]
 
-    def test_prescaled_requires_scaler(self):
-        with pytest.raises(ValidationError):
-            ovo_train(twelve_class_dataset(), KernelConfig(kind="linear"),
-                      1.0, prescaled=True)
+    def test_given_scaler_means_rows_already_scaled(self):
+        data = twelve_class_dataset()
+        cfg = KernelConfig(kind="linear")
+        scaler = Scaler.fit(data.X)
+        fitted = ovo_train(data, cfg, 1.0)
+        given = ovo_train(replace(data, X=scaler.transform(data.X)), cfg,
+                          1.0, scaler=scaler)
+        assert given.scaler is scaler
+        assert np.array_equal(given.sv, fitted.sv)
+        assert np.array_equal(given.coef, fitted.coef)
+        assert np.array_equal(given.bias, fitted.bias)
 
     def test_pair_model_count_validated(self, model):
         with pytest.raises(ValidationError):
