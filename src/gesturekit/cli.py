@@ -22,21 +22,21 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConvergenceError, ParseError, ValidationError
-from .features import (DEFAULT_SAMPLES, featurize_segments,
+from .features import (DEFAULT_SAMPLES, FeatureRegistry, featurize_segments,
                        is_sample_feature, read_feature_csv, sample_count,
                        write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
                   parse_label_csv, read_text, write_file)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
-                       SvmTrainer, identify_segments, load_identifier,
+                       SvmTrainer, check_select, check_sigma,
+                       identify_segments, load_identifier,
                        permutation_importance, loso_evaluate,
                        standardize_augment, train_identifier,
                        window_features, write_confusion_csv,
                        write_importance_csv, write_report_csv)
-from .rqa import (EmbeddingConfig, NORMS, RpConfig, RqaWindowConfig,
-                  recurrence_plot, time_delay_embed, write_rp_pgm,
-                  write_rqa_csv)
+from .rqa import (EmbeddingConfig, NORMS, RpConfig, recurrence_plot,
+                  time_delay_embed, write_rp_pgm, write_rqa_csv)
 from .svm import (KERNEL_KINDS, PRESETS, KernelConfig, load_model,
                   save_model, vote_ranking, vote_tally)
 from .synth import SynthConfig, generate_dataset, write_dataset
@@ -130,15 +130,6 @@ def _add_features(sub, default="full"):
 def _kernel_from(args) -> KernelConfig:
     return KernelConfig(kind=args.kernel, gamma=args.gamma,
                         coef0=args.coef0, degree=args.degree)
-
-
-def _id_config(args, **training) -> IdentificationConfig:
-    """Window geometry from the RQA flags; ``training`` sets the rest."""
-    return IdentificationConfig(
-        window=RqaWindowConfig(window_len=args.window_len, step=args.step),
-        embedding=EmbeddingConfig(m=args.dimension, tau=args.delay),
-        rp=RpConfig(epsilon=args.epsilon, norm=args.norm),
-        series=args.series, **training)
 
 
 def _data_dir(root, kind: str) -> Path:
@@ -238,13 +229,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_rqa_features(args) -> int:
-    starts, X = window_features(parse_imu_csv(args.infile), _id_config(args))
+    cfg = IdentificationConfig.from_rqa(vars(args))
+    starts, X = window_features(parse_imu_csv(args.infile), cfg)
     write_rqa_csv(starts, X, args.outfile)
     print(f"wrote {len(X)} windows to {args.outfile}")
     return 0
 
 
 def _cmd_rp_export(args) -> int:
+    emb = EmbeddingConfig(m=args.dimension, tau=args.delay)
+    rp = RpConfig(epsilon=args.epsilon, norm=args.norm)
     stream = parse_imu_csv(args.infile)
     series = stream.channel(args.series)
     start = args.start
@@ -253,21 +247,18 @@ def _cmd_rp_export(args) -> int:
         raise ValidationError(
             f"window [{start}, {end}) is empty or out of bounds for "
             f"{len(series)} samples")
-    series = series[start:end]
-    emb = EmbeddingConfig(m=args.dimension, tau=args.delay)
-    plot = recurrence_plot(time_delay_embed(series, emb),
-                           RpConfig(epsilon=args.epsilon, norm=args.norm),
-                           emb)
+    plot = recurrence_plot(time_delay_embed(series[start:end], emb), rp)
     write_rp_pgm(plot, args.outfile)
     print(f"wrote {plot.n_states} x {plot.n_states} plot to {args.outfile}")
     return 0
 
 
 def _cmd_train_identifier(args) -> int:
+    cfg = IdentificationConfig.from_rqa(
+        vars(args), overlap_fraction=args.overlap,
+        n_balance_iters=args.iterations, kernel=_kernel_from(args),
+        cost=args.cost)
     data = _load_streams(_data_dir(args.data, "identification"))
-    cfg = _id_config(args, overlap_fraction=args.overlap,
-                     n_balance_iters=args.iterations,
-                     kernel=_kernel_from(args), cost=args.cost)
     with _pool(args.jobs) as mapper:
         model, report = train_identifier(data, cfg, seed=args.seed,
                                          mapper=mapper)
@@ -326,6 +317,10 @@ def _cmd_evaluate(args) -> int:
                         ("--augment-sigma", args.augment_sigma)):
         if args.classifier == "forest" and value is not None:
             raise ValidationError(f"{flag} applies to --classifier svm only")
+    if args.select is not None:
+        # the statistics --features keeps are known before any data is read
+        check_select(args.select, 0 if args.features == "samples"
+                     else len(FeatureRegistry.statistical_names()))
     if args.classifier == "svm":
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost,
                              select_k=args.select,
@@ -361,6 +356,7 @@ def _cmd_importance(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    check_sigma(args.sigma)
     dataset = read_feature_csv(args.infile)
     scaler, out = standardize_augment(dataset, args.sigma, seed=args.seed)
     # back to raw units; the originals are copied, not round-tripped

@@ -20,20 +20,13 @@ from .imu import canonical_class_order
 class ForestConfig:
     n_trees: int = 100
     max_depth: int = 10
-    min_split: int = 2
-    min_leaf: int = 1
     features_per_split: int | None = None   # None: max(1, floor(sqrt(d)))
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
         if self.max_depth < 1:
             raise ValidationError("max_depth must be >= 1")
-        if self.min_split < 2:
-            raise ValidationError("min_split must be >= 2")
-        if self.min_leaf < 1:
-            raise ValidationError("min_leaf must be >= 1")
         if self.features_per_split is not None and self.features_per_split < 1:
             raise ValidationError("features_per_split must be >= 1")
 
@@ -58,15 +51,15 @@ def _majority(class_counts, classes) -> str:
     return classes[int(np.argmax(class_counts))]
 
 
-def _best_split(X, yi, n_classes, feat_ids, min_leaf):
+def _best_split(X, yi, n_classes, feat_ids):
     """Best (feature, midpoint threshold, gini decrease), or None.
 
     Scores every cut of every candidate feature in one batched pass: one
     stable argsort of the (n, k) column block, one one-hot of the sorted
     labels shaped (n, k, C), and one integer cumsum down the rows give
     each cut's left class counts. A cut is valid between two distinct
-    sorted values that leave ``min_leaf`` rows on each side; invalid cuts
-    score -inf. Only strictly positive decreases qualify. Ties keep the
+    sorted values, so it leaves a row on each side; invalid cuts score
+    -inf. Only strictly positive decreases qualify. Ties keep the
     first candidate feature in ``feat_ids`` order, then the lowest
     threshold.
 
@@ -90,8 +83,7 @@ def _best_split(X, yi, n_classes, feat_ids, min_leaf):
     gl = 1.0 - ((lc / nl[..., None]) ** 2).sum(axis=2)
     gr = 1.0 - ((rc / nr[..., None]) ** 2).sum(axis=2)
     dec = g_parent - (nl * gl + nr * gr) / n
-    sized = (nl >= min_leaf) & (nr >= min_leaf)
-    dec[~((xs[:-1] < xs[1:]) & sized)] = -np.inf
+    dec[~(xs[:-1] < xs[1:])] = -np.inf
     cut = np.argmax(dec, axis=0)
     per_feature = dec[cut, np.arange(k)]
     f = int(np.argmax(per_feature))
@@ -125,12 +117,11 @@ def tree_train(rows, labels, cfg: ForestConfig, rng,
 
     def grow(idx, depth):
         counts = np.bincount(yi[idx], minlength=len(classes))
-        if (depth >= cfg.max_depth or len(idx) < cfg.min_split
-                or np.count_nonzero(counts) <= 1):
+        # a one-row node is pure, so it stops here too
+        if depth >= cfg.max_depth or np.count_nonzero(counts) <= 1:
             return TreeNode(label=_majority(counts, classes))
         feat_ids = rng.choice(X.shape[1], size=k, replace=False)
-        split = _best_split(X[idx], yi[idx], len(classes), feat_ids,
-                            cfg.min_leaf)
+        split = _best_split(X[idx], yi[idx], len(classes), feat_ids)
         if split is None:
             return TreeNode(label=_majority(counts, classes))
         f, thr, _ = split
@@ -159,12 +150,13 @@ def tree_predict(node: TreeNode, X) -> list[str]:
     return out
 
 
-def forest_train_predict(train, test_rows, cfg: ForestConfig) -> list[str]:
+def forest_train_predict(train, test_rows, cfg: ForestConfig,
+                         seed: int) -> list[str]:
     """Train a bagged forest on a LabeledDataset and predict test rows.
 
-    Each tree gets its own seeded stream (bootstrap draw first, then
-    split-feature draws), so results do not depend on scheduling. The
-    vote ties by canonical class order via lowest index.
+    Each tree gets its own stream spawned from ``seed`` (bootstrap draw
+    first, then split-feature draws), so results do not depend on
+    scheduling. The vote ties by canonical class order via lowest index.
     """
     X = train.X
     if X.shape[0] == 0:
@@ -175,7 +167,7 @@ def forest_train_predict(train, test_rows, cfg: ForestConfig) -> list[str]:
     classes = train.classes
     index = {c: i for i, c in enumerate(classes)}
     labels = np.asarray(train.labels)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+    children = np.random.SeedSequence(seed).spawn(cfg.n_trees)
     votes = np.zeros((test.shape[0], len(classes)), dtype=np.int64)
     for child in children:
         rng = np.random.default_rng(child)

@@ -45,7 +45,7 @@ class ImuStream:
     """Immutable uniformly-sampled 9-channel sensor sequence.
 
     ``channels`` is an (N, 9) float array in CHANNELS order; ``t`` is the
-    contiguous integer sample index. Channel triples are exposed as views.
+    contiguous integer sample index.
     """
     subject_id: str
     t: np.ndarray
@@ -71,18 +71,6 @@ class ImuStream:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def acc(self) -> np.ndarray:
-        return self.channels[:, 0:3]
-
-    @property
-    def gyro(self) -> np.ndarray:
-        return self.channels[:, 3:6]
-
-    @property
-    def mag(self) -> np.ndarray:
-        return self.channels[:, 6:9]
 
     def channel(self, name: str) -> np.ndarray:
         """Single channel by name, e.g. ``acc_y``."""

@@ -58,6 +58,18 @@ class IdentificationConfig:
         if self.window.window_len < (self.embedding.m - 1) * self.embedding.tau + 2:
             raise ValidationError("window shorter than the embedding needs")
 
+    @classmethod
+    def from_rqa(cls, fields, **training) -> "IdentificationConfig":
+        """The config whose window geometry ``fields`` maps by RQA_KEYS
+        name, as parsed option values or as ``[rqa]`` text alike;
+        ``training`` sets the other fields."""
+        return cls(window=RqaWindowConfig(int(fields["window_len"]),
+                                          int(fields["step"])),
+                   embedding=EmbeddingConfig(int(fields["dimension"]),
+                                             int(fields["delay"])),
+                   rp=RpConfig(float(fields["epsilon"]), fields["norm"]),
+                   series=fields["series"], **training)
+
     def rqa_fields(self) -> tuple[tuple[str, str], ...]:
         """The window geometry as ``(key, value)`` pairs in RQA_KEYS order."""
         values = (self.series, self.window.window_len, self.window.step,
@@ -255,17 +267,10 @@ def load_identifier(path) -> tuple[OvoSvmModel, IdentificationConfig]:
     if not model.rqa:
         raise ParseError(f"{path}: no [rqa] section records the window "
                          "geometry; retrain the model with train-identifier")
-    fields = dict(model.rqa)
     try:
         if sorted(k for k, _ in model.rqa) != sorted(RQA_KEYS):
             raise ValueError(f"want one line each for {', '.join(RQA_KEYS)}")
-        cfg = IdentificationConfig(
-            window=RqaWindowConfig(int(fields["window_len"]),
-                                   int(fields["step"])),
-            embedding=EmbeddingConfig(int(fields["dimension"]),
-                                      int(fields["delay"])),
-            rp=RpConfig(float(fields["epsilon"]), fields["norm"]),
-            series=fields["series"])
+        cfg = IdentificationConfig.from_rqa(dict(model.rqa))
     except (ValueError, ValidationError) as exc:
         raise ParseError(f"{path}: bad [rqa] section: {exc}") from None
     return model, cfg
@@ -378,15 +383,21 @@ def select_features(feature_names, mean_accuracy, baseline,
         raise ValidationError("one mean accuracy per feature required")
     stats = [i for i, nm in enumerate(names) if not is_sample_feature(nm)]
     samples = [i for i, nm in enumerate(names) if is_sample_feature(nm)]
-    if not 1 <= k <= len(stats):
-        raise ValidationError(f"k={k} must lie in 1..{len(stats)}, the "
-                              "statistical feature count")
+    check_select(k, len(stats))
     drop = baseline - mean_accuracy
     chosen = sorted(stats, key=lambda i: (-drop[i], i))[:k]
     return sorted(chosen + samples)
 
 
-def _check_sigma(sigma: float) -> None:
+def check_select(k: int, n_stats: int) -> None:
+    """Reject a selection size outside 1..``n_stats``, the statistical
+    feature count."""
+    if not 1 <= k <= n_stats:
+        raise ValidationError(f"k={k} must lie in 1..{n_stats}, the "
+                              "statistical feature count")
+
+
+def check_sigma(sigma: float) -> None:
     if not 0.0 <= sigma < np.inf:
         raise ValidationError("sigma must be non-negative and finite")
 
@@ -399,7 +410,7 @@ def noise_augment(train: LabeledDataset, sigma: float,
     is produced on z-scored features. Labels and subjects duplicate
     one-to-one, so class and subject marginals are preserved exactly.
     """
-    _check_sigma(sigma)
+    check_sigma(sigma)
     rng = derive_rng(seed, AUGMENT)
     n = len(train)
     out = train.take(np.tile(np.arange(n), 2))
@@ -458,7 +469,7 @@ class SvmTrainer:
         if self.select_k is not None and self.select_k < 1:
             raise ValidationError(f"select_k={self.select_k} must be >= 1")
         if self.augment_sigma is not None:
-            _check_sigma(self.augment_sigma)
+            check_sigma(self.augment_sigma)
 
     def model(self, train: LabeledDataset, seed=0) -> OvoSvmModel:
         """The pairwise ensemble fit on all of ``train``, standardized and
@@ -487,8 +498,7 @@ class ForestTrainer:
     config: ForestConfig = ForestConfig()
 
     def __call__(self, train: LabeledDataset, test_rows, seed=0):
-        return forest_train_predict(train, test_rows,
-                                    replace(self.config, seed=seed))
+        return forest_train_predict(train, test_rows, self.config, seed)
 
 
 def _loso_fold(args):

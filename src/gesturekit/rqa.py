@@ -83,14 +83,9 @@ class RqaWindowConfig:
 
 @dataclass(frozen=True)
 class RecurrencePlot:
-    """Binary recurrence matrix plus the configuration that produced it.
-
-    The matrix is symmetric 0/1 with a unit main diagonal, which the RQA
-    measures rely on.
-    """
+    """Binary recurrence matrix: symmetric 0/1 with a unit main diagonal,
+    which the RQA measures rely on."""
     matrix: np.ndarray
-    rp_config: RpConfig
-    embedding: EmbeddingConfig | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.uint8)
@@ -141,8 +136,7 @@ def _threshold(states, cfg: RpConfig, out: np.ndarray) -> None:
     np.less_equal(dist, cfg.epsilon, out=out)
 
 
-def recurrence_plot(states, cfg: RpConfig,
-                    embedding: EmbeddingConfig | None = None) -> RecurrencePlot:
+def recurrence_plot(states, cfg: RpConfig) -> RecurrencePlot:
     """Threshold pairwise state distances into a recurrence matrix.
 
     R[i, j] = 1 iff ||x_i - x_j|| <= epsilon; ties at exactly epsilon are
@@ -157,7 +151,7 @@ def recurrence_plot(states, cfg: RpConfig,
     matrix = np.empty((len(x), len(x)), dtype=np.uint8)
     _threshold(x, cfg, matrix)
     np.fill_diagonal(matrix, 1)
-    return RecurrencePlot(matrix=matrix, rp_config=cfg, embedding=embedding)
+    return RecurrencePlot(matrix)
 
 
 def _rr_tra(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,18 +41,8 @@ REACH = 0.3
 # orientation proxy gain, rad per meter of displacement
 ORI_GAIN = 1.5
 MAG_FIELD_UT = np.array([22.0, 0.0, -42.0])
-
-
-@dataclass(frozen=True)
-class GestureTemplate:
-    """Parametric 3D path over [0, 1] in the unit workspace."""
-    name: str
-    path: callable
-    duration_s: float = 1.2
-
-    def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValidationError("duration must be positive")
+# nominal duration of every gesture, before a subject's speed scale
+GESTURE_S = 1.2
 
 
 def _line(direction):
@@ -88,21 +78,20 @@ def _wave(z_sign):
     return path
 
 
+# each gesture's parametric 3D path over [0, 1] in the unit workspace
 TEMPLATES = {
-    "Up": GestureTemplate("Up", _line((0.0, 0.0, 1.0))),
-    "Down": GestureTemplate("Down", _line((0.0, 0.0, -1.0))),
-    "Left": GestureTemplate("Left", _line((-1.0, 0.0, 0.0))),
-    "Right": GestureTemplate("Right", _line((1.0, 0.0, 0.0))),
-    "CW": GestureTemplate("CW", _circle(1.0)),
-    "CCW": GestureTemplate("CCW", _circle(-1.0)),
-    "Z": GestureTemplate("Z", _polyline([(0, 0, 0), (1, 0, 0),
-                                         (0, 0, -1), (1, 0, -1)])),
-    "AZ": GestureTemplate("AZ", _polyline([(0, 0, 0), (1, 0, 0),
-                                           (0, 0, 1), (1, 0, 1)])),
-    "S": GestureTemplate("S", _wave(1.0)),
-    "AS": GestureTemplate("AS", _wave(-1.0)),
-    "Push": GestureTemplate("Push", _line((0.0, 1.0, 0.0))),
-    "Pull": GestureTemplate("Pull", _line((0.0, -1.0, 0.0))),
+    "Up": _line((0.0, 0.0, 1.0)),
+    "Down": _line((0.0, 0.0, -1.0)),
+    "Left": _line((-1.0, 0.0, 0.0)),
+    "Right": _line((1.0, 0.0, 0.0)),
+    "CW": _circle(1.0),
+    "CCW": _circle(-1.0),
+    "Z": _polyline([(0, 0, 0), (1, 0, 0), (0, 0, -1), (1, 0, -1)]),
+    "AZ": _polyline([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)]),
+    "S": _wave(1.0),
+    "AS": _wave(-1.0),
+    "Push": _line((0.0, 1.0, 0.0)),
+    "Pull": _line((0.0, -1.0, 0.0)),
 }
 assert set(TEMPLATES) == set(GESTURES)
 
@@ -117,7 +106,6 @@ class SubjectProfile:
     noise_acc: float
     noise_gyro: float
     noise_mag: float
-    seed: int
 
     def __post_init__(self):
         if self.amplitude_scale <= 0 or self.speed_scale <= 0:
@@ -138,7 +126,7 @@ def identity_profile(subject_id="s00", **overrides) -> SubjectProfile:
     """Noise-free unit profile, mostly for tests and examples."""
     fields = dict(subject_id=subject_id, amplitude_scale=1.0, speed_scale=1.0,
                   tilt=np.eye(3), noise_acc=0.0, noise_gyro=0.0,
-                  noise_mag=0.0, seed=0)
+                  noise_mag=0.0)
     fields.update(overrides)
     return SubjectProfile(**fields)
 
@@ -158,29 +146,29 @@ def make_subject_profile(subject_id: str, rng) -> SubjectProfile:
                           tilt=tilt,
                           noise_acc=0.01 * noise_factor,
                           noise_gyro=0.05 * noise_factor,
-                          noise_mag=0.3 * noise_factor,
-                          seed=int(rng.integers(0, 2 ** 63)))
+                          noise_mag=0.3 * noise_factor)
 
 
 def _smoothstep(v):
     return v * v * (3.0 - 2.0 * v)
 
 
-def gesture_trajectory(template: GestureTemplate, profile: SubjectProfile,
+def gesture_trajectory(template, profile: SubjectProfile,
                        rate_hz: float) -> np.ndarray:
-    """Render one gesture as an (n, 3) position sequence in meters.
+    """Render one ``TEMPLATES`` path as an (n, 3) position sequence in
+    meters.
 
-    n = round(duration * speed_scale * rate). The template path is
+    n = round(GESTURE_S * speed_scale * rate), at least 12. The path is
     time-warped by a smoothstep (zero end velocity), given the common
     forward-reach bump, scaled by amplitude, rotated by the subject tilt,
     and held for 2 samples at each end so the first difference vanishes
     exactly at the boundaries.
     """
-    n = int(round(template.duration_s * profile.speed_scale * rate_hz))
+    n = int(round(GESTURE_S * profile.speed_scale * rate_hz))
     n = max(n, 12)
     v = np.linspace(0.0, 1.0, n - 4)
     u = _smoothstep(v)
-    path = template.path(u).copy()
+    path = template(u).copy()
     path[:, 1] += REACH * 4.0 * u * (1.0 - u)
     path *= BASE_AMPLITUDE_M * profile.amplitude_scale
     path = path @ profile.tilt.T
@@ -188,21 +176,18 @@ def gesture_trajectory(template: GestureTemplate, profile: SubjectProfile,
 
 
 def trajectory_to_imu(positions, profile: SubjectProfile, rate_hz: float,
-                      rng=None) -> ImuStream:
+                      rng) -> ImuStream:
     """Inverse sensor model: positions to a 9-channel stream.
 
     Accelerometer rows are the second central difference times rate^2
     (edge rows replicate their neighbor) plus the tilt-rotated gravity
     vector; the gyroscope proxy differentiates a small-angle orientation
     proportional to displacement; the magnetometer sees a constant
-    tilt-rotated field. Per-channel Gaussian noise uses ``rng`` (default:
-    the profile's own seed).
+    tilt-rotated field. Per-channel Gaussian noise draws from ``rng``.
     """
     P = np.asarray(positions, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != 3 or len(P) < 3:
         raise ValidationError("need at least 3 positions of dimension 3")
-    if rng is None:
-        rng = np.random.default_rng(profile.seed)
     acc = np.empty_like(P)
     acc[1:-1] = (P[2:] - 2.0 * P[1:-1] + P[:-2]) * rate_hz ** 2
     acc[0] = acc[1]
@@ -308,7 +293,7 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
 
     rng = derive_rng(cfg.seed, ADL, si)
     L = int(round(cfg.adl_minutes * 60.0 * cfg.rate_hz))
-    nominal = int(round(GestureTemplate.duration_s * cfg.rate_hz))
+    nominal = int(round(GESTURE_S * cfg.rate_hz))
     margin = int(round(1.0 * cfg.rate_hz))
     if L < 4 * (nominal + 2 * margin):
         raise ValidationError("adl_minutes too small for gesture embedding")
@@ -372,7 +357,6 @@ def generate_subject(cfg: SynthConfig, si: int):
 
 @dataclass
 class SynthResult:
-    profiles: list[SubjectProfile]
     recognition: list[tuple[ImuStream, list[LabeledInterval]]]
     identification: list[tuple[ImuStream, list[LabeledInterval]]]
     manifest: dict
@@ -406,8 +390,8 @@ def generate_dataset(cfg: SynthConfig, mapper=map) -> SynthResult:
             "segments": len(GESTURES) * cfg.reps,
         } for p in profiles],
     }
-    return SynthResult(profiles=profiles, recognition=recognition,
-                       identification=identification, manifest=manifest)
+    return SynthResult(recognition=recognition, identification=identification,
+                       manifest=manifest)
 
 
 def _subject_task(args):

@@ -120,8 +120,7 @@ def test_01_recurrence_plot_matches_bruteforce_oracle():
         emb = EmbeddingConfig(m=m, tau=tau)
         t0 = time.perf_counter()
         states = time_delay_embed(series, emb)
-        fast = recurrence_plot(states, RpConfig(epsilon=epsilon, norm=norm),
-                               emb)
+        fast = recurrence_plot(states, RpConfig(epsilon=epsilon, norm=norm))
         t1 = time.perf_counter()
         assert np.array_equal(states, naive_embed(series, m, tau))
         slow = naive_recurrence_matrix(states, epsilon, norm)

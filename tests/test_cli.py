@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 import gesturekit
-from gesturekit.cli import (_id_config, _kernel_from, build_parser, dispatch,
-                            read_params)
+from gesturekit.cli import _kernel_from, build_parser, dispatch, read_params
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv
 from gesturekit.forest import ForestConfig
@@ -96,11 +95,13 @@ class TestParsing:
 
         ident = IdentificationConfig()
         args = defaults("train-identifier")
-        assert _id_config(args, overlap_fraction=args.overlap,
-                          n_balance_iters=args.iterations,
-                          kernel=_kernel_from(args), cost=args.cost) == ident
+        assert IdentificationConfig.from_rqa(
+            vars(args), overlap_fraction=args.overlap,
+            n_balance_iters=args.iterations, kernel=_kernel_from(args),
+            cost=args.cost) == ident
         assert (_kernel_from(args), args.cost) == PRESETS["identification"]
-        assert _id_config(defaults("rqa-features")) == ident
+        assert IdentificationConfig.from_rqa(
+            vars(defaults("rqa-features"))) == ident
         args = defaults("rp-export")
         assert (EmbeddingConfig(m=args.dimension, tau=args.delay),
                 RpConfig(epsilon=args.epsilon, norm=args.norm),
@@ -647,6 +648,20 @@ class TestEvaluate:
         assert "k=0" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("options,message", [
+        (("--select", "64"), "k=64 must lie in 1..63"),
+        (("--features", "stats", "--select", "64"), "k=64 must lie in 1..63"),
+        (("--features", "samples", "--select", "5"), "k=5 must lie in 1..0"),
+    ], ids=["full", "stats", "samples"])
+    def test_select_above_statistic_count_rejected(self, tmp_path, capsys,
+                                                   options, message):
+        # the data folder does not exist: the bound check comes first
+        report = tmp_path / "r.csv"
+        assert dispatch(["evaluate", "--data", str(tmp_path / "missing"),
+                         "--report", str(report), *options]) == 3
+        assert message in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
     def test_bad_augment_sigma_rejected(self, tmp_path, capsys, sigma):
         # the data folder does not exist: the sigma check comes first
@@ -740,6 +755,17 @@ class TestAugment:
                          "--out", str(tmp_path / "o.csv"),
                          "--sigma", "-1"]) == 3
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_bad_sigma_rejected_before_reading(self, tmp_path, capsys,
+                                               sigma):
+        # the input table does not exist: the sigma check comes first
+        out = tmp_path / "o.csv"
+        assert dispatch(["augment", "--in", str(tmp_path / "missing.csv"),
+                         "--out", str(out), "--sigma", sigma]) == 3
+        assert ("sigma must be non-negative and finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command,option,value", [
     ("train-recognizer", "--coef0", "nan"),
@@ -767,4 +793,21 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
         "f0,label,subject\n1.0,Up,s01\n2.0,Down,s01\n")
     assert dispatch([command, *argv, option, value]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option,value,message", [
+    ("train-identifier", "--iterations", "0", "n_balance_iters"),
+    ("train-identifier", "--epsilon", "-1", "epsilon"),
+    ("rp-export", "--epsilon", "nan", "epsilon"),
+    ("rp-export", "--dimension", "0", "m >= 1"),
+])
+def test_bad_setting_rejected_before_reading(command, option, value,
+                                             message, tmp_path, capsys):
+    # the input does not exist: the setting's check comes first
+    out = tmp_path / "out"
+    source = "--data" if command == "train-identifier" else "--in"
+    assert dispatch([command, source, str(tmp_path / "missing"),
+                     "--out", str(out), option, value]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()

@@ -106,7 +106,7 @@ def test_featurize_segments_matches_channel_oracle_bytes():
             tiny_var += 0.0 < stats[4] < 1e-20
             cells += stats
         want.append(np.concatenate(
-            [cells] + [resample_linear(seg.acc[:, a], DEFAULT_SAMPLES)
+            [cells] + [resample_linear(seg.channels[:, a], DEFAULT_SAMPLES)
                        for a in range(3)]))
     got = featurize_segments(segments).X
     assert len(segments) >= 300 and zero_var > 50 and tiny_var > 50
@@ -129,8 +129,8 @@ def test_sample_features_axis_major():
     seg = make_segment(30)
     v = row(seg, n_samples=10)[63:]
     assert v.shape == (30,)
-    assert np.allclose(v[:10], resample_linear(seg.acc[:, 0], 10))
-    assert np.allclose(v[20:], resample_linear(seg.acc[:, 2], 10))
+    assert np.allclose(v[:10], resample_linear(seg.channels[:, 0], 10))
+    assert np.allclose(v[20:], resample_linear(seg.channels[:, 2], 10))
 
 
 def test_feature_vector_width():

@@ -25,16 +25,11 @@ class TestForestConfig:
         with pytest.raises(ValidationError):
             ForestConfig(max_depth=0)
         with pytest.raises(ValidationError):
-            ForestConfig(min_split=1)
-        with pytest.raises(ValidationError):
-            ForestConfig(min_leaf=0)
-        with pytest.raises(ValidationError):
             ForestConfig(features_per_split=0)
 
     def test_defaults(self):
         cfg = ForestConfig()
         assert (cfg.n_trees, cfg.max_depth) == (100, 10)
-        assert (cfg.min_split, cfg.min_leaf) == (2, 1)
 
     def test_sqrt_feature_rule(self):
         cfg = ForestConfig()
@@ -56,7 +51,7 @@ class TestBestSplit:
             X = np.round(r.normal(size=(n, d)), 1)
             yi = r.integers(0, k, size=n)
             feat_ids = r.permutation(d)[:int(r.integers(1, d + 1))]
-            got = _best_split(X, yi, k, feat_ids, min_leaf=1)
+            got = _best_split(X, yi, k, feat_ids)
             want = naive_best_split(X, yi, k, feat_ids, min_leaf=1)
             if want is None:
                 assert got is None
@@ -83,29 +78,28 @@ class TestBestSplit:
                 X[:, r.integers(0, d)] = X[:, r.integers(0, d)]
             yi = r.integers(0, k, size=n)
             feat_ids = r.permutation(d)[:int(r.integers(1, d + 1))]
-            min_leaf = int(r.integers(1, 5))
-            got = _best_split(X, yi, k, feat_ids, min_leaf)
-            assert got == loop_best_split(X, yi, k, feat_ids, min_leaf)
+            got = _best_split(X, yi, k, feat_ids)
+            assert got == loop_best_split(X, yi, k, feat_ids, min_leaf=1)
             found += got is not None
         assert found > 200
 
     def test_pure_node_has_no_split(self):
         X = np.arange(10, dtype=np.float64)[:, None]
         assert _best_split(X, np.zeros(10, dtype=np.int64), 2,
-                           np.array([0]), 1) is None
+                           np.array([0])) is None
 
     def test_separating_an_even_binary_node(self):
         # [5, 5] parent: gini 0.5 drops to two pure children
         X = np.arange(10, dtype=np.float64)[:, None]
         yi = np.array([0] * 5 + [1] * 5)
-        assert _best_split(X, yi, 2, np.array([0]), 1) == (0, 4.5, 0.5)
+        assert _best_split(X, yi, 2, np.array([0])) == (0, 4.5, 0.5)
 
     def test_four_way_uniform_child(self):
         # [5, 1, 1, 1] parent (gini 36/64) splits into a four-way uniform
         # child (gini 0.75) and a pure one: decrease 36/64 - 4 * 0.75 / 8
         X = np.array([[0.0]] * 4 + [[1.0]] * 4)
         yi = np.array([0, 1, 2, 3, 0, 0, 0, 0])
-        assert _best_split(X, yi, 4, np.array([0]), 1) == (0, 0.5, 0.1875)
+        assert _best_split(X, yi, 4, np.array([0])) == (0, 0.5, 0.1875)
 
     def test_decrease_bounded_by_parent_impurity(self):
         r = np.random.default_rng(0)
@@ -115,7 +109,7 @@ class TestBestSplit:
             X = r.normal(size=(40, 3))
             counts = np.bincount(yi, minlength=k)
             parent = 1.0 - ((counts / 40) ** 2).sum()
-            out = _best_split(X, yi, k, np.arange(3), 1)
+            out = _best_split(X, yi, k, np.arange(3))
             assert out is not None
             assert 0.0 < out[2] <= parent <= 1.0 - 1.0 / k + 1e-12
 
@@ -123,14 +117,7 @@ class TestBestSplit:
         # both children would mirror the parent mix, so no split counts
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         yi = np.array([0, 1, 0, 1])
-        assert _best_split(X, yi, 2, np.array([0]), 1) is None
-
-    def test_min_leaf_filters_candidates(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        yi = np.array([0, 0, 0, 1])
-        out = _best_split(X, yi, 2, np.array([0]), min_leaf=2)
-        assert out is not None
-        assert out[1] == pytest.approx(1.5)
+        assert _best_split(X, yi, 2, np.array([0])) is None
 
 
 def grid_xor():
@@ -200,13 +187,6 @@ class TestTreeTrain:
 
         assert depth(node) <= 4
 
-    def test_min_split_stops_growth(self):
-        X = np.arange(6, dtype=np.float64)[:, None]
-        labels = ["A", "B", "A", "B", "A", "B"]
-        cfg = ForestConfig(min_split=7, features_per_split=1)
-        node = tree_train(X, labels, cfg, np.random.default_rng(0))
-        assert node.label is not None
-
     def test_leaf_tie_breaks_canonically(self):
         # equal counts pick the lowest canonical class
         node = tree_train(np.zeros((2, 1)), ["B", "A"],
@@ -244,8 +224,8 @@ def clustered_dataset(seed=0, per_class=30, noise=0.3):
 class TestForest:
     def test_single_tree_equals_tree_train_on_its_bootstrap_draw(self):
         data = clustered_dataset()
-        cfg = ForestConfig(n_trees=1, seed=5)
-        got = forest_train_predict(data, data.X, cfg)
+        cfg = ForestConfig(n_trees=1)
+        got = forest_train_predict(data, data.X, cfg, 5)
         # the tree's stream draws the bootstrap rows first, then splits
         rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
         idx = rng.integers(0, len(data), size=len(data))
@@ -260,7 +240,7 @@ class TestForest:
         # scan that the batched one replaced, so any change to a split,
         # a threshold bit or a tie rule shows here.
         data = clustered_dataset(noise=2.0)
-        cfg = ForestConfig(seed=5)
+        cfg = ForestConfig()
         digest = hashlib.sha256()
         nodes = 0
 
@@ -270,7 +250,7 @@ class TestForest:
                 yield from preorder(node.left)
                 yield from preorder(node.right)
 
-        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+        children = np.random.SeedSequence(5).spawn(cfg.n_trees)
         for child in children[:20]:
             rng = np.random.default_rng(child)
             idx = rng.integers(0, len(data), size=len(data))
@@ -285,16 +265,16 @@ class TestForest:
 
     def test_separable_self_prediction(self):
         data = clustered_dataset(seed=3)
-        cfg = ForestConfig(n_trees=25, seed=1)
-        pred = forest_train_predict(data, data.X, cfg)
+        cfg = ForestConfig(n_trees=25)
+        pred = forest_train_predict(data, data.X, cfg, 1)
         acc = np.mean([p == t for p, t in zip(pred, data.labels)])
         assert acc >= 0.95
 
     def test_deterministic_for_fixed_seed(self):
         data = clustered_dataset(seed=4)
-        cfg = ForestConfig(n_trees=10, seed=9)
-        assert (forest_train_predict(data, data.X, cfg)
-                == forest_train_predict(data, data.X, cfg))
+        cfg = ForestConfig(n_trees=10)
+        assert (forest_train_predict(data, data.X, cfg, 9)
+                == forest_train_predict(data, data.X, cfg, 9))
 
     def test_forest_at_least_as_good_as_single_tree(self):
         # shallow trees underfit; bagging should recover accuracy
@@ -303,12 +283,12 @@ class TestForest:
         for seed in range(5):
             data = clustered_dataset(seed=seed, noise=2.0)
             truth = data.labels
-            shallow = ForestConfig(n_trees=15, max_depth=3, seed=seed)
-            pred = forest_train_predict(data, data.X, shallow)
+            shallow = ForestConfig(n_trees=15, max_depth=3)
+            pred = forest_train_predict(data, data.X, shallow, seed)
             forest_accs.append(np.mean([p == t
                                         for p, t in zip(pred, truth)]))
-            single = ForestConfig(n_trees=1, max_depth=3, seed=seed)
-            pred = forest_train_predict(data, data.X, single)
+            single = ForestConfig(n_trees=1, max_depth=3)
+            pred = forest_train_predict(data, data.X, single, seed)
             tree_accs.append(np.mean([p == t
                                       for p, t in zip(pred, truth)]))
         assert np.mean(forest_accs) >= np.mean(tree_accs)
@@ -316,4 +296,4 @@ class TestForest:
     def test_rejects_wrong_test_width(self):
         data = clustered_dataset()
         with pytest.raises(ValidationError):
-            forest_train_predict(data, np.zeros((2, 3)), ForestConfig())
+            forest_train_predict(data, np.zeros((2, 3)), ForestConfig(), 0)

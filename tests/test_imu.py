@@ -35,9 +35,6 @@ def test_canonical_order_gestures_first():
 
 def test_channel_views():
     s = make_stream()
-    assert np.array_equal(s.acc, s.channels[:, :3])
-    assert np.array_equal(s.gyro, s.channels[:, 3:6])
-    assert np.array_equal(s.mag, s.channels[:, 6:9])
     assert np.array_equal(s.channel("acc_y"), s.channels[:, 1])
     with pytest.raises(ValidationError):
         s.channel("acc_w")

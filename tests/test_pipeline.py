@@ -9,7 +9,7 @@ import pytest
 
 from gesturekit.errors import ValidationError
 from gesturekit.features import FeatureRegistry, is_sample_feature
-from gesturekit.forest import ForestConfig
+from gesturekit.forest import ForestConfig, forest_train_predict
 from gesturekit.imu import ADL_LABEL, ImuStream, LabeledDataset, LabeledInterval
 from gesturekit.pipeline import (
     GESTURE_WINDOW_LABEL,
@@ -552,6 +552,20 @@ class TestTrainers:
                         SvmTrainer(select_k=43, augment_sigma=0.5),
                         ForestTrainer(ForestConfig(n_trees=3))):
             assert pickle.loads(pickle.dumps(trainer)) == trainer
+
+    def test_forest_trainer_uses_the_given_seed(self):
+        # random labels: two seeds' forests disagree somewhere, so the
+        # trainer's predictions show which seed it grew from
+        r = np.random.default_rng(0)
+        data = LabeledDataset(X=r.normal(size=(40, 4)),
+                              labels=list(r.choice(["A", "B", "C"], 40)),
+                              subjects=["s01"] * 40,
+                              feature_names=["f0", "f1", "f2", "f3"])
+        cfg = ForestConfig(n_trees=3, max_depth=3)
+        preds = [ForestTrainer(cfg)(data, data.X, seed=s) for s in (1, 2)]
+        assert preds[0] != preds[1]
+        for s, pred in zip((1, 2), preds):
+            assert pred == forest_train_predict(data, data.X, cfg, s)
 
     def test_column_restriction(self):
         data = informative_dataset()

@@ -51,7 +51,7 @@ def test_recurrence_plot_tie_is_recurrence():
 def test_recurrence_plot_rejects_other_matrices(matrix):
     # rr and tra count the diagonal as ones and A @ A * A as trace(A^3)
     with pytest.raises(ValidationError):
-        RecurrencePlot(matrix=matrix, rp_config=RpConfig())
+        RecurrencePlot(matrix)
 
 
 def test_rqa_values_match_oracles():
