@@ -7,10 +7,10 @@ files; ``--jobs`` changes wall time only. ``--params FILE`` reads a flat
 ``key = value`` text file whose keys are long option names with
 underscores (``window_len = 250``); explicit flags still win. An option
 for a tuned setting takes its default from the library object that owns
-the setting (an RQA config, an SVM preset, ``SynthConfig`` or
-``ForestConfig``), and its help line shows that default. Exit codes: 0
-success, 1 usage, 2 unreadable input data, 3 validation or convergence
-failure.
+the setting (``RqaConfig``, ``IdentificationConfig``, ``SvmTrainer``,
+``SynthConfig`` or ``ForestConfig``), and its help line shows that
+default. Exit codes: 0 success, 1 usage, 2 unreadable input data, 3
+validation or convergence failure.
 """
 
 from __future__ import annotations
@@ -22,27 +22,29 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConvergenceError, ParseError, ValidationError
-from .features import (DEFAULT_SAMPLES, FeatureRegistry, featurize_segments,
-                       is_sample_feature, read_feature_csv, sample_count,
-                       write_feature_csv)
+from .features import (DEFAULT_SAMPLES, STAT_NAMES, check_samples,
+                       featurize_segments, is_sample_feature, read_feature_csv,
+                       sample_count, write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
                   parse_label_csv, read_text, write_file)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
-                       SvmTrainer, check_select, check_sigma,
+                       SvmTrainer, check_reps, check_select, check_sigma,
                        identify_segments, load_identifier,
                        permutation_importance, loso_evaluate,
                        standardize_augment, train_identifier,
                        window_features, write_confusion_csv,
                        write_importance_csv, write_report_csv)
-from .rqa import (EmbeddingConfig, NORMS, RpConfig, recurrence_plot,
-                  time_delay_embed, write_rp_pgm, write_rqa_csv)
-from .svm import (KERNEL_KINDS, PRESETS, KernelConfig, load_model,
-                  save_model, vote_ranking, vote_tally)
+from .rqa import (NORMS, RqaConfig, recurrence_plot, time_delay_embed,
+                  write_rp_pgm, write_rqa_csv)
+from .svm import (KERNEL_KINDS, KernelConfig, load_model, save_model,
+                  vote_ranking, vote_tally)
 from .synth import SynthConfig, generate_dataset, write_dataset
 
 # the library objects whose fields are the options' defaults
+_RQA = RqaConfig()
 _IDENTIFICATION = IdentificationConfig()
+_RECOGNITION = SvmTrainer()
 _SYNTH = SynthConfig()
 _FOREST = ForestConfig()
 
@@ -80,30 +82,29 @@ def _add_common(sub, jobs=False):
 
 
 def _add_rqa(sub):
-    window = _IDENTIFICATION.window
-    sub.add_argument("--window-len", type=int, default=window.window_len,
+    sub.add_argument("--window-len", type=int, default=_RQA.window_len,
                      help="window length in samples (default %(default)s)")
-    sub.add_argument("--step", type=int, default=window.step,
+    sub.add_argument("--step", type=int, default=_RQA.step,
                      help="window step in samples (default %(default)s)")
     _add_rp(sub)
 
 
 def _add_rp(sub):
-    cfg = _IDENTIFICATION
-    sub.add_argument("--series", default=cfg.series, choices=CHANNELS,
+    sub.add_argument("--series", default=_RQA.series, choices=CHANNELS,
                      help="channel to analyse (default %(default)s)")
-    sub.add_argument("--delay", type=int, default=cfg.embedding.tau,
+    sub.add_argument("--delay", type=int, default=_RQA.delay,
                      help="embedding delay (default %(default)s)")
-    sub.add_argument("--dimension", type=int, default=cfg.embedding.m,
+    sub.add_argument("--dimension", type=int, default=_RQA.dimension,
                      help="embedding dimension (default %(default)s)")
-    sub.add_argument("--epsilon", type=float, default=cfg.rp.epsilon,
+    sub.add_argument("--epsilon", type=float, default=_RQA.epsilon,
                      help="recurrence threshold (default %(default)s)")
-    sub.add_argument("--norm", default=cfg.rp.norm, choices=NORMS,
+    sub.add_argument("--norm", default=_RQA.norm, choices=NORMS,
                      help="state-distance norm (default %(default)s)")
 
 
-def _add_svm(sub, preset: str):
-    kernel, cost = PRESETS[preset]
+def _add_svm(sub, owner):
+    """The kernel and cost options, defaulting to ``owner``'s."""
+    kernel, cost = owner.kernel, owner.cost
     sub.add_argument("--kernel", default=kernel.kind, choices=KERNEL_KINDS,
                      help="kernel kind (default %(default)s)")
     sub.add_argument("--gamma", type=float, default=kernel.gamma,
@@ -166,6 +167,7 @@ def _feature_columns(names, which: str):
 
 
 def _segment_dataset(args) -> LabeledDataset:
+    check_samples(args.samples)
     dataset = featurize_segments(_load_segments(args.data),
                                  n_samples=args.samples)
     cols = _feature_columns(dataset.feature_names, args.features)
@@ -229,7 +231,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_rqa_features(args) -> int:
-    cfg = IdentificationConfig.from_rqa(vars(args))
+    cfg = RqaConfig.parse(vars(args))
+    cfg.check_window()
     starts, X = window_features(parse_imu_csv(args.infile), cfg)
     write_rqa_csv(starts, X, args.outfile)
     print(f"wrote {len(X)} windows to {args.outfile}")
@@ -237,25 +240,23 @@ def _cmd_rqa_features(args) -> int:
 
 
 def _cmd_rp_export(args) -> int:
-    emb = EmbeddingConfig(m=args.dimension, tau=args.delay)
-    rp = RpConfig(epsilon=args.epsilon, norm=args.norm)
-    stream = parse_imu_csv(args.infile)
-    series = stream.channel(args.series)
+    cfg = RqaConfig.parse(vars(args))
+    series = parse_imu_csv(args.infile).channel(cfg.series)
     start = args.start
     end = len(series) if args.length is None else start + args.length
     if not 0 <= start < end <= len(series):
         raise ValidationError(
             f"window [{start}, {end}) is empty or out of bounds for "
             f"{len(series)} samples")
-    plot = recurrence_plot(time_delay_embed(series[start:end], emb), rp)
+    plot = recurrence_plot(time_delay_embed(series[start:end], cfg), cfg)
     write_rp_pgm(plot, args.outfile)
     print(f"wrote {plot.n_states} x {plot.n_states} plot to {args.outfile}")
     return 0
 
 
 def _cmd_train_identifier(args) -> int:
-    cfg = IdentificationConfig.from_rqa(
-        vars(args), overlap_fraction=args.overlap,
+    cfg = IdentificationConfig(
+        RqaConfig.parse(vars(args)), overlap_fraction=args.overlap,
         n_balance_iters=args.iterations, kernel=_kernel_from(args),
         cost=args.cost)
     data = _load_streams(_data_dir(args.data, "identification"))
@@ -295,10 +296,10 @@ def _cmd_train_recognizer(args) -> int:
 def _cmd_recognize(args) -> int:
     model = load_model(args.model)
     dataset = featurize_segments([(parse_imu_csv(args.infile), "")],
-                                 sample_count(model.registry.names))
+                                 sample_count(model.feature_names))
     index = {nm: i for i, nm in enumerate(dataset.feature_names)}
     try:
-        cols = [index[nm] for nm in model.registry.names]
+        cols = [index[nm] for nm in model.feature_names]
     except KeyError as exc:
         raise ValidationError(
             f"model expects feature {exc.args[0]!r}, which segment "
@@ -320,7 +321,7 @@ def _cmd_evaluate(args) -> int:
     if args.select is not None:
         # the statistics --features keeps are known before any data is read
         check_select(args.select, 0 if args.features == "samples"
-                     else len(FeatureRegistry.statistical_names()))
+                     else len(STAT_NAMES))
     if args.classifier == "svm":
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost,
                              select_k=args.select,
@@ -340,11 +341,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    dataset = _segment_dataset(args)
+    check_reps(args.reps)
     if args.classifier == "svm":
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost)
     else:
         trainer = CentroidTrainer()
+    dataset = _segment_dataset(args)
     with _pool(args.jobs) as mapper:
         result = permutation_importance(dataset, trainer, n_reps=args.reps,
                                         seed=args.seed, mapper=mapper)
@@ -443,7 +445,7 @@ def build_parser():
                    default=_IDENTIFICATION.n_balance_iters,
                    help="balanced redraws per fold (default %(default)s)")
     _add_rqa(p)
-    _add_svm(p, "identification")
+    _add_svm(p, _IDENTIFICATION)
 
     p = sub("identify", _cmd_identify,
             "Locate candidate gesture segments in a continuous stream.")
@@ -464,7 +466,7 @@ def build_parser():
                    help="train on originals plus noisy copies with this "
                         "z-score noise scale (default: off; tuned 0.5)")
     _add_features(p)
-    _add_svm(p, "recognition")
+    _add_svm(p, _RECOGNITION)
 
     p = sub("recognize", _cmd_recognize,
             "Classify one gesture segment with a trained recognizer.")
@@ -495,7 +497,7 @@ def build_parser():
     p.add_argument("--depth", type=int, default=_FOREST.max_depth,
                    help="forest depth cap (default %(default)s)")
     _add_features(p)
-    _add_svm(p, "recognition")
+    _add_svm(p, _RECOGNITION)
 
     p = sub("importance", _cmd_importance,
             "Permutation importance of segment features.", jobs=True)
@@ -510,7 +512,7 @@ def build_parser():
                    help="model retrained per permutation; centroid is a "
                         "fast approximation (default %(default)s)")
     _add_features(p, default="stats")
-    _add_svm(p, "recognition")
+    _add_svm(p, _RECOGNITION)
 
     p = sub("augment", _cmd_augment,
             "Append noisy copies to a feature table.")

@@ -1,5 +1,5 @@
 """Recognition features: 63 channel statistics, resampled acceleration
-samples, the canonical feature registry, and train-set standardization.
+samples, the canonical feature names, and train-set standardization.
 
 The statistical block covers mean, median, RMS, standard deviation,
 variance, skewness and kurtosis for each of the 9 sensor channels
@@ -31,34 +31,18 @@ DEFAULT_SAMPLES = 10
 _SAMPLE_NAME = re.compile(r"acc_[xyz]_s(\d+)")
 
 
-@dataclass(frozen=True)
-class FeatureRegistry:
-    """Ordered feature-name registry shared by datasets and models."""
-    names: tuple[str, ...]
+# the 63 statistical names: sensor-major, then axis, then statistic
+STAT_NAMES = tuple(f"{ch}_{st}" for ch in CHANNELS for st in STATS)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValidationError("duplicate feature names")
 
-    def __len__(self) -> int:
-        return len(self.names)
-
-    @staticmethod
-    def statistical_names() -> list[str]:
-        return [f"{ch}_{st}" for ch in CHANNELS for st in STATS]
-
-    @staticmethod
-    def sample_names(n_samples: int = DEFAULT_SAMPLES) -> list[str]:
-        return [f"acc_{axis}_s{i}" for axis in "xyz" for i in range(1, n_samples + 1)]
-
-    @classmethod
-    def recognition(cls, n_samples: int = DEFAULT_SAMPLES) -> "FeatureRegistry":
-        """63 statistical names followed by 3*S acceleration-sample names."""
-        return cls(tuple(cls.statistical_names() + cls.sample_names(n_samples)))
+def feature_names(n_samples: int = DEFAULT_SAMPLES) -> tuple[str, ...]:
+    """STAT_NAMES followed by the 3*S acceleration-sample names."""
+    return STAT_NAMES + tuple(f"acc_{axis}_s{i}" for axis in "xyz"
+                              for i in range(1, n_samples + 1))
 
 
 def is_sample_feature(name: str) -> bool:
-    """Whether ``name`` has the form of ``FeatureRegistry.sample_names``."""
+    """Whether ``name`` has the form of ``feature_names``' sample names."""
     return _SAMPLE_NAME.fullmatch(name) is not None
 
 
@@ -69,6 +53,11 @@ def sample_count(names) -> int:
                default=DEFAULT_SAMPLES)
 
 
+def check_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValidationError("need at least 2 output samples")
+
+
 def resample_linear(series, n_samples: int) -> np.ndarray:
     """Linearly resample a series to a fixed length.
 
@@ -77,8 +66,7 @@ def resample_linear(series, n_samples: int) -> np.ndarray:
     S = N is the identity.
     """
     x = np.asarray(series, dtype=np.float64)
-    if n_samples < 2:
-        raise ValidationError("need at least 2 output samples")
+    check_samples(n_samples)
     if len(x) < 2:
         raise ValidationError("need at least 2 input samples")
     pos = np.arange(n_samples, dtype=np.float64) * (len(x) - 1) / (n_samples - 1)
@@ -90,17 +78,17 @@ def featurize_segments(segments, n_samples: int = DEFAULT_SAMPLES) -> LabeledDat
     segments = list(segments)
     if not segments:
         raise ValidationError("no segments to featurize")
-    registry = FeatureRegistry.recognition(n_samples)
     X = np.vstack([_segment_row(seg, n_samples) for seg, _ in segments])
     labels = [label for _, label in segments]
     subjects = [seg.subject_id for seg, _ in segments]
     return LabeledDataset(X=X, labels=labels, subjects=subjects,
-                          feature_names=list(registry.names))
+                          feature_names=list(feature_names(n_samples)))
 
 
 def _segment_row(segment: ImuStream, n_samples: int) -> np.ndarray:
-    """One registry-ordered row: each statistic is one reduction over the
-    rows of a (9, n) channel copy, then the x, y, z acceleration samples."""
+    """One row in ``feature_names`` order: each statistic is one reduction
+    over the rows of a (9, n) channel copy, then the x, y, z acceleration
+    samples."""
     if len(segment) < 2:
         raise ValidationError("segment must have at least 2 samples")
     c = np.ascontiguousarray(segment.channels.T, dtype=np.float64)
@@ -149,7 +137,7 @@ class Scaler:
 
 
 def write_feature_csv(dataset: LabeledDataset, path) -> None:
-    """Feature matrix CSV: registry names plus ``label,subject`` columns."""
+    """Feature matrix CSV: feature names plus ``label,subject`` columns."""
     header = list(dataset.feature_names) + ["label", "subject"]
     rows = ([format_float(v) for v in x] + [label, subject]
             for x, label, subject in zip(dataset.X, dataset.labels, dataset.subjects))

@@ -13,69 +13,41 @@ inside the trainer on its training rows only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .features import Scaler, is_sample_feature
 from .forest import ForestConfig, forest_train_predict
-from .imu import (ADL_LABEL, CHANNELS, ImuStream, LabeledDataset, format_float,
-                  write_file)
-from .rqa import EmbeddingConfig, RpConfig, RqaWindowConfig, windowed_rqa
+from .imu import ADL_LABEL, ImuStream, LabeledDataset, format_float, write_file
+from .rqa import RqaConfig, windowed_rqa
 from .seeding import (AUGMENT, BALANCE, FINAL, FOLD, PERMUTE, TRAINER,
                       derive_int, derive_rng)
-from .svm import (PRESETS, KernelConfig, OvoSvmModel, load_model, ovo_train,
+from .svm import (KernelConfig, OvoSvmModel, load_model, ovo_train,
                   ovo_train_many)
 
 GESTURE_WINDOW_LABEL = "gesture"
 _WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
-# an identifier file's [rqa] keys, named as train-identifier's RQA options
-RQA_KEYS = ("series", "window_len", "step", "dimension", "delay", "epsilon",
-            "norm")
 
 
 @dataclass(frozen=True)
 class IdentificationConfig:
-    """Windowed-RQA geometry plus the identification training knobs."""
-    window: RqaWindowConfig = field(default_factory=RqaWindowConfig)
-    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    rp: RpConfig = field(default_factory=RpConfig)
-    series: str = "acc_y"
+    """Windowed-RQA settings plus the identification training knobs."""
+    rqa: RqaConfig = RqaConfig()
     overlap_fraction: float = 0.5
     n_balance_iters: int = 100
-    kernel: KernelConfig = field(
-        default_factory=lambda: PRESETS["identification"][0])
-    cost: float = PRESETS["identification"][1]
+    # tuned on the identification data
+    kernel: KernelConfig = KernelConfig("polynomial", gamma=0.95, coef0=2.0,
+                                        degree=3)
+    cost: float = 3.0
 
     def __post_init__(self):
         if not 0.0 < self.overlap_fraction <= 1.0:
             raise ValidationError("overlap_fraction must be in (0, 1]")
         if self.n_balance_iters < 1:
             raise ValidationError("n_balance_iters must be >= 1")
-        if self.series not in CHANNELS:
-            raise ValidationError(f"unknown channel {self.series!r}")
-        if self.window.window_len < (self.embedding.m - 1) * self.embedding.tau + 2:
-            raise ValidationError("window shorter than the embedding needs")
-
-    @classmethod
-    def from_rqa(cls, fields, **training) -> "IdentificationConfig":
-        """The config whose window geometry ``fields`` maps by RQA_KEYS
-        name, as parsed option values or as ``[rqa]`` text alike;
-        ``training`` sets the other fields."""
-        return cls(window=RqaWindowConfig(int(fields["window_len"]),
-                                          int(fields["step"])),
-                   embedding=EmbeddingConfig(int(fields["dimension"]),
-                                             int(fields["delay"])),
-                   rp=RpConfig(float(fields["epsilon"]), fields["norm"]),
-                   series=fields["series"], **training)
-
-    def rqa_fields(self) -> tuple[tuple[str, str], ...]:
-        """The window geometry as ``(key, value)`` pairs in RQA_KEYS order."""
-        values = (self.series, self.window.window_len, self.window.step,
-                  self.embedding.m, self.embedding.tau,
-                  format_float(self.rp.epsilon), self.rp.norm)
-        return tuple(zip(RQA_KEYS, map(str, values)))
+        self.rqa.check_window()
 
 
 @dataclass(frozen=True)
@@ -147,7 +119,7 @@ def fold_scores(classes, truth, pred) -> tuple[float, float, np.ndarray]:
     return float(np.trace(conf) / conf.sum()), float(recalls.mean()), conf
 
 
-def label_windows(stream: ImuStream, intervals, win: RqaWindowConfig,
+def label_windows(stream: ImuStream, intervals, cfg: RqaConfig,
                   overlap_fraction: float) -> list[str]:
     """Binary window labels: gesture if enough of some interval is inside.
 
@@ -161,21 +133,20 @@ def label_windows(stream: ImuStream, intervals, win: RqaWindowConfig,
                 f"interval [{iv.start}, {iv.end}) exceeds stream length {n}")
     begin, end = np.array([(iv.start, iv.end) for iv in intervals],
                           dtype=np.int64).reshape(-1, 2).T
-    s = win.starts(n)[:, None]
-    inside = np.minimum(end, s + win.window_len) - np.maximum(begin, s)
+    s = cfg.starts(n)[:, None]
+    inside = np.minimum(end, s + cfg.window_len) - np.maximum(begin, s)
     hit = (inside >= overlap_fraction * (end - begin)).any(axis=1)
     return [_WINDOW_CLASSES[h] for h in hit.tolist()]
 
 
-def window_features(stream: ImuStream, cfg: IdentificationConfig):
+def window_features(stream: ImuStream, cfg: RqaConfig):
     """``(starts, X)`` of one stream: each window's start and its
-    ``rr, tra`` row of ``windowed_rqa`` on ``cfg``'s series and geometry."""
-    X = windowed_rqa(stream.channel(cfg.series), cfg.embedding, cfg.rp,
-                     cfg.window)
-    return cfg.window.starts(len(stream)), X
+    ``rr, tra`` row of ``windowed_rqa`` on ``cfg``'s series."""
+    X = windowed_rqa(stream.channel(cfg.series), cfg)
+    return cfg.starts(len(stream)), X
 
 
-def windows_dataset(data, cfg: IdentificationConfig, labels) -> LabeledDataset:
+def windows_dataset(data, cfg: RqaConfig, labels) -> LabeledDataset:
     """Stack (stream, intervals) pairs into a window-level dataset.
 
     ``labels`` holds each stream's ``label_windows`` list, in ``data``
@@ -238,7 +209,7 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
     """
     # window labels need only the stream lengths, so both checks run
     # before any windowed RQA
-    labels = [label_windows(stream, intervals, cfg.window,
+    labels = [label_windows(stream, intervals, cfg.rqa,
                             cfg.overlap_fraction)
               for stream, intervals in data]
     subjects = sorted({stream.subject_id
@@ -251,33 +222,35 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
         raise ValidationError(f"no gesture windows in subject "
                               f"{', '.join(missing)}; every held-out "
                               "subject needs one")
-    dataset = windows_dataset(data, cfg, labels)
+    dataset = windows_dataset(data, cfg.rqa, labels)
     tasks = [(dataset, cfg, seed, fi, s) for fi, s in enumerate(subjects)]
     report = EvaluationReport.from_folds(mapper(_identifier_fold, tasks),
                                          _WINDOW_CLASSES)
     final_subset = _balanced_subset(dataset, derive_rng(seed, FINAL))
     model = ovo_train(final_subset, cfg.kernel, cfg.cost)
-    return replace(model, rqa=cfg.rqa_fields()), report
+    return replace(model, rqa=cfg.rqa.text()), report
 
 
-def load_identifier(path) -> tuple[OvoSvmModel, IdentificationConfig]:
-    """An identifier model and the window geometry its [rqa] section
-    records, read back through the RQA configs' own checks."""
+def load_identifier(path) -> tuple[OvoSvmModel, RqaConfig]:
+    """An identifier model and the RQA settings its [rqa] section
+    records, read back through RqaConfig's own checks."""
     model = load_model(path)
     if not model.rqa:
         raise ParseError(f"{path}: no [rqa] section records the window "
                          "geometry; retrain the model with train-identifier")
     try:
-        if sorted(k for k, _ in model.rqa) != sorted(RQA_KEYS):
-            raise ValueError(f"want one line each for {', '.join(RQA_KEYS)}")
-        cfg = IdentificationConfig.from_rqa(dict(model.rqa))
+        keys = [f.name for f in fields(RqaConfig)]
+        if sorted(k for k, _ in model.rqa) != sorted(keys):
+            raise ValueError(f"want one line each for {', '.join(keys)}")
+        cfg = RqaConfig.parse(dict(model.rqa))
+        cfg.check_window()
     except (ValueError, ValidationError) as exc:
         raise ParseError(f"{path}: bad [rqa] section: {exc}") from None
     return model, cfg
 
 
 def identify_segments(stream: ImuStream, model,
-                      cfg: IdentificationConfig) -> list[tuple[int, int]]:
+                      cfg: RqaConfig) -> list[tuple[int, int]]:
     """Candidate gesture intervals from a model's window predictions.
 
     Runs of consecutive positive windows collapse to one interval of
@@ -289,13 +262,13 @@ def identify_segments(stream: ImuStream, model,
     if not len(hits):
         return []
     # where in hits each run after the first begins
-    new = np.flatnonzero(np.diff(hits) != cfg.window.step) + 1
+    new = np.flatnonzero(np.diff(hits) != cfg.step) + 1
     out = []
     for first, last in zip(hits[np.r_[0, new]].tolist(),
                            hits[np.r_[new - 1, -1]].tolist()):
         mid = (first + last) // 2
         if not out or mid >= out[-1][1]:
-            out.append((mid, mid + cfg.window.window_len))
+            out.append((mid, mid + cfg.window_len))
     return out
 
 
@@ -345,6 +318,11 @@ def _importance_feature(args):
     return out
 
 
+def check_reps(n_reps: int) -> None:
+    if n_reps < 1:
+        raise ValidationError("n_reps must be >= 1")
+
+
 def permutation_importance(dataset: LabeledDataset, trainer, n_reps: int,
                            seed=0, mapper=map) -> ImportanceResult:
     """Mean accuracy after permuting each feature column, plus baseline.
@@ -354,8 +332,7 @@ def permutation_importance(dataset: LabeledDataset, trainer, n_reps: int,
     same trainer seed every time, so permuting a constant column
     reproduces the baseline accuracy exactly.
     """
-    if n_reps < 1:
-        raise ValidationError("n_reps must be >= 1")
+    check_reps(n_reps)
     if np.all(dataset.X.std(axis=0) == 0):
         raise ValidationError("every feature is constant; nothing to rank")
     train_idx, test_idx = _stratified_split(dataset.labels)
@@ -460,8 +437,9 @@ class SvmTrainer:
     training rows. ``augment_sigma`` standardizes, augments, then trains
     on the standardized rows.
     """
-    kernel: KernelConfig = PRESETS["recognition"][0]
-    cost: float = PRESETS["recognition"][1]
+    # tuned on the recognition data
+    kernel: KernelConfig = KernelConfig("radial", gamma=0.005)
+    cost: float = 1.0
     select_k: int | None = None
     augment_sigma: float | None = None
 

@@ -13,14 +13,14 @@ nearest neighbours criterion.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .imu import write_file
+from .imu import CHANNELS, format_float, write_file
 
 NORMS = ("L1", "L2", "Linf")
 _CDIST_METRIC = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
@@ -31,44 +31,58 @@ _WINDOW_CHUNK = 32
 
 
 @dataclass(frozen=True)
-class EmbeddingConfig:
-    """Delay-embedding parameters: dimension ``m`` and delay ``tau``."""
-    # this config's, RpConfig's and RqaWindowConfig's defaults were tuned
-    # on the identification data
-    m: int = 4
-    tau: int = 1
+class RqaConfig:
+    """Windowed-RQA settings: the analysed channel, the sliding-window
+    geometry (80% overlap by default), the delay embedding (dimension m,
+    delay tau) and the recurrence threshold with its norm.
 
-    def __post_init__(self):
-        if self.m < 1 or self.tau < 1:
-            raise ValidationError("embedding requires m >= 1 and tau >= 1")
-
-    def n_states(self, n: int) -> int:
-        return n - (self.m - 1) * self.tau
-
-
-@dataclass(frozen=True)
-class RpConfig:
-    """Recurrence threshold and the norm used for state distances."""
+    The field names are also train-identifier's option dests and an
+    identifier file's ``[rqa]`` keys; the field order is the order of
+    the ``[rqa]`` lines.
+    """
+    # the defaults were tuned on the identification data
+    series: str = "acc_y"
+    window_len: int = 125
+    step: int = 25
+    dimension: int = 4
+    delay: int = 1
     # the 0.2*sqrt(m) rule of thumb gives 0.4, but 0.1 measured better
     epsilon: float = 0.1
     norm: str = "L2"
 
     def __post_init__(self):
+        if self.series not in CHANNELS:
+            raise ValidationError(f"unknown channel {self.series!r}")
+        if not (0 < self.step <= self.window_len):
+            raise ValidationError("need 0 < step <= window_len")
+        if self.dimension < 1 or self.delay < 1:
+            raise ValidationError("embedding requires m >= 1 and tau >= 1")
         if not 0.0 < self.epsilon < np.inf:
             raise ValidationError("epsilon must be positive and finite")
         if self.norm not in NORMS:
             raise ValidationError(f"norm must be one of {NORMS}")
 
+    @classmethod
+    def parse(cls, values) -> "RqaConfig":
+        """The config that ``values`` maps by field name, as parsed option
+        values or as ``[rqa]`` text alike. Each value is typed by its
+        field's default; a field ``values`` lacks keeps its default, and
+        other keys are ignored."""
+        return cls(**{f.name: type(f.default)(values[f.name])
+                      for f in fields(cls) if f.name in values})
 
-@dataclass(frozen=True)
-class RqaWindowConfig:
-    """Sliding-window geometry for windowed RQA (80% overlap by default)."""
-    window_len: int = 125
-    step: int = 25
+    def text(self) -> tuple[tuple[str, str], ...]:
+        """The ``(key, value)`` pairs of the ``[rqa]`` section."""
+        return tuple((k, format_float(v) if isinstance(v, float) else str(v))
+                     for k, v in asdict(self).items())
 
-    def __post_init__(self):
-        if not (0 < self.step <= self.window_len):
-            raise ValidationError("need 0 < step <= window_len")
+    def check_window(self) -> None:
+        """Reject a window too short to hold two embedded states."""
+        if self.n_states(self.window_len) < 2:
+            raise ValidationError("window shorter than the embedding needs")
+
+    def n_states(self, n: int) -> int:
+        return n - (self.dimension - 1) * self.delay
 
     def n_windows(self, n: int) -> int:
         """floor((n - window_len) / step) + 1, or 0 if n is short."""
@@ -103,7 +117,7 @@ class RecurrencePlot:
         return self.matrix.shape[0]
 
 
-def time_delay_embed(series, cfg: EmbeddingConfig) -> np.ndarray:
+def time_delay_embed(series, cfg: RqaConfig) -> np.ndarray:
     """Reconstruct the phase-space trajectory of a scalar series.
 
     State i (0-based) is ``[r_i, r_{i+tau}, ..., r_{i+(m-1)tau}]``; there
@@ -112,7 +126,7 @@ def time_delay_embed(series, cfg: EmbeddingConfig) -> np.ndarray:
     Parameters
     ----------
     series : 1-D array-like
-    cfg : EmbeddingConfig
+    cfg : RqaConfig; its dimension is m and its delay tau
 
     Returns
     -------
@@ -124,19 +138,20 @@ def time_delay_embed(series, cfg: EmbeddingConfig) -> np.ndarray:
     ns = cfg.n_states(len(r))
     if ns < 2:
         raise ValidationError(
-            f"series of length {len(r)} too short for m={cfg.m}, tau={cfg.tau} "
-            f"(would give {ns} states)")
-    return np.column_stack([r[j * cfg.tau: j * cfg.tau + ns] for j in range(cfg.m)])
+            f"series of length {len(r)} too short for m={cfg.dimension}, "
+            f"tau={cfg.delay} (would give {ns} states)")
+    return np.column_stack([r[j * cfg.delay: j * cfg.delay + ns]
+                            for j in range(cfg.dimension)])
 
 
-def _threshold(states, cfg: RpConfig, out: np.ndarray) -> None:
+def _threshold(states, cfg: RqaConfig, out: np.ndarray) -> None:
     """Write ``||x_i - x_j|| <= epsilon`` for every state pair into ``out``
     (any numeric dtype; 1 for a recurrence, 0 otherwise)."""
     dist = cdist(states, states, metric=_CDIST_METRIC[cfg.norm])
     np.less_equal(dist, cfg.epsilon, out=out)
 
 
-def recurrence_plot(states, cfg: RpConfig) -> RecurrencePlot:
+def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:
     """Threshold pairwise state distances into a recurrence matrix.
 
     R[i, j] = 1 iff ||x_i - x_j|| <= epsilon; ties at exactly epsilon are
@@ -288,10 +303,8 @@ def fnn_fraction(series, m: int, tau: int,
     test.
     """
     r = np.asarray(series, dtype=np.float64)
-    emb = EmbeddingConfig(m=m, tau=tau)
-    emb1 = EmbeddingConfig(m=m + 1, tau=tau)
-    y = time_delay_embed(r, emb)
-    n1 = emb1.n_states(len(r))
+    y = time_delay_embed(r, RqaConfig(dimension=m, delay=tau))
+    n1 = RqaConfig(dimension=m + 1, delay=tau).n_states(len(r))
     if n1 < 2:
         raise ValidationError(
             f"series of length {len(r)} too short to lift to m={m + 1}")
@@ -330,13 +343,12 @@ def estimate_dimension(series, tau: int, cap: int = 10,
     return cap
 
 
-def windowed_rqa(series, emb: EmbeddingConfig, rp: RpConfig,
-                 win: RqaWindowConfig) -> np.ndarray:
+def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     """RR and TRA per sliding window of a scalar series, as an
     ``(n_windows, 2)`` float64 array of ``rr, tra`` rows.
 
     Row k is the window covering samples ``[k*step, k*step + window_len)``,
-    the one starting at ``win.starts(N)[k]``; there are
+    the one starting at ``cfg.starts(N)[k]``; there are
     ``floor((N - window_len)/step) + 1`` windows. The series is embedded
     once, and window k's states are rows ``k*step`` onwards of that
     embedding, bit for bit the states of the window embedded on its own.
@@ -348,20 +360,19 @@ def windowed_rqa(series, emb: EmbeddingConfig, rp: RpConfig,
     neighbours.
     """
     r = np.asarray(series, dtype=np.float64)
-    if win.window_len < (emb.m - 1) * emb.tau + 2:
-        raise ValidationError("window shorter than the embedding needs")
-    if len(r) < win.window_len:
+    cfg.check_window()
+    if len(r) < cfg.window_len:
         raise ValidationError(
-            f"series of length {len(r)} shorter than one window ({win.window_len})")
-    states = time_delay_embed(r, emb)
-    n = emb.n_states(win.window_len)
-    starts = win.starts(len(r))
+            f"series of length {len(r)} shorter than one window ({cfg.window_len})")
+    states = time_delay_embed(r, cfg)
+    n = cfg.n_states(cfg.window_len)
+    starts = cfg.starts(len(r))
     stack = np.empty((min(len(starts), _WINDOW_CHUNK), n, n), dtype=np.float32)
     out = np.empty((len(starts), 2))
     for lo in range(0, len(starts), _WINDOW_CHUNK):
         chunk = starts[lo: lo + _WINDOW_CHUNK]
         for k, start in enumerate(chunk):
-            _threshold(states[start: start + n], rp, stack[k])
+            _threshold(states[start: start + n], cfg, stack[k])
         hi = lo + len(chunk)
         out[lo:hi, 0], out[lo:hi, 1] = _rr_tra(stack[:len(chunk)])
     return out

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, ParseError, ValidationError
-from .features import FeatureRegistry, Scaler
+from .features import Scaler
 from .imu import read_text, write_file
 
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
@@ -66,14 +66,6 @@ class KernelConfig:
         if self.degree < 1 or int(self.degree) != self.degree:
             raise ValidationError("degree must be a positive integer")
         object.__setattr__(self, "degree", int(self.degree))
-
-
-# tuned hyperparameter presets: (kernel, cost)
-PRESETS = {
-    "identification": (KernelConfig(kind="polynomial", gamma=0.95,
-                                    coef0=2.0, degree=3), 3.0),
-    "recognition": (KernelConfig(kind="radial", gamma=0.005), 1.0),
-}
 
 
 def gram(cfg: KernelConfig, A, B) -> np.ndarray:
@@ -260,7 +252,7 @@ class OvoSvmModel:
     coef: np.ndarray
     bias: np.ndarray
     scaler: Scaler
-    registry: FeatureRegistry
+    feature_names: tuple[str, ...]
     rqa: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
@@ -270,7 +262,9 @@ class OvoSvmModel:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        d, n_pairs = len(self.registry), len(self.pairs)
+        if len(set(self.feature_names)) != len(self.feature_names):
+            raise ValidationError("duplicate feature names")
+        d, n_pairs = len(self.feature_names), len(self.pairs)
         if self.sv.ndim != 2 or self.sv.shape[1] != d:
             raise ValidationError("support-vector width differs from registry")
         if (self.coef.shape != (len(self.sv), n_pairs)
@@ -405,7 +399,7 @@ def _shared_sv_model(dataset, cfg, cost, scaler, Xs, fits) -> OvoSvmModel:
                        sv=sv, coef=coef,
                        bias=np.array([bias for _, _, _, bias in fits]),
                        scaler=scaler,
-                       registry=FeatureRegistry(tuple(dataset.feature_names)))
+                       feature_names=tuple(dataset.feature_names))
 
 
 def _fmt(v: float) -> str:
@@ -439,7 +433,7 @@ def save_model(model: OvoSvmModel, path) -> None:
              "mean " + " ".join(_fmt(v) for v in model.scaler.mean),
              "std " + " ".join(_fmt(v) for v in model.scaler.std),
              "[registry]"]
-    lines.extend(_check_token("feature name", nm) for nm in model.registry.names)
+    lines.extend(_check_token("feature name", nm) for nm in model.feature_names)
     lines.append("[sv]")
     lines.extend("sv " + " ".join(_fmt(v) for v in row) for row in model.sv)
     for p, (a, b) in enumerate(model.pairs):
@@ -539,6 +533,6 @@ def load_model(path) -> OvoSvmModel:
         return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv,
                            coef=np.reshape(coef, (len(pairs), len(sv))).T,
                            bias=np.array(bias), scaler=Scaler(mean, std),
-                           registry=FeatureRegistry(tuple(names)), rqa=rqa)
+                           feature_names=tuple(names), rqa=rqa)
     except ValidationError as e:
         raise ParseError(f"{path}: inconsistent model: {e}") from None

@@ -24,11 +24,11 @@ from gesturekit.imu import LabeledDataset
 from gesturekit.pipeline import (IdentificationConfig, SvmTrainer,
                                  loso_evaluate, permutation_importance,
                                  train_identifier, write_report_csv)
-from gesturekit.rqa import (NORMS, EmbeddingConfig, RpConfig, RqaWindowConfig,
-                            ami_curve, estimate_delay, estimate_dimension,
-                            recurrence_plot, recurrence_rate,
-                            time_delay_embed, transitivity, windowed_rqa)
-from gesturekit.svm import (PRESETS, KernelConfig, dual_objective, gram,
+from gesturekit.rqa import (NORMS, RqaConfig, ami_curve, estimate_delay,
+                            estimate_dimension, recurrence_plot,
+                            recurrence_rate, time_delay_embed, transitivity,
+                            windowed_rqa)
+from gesturekit.svm import (KernelConfig, dual_objective, gram,
                             kkt_max_violation, ovo_train, smo_solve)
 from gesturekit.synth import SynthConfig, generate_dataset
 
@@ -117,10 +117,10 @@ def test_01_recurrence_plot_matches_bruteforce_oracle():
         series = rng.normal(size=n_states + (m - 1) * tau)
         epsilon = float(rng.uniform(0.1, 2.0)) * np.sqrt(m)
         norm = NORMS[trial % 3]
-        emb = EmbeddingConfig(m=m, tau=tau)
+        cfg = RqaConfig(dimension=m, delay=tau, epsilon=epsilon, norm=norm)
         t0 = time.perf_counter()
-        states = time_delay_embed(series, emb)
-        fast = recurrence_plot(states, RpConfig(epsilon=epsilon, norm=norm))
+        states = time_delay_embed(series, cfg)
+        fast = recurrence_plot(states, cfg)
         t1 = time.perf_counter()
         assert np.array_equal(states, naive_embed(series, m, tau))
         slow = naive_recurrence_matrix(states, epsilon, norm)
@@ -142,28 +142,27 @@ def test_02_rqa_invariants_and_window_count_formula():
         m = int(rng.integers(1, 6))
         tau = int(rng.integers(1, 4))
         series = rng.normal(size=int(rng.integers(150, 301)))
-        states = time_delay_embed(series, EmbeddingConfig(m=m, tau=tau))
+        states = time_delay_embed(series, RqaConfig(dimension=m, delay=tau))
         rp = recurrence_plot(
-            states, RpConfig(epsilon=float(rng.uniform(0.2, 1.5)),
-                             norm=NORMS[trial % 3]))
+            states, RqaConfig(epsilon=float(rng.uniform(0.2, 1.5)),
+                              norm=NORMS[trial % 3]))
         rr = recurrence_rate(rp)
         tra = transitivity(rp)
         bounds_ok &= bool(np.array_equal(rp.matrix, rp.matrix.T))
         bounds_ok &= bool((np.diag(rp.matrix) == 1).all())
         bounds_ok &= 0.0 <= rr <= 1.0 and 0.0 <= tra <= 1.0
     states = time_delay_embed(rng.normal(size=400),
-                              EmbeddingConfig(m=3, tau=2))
-    rates = [recurrence_rate(recurrence_plot(states, RpConfig(epsilon=e)))
+                              RqaConfig(dimension=3, delay=2))
+    rates = [recurrence_rate(recurrence_plot(states, RqaConfig(epsilon=e)))
              for e in (0.05, 0.1, 0.3, 0.6, 1.0, 1.5, 2.5, 4.0)]
     monotone = all(a <= b for a, b in zip(rates, rates[1:]))
-    win = RqaWindowConfig()
+    win = RqaConfig()
     counts_ok = all(
         win.n_windows(n) == (n - 125) // 25 + 1 == sum(
             1 for s in range(0, n, 25) if s + 125 <= n)
         for n in range(125, 2001))
     for n in (125, 300, 1234, 2000):
-        rows = windowed_rqa(rng.normal(size=n), EmbeddingConfig(),
-                            RpConfig(), win)
+        rows = windowed_rqa(rng.normal(size=n), win)
         counts_ok &= len(rows) == (n - 125) // 25 + 1
     verdict(2, bounds_ok and monotone and counts_ok,
             "symmetry, unit diagonal, rr/tra in [0,1], rr monotone in "
@@ -228,8 +227,7 @@ def test_05_twelve_classes_train_66_pairwise_models(corpus):
         labels=[l for l, m in zip(dataset.labels, mask) if m],
         subjects=[s for s, m in zip(dataset.subjects, mask) if m],
         feature_names=list(dataset.feature_names))
-    kernel, cost = PRESETS["recognition"]
-    model = ovo_train(small, kernel, cost)
+    model = ovo_train(small, SvmTrainer().kernel, SvmTrainer().cost)
     n_classes = len(model.classes)
     verdict(5, n_classes == 12 and len(model.pairs) == 66,
             f"{n_classes} classes trained exactly {len(model.pairs)} "

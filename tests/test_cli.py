@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from argparse import Namespace
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,9 @@ from gesturekit.forest import ForestConfig
 from gesturekit.imu import extract_segment, parse_imu_csv, parse_label_csv, \
     write_imu_csv
 from gesturekit import pipeline
-from gesturekit.pipeline import RQA_KEYS, IdentificationConfig
-from gesturekit.rqa import EmbeddingConfig, RpConfig
-from gesturekit.svm import PRESETS, load_model
+from gesturekit.pipeline import IdentificationConfig, SvmTrainer
+from gesturekit.rqa import RqaConfig
+from gesturekit.svm import load_model
 from gesturekit.synth import TEMPLATES, SynthConfig
 
 
@@ -75,7 +76,7 @@ class TestParsing:
         assert dispatch(["--help"]) == 0
         assert "gesturekit" in capsys.readouterr().out
         assert dispatch(["train-identifier", "--help"]) == 0
-        gamma = PRESETS["identification"][0].gamma
+        gamma = IdentificationConfig().kernel.gamma
         assert f"gamma (default {gamma})" in \
             " ".join(capsys.readouterr().out.split())
         assert dispatch(["synth", "--help"]) == 0
@@ -93,22 +94,18 @@ class TestParsing:
         def defaults(name):
             return Namespace(**{a.dest: a.default for a in subs[name]._actions})
 
-        ident = IdentificationConfig()
         args = defaults("train-identifier")
-        assert IdentificationConfig.from_rqa(
-            vars(args), overlap_fraction=args.overlap,
+        assert IdentificationConfig(
+            RqaConfig.parse(vars(args)), overlap_fraction=args.overlap,
             n_balance_iters=args.iterations, kernel=_kernel_from(args),
-            cost=args.cost) == ident
-        assert (_kernel_from(args), args.cost) == PRESETS["identification"]
-        assert IdentificationConfig.from_rqa(
-            vars(defaults("rqa-features"))) == ident
-        args = defaults("rp-export")
-        assert (EmbeddingConfig(m=args.dimension, tau=args.delay),
-                RpConfig(epsilon=args.epsilon, norm=args.norm),
-                args.series) == (ident.embedding, ident.rp, ident.series)
+            cost=args.cost) == IdentificationConfig()
+        for name in ("train-identifier", "rqa-features", "rp-export"):
+            assert RqaConfig.parse(vars(defaults(name))) == RqaConfig()
+        recognition = SvmTrainer()
         for name in ("train-recognizer", "evaluate", "importance"):
             args = defaults(name)
-            assert (_kernel_from(args), args.cost) == PRESETS["recognition"]
+            assert (_kernel_from(args), args.cost) == \
+                (recognition.kernel, recognition.cost)
         args = defaults("evaluate")
         assert ForestConfig(n_trees=args.trees,
                             max_depth=args.depth) == ForestConfig()
@@ -169,9 +166,24 @@ class TestParsing:
         training = {"help", "seed", "params", "jobs", "data", "out",
                     "report", "confusion", "overlap", "iterations", "kernel",
                     "gamma", "cost", "degree", "coef0"}
-        assert dests["train-identifier"] - training == set(RQA_KEYS)
+        assert dests["train-identifier"] - training == \
+            {f.name for f in fields(RqaConfig)}
         assert dests["identify"] == {"help", "seed", "params", "infile",
                                      "model", "outfile"}
+
+    def test_rqa_options_read_into_config_fields(self):
+        """Each train-identifier RQA option reaches the RqaConfig field of
+        its name, and the [rqa] text lists the fields in order."""
+        parser, _ = build_parser()
+        args = parser.parse_args([
+            "train-identifier", "--data", "d", "--out", "m",
+            "--series", "gyro_z", "--window-len", "150", "--step", "30",
+            "--dimension", "3", "--delay", "2", "--epsilon", "0.3",
+            "--norm", "Linf"])
+        assert RqaConfig.parse(vars(args)).text() == (
+            ("series", "gyro_z"), ("window_len", "150"), ("step", "30"),
+            ("dimension", "3"), ("delay", "2"), ("epsilon", "0.3"),
+            ("norm", "Linf"))
 
     @pytest.mark.skipif(shutil.which("gesturekit") is None,
                         reason="no gesturekit executable on PATH")
@@ -363,6 +375,19 @@ class TestRpExport:
                          "--out", str(out), "--start", start]) == 3
         assert not out.exists()
 
+
+    def test_embedding_longer_than_default_window(self, stream_csv,
+                                                  tmp_path, capsys):
+        # no window is slid, so an embedding may span more samples
+        # (39 * 5 + 1 = 196) than the default 125-sample window
+        out = tmp_path / "wide.pgm"
+        assert dispatch(["rp-export", "--in", str(stream_csv),
+                         "--out", str(out), "--dimension", "40",
+                         "--delay", "5", "--start", "0",
+                         "--length", "400"]) == 0
+        assert "205 x 205" in capsys.readouterr().out
+        blob, header = out.read_bytes(), b"P5\n205 205\n255\n"
+        assert blob.startswith(header) and len(blob) == len(header) + 205 ** 2
 
     def test_window_flags_rejected(self, stream_csv, tmp_path):
         # one span is plotted; there are no windows to size
@@ -801,13 +826,26 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
     ("train-identifier", "--epsilon", "-1", "epsilon"),
     ("rp-export", "--epsilon", "nan", "epsilon"),
     ("rp-export", "--dimension", "0", "m >= 1"),
+    ("evaluate", "--samples", "1", "at least 2 output samples"),
+    ("evaluate", "--samples", "0", "at least 2 output samples"),
+    ("train-recognizer", "--samples", "1", "at least 2 output samples"),
+    ("importance", "--samples", "1", "at least 2 output samples"),
+    ("importance", "--reps", "0", "n_reps"),
+    ("importance", "--gamma", "inf", "gamma must be finite"),
+    ("rqa-features", "--window-len", "5", "window shorter than the "
+     "embedding needs"),
 ])
 def test_bad_setting_rejected_before_reading(command, option, value,
                                              message, tmp_path, capsys):
     # the input does not exist: the setting's check comes first
     out = tmp_path / "out"
-    source = "--data" if command == "train-identifier" else "--in"
+    source = "--in" if command in ("rp-export", "rqa-features") else "--data"
+    target = "--report" if command == "evaluate" else "--out"
+    # a 5-sample window holds 5 - 3 * 3 < 2 states of an m=4, tau=3
+    # embedding
+    more = {"rqa-features": ["--step", "5", "--dimension", "4",
+                             "--delay", "3"]}.get(command, [])
     assert dispatch([command, source, str(tmp_path / "missing"),
-                     "--out", str(out), option, value]) == 3
+                     target, str(out), option, value, *more]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gesturekit.errors import ParseError, ValidationError
-from gesturekit.features import (DEFAULT_SAMPLES, STATS, FeatureRegistry,
-                                 Scaler, featurize_segments,
+from gesturekit.features import (DEFAULT_SAMPLES, STAT_NAMES, STATS, Scaler,
+                                 feature_names, featurize_segments,
                                  is_sample_feature, read_feature_csv,
                                  resample_linear, sample_count,
                                  write_feature_csv)
@@ -29,14 +29,14 @@ def channel_block(segment, c):
 
 
 def test_registry_shapes_and_names():
-    reg = FeatureRegistry.recognition()
-    assert len(reg.names) == 63 + 3 * DEFAULT_SAMPLES == 93
-    assert reg.names[0] == "acc_x_mean"
-    assert reg.names[62] == "mag_z_kurt"
-    assert reg.names[63] == "acc_x_s1"
-    assert reg.names[-1] == f"acc_z_s{DEFAULT_SAMPLES}"
-    with pytest.raises(ValidationError):
-        FeatureRegistry(("a", "a"))
+    names = feature_names()
+    assert len(names) == 63 + 3 * DEFAULT_SAMPLES == 93
+    assert len(set(names)) == len(names)
+    assert names[:63] == STAT_NAMES
+    assert names[0] == "acc_x_mean"
+    assert names[62] == "mag_z_kurt"
+    assert names[63] == "acc_x_s1"
+    assert names[-1] == f"acc_z_s{DEFAULT_SAMPLES}"
 
 
 def test_channel_statistics_known_values():
@@ -143,8 +143,8 @@ def test_feature_vector_width():
 def test_sample_names_and_count():
     assert is_sample_feature("acc_x_s1")
     assert not is_sample_feature("gyro_x_s1")
-    assert sample_count(FeatureRegistry.recognition(4).names) == 4
-    assert sample_count(FeatureRegistry.statistical_names()) == DEFAULT_SAMPLES
+    assert sample_count(feature_names(4)) == 4
+    assert sample_count(STAT_NAMES) == DEFAULT_SAMPLES
 
 
 def test_featurize_segments_dataset():

@@ -14,7 +14,8 @@ from gesturekit.features import read_feature_csv, write_feature_csv
 from gesturekit.imu import (ImuStream, LabeledDataset, LabeledInterval,
                             parse_imu_csv, parse_label_csv, write_file,
                             write_imu_csv, write_label_csv)
-from gesturekit.pipeline import IdentificationConfig, load_identifier
+from gesturekit.pipeline import load_identifier
+from gesturekit.rqa import RqaConfig
 from gesturekit.svm import KernelConfig, OvoSvmModel, load_model, ovo_train, \
     save_model
 
@@ -101,20 +102,20 @@ def identifier_bytes(workdir):
     model = ovo_train(data, KernelConfig(kind="polynomial", gamma=0.95,
                                          coef0=2.0), 3.0)
     path = workdir / "identifier.model"
-    save_model(replace(model, rqa=IdentificationConfig().rqa_fields()), path)
+    save_model(replace(model, rqa=RqaConfig().text()), path)
     return path.read_bytes()
 
 
 def identify_or_parse_error(path, data: bytes):
     """Read through the loader ``identify`` uses."""
     loaded = read_or_parse_error(load_identifier, path, data)
-    assert loaded is None or isinstance(loaded[1], IdentificationConfig)
+    assert loaded is None or isinstance(loaded[1], RqaConfig)
 
 
 def test_valid_identifier_loads(workdir, identifier_bytes):
     path = workdir / "id.model"
     write_file(path, identifier_bytes)
-    assert load_identifier(path)[1] == IdentificationConfig()
+    assert load_identifier(path)[1] == RqaConfig()
 
 
 @FUZZ

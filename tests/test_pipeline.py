@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gesturekit.errors import ValidationError
-from gesturekit.features import FeatureRegistry, is_sample_feature
+from gesturekit.features import feature_names, is_sample_feature
 from gesturekit.forest import ForestConfig, forest_train_predict
 from gesturekit.imu import ADL_LABEL, ImuStream, LabeledDataset, LabeledInterval
 from gesturekit.pipeline import (
@@ -36,7 +36,7 @@ from gesturekit.pipeline import (
     write_report_csv,
 )
 from gesturekit.pipeline import _balanced_subset
-from gesturekit.rqa import EmbeddingConfig, RpConfig, RqaWindowConfig
+from gesturekit.rqa import RqaConfig
 from gesturekit.seeding import FOLD, derive_int, derive_rng
 from gesturekit.svm import KernelConfig, ovo_train, save_model
 from gesturekit.synth import SynthConfig, generate_dataset
@@ -44,7 +44,7 @@ from oracles import loop_identify_segments, loop_label_windows
 
 
 def corpus_labels(data, cfg):
-    return [label_windows(stream, intervals, cfg.window, cfg.overlap_fraction)
+    return [label_windows(stream, intervals, cfg.rqa, cfg.overlap_fraction)
             for stream, intervals in data]
 
 
@@ -131,7 +131,7 @@ class TestLabelWindows:
         stream = flat_stream(300)
         intervals = [LabeledInterval(100, 160, "Up", "s01")]
         labels = label_windows(stream, intervals,
-                               IdentificationConfig().window,
+                               RqaConfig(),
                                overlap_fraction=0.5)
         # starts 0,25,...,175; window [50,175) holds all 60 samples
         assert labels[2] == GESTURE_WINDOW_LABEL
@@ -140,7 +140,7 @@ class TestLabelWindows:
         stream = flat_stream(300)
         intervals = [LabeledInterval(100, 160, "Up", "s01")]
         labels = label_windows(stream, intervals,
-                               IdentificationConfig().window,
+                               RqaConfig(),
                                overlap_fraction=0.5)
         # window [150,275) holds only 10 of the 60 samples
         assert labels[6] == ADL_LABEL
@@ -149,7 +149,7 @@ class TestLabelWindows:
 
     def test_no_intervals_is_all_adl(self):
         labels = label_windows(flat_stream(300), [],
-                               IdentificationConfig().window,
+                               RqaConfig(),
                                overlap_fraction=0.5)
         assert labels == [ADL_LABEL] * 8
 
@@ -157,7 +157,7 @@ class TestLabelWindows:
         stream = flat_stream(300)
         intervals = [LabeledInterval(100, 160, "Up", "s01")]
         labels = label_windows(stream, intervals,
-                               IdentificationConfig().window,
+                               RqaConfig(),
                                overlap_fraction=1.0)
         want = [ADL_LABEL] * 8
         for i in (2, 3, 4):
@@ -169,8 +169,8 @@ class TestLabelWindows:
         rng = np.random.default_rng(seed)
         for _ in range(100):
             window_len = int(rng.integers(5, 80))
-            win = RqaWindowConfig(window_len,
-                                  int(rng.integers(1, window_len + 1)))
+            win = RqaConfig(window_len=window_len,
+                            step=int(rng.integers(1, window_len + 1)))
             n = int(rng.integers(window_len, 600))
             bounds = np.sort(rng.choice(n + 1, size=2 * int(rng.integers(6)),
                                         replace=False))
@@ -194,13 +194,13 @@ class TestLabelWindows:
         with pytest.raises(ValidationError):
             label_windows(flat_stream(300),
                           [LabeledInterval(200, 400, "Up", "s01")],
-                          IdentificationConfig().window,
+                          RqaConfig(),
                           overlap_fraction=0.5)
 
 
 class TestWindowsDataset:
     def test_stacking_and_feature_names(self, id_corpus, id_config):
-        data = windows_dataset(id_corpus, id_config,
+        data = windows_dataset(id_corpus, id_config.rqa,
                                corpus_labels(id_corpus, id_config))
         per_stream = [(len(s.t) - 125) // 25 + 1 for s, _ in id_corpus]
         assert len(data) == sum(per_stream)
@@ -211,7 +211,7 @@ class TestWindowsDataset:
 
     def test_window_features_shape(self, id_corpus, id_config):
         stream, _ = id_corpus[0]
-        starts, X = window_features(stream, id_config)
+        starts, X = window_features(stream, id_config.rqa)
         assert len(starts) == (len(stream.t) - 125) // 25 + 1
         assert X.shape == (len(starts), 2)
         assert starts[1] - starts[0] == 25
@@ -219,7 +219,7 @@ class TestWindowsDataset:
 
 class TestBalancedSubset:
     def test_exact_balance_every_draw(self, id_corpus, id_config):
-        data = windows_dataset(id_corpus, id_config,
+        data = windows_dataset(id_corpus, id_config.rqa,
                                corpus_labels(id_corpus, id_config))
         n_gesture = data.labels.count(GESTURE_WINDOW_LABEL)
         for it in range(5):
@@ -258,7 +258,7 @@ class TestTrainIdentifier:
     def test_confusion_row_sums_match_window_counts(self, id_corpus,
                                                     id_config):
         _, rep = train_identifier(id_corpus, id_config, seed=3)
-        data = windows_dataset(id_corpus, id_config,
+        data = windows_dataset(id_corpus, id_config.rqa,
                                corpus_labels(id_corpus, id_config))
         assert rep.confusion.sum() == len(data)
         assert rep.confusion[1].sum() == data.labels.count(
@@ -285,18 +285,22 @@ class TestTrainIdentifier:
 
 
 def test_geometry_round_trips_through_the_model_file(tmp_path):
-    cfg = IdentificationConfig(window=RqaWindowConfig(window_len=150, step=30),
-                               embedding=EmbeddingConfig(m=3, tau=2),
-                               rp=RpConfig(epsilon=0.3, norm="Linf"),
-                               series="gyro_z")
+    cfg = RqaConfig(series="gyro_z", window_len=150, step=30, dimension=3,
+                    delay=2, epsilon=0.3, norm="Linf")
     data = LabeledDataset(X=[[0.0, 0.1], [0.1, 0.0], [1.0, 0.9], [0.9, 1.0]],
                           labels=[ADL_LABEL] * 2 + [GESTURE_WINDOW_LABEL] * 2,
                           subjects=["s01", "s02"] * 2,
                           feature_names=["rr", "tra"])
     path = tmp_path / "id.model"
     save_model(replace(ovo_train(data, KernelConfig(kind="linear"), 1.0),
-                       rqa=cfg.rqa_fields()), path)
+                       rqa=cfg.text()), path)
     assert load_identifier(path)[1] == cfg
+    # the section's exact lines: reordering RqaConfig's fields would change
+    # every identifier file
+    lines = path.read_text().splitlines()
+    assert lines[1:9] == ["[rqa]", "series gyro_z", "window_len 150",
+                          "step 30", "dimension 3", "delay 2", "epsilon 0.3",
+                          "norm Linf"]
 
 
 class StubModel:
@@ -314,7 +318,7 @@ class StubModel:
 class TestIdentifySegments:
     def stub(self, positive_starts):
         stream = flat_stream(500)
-        cfg = IdentificationConfig()
+        cfg = RqaConfig()
         starts, _ = window_features(stream, cfg)
         return stream, cfg, StubModel(starts, set(positive_starts))
 
@@ -348,17 +352,16 @@ class TestIdentifySegments:
         rng = np.random.default_rng(seed)
         for density in np.repeat([0.0, 0.1, 0.5, 0.9, 1.0], 10):
             step = int(rng.integers(1, 40))
-            cfg = IdentificationConfig(window=RqaWindowConfig(
+            cfg = RqaConfig(
                 window_len=int(rng.integers(max(5, step), 3 * step + 6)),
-                step=step))
-            stream = flat_stream(int(rng.integers(cfg.window.window_len,
-                                                  900)))
-            starts = cfg.window.starts(len(stream))
+                step=step)
+            stream = flat_stream(int(rng.integers(cfg.window_len, 900)))
+            starts = cfg.starts(len(stream))
             positive = set(starts[rng.random(len(starts)) < density])
             model = StubModel(starts, positive)
             assert identify_segments(stream, model, cfg) == \
                 loop_identify_segments(starts, model.labels, step,
-                                       cfg.window.window_len)
+                                       cfg.window_len)
 
 
 def informative_dataset(n=40, seed=0):
@@ -416,7 +419,7 @@ class TestSelectFeatures:
         assert not is_sample_feature("gyro_x_s1")
 
     def test_default_cut_keeps_73_of_93(self):
-        names = FeatureRegistry.recognition(10).names
+        names = feature_names(10)
         r = np.random.default_rng(0)
         mean_acc = r.uniform(0.3, 0.9, len(names))
         idx = select_features(names, mean_acc, baseline=0.95)
@@ -426,7 +429,7 @@ class TestSelectFeatures:
         assert sum(is_sample_feature(nm) for nm in kept) == 30
 
     def test_keep_all_is_identity(self):
-        names = FeatureRegistry.recognition(10).names
+        names = feature_names(10)
         mean_acc = np.linspace(0.2, 0.8, len(names))
         idx = select_features(names, mean_acc, baseline=0.9, k=63)
         assert idx == list(range(93))
@@ -621,7 +624,8 @@ class TestCsvWriters:
 class TestIdentificationConfig:
     def test_defaults(self):
         cfg = IdentificationConfig()
-        assert cfg.series == "acc_y"
+        assert cfg.rqa == RqaConfig()
+        assert cfg.rqa.series == "acc_y"
         assert cfg.overlap_fraction == 0.5
         assert cfg.n_balance_iters == 100
         assert cfg.kernel.kind == "polynomial"
@@ -629,13 +633,12 @@ class TestIdentificationConfig:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            IdentificationConfig(series="acc_w")
-        with pytest.raises(ValidationError):
             IdentificationConfig(overlap_fraction=0.0)
         with pytest.raises(ValidationError):
             IdentificationConfig(overlap_fraction=1.5)
         with pytest.raises(ValidationError):
             IdentificationConfig(n_balance_iters=0)
-        with pytest.raises(ValidationError):
-            IdentificationConfig(window=RqaWindowConfig(window_len=5, step=5),
-                                 embedding=EmbeddingConfig(m=4, tau=3))
+        with pytest.raises(ValidationError, match="window shorter than the "
+                           "embedding needs"):
+            IdentificationConfig(RqaConfig(window_len=5, step=5, dimension=4,
+                                           delay=3))

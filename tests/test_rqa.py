@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gesturekit.errors import ValidationError
-from gesturekit.rqa import (NORMS, _WINDOW_CHUNK, EmbeddingConfig,
-                            RecurrencePlot, RpConfig, RqaWindowConfig,
+from gesturekit.rqa import (NORMS, _WINDOW_CHUNK, RecurrencePlot, RqaConfig,
                             ami_curve, estimate_delay, estimate_dimension,
                             fnn_fraction, recurrence_plot, recurrence_rate,
                             time_delay_embed, transitivity, windowed_rqa,
@@ -17,7 +16,7 @@ def test_embed_matches_oracle():
     rng = np.random.default_rng(1)
     r = rng.normal(size=60)
     for m, tau in [(1, 1), (2, 3), (4, 1), (3, 4)]:
-        got = time_delay_embed(r, EmbeddingConfig(m=m, tau=tau))
+        got = time_delay_embed(r, RqaConfig(dimension=m, delay=tau))
         want = naive_embed(r, m, tau)
         assert got.shape == (60 - (m - 1) * tau, m)
         assert np.array_equal(got, want)
@@ -25,14 +24,14 @@ def test_embed_matches_oracle():
 
 def test_embed_too_short():
     with pytest.raises(ValidationError):
-        time_delay_embed(np.arange(5.0), EmbeddingConfig(m=6, tau=1))
+        time_delay_embed(np.arange(5.0), RqaConfig(dimension=6, delay=1))
 
 
 def test_recurrence_plot_matches_oracle_small():
     rng = np.random.default_rng(2)
     states = rng.normal(size=(30, 3))
     for norm in ("L1", "L2", "Linf"):
-        plot = recurrence_plot(states, RpConfig(epsilon=1.2, norm=norm))
+        plot = recurrence_plot(states, RqaConfig(epsilon=1.2, norm=norm))
         want = naive_recurrence_matrix(states, 1.2, norm)
         assert np.array_equal(plot.matrix, want)
 
@@ -40,7 +39,7 @@ def test_recurrence_plot_matches_oracle_small():
 def test_recurrence_plot_tie_is_recurrence():
     # exact distance 1 at threshold 1: Heaviside(0) counts as recurrent
     states = np.array([[0.0], [1.0], [3.0]])
-    plot = recurrence_plot(states, RpConfig(epsilon=1.0, norm="L2"))
+    plot = recurrence_plot(states, RqaConfig(epsilon=1.0, norm="L2"))
     assert plot.matrix[0, 1] == 1 and plot.matrix[1, 0] == 1
     assert plot.matrix[0, 2] == 0
 
@@ -57,8 +56,8 @@ def test_recurrence_plot_rejects_other_matrices(matrix):
 def test_rqa_values_match_oracles():
     rng = np.random.default_rng(3)
     r = rng.normal(size=80)
-    states = time_delay_embed(r, EmbeddingConfig(m=3, tau=2))
-    plot = recurrence_plot(states, RpConfig(epsilon=1.0, norm="L2"))
+    states = time_delay_embed(r, RqaConfig(dimension=3, delay=2))
+    plot = recurrence_plot(states, RqaConfig(epsilon=1.0, norm="L2"))
     assert recurrence_rate(plot) == pytest.approx(
         naive_recurrence_rate(plot.matrix))
     assert transitivity(plot) == pytest.approx(
@@ -70,7 +69,7 @@ def test_rqa_invariant_ranges():
     for _ in range(10):
         states = rng.normal(size=(40, 4))
         eps = float(rng.uniform(0.2, 3.0))
-        plot = recurrence_plot(states, RpConfig(epsilon=eps, norm="L2"))
+        plot = recurrence_plot(states, RqaConfig(epsilon=eps, norm="L2"))
         m = plot.matrix
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 1)
@@ -81,7 +80,7 @@ def test_rqa_invariant_ranges():
 def test_rr_monotone_in_epsilon():
     rng = np.random.default_rng(5)
     states = rng.normal(size=(50, 4))
-    rates = [recurrence_rate(recurrence_plot(states, RpConfig(epsilon=e)))
+    rates = [recurrence_rate(recurrence_plot(states, RqaConfig(epsilon=e)))
              for e in (0.2, 0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
 
@@ -89,7 +88,7 @@ def test_rr_monotone_in_epsilon():
 def test_transitivity_empty_graph_is_zero():
     # far-apart states: only the forced diagonal, which transitivity drops
     states = np.array([[0.0], [10.0], [20.0]])
-    plot = recurrence_plot(states, RpConfig(epsilon=0.5))
+    plot = recurrence_plot(states, RqaConfig(epsilon=0.5))
     assert transitivity(plot) == 0.0
 
 
@@ -139,8 +138,52 @@ def test_estimate_dimension_warns_at_cap():
     assert m == 2
 
 
+class TestRqaConfig:
+    @pytest.mark.parametrize("settings,message", [
+        ({"series": "acc_w"}, "unknown channel"),
+        ({"step": 0}, "need 0 < step <= window_len"),
+        ({"step": 126}, "need 0 < step <= window_len"),
+        ({"dimension": 0}, "m >= 1 and tau >= 1"),
+        ({"delay": 0}, "m >= 1 and tau >= 1"),
+        ({"epsilon": 0.0}, "epsilon must be positive and finite"),
+        ({"epsilon": np.inf}, "epsilon must be positive and finite"),
+        ({"norm": "L7"}, "norm must be one of"),
+    ])
+    def test_each_field_checked(self, settings, message):
+        with pytest.raises(ValidationError, match=message):
+            RqaConfig(**settings)
+
+    def test_parse_types_each_value_by_its_field(self):
+        text = {"series": "gyro_z", "window_len": "150", "step": "30",
+                "dimension": "3", "delay": "2", "epsilon": "0.3",
+                "norm": "Linf", "other": "ignored"}
+        cfg = RqaConfig.parse(text)
+        assert cfg == RqaConfig(series="gyro_z", window_len=150, step=30,
+                                dimension=3, delay=2, epsilon=0.3,
+                                norm="Linf")
+        assert RqaConfig.parse({"step": 5}) == RqaConfig(step=5)
+        with pytest.raises(ValueError):
+            RqaConfig.parse({"delay": "1.5"})
+
+    def test_text_round_trips_through_parse(self):
+        cfg = RqaConfig(epsilon=0.1 + 0.2)
+        assert dict(cfg.text())["epsilon"] == "0.30000000000000004"
+        assert RqaConfig.parse(dict(cfg.text())) == cfg
+        assert [k for k, _ in RqaConfig().text()] == [
+            "series", "window_len", "step", "dimension", "delay", "epsilon",
+            "norm"]
+
+    def test_check_window(self):
+        # 5 - 3 * 1 = 2 states fit; 5 - 3 * 2 = -1 do not
+        RqaConfig(window_len=5, step=5, dimension=4, delay=1).check_window()
+        wide = RqaConfig(window_len=5, step=5, dimension=4, delay=2)
+        with pytest.raises(ValidationError,
+                           match="window shorter than the embedding needs"):
+            wide.check_window()
+
+
 def test_window_count_formula():
-    win = RqaWindowConfig(window_len=125, step=25)
+    win = RqaConfig(window_len=125, step=25)
     for n in (125, 126, 149, 150, 300, 1000):
         assert win.n_windows(n) == (n - 125) // 25 + 1
         assert len(win.starts(n)) == win.n_windows(n)
@@ -150,37 +193,41 @@ def test_window_count_formula():
 def test_windowed_rqa_layout():
     rng = np.random.default_rng(9)
     r = rng.normal(size=300)
-    win = RqaWindowConfig(window_len=125, step=25)
-    X = windowed_rqa(r, EmbeddingConfig(), RpConfig(), win)
+    win = RqaConfig(window_len=125, step=25)
+    X = windowed_rqa(r, win)
     assert len(X) == 8
     assert X.shape == (8, 2) and X.dtype == np.float64
     assert win.starts(len(r)).tolist() == list(range(0, 200, 25))
     # each window is quantified independently of its neighbours
-    solo = windowed_rqa(r[50:175], EmbeddingConfig(), RpConfig(), win)
+    solo = windowed_rqa(r[50:175], win)
     assert X[2, 0] == solo[0, 0]
     assert X[2, 1] == solo[0, 1]
 
 
-def window_table(series, emb, rp, win):
+def window_table(series, cfg):
     """(start, rr, tra) of each window from ``windowed_rqa``."""
-    X = windowed_rqa(series, emb, rp, win)
+    X = windowed_rqa(series, cfg)
     return [(start, rr, tra) for start, (rr, tra)
-            in zip(win.starts(len(series)).tolist(), X.tolist())]
+            in zip(cfg.starts(len(series)).tolist(), X.tolist())]
 
 
-def per_window_reference(series, emb, rp, win):
+def per_window_reference(series, cfg):
     """(start, rr, tra) of each window from its own plot and the oracles."""
     out = []
-    for start in range(0, len(series) - win.window_len + 1, win.step):
-        window = series[start: start + win.window_len]
-        plot = recurrence_plot(naive_embed(window, emb.m, emb.tau), rp)
+    for start in range(0, len(series) - cfg.window_len + 1, cfg.step):
+        window = series[start: start + cfg.window_len]
+        plot = recurrence_plot(naive_embed(window, cfg.dimension, cfg.delay),
+                               cfg)
         out.append((start, naive_recurrence_rate(plot.matrix),
                     naive_transitivity(plot.matrix)))
     return out
 
 
-EXACT_WIN = RqaWindowConfig(window_len=20, step=3)
-EXACT_EMB = EmbeddingConfig(m=3, tau=2)
+def exact(**rp):
+    """Short windows (20 samples, step 3, m=3, tau=2) and ``rp``."""
+    return RqaConfig(window_len=20, step=3, dimension=3, delay=2, **rp)
+
+
 EXACT_N = 20 + (2 * _WINDOW_CHUNK + 4) * 3   # 3 chunks, the last partial
 
 
@@ -188,10 +235,10 @@ EXACT_N = 20 + (2 * _WINDOW_CHUNK + 4) * 3   # 3 chunks, the last partial
 def test_windowed_rqa_bit_equals_per_window_oracle(norm):
     rng = np.random.default_rng(12)
     r = np.cumsum(rng.normal(scale=0.1, size=EXACT_N))
-    rp = RpConfig(epsilon=0.3, norm=norm)
-    got = window_table(r, EXACT_EMB, rp, EXACT_WIN)
+    cfg = exact(epsilon=0.3, norm=norm)
+    got = window_table(r, cfg)
     assert len(got) > _WINDOW_CHUNK and len(got) % _WINDOW_CHUNK != 0
-    want = per_window_reference(r, EXACT_EMB, rp, EXACT_WIN)
+    want = per_window_reference(r, cfg)
     assert got == want            # exact: no tolerance
     assert len({tra for _, _, tra in got}) > 30     # not a trivial graph
 
@@ -201,26 +248,26 @@ def test_windowed_rqa_bit_equals_per_window_oracle(norm):
     (100.0 * np.arange(EXACT_N), 1.0 / 16, 0.0),    # only the diagonal
 ], ids=["constant", "far-apart"])
 def test_windowed_rqa_extreme_graphs(series, rr, tra):
-    rp = RpConfig(epsilon=0.1)
-    got = window_table(series, EXACT_EMB, rp, EXACT_WIN)
-    assert got == per_window_reference(series, EXACT_EMB, rp, EXACT_WIN)
+    cfg = exact(epsilon=0.1)
+    got = window_table(series, cfg)
+    assert got == per_window_reference(series, cfg)
     assert {(a, b) for _, a, b in got} == {(rr, tra)}
 
 
 def test_windowed_rqa_rejects_short_input():
     with pytest.raises(ValidationError):
-        windowed_rqa(np.zeros(100), EmbeddingConfig(), RpConfig(),
-                     RqaWindowConfig(window_len=125, step=25))
-    with pytest.raises(ValidationError):
-        windowed_rqa(np.zeros(200), EmbeddingConfig(m=30, tau=5), RpConfig(),
-                     RqaWindowConfig(window_len=125, step=25))
+        windowed_rqa(np.zeros(100), RqaConfig(window_len=125, step=25))
+    with pytest.raises(ValidationError, match="window shorter than the "
+                       "embedding needs"):
+        windowed_rqa(np.zeros(200), RqaConfig(window_len=125, step=25,
+                                              dimension=30, delay=5))
 
 
 def test_rqa_csv_and_pgm(tmp_path):
     rng = np.random.default_rng(10)
     r = rng.normal(size=150)
-    win = RqaWindowConfig()
-    X = windowed_rqa(r, EmbeddingConfig(), RpConfig(), win)
+    win = RqaConfig()
+    X = windowed_rqa(r, win)
     p = tmp_path / "f.csv"
     write_rqa_csv(win.starts(len(r)), X, p)
     lines = p.read_text().splitlines()
@@ -230,8 +277,7 @@ def test_rqa_csv_and_pgm(tmp_path):
     assert float(first[1]) == X[0, 0]
     assert float(first[2]) == X[0, 1]
 
-    plot = recurrence_plot(time_delay_embed(r, EmbeddingConfig()),
-                           RpConfig())
+    plot = recurrence_plot(time_delay_embed(r, RqaConfig()), RqaConfig())
     img = tmp_path / "rp.pgm"
     write_rp_pgm(plot, img)
     blob = img.read_bytes()

@@ -8,11 +8,11 @@ import pytest
 
 from gesturekit import svm
 from gesturekit.errors import ConvergenceError, ParseError, ValidationError
-from gesturekit.features import FeatureRegistry, Scaler
+from gesturekit.features import Scaler
 from gesturekit.imu import LabeledDataset
+from gesturekit.pipeline import IdentificationConfig, SvmTrainer
 from gesturekit.svm import (
     KERNEL_KINDS,
-    PRESETS,
     KernelConfig,
     OvoSvmModel,
     dual_objective,
@@ -84,16 +84,16 @@ class TestKernelConfig:
                 KernelConfig(kind=kind, gamma=0.5, coef0=value)
 
     def test_presets(self):
-        ident, ident_cost = PRESETS["identification"]
-        assert ident.kind == "polynomial"
-        assert ident.gamma == 0.95
-        assert ident.degree == 3
-        assert ident.coef0 == 2.0
-        assert ident_cost == 3.0
-        recog, recog_cost = PRESETS["recognition"]
-        assert recog.kind == "radial"
-        assert recog.gamma == 0.005
-        assert recog_cost == 1.0
+        ident = IdentificationConfig()
+        assert ident.kernel.kind == "polynomial"
+        assert ident.kernel.gamma == 0.95
+        assert ident.kernel.degree == 3
+        assert ident.kernel.coef0 == 2.0
+        assert ident.cost == 3.0
+        recog = SvmTrainer()
+        assert recog.kernel.kind == "radial"
+        assert recog.kernel.gamma == 0.005
+        assert recog.cost == 1.0
 
 
 class TestGram:
@@ -372,7 +372,7 @@ class TestDecisionValue:
                            cost=1.0, sv=np.reshape(sv, (-1, 2)), coef=coef,
                            bias=np.array([0.1, -0.2, 0.3]),
                            scaler=Scaler(np.zeros(2), np.ones(2)),
-                           registry=FeatureRegistry(("f0", "f1")))
+                           feature_names=("f0", "f1"))
 
     def test_matches_hand_computation(self):
         model = self.build_model()
@@ -575,7 +575,7 @@ class TestPersistence:
         back = load_model(path)
         assert back.classes == model.classes
         assert back.pairs == model.pairs
-        assert list(back.registry.names) == list(model.registry.names)
+        assert back.feature_names == model.feature_names
         assert np.array_equal(back.scaler.mean, model.scaler.mean)
         assert np.array_equal(back.scaler.std, model.scaler.std)
         assert back.cfg == model.cfg and back.cost == model.cost
@@ -669,6 +669,18 @@ class TestPersistence:
         lines[idx] = "mean 1.0 oops 2.0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
+            load_model(path)
+
+    def test_duplicate_feature_name_rejected(self, trained, tmp_path):
+        _, model = trained
+        path = tmp_path / "m.gkmodel"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        first = lines.index("[registry]") + 1
+        lines[first + 1] = lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="inconsistent model: duplicate "
+                           "feature names"):
             load_model(path)
 
     def test_whitespace_class_name_rejected_on_save(self, trained, tmp_path):
