@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import (DEFAULT_SAMPLES, STAT_NAMES, check_samples,
-                       featurize_segments, is_sample_feature, read_feature_csv,
-                       sample_count, write_feature_csv)
+                       feature_names, featurize_segments, read_feature_csv,
+                       write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
                   parse_label_csv, read_text, write_file)
@@ -154,24 +154,15 @@ def _load_streams(folder):
     return pairs
 
 
-def _load_segments(root):
-    return cut_segments(_load_streams(_data_dir(root, "recognition")))
-
-
-def _feature_columns(names, which: str):
-    if which == "full":
-        return None
-    want_samples = which == "samples"
-    return [i for i, nm in enumerate(names)
-            if is_sample_feature(nm) == want_samples]
-
-
 def _segment_dataset(args) -> LabeledDataset:
     check_samples(args.samples)
-    dataset = featurize_segments(_load_segments(args.data),
-                                 n_samples=args.samples)
-    cols = _feature_columns(dataset.feature_names, args.features)
-    return dataset if cols is None else dataset.take(columns=cols)
+    names = feature_names(args.samples)
+    # feature_names lists the 63 statistics, then the samples
+    names = {"full": names, "stats": STAT_NAMES,
+             "samples": names[len(STAT_NAMES):]}[args.features]
+    return featurize_segments(
+        cut_segments(_load_streams(_data_dir(args.data, "recognition"))),
+        names)
 
 
 def read_params(path) -> dict[str, str]:
@@ -296,16 +287,9 @@ def _cmd_train_recognizer(args) -> int:
 def _cmd_recognize(args) -> int:
     model = load_model(args.model)
     dataset = featurize_segments([(parse_imu_csv(args.infile), "")],
-                                 sample_count(model.feature_names))
-    index = {nm: i for i, nm in enumerate(dataset.feature_names)}
-    try:
-        cols = [index[nm] for nm in model.feature_names]
-    except KeyError as exc:
-        raise ValidationError(
-            f"model expects feature {exc.args[0]!r}, which segment "
-            "featurization does not produce") from None
+                                 model.feature_names)
     votes, margins = vote_tally(model.classes, model.pairs,
-                                model.decision_matrix(dataset.X[:, cols]))
+                                model.decision_matrix(dataset.X))
     ranking = vote_ranking(votes, margins)[0]
     print(model.classes[ranking[0]])
     print("votes: " + ", ".join(f"{model.classes[i]}={votes[0, i]}"

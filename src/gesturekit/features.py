@@ -11,8 +11,9 @@ convention, and kurtosis is the non-excess m4/m2^2.
 
 ``featurize_segments`` is the one featurizer: training, evaluation and
 ``recognize`` all build their rows through it, one pass per segment over
-all 9 channels. This module alone knows the sample-name format
-``acc_{axis}_s{i}`` (``is_sample_feature``, ``sample_count``).
+all 9 channels, and it alone picks columns by name. This module alone
+knows the sample-name format ``acc_{axis}_s{i}`` (``is_sample_feature``,
+``sample_count``).
 """
 
 from __future__ import annotations
@@ -73,16 +74,26 @@ def resample_linear(series, n_samples: int) -> np.ndarray:
     return np.interp(pos, np.arange(len(x), dtype=np.float64), x)
 
 
-def featurize_segments(segments, n_samples: int = DEFAULT_SAMPLES) -> LabeledDataset:
-    """Build a LabeledDataset from (segment, label) pairs."""
+def featurize_segments(segments, names=feature_names()) -> LabeledDataset:
+    """A LabeledDataset of (segment, label) pairs with exactly the columns
+    ``names``, in order, picked by name from the rows of
+    ``feature_names(sample_count(names))``."""
+    names = tuple(names)
+    n_samples = sample_count(names)
+    full = feature_names(n_samples)
+    if unknown := [nm for nm in names if nm not in full]:
+        raise ValidationError(f"model expects feature {unknown[0]!r}, which "
+                              "segment featurization does not produce")
     segments = list(segments)
     if not segments:
         raise ValidationError("no segments to featurize")
     X = np.vstack([_segment_row(seg, n_samples) for seg, _ in segments])
+    if names != full:   # the whole set keeps vstack's C order
+        X = X[:, [full.index(nm) for nm in names]]
     labels = [label for _, label in segments]
     subjects = [seg.subject_id for seg, _ in segments]
     return LabeledDataset(X=X, labels=labels, subjects=subjects,
-                          feature_names=list(feature_names(n_samples)))
+                          feature_names=list(names))
 
 
 def _segment_row(segment: ImuStream, n_samples: int) -> np.ndarray:

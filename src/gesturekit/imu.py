@@ -1,9 +1,13 @@
 """IMU data model: streams, gesture labels, datasets, CSV ingestion.
 
+A stream is a subject id plus its channel rows, row i being sample i; a
+segment is a read-only row view of the stream it is cut from.
+
 File formats
 ------------
 Stream CSV  header: ``t,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,mag_x,mag_y,mag_z``
-            one row per sample, decimal point, UTF-8, LF or CRLF.
+            one row per sample, decimal point, UTF-8, LF or CRLF; ``t``
+            counts up by one from any start, and is written from 0.
 Label CSV   header: ``start,end,label,subject`` with half-open sample
             intervals ``[start, end)`` and labels from the 12-gesture
             dictionary or ``ADL``.
@@ -42,35 +46,27 @@ def canonical_class_order(labels) -> list[str]:
 
 @dataclass(frozen=True)
 class ImuStream:
-    """Immutable uniformly-sampled 9-channel sensor sequence.
+    """One subject's uniformly sampled 9-channel sequence.
 
-    ``channels`` is an (N, 9) float array in CHANNELS order; ``t`` is the
-    contiguous integer sample index.
+    ``channels`` is a read-only (N, 9) float array in CHANNELS order, one
+    row per sample; the sample index is the row number.
     """
     subject_id: str
-    t: np.ndarray
     channels: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.int64)
         ch = np.asarray(self.channels, dtype=np.float64)
         if ch.ndim != 2 or ch.shape[1] != 9:
             raise ValidationError(f"channels must be (N, 9), got {ch.shape}")
-        if len(t) != len(ch):
-            raise ValidationError("t and channels length mismatch")
-        if len(t) == 0:
+        if len(ch) == 0:
             raise ValidationError("empty stream")
         if not np.all(np.isfinite(ch)):
             raise ValidationError("non-finite channel value")
-        if len(t) > 1 and not np.all(np.diff(t) == 1):
-            raise ValidationError("sample index must be contiguous")
-        object.__setattr__(self, "t", t)
         object.__setattr__(self, "channels", ch)
-        t.setflags(write=False)
         ch.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.channels)
 
     def channel(self, name: str) -> np.ndarray:
         """Single channel by name, e.g. ``acc_y``."""
@@ -283,14 +279,14 @@ def parse_imu_csv(path) -> ImuStream:
         # min keeps the first of equal rows, so the precedence order holds
         row, message = min(problems, key=lambda p: p[0])
         raise ParseError(f"{path}: {message}")
-    return ImuStream(subject_id=path.stem, t=t, channels=ch)
+    return ImuStream(subject_id=path.stem, channels=ch)
 
 
 def write_imu_csv(stream: ImuStream, path) -> None:
-    """Serialize a stream; numeric content survives a parse round-trip."""
+    """Serialize a stream indexed from 0; values survive a parse round-trip."""
     write_file(path, ",".join(STREAM_HEADER) + "\n" + "".join(
-        ",".join([str(int(t))] + [format_float(v) for v in row]) + "\n"
-        for t, row in zip(stream.t, stream.channels)))
+        ",".join([str(i)] + [format_float(v) for v in row]) + "\n"
+        for i, row in enumerate(stream.channels)))
 
 
 def parse_label_csv(path) -> list[LabeledInterval]:
@@ -331,16 +327,14 @@ def write_label_csv(intervals, path) -> None:
 
 
 def extract_segment(stream: ImuStream, interval: LabeledInterval) -> ImuStream:
-    """Cut [start, end) out of a stream. The segment is re-originated to
-    sample index 0 and keeps the subject id."""
+    """Rows [start, end) of a stream as a segment with the same subject id:
+    a read-only view that shares the stream's memory."""
     if interval.end > len(stream):
         raise ValidationError(
             f"interval [{interval.start}, {interval.end}) out of bounds "
             f"for stream of length {len(stream)}")
-    n = interval.end - interval.start
-    return ImuStream(subject_id=stream.subject_id,
-                     t=np.arange(n, dtype=np.int64),
-                     channels=stream.channels[interval.start:interval.end].copy())
+    return ImuStream(stream.subject_id,
+                     stream.channels[interval.start:interval.end])
 
 
 def cut_segments(pairs) -> list[tuple[ImuStream, str]]:

@@ -25,6 +25,10 @@ from .imu import CHANNELS, format_float, write_file
 NORMS = ("L1", "L2", "Linf")
 _CDIST_METRIC = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
 
+# distance rows per cdist call in _threshold: a plot of n states needs its
+# n^2 uint8 cells, never n^2 float64 distances
+_THRESHOLD_ROWS = 256
+
 # windows counted per batch by windowed_rqa. 32 x 121^2 float32 is 1.9 MB;
 # 64 ran no faster and raised a spot run's peak RSS by 3.5 MB.
 _WINDOW_CHUNK = 32
@@ -146,9 +150,13 @@ def time_delay_embed(series, cfg: RqaConfig) -> np.ndarray:
 
 def _threshold(states, cfg: RqaConfig, out: np.ndarray) -> None:
     """Write ``||x_i - x_j|| <= epsilon`` for every state pair into ``out``
-    (any numeric dtype; 1 for a recurrence, 0 otherwise)."""
-    dist = cdist(states, states, metric=_CDIST_METRIC[cfg.norm])
-    np.less_equal(dist, cfg.epsilon, out=out)
+    (any numeric dtype; 1 for a recurrence, 0 otherwise), in blocks of rows.
+    ``cdist`` computes each distance on its own, so the blocks change no bit.
+    """
+    for lo in range(0, len(states), _THRESHOLD_ROWS):
+        block = slice(lo, lo + _THRESHOLD_ROWS)
+        np.less_equal(cdist(states[block], states, _CDIST_METRIC[cfg.norm]),
+                      cfg.epsilon, out=out[block])
 
 
 def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:

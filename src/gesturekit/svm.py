@@ -37,6 +37,7 @@ from .imu import read_text, write_file
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
 
 KKT_TOL = 1e-3      # solver stopping tolerance on the KKT gap
+MIN_STEPS = 10_000  # floor of the default step budget, max(MIN_STEPS, 100n)
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ def smo_solve(K, y, cost, tol=KKT_TOL, max_iter=None):
     ``smo_solve_stack`` on a stack of one: the lockstep loop that
     ``ovo_train`` runs over all class pairs at once, which documents the
     steps and why a problem's result is bit-equal in any stack. ``max_iter``
-    (default 100n) budgets the steps, past which a ConvergenceError is
-    raised instead of returning a half-optimized model.
+    (default max(MIN_STEPS, 100n)) budgets the steps, past which a
+    ConvergenceError is raised instead of returning a half-optimized model.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -141,8 +142,8 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
     a result depends on its own inputs alone. Curvature a <= 0 (an
     indefinite kernel) is floored at 1e-12. A problem leaves the stack
     once its gap max g(I_up) - min g(I_low) is at most ``tol``; one that
-    is still open after its ``max_iter`` steps (default 100n for its own
-    n) raises ConvergenceError.
+    is still open after its ``max_iter`` steps (default max(MIN_STEPS,
+    100n) for its own n, a floor as in LIBSVM) raises ConvergenceError.
 
     The problems are zero-padded to a common size n, and a padded row sits
     in neither I_up nor I_low, so it never wins an argmax. Every step runs
@@ -160,8 +161,8 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
     for p, (Kp, yp) in enumerate(zip(Ks, ys)):
         K[p, :len(yp), :len(yp)] = Kp
         y[p, :len(yp)] = yp
-    budget = np.array([100 * m if max_iter is None else max_iter
-                       for m in sizes])
+    budget = np.array([max(MIN_STEPS, 100 * m) if max_iter is None
+                       else max_iter for m in sizes])
     # v = alpha y lives in the box [lo, hi] (lo is exactly hi - cost on a
     # real row), which is empty on padded rows; g = y - K v is the
     # gradient. The loop keeps the rows of open problems, ids ``live``.

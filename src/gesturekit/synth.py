@@ -29,8 +29,8 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .errors import ValidationError
-from .imu import (GESTURES, ImuStream, LabeledInterval, cut_segments,
-                  write_file, write_imu_csv, write_label_csv)
+from .imu import (GESTURES, ImuStream, LabeledInterval, write_file,
+                  write_imu_csv, write_label_csv)
 from .seeding import ADL, NOISE, SEGMENT, SUBJECT, derive_rng
 
 GRAVITY_MS2 = 9.81
@@ -205,7 +205,6 @@ def trajectory_to_imu(positions, profile: SubjectProfile, rate_hz: float,
     mag += rng.normal(0.0, 1.0, P.shape) * profile.noise_mag
 
     return ImuStream(subject_id=profile.subject_id,
-                     t=np.arange(len(P), dtype=np.int64),
                      channels=np.hstack([acc, gyro, mag]))
 
 
@@ -360,10 +359,6 @@ class SynthResult:
     recognition: list[tuple[ImuStream, list[LabeledInterval]]]
     identification: list[tuple[ImuStream, list[LabeledInterval]]]
     manifest: dict
-
-    def segments(self):
-        """Recognition (segment, label) pairs cut at ground-truth bounds."""
-        return cut_segments(self.recognition)
 
 
 def generate_dataset(cfg: SynthConfig, mapper=map) -> SynthResult:

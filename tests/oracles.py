@@ -253,8 +253,9 @@ def loop_smo_solve(K, y, cost, tol=1e-3, max_iter=None):
     """The one-problem WSS2 loop that the lockstep SMO stack replaced.
 
     Kept verbatim as a differential oracle (only its two error types are
-    builtins here): the stacked solve must return the same alpha and bias,
-    bit for bit.
+    builtins here, and its default budget has the solver's 10 000-step
+    floor): the stacked solve must return the same alpha and bias, bit for
+    bit.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -264,7 +265,7 @@ def loop_smo_solve(K, y, cost, tol=1e-3, max_iter=None):
     if not 0.0 < cost < np.inf:
         raise ValueError("cost must be positive and finite")
     if max_iter is None:
-        max_iter = 100 * n
+        max_iter = max(10_000, 100 * n)
 
     # v = alpha y lives in the box [lo, hi]; g = y - K v is the gradient
     v = np.zeros(n)

@@ -20,7 +20,7 @@ from oracles import (duality_gap, naive_embed, naive_recurrence_matrix,
 
 from gesturekit.cli import dispatch
 from gesturekit.features import featurize_segments, is_sample_feature
-from gesturekit.imu import LabeledDataset
+from gesturekit.imu import LabeledDataset, cut_segments
 from gesturekit.pipeline import (IdentificationConfig, SvmTrainer,
                                  loso_evaluate, permutation_importance,
                                  train_identifier, write_report_csv)
@@ -45,7 +45,7 @@ def corpus():
     """Featurized default corpus (15 subjects x 12 gestures x 5 reps)."""
     t0 = time.perf_counter()
     result = generate_dataset(SynthConfig(seed=MASTER_SEED))
-    dataset = featurize_segments(result.segments())
+    dataset = featurize_segments(cut_segments(result.recognition))
     return dataset, time.perf_counter() - t0
 
 
@@ -268,7 +268,7 @@ def test_07_noise_augmentation_does_not_degrade(corpus, eval_plain,
 def test_08_identifier_balanced_accuracy_on_sparse_streams(identification):
     streams, report, elapsed = identification
     gesture = sum(len(iv) for _, ivs in streams for iv in ivs)
-    total = sum(len(s.t) for s, _ in streams)
+    total = sum(len(s) for s, _ in streams)
     prevalence = gesture / total
     assert 0.001 < prevalence < 0.01
     ok = (len(report.folds) == 4 and report.mean_balanced >= 0.80

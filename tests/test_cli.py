@@ -15,8 +15,8 @@ from gesturekit.cli import _kernel_from, build_parser, dispatch, read_params
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv
 from gesturekit.forest import ForestConfig
-from gesturekit.imu import extract_segment, parse_imu_csv, parse_label_csv, \
-    write_imu_csv
+from gesturekit.imu import cut_segments, extract_segment, parse_imu_csv, \
+    parse_label_csv, write_imu_csv
 from gesturekit import pipeline
 from gesturekit.pipeline import IdentificationConfig, SvmTrainer
 from gesturekit.rqa import RqaConfig
@@ -446,6 +446,17 @@ class TestTrainIdentifier:
                               "step 25", "dimension 4", "delay 1",
                               "epsilon 0.1", "norm L2"]
 
+    def test_low_rank_draw_converges(self, spot_corpus, tmp_path, capsys):
+        # one 30-row draw of this geometry has a rank-10 polynomial Gram;
+        # its solve needs 3943 steps, more than 100n = 3000
+        model = tmp_path / "gyro_z.model"
+        assert dispatch(["train-identifier", "--data", str(spot_corpus),
+                         "--out", str(model), "--series", "gyro_z",
+                         "--window-len", "150", "--step", "30",
+                         "--iterations", "10", "--seed", "20"]) == 0
+        assert model.exists()
+        assert capsys.readouterr().out.startswith("folds=4 ")
+
 
 @pytest.fixture(scope="module")
 def spot_corpus(tmp_path_factory):
@@ -748,11 +759,12 @@ class TestImportance:
 class TestAugment:
     def test_doubles_feature_table(self, data_dir, recognizer, tmp_path,
                                    capsys):
-        from gesturekit.cli import _load_segments
+        from gesturekit.cli import _load_streams
         from gesturekit.features import featurize_segments, \
             read_feature_csv, write_feature_csv
         table = tmp_path / "features.csv"
-        dataset = featurize_segments(_load_segments(data_dir))
+        dataset = featurize_segments(
+            cut_segments(_load_streams(data_dir / "recognition")))
         write_feature_csv(dataset, table)
         out = tmp_path / "augmented.csv"
         assert dispatch(["augment", "--in", str(table),

@@ -14,13 +14,13 @@ from oracles import loop_channel_statistics
 def make_segment(n=60, seed=0, subject="s01"):
     rng = np.random.default_rng(seed)
     return ImuStream(subject_id=subject,
-                     t=np.arange(n, dtype=np.int64),
                      channels=rng.normal(size=(n, 9)))
 
 
 def row(segment, n_samples=DEFAULT_SAMPLES):
     """The featurizer's row for one segment."""
-    return featurize_segments([(segment, "Up")], n_samples).X[0]
+    return featurize_segments([(segment, "Up")],
+                              feature_names(n_samples)).X[0]
 
 
 def channel_block(segment, c):
@@ -41,8 +41,7 @@ def test_registry_shapes_and_names():
 
 def test_channel_statistics_known_values():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    seg = ImuStream(subject_id="s01", t=np.arange(4, dtype=np.int64),
-                    channels=np.tile(x[:, None], (1, 9)))
+    seg = ImuStream(subject_id="s01", channels=np.tile(x[:, None], (1, 9)))
     for c in range(9):
         mean, med, rms, std, var, skew, kurt = channel_block(seg, c)
         assert mean == 2.5
@@ -58,8 +57,7 @@ def test_channel_statistics_known_values():
 def test_channel_statistics_constant_input():
     ch = np.random.default_rng(0).normal(size=(10, 9))
     ch[:, 4] = 3.0
-    seg = ImuStream(subject_id="s01", t=np.arange(10, dtype=np.int64),
-                    channels=ch)
+    seg = ImuStream(subject_id="s01", channels=ch)
     mean, med, rms, std, var, skew, kurt = channel_block(seg, 4)
     assert (mean, med, std, var) == (3.0, 3.0, 0.0, 0.0)
     assert rms == pytest.approx(3.0)
@@ -94,9 +92,7 @@ def test_featurize_segments_matches_channel_oracle_bytes():
             ch[:, c] = rng.choice([0.0, 3.0, 50.3, 49.7 + 1e-9, -0.1])
         if rng.random() < 0.3:
             ch[rng.integers(n), rng.integers(9)] += 1e-13
-        segments.append((ImuStream(subject_id="s01",
-                                   t=np.arange(n, dtype=np.int64),
-                                   channels=ch), "Up"))
+        segments.append((ImuStream(subject_id="s01", channels=ch), "Up"))
     want = []
     for seg, _ in segments:
         cells = []
@@ -156,6 +152,33 @@ def test_featurize_segments_dataset():
     assert ds.subjects == ["s0", "s1", "s0", "s1"]
     with pytest.raises(ValidationError):
         featurize_segments([])
+
+
+def test_featurize_segments_picks_columns_by_name():
+    pairs = [(make_segment(30 + i, seed=i), "Up") for i in range(5)]
+    full = featurize_segments(pairs, feature_names(7))
+    names = list(np.random.default_rng(8).permutation(feature_names(7)))[:40]
+    got = featurize_segments(pairs, names)
+    assert got.feature_names == names
+    for k, nm in enumerate(names):
+        col = full.X[:, full.feature_names.index(nm)]
+        assert got.X[:, k].tobytes() == col.tobytes()
+
+
+def test_featurize_segments_rejects_an_unknown_name():
+    with pytest.raises(ValidationError) as info:
+        featurize_segments([(make_segment(), "Up")],
+                           STAT_NAMES + ("acc_w_mean",))
+    assert str(info.value) == ("model expects feature 'acc_w_mean', which "
+                               "segment featurization does not produce")
+
+
+def test_full_feature_set_is_c_ordered():
+    # Scaler.fit's column means round by layout, and the model files'
+    # [scaler] bits were fixed with the stacked, C-ordered rows
+    pairs = [(make_segment(40, seed=i), "Up") for i in range(6)]
+    for n in (4, DEFAULT_SAMPLES):
+        assert featurize_segments(pairs, feature_names(n)).X.flags.c_contiguous
 
 
 def test_scaler_and_standardize():

@@ -160,7 +160,7 @@ def test_params_text(workdir, text):
 
 def write_stream(path, n=6):
     r = np.random.default_rng(1)
-    write_imu_csv(ImuStream(subject_id="s01", t=np.arange(n),
+    write_imu_csv(ImuStream(subject_id="s01",
                             channels=r.normal(size=(n, 9))), path)
 
 

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from gesturekit.imu import (_BLOCK_ROWS, ADL_LABEL, CHANNELS, GESTURES,
 def make_stream(n=40, subject="s01", seed=0):
     rng = np.random.default_rng(seed)
     return ImuStream(subject_id=subject,
-                     t=np.arange(n, dtype=np.int64),
                      channels=rng.normal(size=(n, 9)))
 
 
@@ -46,7 +46,6 @@ def test_imu_csv_roundtrip(tmp_path):
     write_imu_csv(s, p)
     back = parse_imu_csv(p)
     assert back.subject_id == "s"          # default: file stem
-    assert np.array_equal(back.t, s.t)
     assert np.array_equal(back.channels, s.channels)
 
 
@@ -192,7 +191,6 @@ def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
     p = tmp_path / "s.csv"
     p.write_bytes(("\r\n".join(spaced) + "\r\n").encode())
     back = parse_imu_csv(p)
-    assert np.array_equal(back.t, stream.t)
     assert np.array_equal(back.channels, stream.channels)
 
 
@@ -225,10 +223,34 @@ def test_extract_segment_reoriginates():
     s = make_stream(50)
     seg = extract_segment(s, LabeledInterval(10, 30, "Up", "s01"))
     assert len(seg) == 20
-    assert seg.t[0] == 0
     assert np.array_equal(seg.channels, s.channels[10:30])
+    # a read-only row view of the stream, not a copy
+    assert seg.subject_id == s.subject_id
+    assert np.shares_memory(seg.channels, s.channels)
+    with pytest.raises(ValueError, match="read-only"):
+        seg.channels[0, 0] = 1.0
     with pytest.raises(ValidationError):
         extract_segment(s, LabeledInterval(40, 60, "Up", "s01"))
+
+
+def test_stream_is_its_subject_and_channels():
+    assert [f.name for f in fields(ImuStream)] == ["subject_id", "channels"]
+    with pytest.raises(ValueError, match="read-only"):
+        make_stream().channels[0, 0] = 1.0
+
+
+def test_write_imu_csv_numbers_rows_from_zero(tmp_path):
+    # a parsed index that starts above 0 is checked, dropped, and written
+    # back from 0
+    p = tmp_path / "s.csv"
+    p.write_text("t," + ",".join(CHANNELS) + "\n" + "".join(
+        f"{t},{','.join(['0.5'] * 9)}\n" for t in range(5, 9)))
+    out = tmp_path / "back.csv"
+    write_imu_csv(parse_imu_csv(p), out)
+    lines = out.read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines] == ["t", "0", "1", "2", "3"]
+    assert [ln.split(",", 1)[1] for ln in lines[1:]] == \
+        [",".join(["0.5"] * 9)] * 4
 
 
 def test_dataset_validation():

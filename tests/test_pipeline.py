@@ -50,7 +50,6 @@ def corpus_labels(data, cfg):
 
 def flat_stream(n, subject="s01"):
     return ImuStream(subject_id=subject,
-                     t=np.arange(n, dtype=np.int64),
                      channels=np.zeros((n, 9)))
 
 
@@ -202,7 +201,7 @@ class TestWindowsDataset:
     def test_stacking_and_feature_names(self, id_corpus, id_config):
         data = windows_dataset(id_corpus, id_config.rqa,
                                corpus_labels(id_corpus, id_config))
-        per_stream = [(len(s.t) - 125) // 25 + 1 for s, _ in id_corpus]
+        per_stream = [(len(s) - 125) // 25 + 1 for s, _ in id_corpus]
         assert len(data) == sum(per_stream)
         assert data.feature_names == ["rr", "tra"]
         assert set(data.subjects) == {"s01", "s02"}
@@ -212,7 +211,7 @@ class TestWindowsDataset:
     def test_window_features_shape(self, id_corpus, id_config):
         stream, _ = id_corpus[0]
         starts, X = window_features(stream, id_config.rqa)
-        assert len(starts) == (len(stream.t) - 125) // 25 + 1
+        assert len(starts) == (len(stream) - 125) // 25 + 1
         assert X.shape == (len(starts), 2)
         assert starts[1] - starts[0] == 25
 

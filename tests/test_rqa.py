@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gesturekit.errors import ValidationError
+from gesturekit import rqa
 from gesturekit.rqa import (NORMS, _WINDOW_CHUNK, RecurrencePlot, RqaConfig,
                             ami_curve, estimate_delay, estimate_dimension,
                             fnn_fraction, recurrence_plot, recurrence_rate,
@@ -27,12 +28,27 @@ def test_embed_too_short():
         time_delay_embed(np.arange(5.0), RqaConfig(dimension=6, delay=1))
 
 
-def test_recurrence_plot_matches_oracle_small():
+def test_recurrence_plot_matches_oracle_small(monkeypatch):
     rng = np.random.default_rng(2)
     states = rng.normal(size=(30, 3))
-    for norm in ("L1", "L2", "Linf"):
+    # in one block, then in blocks of 8 rows: three full and a short one
+    for rows in (rqa._THRESHOLD_ROWS, 8):
+        monkeypatch.setattr(rqa, "_THRESHOLD_ROWS", rows)
+        for norm in ("L1", "L2", "Linf"):
+            plot = recurrence_plot(states, RqaConfig(epsilon=1.2, norm=norm))
+            want = naive_recurrence_matrix(states, 1.2, norm)
+            assert np.array_equal(plot.matrix, want)
+
+
+def test_recurrence_plot_blocks_equal_one_distance_matrix():
+    # at the real block size, bit for bit the threshold of one whole cdist
+    from scipy.spatial.distance import cdist
+    rng = np.random.default_rng(6)
+    states = rng.normal(size=(2 * rqa._THRESHOLD_ROWS + 45, 3))
+    for norm, metric in rqa._CDIST_METRIC.items():
         plot = recurrence_plot(states, RqaConfig(epsilon=1.2, norm=norm))
-        want = naive_recurrence_matrix(states, 1.2, norm)
+        want = (cdist(states, states, metric=metric) <= 1.2).astype(np.uint8)
+        np.fill_diagonal(want, 1)
         assert np.array_equal(plot.matrix, want)
 
 

@@ -299,16 +299,29 @@ class TestSmoStack:
             loop_smo_solve(K, y, cost, max_iter=8)
 
     def test_default_budget_is_per_problem(self):
-        # with tol=-inf no problem converges, so the smallest one (n=4)
-        # runs out first, after its own 100n = 400 steps
+        # with tol=-inf no problem converges; above the MIN_STEPS floor the
+        # smallest one (n=101) runs out first, after its own 100n = 10100
+        # steps
         problems = []
-        for n in (30, 4, 12):
+        for n in (150, 101, 120):
             X, y = random_problem(n, n=n, d=3)
             problems.append((gram(KERNELS[0], X, X), y, 1.0))
         with pytest.raises(RuntimeError) as want:
             loop_smo_solve(*problems[1], tol=-np.inf)
-        with pytest.raises(ConvergenceError, match="within 400 steps") as got:
+        with pytest.raises(ConvergenceError,
+                           match="within 10100 steps .n=101,") as got:
             smo_solve_stack(*zip(*problems), tol=-np.inf)
+        assert str(got.value) == str(want.value)
+
+    def test_default_budget_has_a_floor(self):
+        # 100n would be 400 steps; the default budget is MIN_STEPS
+        X, y = random_problem(4, n=4, d=3)
+        problem = (gram(KERNELS[0], X, X), y, 1.0)
+        with pytest.raises(RuntimeError) as want:
+            loop_smo_solve(*problem, tol=-np.inf)
+        with pytest.raises(ConvergenceError,
+                           match=f"within {svm.MIN_STEPS} steps") as got:
+            smo_solve_stack(*zip(problem), tol=-np.inf)
         assert str(got.value) == str(want.value)
 
 

@@ -9,7 +9,8 @@ from scipy.spatial.transform import Rotation
 
 from gesturekit.errors import ValidationError
 from gesturekit.features import featurize_segments
-from gesturekit.imu import GESTURES, parse_imu_csv, parse_label_csv
+from gesturekit.imu import (GESTURES, cut_segments, parse_imu_csv,
+                            parse_label_csv)
 from gesturekit.synth import (
     GRAVITY_MS2,
     GESTURE_S,
@@ -186,15 +187,15 @@ def small():
 
 class TestGenerateDataset:
     def test_segment_count(self, small):
-        assert len(small.segments()) == 24
+        assert len(cut_segments(small.recognition)) == 24
 
     def test_exact_class_balance(self, small):
-        labels = [lab for _, lab in small.segments()]
+        labels = [lab for _, lab in cut_segments(small.recognition)]
         for g in GESTURES:
             assert labels.count(g) == 2
 
     def test_segments_featurize_finite_and_nonconstant(self, small):
-        segments = small.segments()
+        segments = cut_segments(small.recognition)
         data = featurize_segments(segments)
         assert np.all(np.isfinite(data.X))
         for seg, _ in segments:
@@ -206,7 +207,7 @@ class TestGenerateDataset:
             assert sorted(intervals, key=lambda iv: iv.start) == intervals
             for prev, cur in zip(intervals, intervals[1:]):
                 assert prev.end <= cur.start
-            assert intervals[-1].end <= len(stream.t)
+            assert intervals[-1].end <= len(stream)
 
     def test_manifest_content(self, small):
         m = small.manifest
@@ -230,9 +231,9 @@ class TestIdentificationStream:
     def test_stream_length_and_prevalence(self, corpus):
         assert len(corpus.identification) == 2
         for stream, intervals in corpus.identification:
-            assert len(stream.t) == 2 * 60 * 50
+            assert len(stream) == 2 * 60 * 50
             covered = sum(len(iv) for iv in intervals)
-            assert 0 < covered / len(stream.t) < 0.05
+            assert 0 < covered / len(stream) < 0.05
 
     def test_intervals_sorted_disjoint_in_bounds(self, corpus):
         for stream, intervals in corpus.identification:
@@ -240,7 +241,7 @@ class TestIdentificationStream:
             for prev, cur in zip(intervals, intervals[1:]):
                 assert prev.end <= cur.start
             for iv in intervals:
-                assert 0 <= iv.start < iv.end <= len(stream.t)
+                assert 0 <= iv.start < iv.end <= len(stream)
                 assert iv.label in GESTURES
 
     def test_too_short_stream_rejected(self):
