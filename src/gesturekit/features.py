@@ -90,9 +90,8 @@ def featurize_segments(segments, names=feature_names()) -> LabeledDataset:
     X = np.vstack([_segment_row(seg, n_samples) for seg, _ in segments])
     if names != full:   # the whole set keeps vstack's C order
         X = X[:, [full.index(nm) for nm in names]]
-    labels = [label for _, label in segments]
-    subjects = [seg.subject_id for seg, _ in segments]
-    return LabeledDataset(X=X, labels=labels, subjects=subjects,
+    return LabeledDataset(X=X, labels=[label for _, label in segments],
+                          subjects=[seg.subject_id for seg, _ in segments],
                           feature_names=list(names))
 
 

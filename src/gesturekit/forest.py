@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .imu import canonical_class_order
+from .imu import canonical_class_order, class_indices
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,13 @@ def tree_train(rows, labels, cfg: ForestConfig, rng,
     it is the canonical order of the labels present.
     """
     X = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    labels = list(labels)
-    if X.shape[0] == 0 or not labels:
+    if X.shape[0] == 0 or len(labels) == 0:
         raise ValidationError("empty input")
     if X.shape[0] != len(labels):
         raise ValidationError("one label per row required")
     if classes is None:
         classes = canonical_class_order(labels)
-    index = {c: i for i, c in enumerate(classes)}
-    try:
-        yi = np.array([index[c] for c in labels], dtype=np.int64)
-    except KeyError as e:
-        raise ValidationError(f"label {e} not in the class list") from None
+    yi = class_indices(classes, labels)
     k = cfg.split_features(X.shape[1])
 
     def grow(idx, depth):
@@ -133,25 +128,26 @@ def tree_train(rows, labels, cfg: ForestConfig, rng,
     return grow(np.arange(X.shape[0]), 0)
 
 
-def tree_predict(node: TreeNode, X) -> list[str]:
+def tree_predict(node: TreeNode, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = [None] * X.shape[0]
+    rows, labels = [], []      # per leaf reached: its rows and its label
 
     def walk(n, idx):
         if n.label is not None:
-            for i in idx:
-                out[i] = n.label
+            rows.append(idx)
+            labels.append(n.label)
             return
         mask = X[idx, n.feature] <= n.threshold
         walk(n.left, idx[mask])
         walk(n.right, idx[~mask])
 
     walk(node, np.arange(X.shape[0]))
-    return out
+    by_leaf = np.repeat(labels, [len(r) for r in rows])
+    return by_leaf[np.argsort(np.concatenate(rows))]
 
 
 def forest_train_predict(train, test_rows, cfg: ForestConfig,
-                         seed: int) -> list[str]:
+                         seed: int) -> np.ndarray:
     """Train a bagged forest on a LabeledDataset and predict test rows.
 
     Each tree gets its own stream spawned from ``seed`` (bootstrap draw
@@ -165,15 +161,13 @@ def forest_train_predict(train, test_rows, cfg: ForestConfig,
     if test.shape[1] != X.shape[1]:
         raise ValidationError("test rows have the wrong width")
     classes = train.classes
-    index = {c: i for i, c in enumerate(classes)}
-    labels = np.asarray(train.labels)
     children = np.random.SeedSequence(seed).spawn(cfg.n_trees)
     votes = np.zeros((test.shape[0], len(classes)), dtype=np.int64)
+    every = np.arange(test.shape[0])
     for child in children:
         rng = np.random.default_rng(child)
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        tree = tree_train(X[idx], list(labels[idx]), cfg, rng,
+        tree = tree_train(X[idx], train.labels[idx], cfg, rng,
                           classes=classes)
-        for i, lab in enumerate(tree_predict(tree, test)):
-            votes[i, index[lab]] += 1
-    return [classes[int(np.argmax(v))] for v in votes]
+        votes[every, class_indices(classes, tree_predict(tree, test))] += 1
+    return np.asarray(classes)[np.argmax(votes, axis=1)]

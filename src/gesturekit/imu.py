@@ -41,7 +41,19 @@ def canonical_class_order(labels) -> list[str]:
     them lexicographically. This ordering is the tie-break authority for
     voting and majority rules everywhere in the package."""
     known = {g: i for i, g in enumerate(GESTURES)}
-    return sorted(set(labels), key=lambda c: (0, known[c], "") if c in known else (1, 0, c))
+    return sorted(np.unique(labels).tolist(),
+                  key=lambda c: (0, known[c], "") if c in known else (1, 0, c))
+
+
+def class_indices(classes, labels) -> np.ndarray:
+    """Positions of ``labels`` in ``classes``; an unknown label raises."""
+    index = {c: i for i, c in enumerate(classes)}
+    present, inverse = np.unique(labels, return_inverse=True)
+    try:
+        return np.array([index[c] for c in present.tolist()],
+                        dtype=np.int64)[inverse]
+    except KeyError as e:
+        raise ValidationError(f"label {e} not in the class list") from None
 
 
 @dataclass(frozen=True)
@@ -96,19 +108,23 @@ class LabeledInterval:
 
 @dataclass
 class LabeledDataset:
-    """Feature rows paired with class labels and subject ids."""
+    """Feature rows paired with class labels and subject ids: ``labels``
+    and ``subjects`` are 1-D str arrays, one entry per row of ``X``,
+    converted here once so that no consumer converts them again."""
     X: np.ndarray
-    labels: list[str]
-    subjects: list[str]
+    labels: np.ndarray
+    subjects: np.ndarray
     feature_names: list[str]
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=str)
+        self.subjects = np.asarray(self.subjects, dtype=str)
         if self.X.ndim != 2:
             raise ValidationError("X must be 2-D")
         if self.X.shape[1] != len(self.feature_names):
             raise ValidationError("column count does not match feature registry")
-        if not (len(self.labels) == len(self.subjects) == self.X.shape[0]):
+        if not (self.labels.shape == self.subjects.shape == self.X.shape[:1]):
             raise ValidationError("row metadata length mismatch")
         if len(self.subjects) == 0:
             raise ValidationError("empty dataset")
@@ -121,35 +137,25 @@ class LabeledDataset:
         return canonical_class_order(self.labels)
 
     def subject_ids(self) -> list[str]:
-        return sorted(set(self.subjects))
-
-    def rows_for_subjects(self, subject_ids) -> np.ndarray:
-        wanted = set(subject_ids)
-        return np.array([s in wanted for s in self.subjects], dtype=bool)
+        return np.unique(self.subjects).tolist()
 
     def take(self, rows=None, columns=None) -> "LabeledDataset":
         """A new dataset of the given rows and columns, in the given order.
 
-        ``rows`` is a boolean mask or an index array (default: all rows);
-        ``columns`` an index sequence (default: all columns). Labels,
-        subjects and feature names follow the rows and columns they
-        belong to.
+        ``rows`` is a boolean mask or an index array (default: all rows)
+        for ``X``, labels and subjects alike; ``columns`` an index sequence
+        (default: all columns). The result shares no array with this one.
         """
-        X = self.X
-        labels, subjects = list(self.labels), list(self.subjects)
-        if rows is not None:
-            rows = np.asarray(rows)
-            if rows.dtype == bool:
-                rows = np.flatnonzero(rows)
-            X = X[rows]
-            labels = [labels[i] for i in rows]
-            subjects = [subjects[i] for i in rows]
+        if rows is None:
+            rows = np.arange(len(self))
+        X = self.X[rows]
         names = list(self.feature_names)
         if columns is not None:
             columns = list(columns)
             X = X[:, columns]
             names = [names[i] for i in columns]
-        return LabeledDataset(X=X, labels=labels, subjects=subjects,
+        return LabeledDataset(X=X, labels=self.labels[rows],
+                              subjects=self.subjects[rows],
                               feature_names=names)
 
 
@@ -169,7 +175,7 @@ def read_text(path) -> str:
                          f"{exc.start})") from None
 
 
-def write_file(path, data: bytes | str) -> None:
+def write_file(path, data: bytes | bytearray | str) -> None:
     """Replace the file at ``path`` with ``data`` (text as UTF-8, as given):
     remove what is there, a symlink too, and create the file anew. Truncating
     in place instead stalls tens of ms a rewrite on ext4 mounted ``discard``."""

@@ -6,9 +6,9 @@ Folds, balance iterations, and permutation repetitions each draw from an
 rng derived as (master seed, task key), so any of them may run under a
 parallel mapper without changing a single output byte. Trainers are small
 picklable callables with the shared signature
-``trainer(train_dataset, test_rows, seed) -> predicted labels``; the test
-labels never reach a trainer, and scalers / selected feature sets are fit
-inside the trainer on its training rows only.
+``trainer(train_dataset, test_rows, seed) -> a 1-D array of predicted
+labels``; the test labels never reach a trainer, and scalers / selected
+feature sets are fit inside the trainer on its training rows only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .features import Scaler, is_sample_feature
 from .forest import ForestConfig, forest_train_predict
-from .imu import ADL_LABEL, ImuStream, LabeledDataset, format_float, write_file
+from .imu import (ADL_LABEL, ImuStream, LabeledDataset, class_indices,
+                  format_float, write_file)
 from .rqa import RqaConfig, windowed_rqa
 from .seeding import (AUGMENT, BALANCE, FINAL, FOLD, PERMUTE, TRAINER,
                       derive_int, derive_rng)
@@ -101,11 +102,10 @@ class EvaluationReport:
 
 
 def confusion_matrix(classes, true_labels, pred_labels) -> np.ndarray:
-    index = {c: i for i, c in enumerate(classes)}
-    out = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        out[index[t], index[p]] += 1
-    return out
+    k = len(classes)
+    cell = (class_indices(classes, true_labels) * k
+            + class_indices(classes, pred_labels))
+    return np.bincount(cell, minlength=k * k).reshape(k, k)
 
 
 def fold_scores(classes, truth, pred) -> tuple[float, float, np.ndarray]:
@@ -120,23 +120,25 @@ def fold_scores(classes, truth, pred) -> tuple[float, float, np.ndarray]:
 
 
 def label_windows(stream: ImuStream, intervals, cfg: RqaConfig,
-                  overlap_fraction: float) -> list[str]:
-    """Binary window labels: gesture if enough of some interval is inside.
+                  overlap_fraction: float) -> np.ndarray:
+    """Binary window labels: gesture if enough of a gesture interval is inside.
 
     A window is a gesture window iff at least ``overlap_fraction`` of any
-    single interval's duration falls within it; otherwise it is ADL.
+    single gesture interval's duration falls within it; otherwise it is
+    ADL. ADL intervals mark no window.
     """
     n = len(stream)
     for iv in intervals:
         if iv.end > n:
             raise ValidationError(
                 f"interval [{iv.start}, {iv.end}) exceeds stream length {n}")
-    begin, end = np.array([(iv.start, iv.end) for iv in intervals],
+    begin, end = np.array([(iv.start, iv.end) for iv in intervals
+                           if iv.label != ADL_LABEL],
                           dtype=np.int64).reshape(-1, 2).T
     s = cfg.starts(n)[:, None]
     inside = np.minimum(end, s + cfg.window_len) - np.maximum(begin, s)
     hit = (inside >= overlap_fraction * (end - begin)).any(axis=1)
-    return [_WINDOW_CLASSES[h] for h in hit.tolist()]
+    return np.where(hit, GESTURE_WINDOW_LABEL, ADL_LABEL)
 
 
 def window_features(stream: ImuStream, cfg: RqaConfig):
@@ -149,22 +151,21 @@ def window_features(stream: ImuStream, cfg: RqaConfig):
 def windows_dataset(data, cfg: RqaConfig, labels) -> LabeledDataset:
     """Stack (stream, intervals) pairs into a window-level dataset.
 
-    ``labels`` holds each stream's ``label_windows`` list, in ``data``
+    ``labels`` holds each stream's ``label_windows`` array, in ``data``
     order.
     """
     return LabeledDataset(
         X=np.vstack([window_features(stream, cfg)[1] for stream, _ in data]),
-        labels=[lab for ls in labels for lab in ls],
-        subjects=[stream.subject_id
-                  for (stream, _), ls in zip(data, labels) for _ in ls],
+        labels=np.concatenate(labels),
+        subjects=np.repeat([stream.subject_id for stream, _ in data],
+                           [len(ls) for ls in labels]),
         feature_names=["rr", "tra"])
 
 
 def _balanced_subset(dataset, rng) -> LabeledDataset:
     """All gesture windows plus an equal-size ADL draw (no replacement)."""
-    labels = np.asarray(dataset.labels)
-    gesture = np.flatnonzero(labels == GESTURE_WINDOW_LABEL)
-    adl = np.flatnonzero(labels == ADL_LABEL)
+    gesture = np.flatnonzero(dataset.labels == GESTURE_WINDOW_LABEL)
+    adl = np.flatnonzero(dataset.labels == ADL_LABEL)
     if len(gesture) == 0:
         raise ValidationError("no gesture windows in the training data")
     if len(adl) < len(gesture):
@@ -175,8 +176,8 @@ def _balanced_subset(dataset, rng) -> LabeledDataset:
 
 def _identifier_fold(args):
     dataset, cfg, seed, fi, subject = args
-    mask = dataset.rows_for_subjects([subject])
-    train, test = dataset.take(~mask), dataset.take(mask)
+    held = dataset.subjects == subject
+    train, test = dataset.take(~held), dataset.take(held)
     accs, bals = [], []
     gesture_votes = np.zeros(len(test), dtype=np.int64)
     # every balance iteration's draw, then all their SVMs in one solve
@@ -187,11 +188,10 @@ def _identifier_fold(args):
         acc, bal, _ = fold_scores(_WINDOW_CLASSES, test.labels, pred)
         accs.append(acc)
         bals.append(bal)
-        gesture_votes += np.asarray(pred) == GESTURE_WINDOW_LABEL
+        gesture_votes += pred == GESTURE_WINDOW_LABEL
     # majority vote across iterations; exact ties fall to ADL
-    majority = [GESTURE_WINDOW_LABEL
-                if 2 * v > cfg.n_balance_iters else ADL_LABEL
-                for v in gesture_votes]
+    majority = np.where(2 * gesture_votes > cfg.n_balance_iters,
+                        GESTURE_WINDOW_LABEL, ADL_LABEL)
     conf = confusion_matrix(_WINDOW_CLASSES, test.labels, majority)
     return subject, float(np.mean(accs)), float(np.mean(bals)), conf
 
@@ -213,7 +213,7 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
                             cfg.overlap_fraction)
               for stream, intervals in data]
     subjects = sorted({stream.subject_id
-                       for (stream, _), ls in zip(data, labels) if ls})
+                       for (stream, _), ls in zip(data, labels) if len(ls)})
     if len(subjects) < 2:
         raise ValidationError("need >=2 subjects")
     spotted = {stream.subject_id for (stream, _), ls in zip(data, labels)
@@ -258,7 +258,7 @@ def identify_segments(stream: ImuStream, model,
     emissions keep the earlier one.
     """
     starts, X = window_features(stream, cfg)
-    hits = starts[np.asarray(model.predict(X)) == GESTURE_WINDOW_LABEL]
+    hits = starts[model.predict(X) == GESTURE_WINDOW_LABEL]
     if not len(hits):
         return []
     # where in hits each run after the first begins
@@ -286,24 +286,19 @@ class ImportanceResult:
 
 def _stratified_split(labels):
     """Deterministic half split: per class, even ranks train, odd test."""
-    train_idx, test_idx = [], []
-    by_class = {}
-    for i, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(i)
-    for lab in sorted(by_class):
-        rows = by_class[lab]
-        train_idx.extend(rows[0::2])
-        test_idx.extend(rows[1::2])
-    if not test_idx:
+    test = np.zeros(len(labels), dtype=bool)
+    for c in np.unique(labels):
+        test[np.flatnonzero(labels == c)[1::2]] = True
+    if not test.any():
         raise ValidationError("dataset too small to split")
-    return np.sort(train_idx), np.sort(test_idx)
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 def _importance_accuracy(dataset, train_idx, test_idx, trainer,
                          trainer_seed):
     test = dataset.take(test_idx)
     pred = trainer(dataset.take(train_idx), test.X, trainer_seed)
-    return float(np.mean([p == t for p, t in zip(pred, test.labels)]))
+    return float(np.mean(pred == test.labels))
 
 
 def _importance_feature(args):
@@ -415,10 +410,10 @@ class CentroidTrainer:
         scaler = Scaler.fit(train.X)
         Xs, test = scaler.transform(train.X), scaler.transform(test_rows)
         classes = train.classes
-        labels = np.asarray(train.labels)
-        centroids = np.vstack([Xs[labels == c].mean(axis=0) for c in classes])
+        centroids = np.vstack([Xs[train.labels == c].mean(axis=0)
+                               for c in classes])
         d = ((test[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        return [classes[i] for i in np.argmin(d, axis=1)]
+        return np.asarray(classes)[np.argmin(d, axis=1)]
 
 
 # per-fold feature selection ranks features by nearest-centroid
@@ -481,9 +476,9 @@ class ForestTrainer:
 
 def _loso_fold(args):
     dataset, trainer, classes, seed, fi, subject = args
-    mask = dataset.rows_for_subjects([subject])
-    test = dataset.take(mask)
-    pred = trainer(dataset.take(~mask), test.X, derive_int(seed, FOLD, fi))
+    held = dataset.subjects == subject
+    test = dataset.take(held)
+    pred = trainer(dataset.take(~held), test.X, derive_int(seed, FOLD, fi))
     return (subject, *fold_scores(classes, test.labels, pred))
 
 

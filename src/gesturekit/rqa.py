@@ -401,5 +401,10 @@ def write_rp_pgm(rp: RecurrencePlot, path) -> None:
     non-recurrent one; row i of the image is state i.
     """
     n = rp.n_states
-    write_file(path, f"P5\n{n} {n}\n255\n".encode("ascii")
-               + (rp.matrix * np.uint8(255)).tobytes())
+    header = f"P5\n{n} {n}\n255\n".encode("ascii")
+    # one buffer for the whole file: the pixels are scaled straight into it
+    data = bytearray(len(header) + n * n)
+    data[:len(header)] = header
+    np.multiply(rp.matrix, np.uint8(255), out=np.frombuffer(
+        data, dtype=np.uint8, offset=len(header)).reshape(n, n))
+    write_file(path, data)

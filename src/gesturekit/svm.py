@@ -288,10 +288,10 @@ class OvoSvmModel:
         Xs = self.scaler.transform(X)
         return gram(self.cfg, Xs, self.sv) @ self.coef + self.bias
 
-    def predict(self, X) -> list[str]:
+    def predict(self, X) -> np.ndarray:
         D = self.decision_matrix(X)
         ranking = vote_ranking(*vote_tally(self.classes, self.pairs, D))
-        return [self.classes[i] for i in ranking[:, 0]]
+        return np.asarray(self.classes)[ranking[:, 0]]
 
 
 def vote_tally(classes, pairs, D):
@@ -357,7 +357,7 @@ def ovo_train_many(datasets, cfg: KernelConfig, cost: float,
         Xs = dataset.X if scaler is not None else fitted.transform(dataset.X)
         if not np.all(np.isfinite(Xs)):
             raise ValidationError("non-finite features")
-        labels = np.asarray(dataset.labels)
+        labels = dataset.labels
         pairs = [(rows, np.where(labels[rows] == a, 1.0, -1.0))
                  for a, b in combinations(dataset.classes, 2)
                  for rows in [np.flatnonzero((labels == a) | (labels == b))]]

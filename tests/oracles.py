@@ -368,8 +368,9 @@ def loop_label_windows(stream, intervals, win, overlap_fraction):
     """Binary window labels, one window and one interval at a time.
 
     The loop ``label_windows`` replaced with one broadcast over window
-    starts and intervals, kept verbatim (its out-of-bounds check aside) as
-    a differential oracle.
+    starts and intervals, kept as a differential oracle: its out-of-bounds
+    check is left out, and ADL intervals are skipped, since they mark no
+    window.
     """
     n = len(stream)
     labels = []
@@ -377,7 +378,8 @@ def loop_label_windows(stream, intervals, win, overlap_fraction):
         s = int(s)
         e = s + win.window_len
         hit = any(min(iv.end, e) - max(iv.start, s)
-                  >= overlap_fraction * len(iv) for iv in intervals)
+                  >= overlap_fraction * len(iv) for iv in intervals
+                  if iv.label != "ADL")
         labels.append("gesture" if hit else "ADL")
     return labels
 
@@ -404,4 +406,56 @@ def loop_identify_segments(starts, pred, step, window_len):
         if out and iv[0] < out[-1][1]:
             continue
         out.append(iv)
+    return out
+
+
+def loop_confusion_matrix(classes, true_labels, pred_labels):
+    """(K, K) counts of (true, predicted) pairs, one row at a time.
+
+    The loop ``confusion_matrix`` replaced with one ``bincount``, kept
+    verbatim as a differential oracle.
+    """
+    index = {c: i for i, c in enumerate(classes)}
+    out = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(true_labels, pred_labels):
+        out[index[t], index[p]] += 1
+    return out
+
+
+def loop_stratified_split(labels):
+    """Per class, even ranks train and odd ranks test, one row at a time.
+
+    The dict loop ``pipeline._stratified_split`` replaced with one mask
+    per class, kept as a differential oracle without its too-small check.
+    """
+    train_idx, test_idx = [], []
+    by_class = {}
+    for i, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(i)
+    for lab in sorted(by_class):
+        rows = by_class[lab]
+        train_idx.extend(rows[0::2])
+        test_idx.extend(rows[1::2])
+    return np.sort(train_idx), np.sort(test_idx)
+
+
+def loop_take(X, labels, subjects, rows):
+    """``(X, labels, subjects)`` of the given rows, with labels and
+    subjects as lists, as ``LabeledDataset.take`` built them when they
+    were lists; kept as a differential oracle."""
+    rows = np.asarray(rows)
+    if rows.dtype == bool:
+        rows = np.flatnonzero(rows)
+    return X[rows], [labels[i] for i in rows], [subjects[i] for i in rows]
+
+
+def loop_tree_predict(node, X):
+    """Each row walked down the tree on its own, to its leaf's label; a
+    differential oracle for ``tree_predict``'s fill per leaf."""
+    out = []
+    for x in np.atleast_2d(X):
+        n = node
+        while n.label is None:
+            n = n.left if x[n.feature] <= n.threshold else n.right
+        out.append(n.label)
     return out

@@ -221,12 +221,7 @@ def test_04_smo_matches_projected_gradient_oracle():
 
 def test_05_twelve_classes_train_66_pairwise_models(corpus):
     dataset, _ = corpus
-    mask = dataset.rows_for_subjects(["s01"])
-    small = LabeledDataset(
-        X=dataset.X[mask],
-        labels=[l for l, m in zip(dataset.labels, mask) if m],
-        subjects=[s for s, m in zip(dataset.subjects, mask) if m],
-        feature_names=list(dataset.feature_names))
+    small = dataset.take(dataset.subjects == "s01")
     model = ovo_train(small, SvmTrainer().kernel, SvmTrainer().cost)
     n_classes = len(model.classes)
     verdict(5, n_classes == 12 and len(model.pairs) == 66,

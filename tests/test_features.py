@@ -148,8 +148,8 @@ def test_featurize_segments_dataset():
              for i in range(4)]
     ds = featurize_segments(pairs)
     assert ds.X.shape == (4, 93)
-    assert ds.labels == ["Up"] * 4
-    assert ds.subjects == ["s0", "s1", "s0", "s1"]
+    assert ds.labels.tolist() == ["Up"] * 4
+    assert ds.subjects.tolist() == ["s0", "s1", "s0", "s1"]
     with pytest.raises(ValidationError):
         featurize_segments([])
 
@@ -209,8 +209,8 @@ def test_feature_csv_roundtrip(tmp_path):
     write_feature_csv(ds, p)
     back = read_feature_csv(p)
     assert np.array_equal(back.X, ds.X)     # repr round-trips exactly
-    assert back.labels == ds.labels
-    assert back.subjects == ds.subjects
+    assert back.labels.tolist() == ds.labels.tolist()
+    assert back.subjects.tolist() == ds.subjects.tolist()
     assert back.feature_names == list(ds.feature_names)
 
 

@@ -15,7 +15,7 @@ from gesturekit.forest import (
 from gesturekit.forest import _best_split
 from gesturekit.imu import LabeledDataset
 
-from oracles import loop_best_split, naive_best_split
+from oracles import loop_best_split, loop_tree_predict, naive_best_split
 
 
 class TestForestConfig:
@@ -138,7 +138,8 @@ class TestTreeTrain:
                           ForestConfig(), np.random.default_rng(0))
         assert node.label is None
         assert 0.0 < node.threshold < 1.0
-        assert tree_predict(node, np.array([[0.0], [1.0]])) == ["A", "B"]
+        assert tree_predict(node, np.array([[0.0], [1.0]])).tolist() == \
+            ["A", "B"]
 
     def test_depth_one_stump_cannot_solve_xor(self):
         X, labels = grid_xor()
@@ -171,7 +172,7 @@ class TestTreeTrain:
         labels = ["A", "A", "B", "A"]
         cfg = ForestConfig(max_depth=2, features_per_split=2)
         node = tree_train(X, labels, cfg, np.random.default_rng(0))
-        assert tree_predict(node, X) == labels
+        assert tree_predict(node, X).tolist() == labels
 
     def test_depth_cap_is_respected(self):
         r = np.random.default_rng(2)
@@ -187,11 +188,30 @@ class TestTreeTrain:
 
         assert depth(node) <= 4
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_predict_matches_loop_oracle(self, seed):
+        # labels of different widths, rows that reach only some leaves
+        r = np.random.default_rng(seed)
+        X = r.normal(size=(120, 4))
+        labels = r.choice(["Z", "Up", "Push", "gesture", "ADL"], 120)
+        node = tree_train(X, labels, ForestConfig(max_depth=5),
+                          np.random.default_rng(seed))
+        for rows in (X, r.normal(size=(37, 4)), X[:1]):
+            assert tree_predict(node, rows).tolist() == \
+                loop_tree_predict(node, rows)
+
     def test_leaf_tie_breaks_canonically(self):
         # equal counts pick the lowest canonical class
         node = tree_train(np.zeros((2, 1)), ["B", "A"],
                           ForestConfig(), np.random.default_rng(0))
         assert node.label == "A"
+
+    def test_label_outside_the_class_list_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="label 'Q' not in the class list"):
+            tree_train(np.zeros((2, 1)), np.array(["A", "Q"]),
+                       ForestConfig(), np.random.default_rng(0),
+                       classes=["A", "B"])
 
     def test_rejects_empty_and_mismatched_input(self):
         with pytest.raises(ValidationError):
@@ -229,9 +249,9 @@ class TestForest:
         # the tree's stream draws the bootstrap rows first, then splits
         rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
         idx = rng.integers(0, len(data), size=len(data))
-        tree = tree_train(data.X[idx], [data.labels[i] for i in idx], cfg,
+        tree = tree_train(data.X[idx], data.labels[idx], cfg,
                           rng, classes=data.classes)
-        assert got == tree_predict(tree, data.X)
+        assert got.tolist() == tree_predict(tree, data.X).tolist()
 
     def test_first_twenty_trees_are_pinned(self):
         # Preorder (feature, threshold bits, label) of the first 20 trees
@@ -273,8 +293,8 @@ class TestForest:
     def test_deterministic_for_fixed_seed(self):
         data = clustered_dataset(seed=4)
         cfg = ForestConfig(n_trees=10)
-        assert (forest_train_predict(data, data.X, cfg, 9)
-                == forest_train_predict(data, data.X, cfg, 9))
+        assert (forest_train_predict(data, data.X, cfg, 9).tolist()
+                == forest_train_predict(data, data.X, cfg, 9).tolist())
 
     def test_forest_at_least_as_good_as_single_tree(self):
         # shallow trees underfit; bagging should recover accuracy

@@ -13,6 +13,7 @@ from gesturekit.imu import (_BLOCK_ROWS, ADL_LABEL, CHANNELS, GESTURES,
                             canonical_class_order, extract_segment,
                             parse_imu_csv, parse_label_csv, write_file,
                             write_imu_csv, write_label_csv)
+from oracles import loop_take
 
 
 def make_stream(n=40, subject="s01", seed=0):
@@ -262,7 +263,11 @@ def test_dataset_validation():
                         feature_names=["f1", "f2"])
     assert ds.classes == ["a", "b"]
     assert ds.subject_ids() == ["s1", "s2"]
-    assert list(ds.rows_for_subjects(["s2"])) == [True, False, True]
+    # plain str, so model files and reports print them as text
+    assert {type(v) for v in ds.classes + ds.subject_ids()} == {str}
+    assert ds.labels.ndim == ds.subjects.ndim == 1
+    assert ds.labels.dtype.kind == ds.subjects.dtype.kind == "U"
+    assert list(ds.subjects == "s2") == [True, False, True]
 
 
 def small_dataset():
@@ -274,11 +279,11 @@ def small_dataset():
 
 def test_take_mask_matches_boolean_indexing():
     ds = small_dataset()
-    mask = ds.rows_for_subjects(["s2"])
+    mask = ds.subjects == "s2"
     part = ds.take(mask)
     assert np.array_equal(part.X, ds.X[mask])
-    assert part.labels == ["b", "d"]
-    assert part.subjects == ["s2", "s2"]
+    assert part.labels.tolist() == ["b", "d"]
+    assert part.subjects.tolist() == ["s2", "s2"]
     assert part.feature_names == ds.feature_names
 
 
@@ -286,8 +291,31 @@ def test_take_keeps_index_order_and_repeats():
     ds = small_dataset()
     part = ds.take(np.array([3, 0, 3]))
     assert np.array_equal(part.X, ds.X[[3, 0, 3]])
-    assert part.labels == ["d", "a", "d"]
-    assert part.subjects == ["s2", "s1", "s2"]
+    assert part.labels.tolist() == ["d", "a", "d"]
+    assert part.subjects.tolist() == ["s2", "s1", "s2"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_take_matches_list_oracle(seed):
+    # boolean masks and index arrays with repeats, over labels of
+    # different widths
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        ds = LabeledDataset(X=rng.normal(size=(n, 3)),
+                            labels=rng.choice(["Up", "Push", "gesture"], n),
+                            subjects=rng.choice(["s01", "s02", "s10"], n),
+                            feature_names=["f0", "f1", "f2"])
+        mask = rng.random(n) < 0.5
+        mask[rng.integers(n)] = True
+        index = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        for rows in (mask, index):
+            part = ds.take(rows)
+            X, labels, subjects = loop_take(ds.X, ds.labels.tolist(),
+                                            ds.subjects.tolist(), rows)
+            assert part.X.tobytes() == X.tobytes()
+            assert part.labels.tolist() == labels
+            assert part.subjects.tolist() == subjects
 
 
 def test_take_columns():
@@ -295,13 +323,14 @@ def test_take_columns():
     part = ds.take([1, 2], columns=[2, 0])
     assert np.array_equal(part.X, ds.X[[1, 2]][:, [2, 0]])
     assert part.feature_names == ["f2", "f0"]
-    assert part.labels == ["b", "c"]
+    assert part.labels.tolist() == ["b", "c"]
     whole = ds.take(columns=[1])
     assert np.array_equal(whole.X, ds.X[:, [1]])
-    assert whole.labels == ds.labels and whole.feature_names == ["f1"]
+    assert whole.labels.tolist() == ds.labels.tolist()
+    assert whole.feature_names == ["f1"]
     # the slice owns its metadata
-    whole.labels.append("e")
-    assert ds.labels == ["a", "b", "c", "d"]
+    whole.labels[0] = "e"
+    assert ds.labels.tolist() == ["a", "b", "c", "d"]
 
 
 def test_write_file_replaces_longer_file(tmp_path):

@@ -35,12 +35,13 @@ from gesturekit.pipeline import (
     write_importance_csv,
     write_report_csv,
 )
-from gesturekit.pipeline import _balanced_subset
+from gesturekit.pipeline import _balanced_subset, _stratified_split
 from gesturekit.rqa import RqaConfig
 from gesturekit.seeding import FOLD, derive_int, derive_rng
 from gesturekit.svm import KernelConfig, ovo_train, save_model
 from gesturekit.synth import SynthConfig, generate_dataset
-from oracles import loop_identify_segments, loop_label_windows
+from oracles import (loop_confusion_matrix, loop_identify_segments,
+                     loop_label_windows, loop_stratified_split)
 
 
 def corpus_labels(data, cfg):
@@ -69,6 +70,27 @@ class TestMetrics:
         conf = confusion_matrix(("a", "b"), ["a", "a", "b", "b", "b"],
                                 ["a", "b", "b", "b", "a"])
         assert conf.tolist() == [[1, 1], [1, 2]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_confusion_matrix_matches_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        classes = ("Up", "Push", ADL_LABEL, GESTURE_WINDOW_LABEL)
+        for _ in range(50):
+            n = int(rng.integers(1, 60))
+            truth = rng.choice(classes, n)
+            # the last class is never predicted, and often more are not
+            pred = rng.choice(classes[:int(rng.integers(1, 4))], n)
+            got = confusion_matrix(classes, truth, pred)
+            assert got.dtype == np.int64
+            assert np.array_equal(
+                got, loop_confusion_matrix(classes, truth, pred))
+            assert not got[:, -1].any()
+
+    def test_confusion_matrix_rejects_an_unknown_label(self):
+        with pytest.raises(ValidationError,
+                           match="label 'c' not in the class list"):
+            confusion_matrix(("a", "b"), np.array(["a", "b"]),
+                             np.array(["b", "c"]))
 
     @staticmethod
     def scores(conf):
@@ -143,14 +165,25 @@ class TestLabelWindows:
                                overlap_fraction=0.5)
         # window [150,275) holds only 10 of the 60 samples
         assert labels[6] == ADL_LABEL
-        assert labels == [ADL_LABEL] + [GESTURE_WINDOW_LABEL] * 5 \
+        assert labels.tolist() == [ADL_LABEL] + [GESTURE_WINDOW_LABEL] * 5 \
             + [ADL_LABEL] * 2
+
+    def test_adl_interval_marks_no_window(self):
+        # the label format allows ADL intervals; only gestures mark windows
+        stream = flat_stream(400)
+        for label, want in ((ADL_LABEL, [ADL_LABEL] * 12),
+                            ("Up", [ADL_LABEL] + [GESTURE_WINDOW_LABEL] * 5
+                             + [ADL_LABEL] * 6)):
+            labels = label_windows(stream,
+                                   [LabeledInterval(100, 160, label, "s01")],
+                                   RqaConfig(), overlap_fraction=0.5)
+            assert labels.tolist() == want
 
     def test_no_intervals_is_all_adl(self):
         labels = label_windows(flat_stream(300), [],
                                RqaConfig(),
                                overlap_fraction=0.5)
-        assert labels == [ADL_LABEL] * 8
+        assert labels.tolist() == [ADL_LABEL] * 8
 
     def test_full_fraction_requires_containment(self):
         stream = flat_stream(300)
@@ -161,7 +194,7 @@ class TestLabelWindows:
         want = [ADL_LABEL] * 8
         for i in (2, 3, 4):
             want[i] = GESTURE_WINDOW_LABEL
-        assert labels == want
+        assert labels.tolist() == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_oracle(self, seed):
@@ -178,16 +211,17 @@ class TestLabelWindows:
             intervals = [LabeledInterval(int(a), int(b), "Up", "s01")
                          for a, b in bounds.reshape(-1, 2)]
             if rng.random() < 0.3 and intervals:
-                # one more interval, adjacent to the first one or, when
-                # that ends the stream, overlapping its last sample
+                # one more interval, gesture or ADL, adjacent to the first
+                # one or, when that ends the stream, overlapping its last
+                # sample
                 iv = intervals[0]
                 intervals.append(LabeledInterval(
                     iv.end - 1 if iv.end == n else iv.end,
-                    n, "Down", "s01"))
+                    n, rng.choice(["Down", ADL_LABEL]), "s01"))
             fraction = rng.choice([1.0, 1e-9, rng.uniform(1e-9, 1.0)])
             stream = flat_stream(n)
-            assert label_windows(stream, intervals, win, fraction) == \
-                loop_label_windows(stream, intervals, win, fraction)
+            assert label_windows(stream, intervals, win, fraction).tolist() \
+                == loop_label_windows(stream, intervals, win, fraction)
 
     def test_out_of_bounds_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -220,12 +254,13 @@ class TestBalancedSubset:
     def test_exact_balance_every_draw(self, id_corpus, id_config):
         data = windows_dataset(id_corpus, id_config.rqa,
                                corpus_labels(id_corpus, id_config))
-        n_gesture = data.labels.count(GESTURE_WINDOW_LABEL)
+        n_gesture = np.count_nonzero(data.labels == GESTURE_WINDOW_LABEL)
         for it in range(5):
             subset = _balanced_subset(data, np.random.default_rng(it))
             assert len(subset) == 2 * n_gesture
-            assert subset.labels.count(GESTURE_WINDOW_LABEL) == n_gesture
-            assert subset.labels.count(ADL_LABEL) == n_gesture
+            assert np.count_nonzero(
+                subset.labels == GESTURE_WINDOW_LABEL) == n_gesture
+            assert np.count_nonzero(subset.labels == ADL_LABEL) == n_gesture
 
     def test_requires_gesture_windows(self):
         data = LabeledDataset(X=np.zeros((4, 2)), labels=[ADL_LABEL] * 4,
@@ -260,8 +295,8 @@ class TestTrainIdentifier:
         data = windows_dataset(id_corpus, id_config.rqa,
                                corpus_labels(id_corpus, id_config))
         assert rep.confusion.sum() == len(data)
-        assert rep.confusion[1].sum() == data.labels.count(
-            GESTURE_WINDOW_LABEL)
+        assert rep.confusion[1].sum() == np.count_nonzero(
+            data.labels == GESTURE_WINDOW_LABEL)
 
     def test_single_subject_rejected(self, id_corpus, id_config):
         with pytest.raises(ValidationError):
@@ -306,8 +341,8 @@ class StubModel:
     """Positional window labels for exercising the assembly rule."""
 
     def __init__(self, starts, positive_starts):
-        self.labels = [GESTURE_WINDOW_LABEL if s in positive_starts
-                       else ADL_LABEL for s in starts]
+        self.labels = np.array([GESTURE_WINDOW_LABEL if s in positive_starts
+                                else ADL_LABEL for s in starts])
 
     def predict(self, X):
         assert len(X) == len(self.labels)
@@ -372,6 +407,28 @@ def informative_dataset(n=40, seed=0):
     labels = ["neg"] * (n // 2) + ["pos"] * (n // 2)
     return LabeledDataset(X=np.column_stack([f0, f1]), labels=labels,
                           subjects=["s"] * n, feature_names=["f0", "f1"])
+
+
+class TestStratifiedSplit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_oracle(self, seed):
+        # uneven class sizes, 1-row classes among them, in shuffled order
+        rng = np.random.default_rng(seed)
+        names = np.array(["Up", "Push", "Z", ADL_LABEL, GESTURE_WINDOW_LABEL])
+        for _ in range(50):
+            k = int(rng.integers(1, len(names) + 1))
+            labels = np.repeat(names[:k], rng.integers(1, 6, size=k))
+            rng.shuffle(labels)
+            if len(np.unique(labels)) == len(labels):
+                # every class has one row, so there is no test half
+                with pytest.raises(ValidationError, match="too small"):
+                    _stratified_split(labels)
+                continue
+            train, test = _stratified_split(labels)
+            want_train, want_test = loop_stratified_split(labels.tolist())
+            assert train.dtype.kind == test.dtype.kind == "i"
+            assert np.array_equal(train, want_train)
+            assert np.array_equal(test, want_test)
 
 
 class TestPermutationImportance:
@@ -460,8 +517,8 @@ class TestNoiseAugment:
         out = noise_augment(data, sigma=0.5, seed=4)
         assert len(out) == 20
         assert np.array_equal(out.X[:10], data.X)
-        assert out.labels == data.labels * 2
-        assert out.subjects == data.subjects * 2
+        assert out.labels.tolist() == data.labels.tolist() * 2
+        assert out.subjects.tolist() == data.subjects.tolist() * 2
 
     def test_sigma_zero_duplicates_exactly(self):
         data = informative_dataset(n=10)
@@ -520,7 +577,7 @@ class TestLosoEvaluate:
         data = subject_dataset(3, seed=5)
         seed = 11
         rep = loso_evaluate(data, CentroidTrainer(), seed=seed)
-        mask = data.rows_for_subjects(["s0"])
+        mask = data.subjects == "s0"
         test = data.take(mask)
         pred = CentroidTrainer()(data.take(~mask), test.X,
                                  derive_int(seed, FOLD, 0))
@@ -565,9 +622,10 @@ class TestTrainers:
                               feature_names=["f0", "f1", "f2", "f3"])
         cfg = ForestConfig(n_trees=3, max_depth=3)
         preds = [ForestTrainer(cfg)(data, data.X, seed=s) for s in (1, 2)]
-        assert preds[0] != preds[1]
+        assert preds[0].tolist() != preds[1].tolist()
         for s, pred in zip((1, 2), preds):
-            assert pred == forest_train_predict(data, data.X, cfg, s)
+            assert pred.tolist() == \
+                forest_train_predict(data, data.X, cfg, s).tolist()
 
     def test_column_restriction(self):
         data = informative_dataset()
@@ -584,7 +642,7 @@ class TestTrainers:
         trainer = SvmTrainer(augment_sigma=0.5)
         a = trainer(data, data.X, seed=7)
         b = trainer(data, data.X, seed=7)
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 class TestCsvWriters:

@@ -343,7 +343,8 @@ class TestSmoTrain:
         y = np.array([-1.0] * 15 + [1.0] * 15)
         model = ovo_train(self.two_class(X, y), KernelConfig(kind="linear"),
                           1.0)
-        assert model.predict(X) == self.two_class(X, y).labels
+        assert model.predict(X).tolist() == \
+            self.two_class(X, y).labels.tolist()
 
     def test_keeps_only_support_vectors(self):
         X, y = random_problem(23, n=40, d=3, separation=2.0)
@@ -458,12 +459,12 @@ class TestOvo:
         # must score positively on that pair
         data = twelve_class_dataset()
         a, b = model.pairs[0]
-        row = data.X[data.labels.index(a)]
+        row = data.X[np.flatnonzero(data.labels == a)[0]]
         assert model.decision_matrix(row)[0, 0] > 0.0
 
     def test_training_rows_recovered(self, model):
         data = twelve_class_dataset()
-        assert model.predict(data.X) == data.labels
+        assert model.predict(data.X).tolist() == data.labels.tolist()
 
     def test_vote_tally_matches_naive_winner(self, model):
         r = np.random.default_rng(9)
@@ -491,7 +492,8 @@ class TestOvo:
         rows = np.arange(len(data))[:, None]
         assert np.all(np.sort(ranking, axis=1) == np.arange(12))
         assert np.all(np.diff(votes[rows, ranking], axis=1) <= 0)
-        assert [model.classes[w] for w in ranking[:, 0]] == data.labels
+        assert [model.classes[w] for w in ranking[:, 0]] == \
+            data.labels.tolist()
 
     def test_scaler_is_embedded(self, model):
         data = twelve_class_dataset()
