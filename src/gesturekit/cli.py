@@ -224,7 +224,9 @@ def _cmd_synth(args) -> int:
 def _cmd_rqa_features(args) -> int:
     cfg = RqaConfig.parse(vars(args))
     cfg.check_window()
-    starts, X = window_features(parse_imu_csv(args.infile), cfg)
+    stream = parse_imu_csv(args.infile)
+    cfg.check_length(len(stream), f"{args.infile}: stream")
+    starts, X = window_features(stream, cfg)
     write_rqa_csv(starts, X, args.outfile)
     print(f"wrote {len(X)} windows to {args.outfile}")
     return 0
@@ -266,6 +268,7 @@ def _cmd_train_identifier(args) -> int:
 def _cmd_identify(args) -> int:
     stream = parse_imu_csv(args.infile)
     model, cfg = load_identifier(args.model)
+    cfg.check_length(len(stream), f"{args.infile}: stream")
     segments = identify_segments(stream, model, cfg)
     write_file(args.outfile, "start,end,subject\n" + "".join(
         f"{start},{end},{stream.subject_id}\n" for start, end in segments))

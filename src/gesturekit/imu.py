@@ -15,6 +15,7 @@ Label CSV   header: ``start,end,label,subject`` with half-open sample
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -175,19 +176,23 @@ def read_text(path) -> str:
                          f"{exc.start})") from None
 
 
-def write_file(path, data: bytes | bytearray | str) -> None:
-    """Replace the file at ``path`` with ``data`` (text as UTF-8, as given):
-    remove what is there, a symlink too, and create the file anew. Truncating
-    in place instead stalls tens of ms a rewrite on ext4 mounted ``discard``."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def write_file(path, data: bytes | bytearray | str | Iterable[str]) -> None:
+    """Replace the file at ``path`` with ``data``: bytes, text, or text
+    chunks written one at a time (text as UTF-8, as given). Remove what is
+    there, a symlink too, and create the file anew. Truncating in place
+    instead stalls tens of ms a rewrite on ext4 mounted ``discard``."""
+    if isinstance(data, (bytes, bytearray, str)):
+        data = (data,)
     Path(path).unlink(missing_ok=True)
     with open(path, "xb") as fh:
-        fh.write(data)
+        for chunk in data:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str)
+                     else chunk)
 
 
-# stream rows converted per block. It bounds the cell strings alive at
-# once; 2048 parsed no faster and raised a forest run's peak RSS by 1 MB.
+# stream rows converted per block, parsed or written. It bounds the cell
+# strings alive at once; 2048 parsed no faster and raised a forest run's
+# peak RSS by 1 MB.
 _BLOCK_ROWS = 1024
 
 
@@ -289,10 +294,16 @@ def parse_imu_csv(path) -> ImuStream:
 
 
 def write_imu_csv(stream: ImuStream, path) -> None:
-    """Serialize a stream indexed from 0; values survive a parse round-trip."""
-    write_file(path, ",".join(STREAM_HEADER) + "\n" + "".join(
-        ",".join([str(i)] + [format_float(v) for v in row]) + "\n"
-        for i, row in enumerate(stream.channels)))
+    """Serialize a stream indexed from 0, ``_BLOCK_ROWS`` rows at a time;
+    values survive a parse round-trip."""
+    def blocks():
+        yield ",".join(STREAM_HEADER) + "\n"
+        for lo in range(0, len(stream), _BLOCK_ROWS):
+            yield "".join(
+                ",".join([str(i)] + [format_float(v) for v in row]) + "\n"
+                for i, row in enumerate(stream.channels[lo: lo + _BLOCK_ROWS],
+                                        lo))
+    write_file(path, blocks())
 
 
 def parse_label_csv(path) -> list[LabeledInterval]:

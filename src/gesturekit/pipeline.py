@@ -207,13 +207,15 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
     returned model is trained on one balanced draw over all subjects and
     carries ``cfg``'s window geometry.
     """
-    # window labels need only the stream lengths, so both checks run
+    # window labels need only the stream lengths, so every check runs
     # before any windowed RQA
+    for stream, _ in data:
+        cfg.rqa.check_length(len(stream),
+                             f"subject {stream.subject_id}: stream")
     labels = [label_windows(stream, intervals, cfg.rqa,
                             cfg.overlap_fraction)
               for stream, intervals in data]
-    subjects = sorted({stream.subject_id
-                       for (stream, _), ls in zip(data, labels) if len(ls)})
+    subjects = sorted({stream.subject_id for stream, _ in data})
     if len(subjects) < 2:
         raise ValidationError("need >=2 subjects")
     spotted = {stream.subject_id for (stream, _), ls in zip(data, labels)

@@ -5,9 +5,16 @@ A scalar series is lifted into phase space by time-delay embedding, the
 pairwise state distances are thresholded into a binary recurrence matrix,
 and two quantifiers are computed per sliding window: the recurrence rate
 (density of recurrences) and the transitivity of the recurrence network
-(fraction of closed triples). The embedding delay is picked at the first
-minimum of the average mutual information; the dimension by the false
-nearest neighbours criterion.
+(closed over connected triples). Both are ratios of integer counts, so
+overlapping windows share them: ``windowed_rqa`` thresholds the band of
+state pairs less than a window apart once, and counts each triangle once,
+in the block of ``step`` states that holds its lowest state; a window adds
+up the column prefixes of the blocks it covers. The float32 counts are
+exact for windows of fewer than 2^24 states and the float64 totals for
+fewer than 2^17, so a window's rr and tra equal those of its own plot,
+bit for bit. The embedding delay is picked at the first minimum of the
+average mutual information; the dimension by the false nearest
+neighbours criterion.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -29,9 +37,13 @@ _CDIST_METRIC = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
 # n^2 uint8 cells, never n^2 float64 distances
 _THRESHOLD_ROWS = 256
 
-# windows counted per batch by windowed_rqa. 32 x 121^2 float32 is 1.9 MB;
-# 64 ran no faster and raised a spot run's peak RSS by 3.5 MB.
-_WINDOW_CHUNK = 32
+# band rows per cdist call in _band; 32 and 48 ran as fast, 128 slower
+_BAND_ROWS = 64
+
+# blocks counted per chunk by windowed_rqa. At the default geometry, 32
+# blocks hold a 0.9 MB float32 band and 0.4 MB of triangle counts; 64
+# ran no faster.
+_BLOCK_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,13 @@ class RqaConfig:
         """Reject a window too short to hold two embedded states."""
         if self.n_states(self.window_len) < 2:
             raise ValidationError("window shorter than the embedding needs")
+
+    def check_length(self, n: int, what: str) -> None:
+        """Reject ``what``, a series of n samples, if it is shorter than
+        one window."""
+        if n < self.window_len:
+            raise ValidationError(f"{what} of length {n} shorter than one "
+                                  f"window ({self.window_len})")
 
     def n_states(self, n: int) -> int:
         return n - (self.dimension - 1) * self.delay
@@ -177,13 +196,11 @@ def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:
     return RecurrencePlot(matrix)
 
 
-def _rr_tra(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence rate and transitivity of each matrix in a stack.
+def _rr_tra(matrix: np.ndarray) -> tuple[float, float]:
+    """Recurrence rate and transitivity of one symmetric 0/1 recurrence
+    matrix whose main diagonal counts as all ones, whatever it holds.
 
-    ``stack`` is a (k, n, n) float32 array of symmetric 0/1 recurrence
-    matrices whose main diagonal counts as all ones, whatever it holds;
-    it is overwritten (the diagonal is zeroed). With A a matrix minus its
-    diagonal and deg its row sums:
+    With A the matrix minus its diagonal and deg its row sums:
 
     - rr = (sum A + n) / n^2;
     - tra = sum (A @ A) * A / sum deg * (deg - 1), or 0 when the
@@ -196,24 +213,19 @@ def _rr_tra(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are exact too, and rr and tra are the correctly rounded quotients of
     exact counts.
     """
-    k, n, _ = stack.shape
-    diag = np.arange(n)
-    stack[:, diag, diag] = 0.0
-    deg = stack.sum(axis=2, dtype=np.float64)
-    rr = (deg.sum(axis=1) + n) / float(n * n)
-    connected = np.sum(deg * (deg - 1.0), axis=1)
-    paths = np.matmul(stack, stack)
-    paths *= stack
-    closed = paths.sum(axis=(1, 2), dtype=np.float64)
-    tra = np.zeros(k)
-    np.divide(closed, connected, out=tra, where=connected > 0.0)
-    return rr, tra
+    n = len(matrix)
+    a = matrix.astype(np.float32)
+    np.fill_diagonal(a, 0.0)
+    deg = a.sum(axis=1, dtype=np.float64)
+    connected = np.sum(deg * (deg - 1.0))
+    closed = np.sum((a @ a) * a, dtype=np.float64)
+    rr = (deg.sum() + n) / float(n * n)
+    return float(rr), float(closed / connected) if connected > 0.0 else 0.0
 
 
 def recurrence_rate(rp: RecurrencePlot) -> float:
     """Density of ones in the matrix, the unit main diagonal included."""
-    rr, _ = _rr_tra(rp.matrix[None].astype(np.float32))
-    return float(rr[0])
+    return _rr_tra(rp.matrix)[0]
 
 
 def transitivity(rp: RecurrencePlot) -> float:
@@ -224,8 +236,7 @@ def transitivity(rp: RecurrencePlot) -> float:
     (closed ordered triples over connected ordered triples); an empty
     denominator yields 0.
     """
-    _, tra = _rr_tra(rp.matrix[None].astype(np.float32))
-    return float(tra[0])
+    return _rr_tra(rp.matrix)[1]
 
 
 def ami_curve(series, max_lag: int, bins: int = 16) -> np.ndarray:
@@ -351,6 +362,38 @@ def estimate_dimension(series, tau: int, cap: int = 10,
     return cap
 
 
+def _band(states, lo: int, n: int, cfg: RqaConfig, out: np.ndarray) -> None:
+    """Write the recurrence band of states ``lo, lo + 1, ...`` into the
+    (rows, n - 1) array ``out``: ``out[r, d - 1]`` is 1 iff
+    ``||x_{lo+r} - x_{lo+r+d}|| <= epsilon``, for 0 < d < n and both
+    states in ``states``, and 0 otherwise.
+
+    Each ``cdist`` call takes ``_BAND_ROWS`` states against the next
+    ``_BAND_ROWS + n - 2``, and row r of the band is the diagonal that
+    starts at column r of that block. ``cdist`` computes each distance on
+    its own, so every cell equals the same pair's cell in a plot of any
+    window that holds both states.
+    """
+    metric = _CDIST_METRIC[cfg.norm]
+    buf = np.empty(_BAND_ROWS * (_BAND_ROWS + n - 1))
+    valid = max(0, min(len(out), len(states) - lo))
+    out[valid:] = 0
+    for r in range(0, valid, _BAND_ROWS):
+        a = lo + r
+        k = min(_BAND_ROWS, valid - r)
+        width = k + n - 2
+        dist = buf[: k * width].reshape(k, width)
+        partners = states[a + 1: a + k + n - 1]
+        if len(partners) < width:       # the last states have fewer partners
+            dist[:] = np.inf
+            dist[:, :len(partners)] = cdist(states[a: a + k], partners, metric)
+        else:
+            cdist(states[a: a + k], partners, metric, out=dist)
+        # element (i, j) of this view is dist[i, i + j]
+        np.less_equal(buf[: k * (width + 1)].reshape(k, width + 1)[:, :n - 1],
+                      cfg.epsilon, out=out[r: r + k])
+
+
 def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     """RR and TRA per sliding window of a scalar series, as an
     ``(n_windows, 2)`` float64 array of ``rr, tra`` rows.
@@ -358,31 +401,74 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     Row k is the window covering samples ``[k*step, k*step + window_len)``,
     the one starting at ``cfg.starts(N)[k]``; there are
     ``floor((N - window_len)/step) + 1`` windows. The series is embedded
-    once, and window k's states are rows ``k*step`` onwards of that
+    once, and window k's n states are rows ``k*step`` onwards of that
     embedding, bit for bit the states of the window embedded on its own.
-    Each window's distances are thresholded into a float32 stack of up to
-    ``_WINDOW_CHUNK`` recurrence matrices, and the stack is counted at
-    once by ``_rr_tra``, whose integer counts are exact for windows of
-    fewer than 2^17 states. So every row equals the RR and TRA of the
-    window's own ``recurrence_plot``, bit for bit, whatever its
-    neighbours.
+
+    Windows overlap, so each count is made once and shared:
+
+    - ``_band`` thresholds each pair of states less than n apart once.
+    - Block b is the n states from ``b*step``. Their band, read with no
+      copy as the strictly upper-triangular n x n matrix U, gives
+      ``(U[:h] @ U) * U[:h]`` with h = min(step, n): for each pair
+      (i, k), the triangles whose lowest state is i, one of the block's
+      first h, and whose highest is k. The prefix sums of its column
+      sums count the triangles that end by each column.
+    - Window k's triangles are the sum, over its blocks k + t for
+      t < ceil(n/step), of block k + t's prefix up to column
+      n - 1 - t*step. Its degrees are the row plus the column sums of
+      block k's U, the window's own upper triangle.
+
+    Then rr = (sum deg + n) / n^2 and tra = 6 triangles / sum deg (deg - 1),
+    the quotients ``recurrence_rate`` and ``transitivity`` take. Every
+    count is an integer. The entries of the float32 products are at most
+    n - 1, so they are exact for n < 2^24 in any summation order and with
+    any number of BLAS threads. The totals, below n^3, are summed in
+    float64, exact for n < 2^17. So every row equals the RR and TRA of
+    the window's own ``recurrence_plot``, bit for bit, whatever its
+    neighbours. The band is built ``_BLOCK_CHUNK`` blocks at a time, and
+    a chunk keeps the rows it shares with the one before, so working
+    memory does not grow with the series.
     """
     r = np.asarray(series, dtype=np.float64)
     cfg.check_window()
-    if len(r) < cfg.window_len:
-        raise ValidationError(
-            f"series of length {len(r)} shorter than one window ({cfg.window_len})")
+    cfg.check_length(len(r), "series")
     states = time_delay_embed(r, cfg)
-    n = cfg.n_states(cfg.window_len)
-    starts = cfg.starts(len(r))
-    stack = np.empty((min(len(starts), _WINDOW_CHUNK), n, n), dtype=np.float32)
-    out = np.empty((len(starts), 2))
-    for lo in range(0, len(starts), _WINDOW_CHUNK):
-        chunk = starts[lo: lo + _WINDOW_CHUNK]
-        for k, start in enumerate(chunk):
-            _threshold(states[start: start + n], cfg, stack[k])
-        hi = lo + len(chunk)
-        out[lo:hi, 0], out[lo:hi, 1] = _rr_tra(stack[:len(chunk)])
+    n, step = cfg.n_states(cfg.window_len), cfg.step
+    h = min(step, n)
+    # the t-th block of a window counts triangles up to column ends[t]
+    ends = n - 1 - step * np.arange(-(-n // step))
+    n_windows = cfg.n_windows(len(r))
+    n_blocks = n_windows + len(ends) - 1
+    # band cells n.. stay 0, so that U's lower triangle reads zeros
+    pitch = 2 * n - 1
+    band = np.zeros(((_BLOCK_CHUNK - 1) * step + n, pitch), dtype=np.float32)
+    row, cell = band.strides
+    ones = np.ones(n, dtype=np.float32)
+    prefix = np.empty((n_blocks, len(ends)))
+    degree_sum = np.empty(n_blocks)
+    connected = np.empty(n_blocks)
+    kept = 0
+    for lo in range(0, n_blocks, _BLOCK_CHUNK):
+        k = min(_BLOCK_CHUNK, n_blocks - lo)
+        rows = (k - 1) * step + n
+        _band(states, lo * step + kept, n, cfg, band[kept:rows, 1:n])
+        # U's row a is band row a moved a cells right: U[a, b] = R[a, b - a]
+        u = as_strided(band, (k, n, n), (step * row, row - cell, cell))
+        paths = np.matmul(u[:, :h], u)
+        paths *= u[:, :h]
+        prefix[lo: lo + k] = np.cumsum(paths.sum(axis=1, dtype=np.float64),
+                                       axis=1)[:, ends]
+        deg = (np.matmul(u, ones) + np.matmul(ones, u)).astype(np.float64)
+        degree_sum[lo: lo + k] = deg.sum(axis=1)
+        connected[lo: lo + k] = np.sum(deg * (deg - 1.0), axis=1)
+        # the next chunk's first band rows are this chunk's last
+        kept = max(0, rows - _BLOCK_CHUNK * step)
+        band[:kept] = band[_BLOCK_CHUNK * step: rows]
+    triangles = sum(prefix[t: t + n_windows, t] for t in range(len(ends)))
+    connected = connected[:n_windows]
+    out = np.zeros((n_windows, 2))
+    out[:, 0] = (degree_sum[:n_windows] + n) / float(n * n)
+    np.divide(6.0 * triangles, connected, out=out[:, 1], where=connected > 0.0)
     return out
 
 

@@ -440,6 +440,24 @@ class TestTrainIdentifier:
             "error: no gesture windows in subject s03; every held-out "
             "subject needs one\n")
 
+    def test_stream_shorter_than_a_window_named_before_rqa(
+            self, data_dir, tmp_path, capsys, monkeypatch):
+        def no_rqa(stream, cfg):
+            pytest.fail("windowed RQA ran")
+
+        monkeypatch.setattr(pipeline, "window_features", no_rqa)
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        stream = data / "identification" / "s02.csv"
+        stream.write_text("".join(stream.read_text().splitlines(True)[:101]))
+        code = dispatch(["train-identifier", "--data", str(data),
+                         "--out", str(tmp_path / "m.model")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: subject s02: stream of length 100 shorter than one "
+            "window (125)\n")
+        assert not (tmp_path / "m.model").exists()
+
     def test_model_records_geometry(self, identifier):
         lines = identifier[0].read_text().splitlines()
         assert lines[1:9] == ["[rqa]", "series acc_y", "window_len 125",
@@ -466,6 +484,21 @@ def spot_corpus(tmp_path_factory):
                      "--subjects", "4", "--reps", "1", "--adl-minutes", "5",
                      "--gesture-fraction", "0.005"]) == 0
     return out
+
+
+@pytest.mark.parametrize("command", ["identify", "rqa-features"])
+def test_stream_shorter_than_a_window_names_its_file(
+        command, identifier, stream_csv, tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("".join(stream_csv.read_text().splitlines(True)[:101]))
+    out = tmp_path / "out.csv"
+    model = ["--model", str(identifier[0])] if command == "identify" else []
+    assert dispatch([command, "--in", str(short), *model,
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {short}: stream of length 100 shorter than one window "
+        "(125)\n")
+    assert not out.exists()
 
 
 class TestIdentify:

@@ -340,6 +340,8 @@ def test_write_file_replaces_longer_file(tmp_path):
     assert path.read_bytes() == b"\xc3\xa9,b\n"
     write_file(path, b"\x00\xff")
     assert path.read_bytes() == b"\x00\xff"
+    write_file(path, (chunk for chunk in ["a,", "\u00e9\n", ""]))
+    assert path.read_bytes() == b"a,\xc3\xa9\n"
 
 
 def test_write_file_replaces_symlink_not_its_target(tmp_path):

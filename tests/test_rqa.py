@@ -3,7 +3,7 @@ import pytest
 
 from gesturekit.errors import ValidationError
 from gesturekit import rqa
-from gesturekit.rqa import (NORMS, _WINDOW_CHUNK, RecurrencePlot, RqaConfig,
+from gesturekit.rqa import (NORMS, _BLOCK_CHUNK, RecurrencePlot, RqaConfig,
                             ami_curve, estimate_delay, estimate_dimension,
                             fnn_fraction, recurrence_plot, recurrence_rate,
                             time_delay_embed, transitivity, windowed_rqa,
@@ -244,7 +244,9 @@ def exact(**rp):
     return RqaConfig(window_len=20, step=3, dimension=3, delay=2, **rp)
 
 
-EXACT_N = 20 + (2 * _WINDOW_CHUNK + 4) * 3   # 3 chunks, the last partial
+# 69 windows and ceil(16 / 3) - 1 = 5 blocks past the last one: 3 chunks
+# of blocks, the last partial
+EXACT_N = 20 + (2 * _BLOCK_CHUNK + 4) * 3
 
 
 @pytest.mark.parametrize("norm", NORMS)
@@ -253,10 +255,56 @@ def test_windowed_rqa_bit_equals_per_window_oracle(norm):
     r = np.cumsum(rng.normal(scale=0.1, size=EXACT_N))
     cfg = exact(epsilon=0.3, norm=norm)
     got = window_table(r, cfg)
-    assert len(got) > _WINDOW_CHUNK and len(got) % _WINDOW_CHUNK != 0
+    assert len(got) > _BLOCK_CHUNK and len(got) % _BLOCK_CHUNK != 0
     want = per_window_reference(r, cfg)
     assert got == want            # exact: no tolerance
     assert len({tra for _, _, tra in got}) > 30     # not a trivial graph
+
+
+# (window_len, step, m, tau, series length) at the edges of the band and
+# block layout
+EDGES = {
+    # 16 states and a step of 20: one block a window, states left out
+    "step-past-states": (20, 20, 3, 2, 130),
+    "step-1": (20, 1, 3, 2, 60),
+    "m-1": (20, 3, 1, 1, 80),
+    # 12 states, which a step of 5 does not divide
+    "tau-4": (20, 5, 3, 4, 95),
+    "one-window": (20, 3, 3, 2, 20),
+    # the last window ends at the last state, so its last block holds 1
+    # state of 3
+    "partial-last-block": (20, 3, 3, 2, 20 + 3 * 20),
+    # and here 2 samples past the last window
+    "tail-past-last-window": (20, 3, 3, 2, 20 + 3 * 20 + 2),
+}
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("edge", EDGES.values(), ids=EDGES.keys())
+def test_windowed_rqa_edges_bit_equal_per_window_oracle(edge, norm):
+    window_len, step, m, tau, length = edge
+    rng = np.random.default_rng(13)
+    r = np.cumsum(rng.normal(scale=0.1, size=length))
+    cfg = RqaConfig(window_len=window_len, step=step, dimension=m,
+                    delay=tau, epsilon=0.3, norm=norm)
+    got = window_table(r, cfg)
+    assert len(got) == cfg.n_windows(length)
+    assert got == per_window_reference(r, cfg)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("chunk,rows", [(1, 1), (2, 5), (7, 3)])
+def test_windowed_rqa_chunks_bit_equal_per_window_oracle(monkeypatch, norm,
+                                                         chunk, rows):
+    # many chunks of blocks, each band chunk in many cdist calls
+    monkeypatch.setattr(rqa, "_BLOCK_CHUNK", chunk)
+    monkeypatch.setattr(rqa, "_BAND_ROWS", rows)
+    rng = np.random.default_rng(14)
+    r = np.cumsum(rng.normal(scale=0.1, size=90))
+    cfg = exact(epsilon=0.3, norm=norm)
+    got = window_table(r, cfg)
+    assert len(got) > 3 * chunk
+    assert got == per_window_reference(r, cfg)
 
 
 @pytest.mark.parametrize("series,rr,tra", [
