@@ -234,6 +234,10 @@ def _cmd_rqa_features(args) -> int:
 
 def _cmd_rp_export(args) -> int:
     cfg = RqaConfig.parse(vars(args))
+    if args.start < 0:
+        raise ValidationError("--start must be >= 0")
+    if args.length is not None and args.length < 1:
+        raise ValidationError("--length must be >= 1")
     series = parse_imu_csv(args.infile).channel(cfg.series)
     start = args.start
     end = len(series) if args.length is None else start + args.length
@@ -252,8 +256,8 @@ def _cmd_train_identifier(args) -> int:
         RqaConfig.parse(vars(args)), overlap_fraction=args.overlap,
         n_balance_iters=args.iterations, kernel=_kernel_from(args),
         cost=args.cost)
-    data = _load_streams(_data_dir(args.data, "identification"))
     with _pool(args.jobs) as mapper:
+        data = _load_streams(_data_dir(args.data, "identification"))
         model, report = train_identifier(data, cfg, seed=args.seed,
                                          mapper=mapper)
     save_model(model, args.out)
@@ -291,7 +295,7 @@ def _cmd_recognize(args) -> int:
     model = load_model(args.model)
     dataset = featurize_segments([(parse_imu_csv(args.infile), "")],
                                  model.feature_names)
-    votes, margins = vote_tally(model.classes, model.pairs,
+    votes, margins = vote_tally(len(model.classes),
                                 model.decision_matrix(dataset.X))
     ranking = vote_ranking(votes, margins)[0]
     print(model.classes[ranking[0]])
@@ -316,8 +320,8 @@ def _cmd_evaluate(args) -> int:
     else:
         trainer = ForestTrainer(ForestConfig(n_trees=args.trees,
                                              max_depth=args.depth))
-    dataset = _segment_dataset(args)
     with _pool(args.jobs) as mapper:
+        dataset = _segment_dataset(args)
         report = loso_evaluate(dataset, trainer, seed=args.seed,
                                mapper=mapper)
     write_report_csv(report, args.report)
@@ -333,8 +337,8 @@ def _cmd_importance(args) -> int:
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost)
     else:
         trainer = CentroidTrainer()
-    dataset = _segment_dataset(args)
     with _pool(args.jobs) as mapper:
+        dataset = _segment_dataset(args)
         result = permutation_importance(dataset, trainer, n_reps=args.reps,
                                         seed=args.seed, mapper=mapper)
     write_importance_csv(result, args.outfile)

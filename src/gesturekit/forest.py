@@ -1,9 +1,11 @@
 """Random-forest baseline: CART trees with Gini splits and bagging.
 
 Kept deliberately close to the conventional defaults the comparison uses:
-midpoint thresholds between consecutive sorted unique values, sqrt(d)
-features drawn per split, majority-class leaves, bootstrap samples of the
-training-set size. Class ties anywhere resolve by canonical class order.
+midpoint thresholds between consecutive sorted unique values,
+max(1, floor(sqrt(d))) features drawn per split, majority-class leaves,
+bootstrap samples of the training-set size. Trees work on class indices
+into the canonical class order, so every class tie, in a leaf or in the
+forest vote, goes to the lowest index.
 """
 
 from __future__ import annotations
@@ -13,42 +15,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .imu import canonical_class_order, class_indices
+from .imu import class_indices
 
 
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
     max_depth: int = 10
-    features_per_split: int | None = None   # None: max(1, floor(sqrt(d)))
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
         if self.max_depth < 1:
             raise ValidationError("max_depth must be >= 1")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValidationError("features_per_split must be >= 1")
-
-    def split_features(self, d: int) -> int:
-        if self.features_per_split is not None:
-            return min(self.features_per_split, d)
-        return max(1, int(np.sqrt(d)))
 
 
-@dataclass
-class TreeNode:
-    """Internal split node or leaf; leaves carry ``label``."""
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: str | None = None
+@dataclass(frozen=True)
+class Tree:
+    """One CART tree as per-node arrays, nodes in preorder from the root.
 
-
-def _majority(class_counts, classes) -> str:
-    # argmax returns the lowest index on ties, i.e. canonical order
-    return classes[int(np.argmax(class_counts))]
+    A row at split node i goes to ``left[i]`` if its ``feature[i]`` value
+    is at most ``threshold[i]``, else to ``right[i]``. A leaf has feature
+    -1, threshold 0 and children -1. ``value[i]`` is the class index with
+    the most training rows at node i, the lowest on a tie.
+    """
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
 def _best_split(X, yi, n_classes, feat_ids):
@@ -93,57 +88,55 @@ def _best_split(X, yi, n_classes, feat_ids):
     return int(feat_ids[f]), float(thr), float(per_feature[f])
 
 
-def tree_train(rows, labels, cfg: ForestConfig, rng,
-               classes=None) -> TreeNode:
-    """Grow one CART tree.
+def tree_train(X, yi, n_classes: int, max_depth: int, rng) -> Tree:
+    """Grow one CART tree on rows ``X`` and their class indices ``yi``.
 
-    ``classes`` fixes the class order shared across a forest; by default
-    it is the canonical order of the labels present.
+    Nodes grow depth-first, left before right, so the split-feature draws
+    from ``rng`` come in preorder.
     """
-    X = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if X.shape[0] == 0 or len(labels) == 0:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    yi = np.asarray(yi, dtype=np.int64)
+    if X.shape[0] == 0:
         raise ValidationError("empty input")
-    if X.shape[0] != len(labels):
+    if X.shape[0] != len(yi):
         raise ValidationError("one label per row required")
-    if classes is None:
-        classes = canonical_class_order(labels)
-    yi = class_indices(classes, labels)
-    k = cfg.split_features(X.shape[1])
+    k = max(1, int(np.sqrt(X.shape[1])))
+    nodes = []      # [feature, threshold, left, right, value] per node
 
     def grow(idx, depth):
-        counts = np.bincount(yi[idx], minlength=len(classes))
+        counts = np.bincount(yi[idx], minlength=n_classes)
+        node = [-1, 0.0, -1, -1, int(np.argmax(counts))]
+        nodes.append(node)
         # a one-row node is pure, so it stops here too
-        if depth >= cfg.max_depth or np.count_nonzero(counts) <= 1:
-            return TreeNode(label=_majority(counts, classes))
+        if depth >= max_depth or np.count_nonzero(counts) <= 1:
+            return
         feat_ids = rng.choice(X.shape[1], size=k, replace=False)
-        split = _best_split(X[idx], yi[idx], len(classes), feat_ids)
+        split = _best_split(X[idx], yi[idx], n_classes, feat_ids)
         if split is None:
-            return TreeNode(label=_majority(counts, classes))
+            return
         f, thr, _ = split
         mask = X[idx, f] <= thr
-        return TreeNode(feature=f, threshold=thr,
-                        left=grow(idx[mask], depth + 1),
-                        right=grow(idx[~mask], depth + 1))
+        node[:3] = f, thr, len(nodes)
+        grow(idx[mask], depth + 1)
+        node[3] = len(nodes)
+        grow(idx[~mask], depth + 1)
 
-    return grow(np.arange(X.shape[0]), 0)
+    grow(np.arange(X.shape[0]), 0)
+    return Tree(*map(np.array, zip(*nodes)))
 
 
-def tree_predict(node: TreeNode, X) -> np.ndarray:
+def tree_predict(tree: Tree, X) -> np.ndarray:
+    """Class index of the leaf each row reaches; all rows still at a
+    split node move down one level per step."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    rows, labels = [], []      # per leaf reached: its rows and its label
-
-    def walk(n, idx):
-        if n.label is not None:
-            rows.append(idx)
-            labels.append(n.label)
-            return
-        mask = X[idx, n.feature] <= n.threshold
-        walk(n.left, idx[mask])
-        walk(n.right, idx[~mask])
-
-    walk(node, np.arange(X.shape[0]))
-    by_leaf = np.repeat(labels, [len(r) for r in rows])
-    return by_leaf[np.argsort(np.concatenate(rows))]
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    live = np.flatnonzero(tree.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        node[live] = np.where(X[live, tree.feature[at]] <= tree.threshold[at],
+                              tree.left[at], tree.right[at])
+        live = live[tree.feature[node[live]] >= 0]
+    return tree.value[node]
 
 
 def forest_train_predict(train, test_rows, cfg: ForestConfig,
@@ -161,13 +154,13 @@ def forest_train_predict(train, test_rows, cfg: ForestConfig,
     if test.shape[1] != X.shape[1]:
         raise ValidationError("test rows have the wrong width")
     classes = train.classes
+    yi = class_indices(classes, train.labels)
     children = np.random.SeedSequence(seed).spawn(cfg.n_trees)
     votes = np.zeros((test.shape[0], len(classes)), dtype=np.int64)
     every = np.arange(test.shape[0])
     for child in children:
         rng = np.random.default_rng(child)
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        tree = tree_train(X[idx], train.labels[idx], cfg, rng,
-                          classes=classes)
-        votes[every, class_indices(classes, tree_predict(tree, test))] += 1
+        tree = tree_train(X[idx], yi[idx], len(classes), cfg.max_depth, rng)
+        votes[every, tree_predict(tree, test)] += 1
     return np.asarray(classes)[np.argmax(votes, axis=1)]

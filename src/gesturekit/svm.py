@@ -290,28 +290,26 @@ class OvoSvmModel:
 
     def predict(self, X) -> np.ndarray:
         D = self.decision_matrix(X)
-        ranking = vote_ranking(*vote_tally(self.classes, self.pairs, D))
+        ranking = vote_ranking(*vote_tally(len(self.classes), D))
         return np.asarray(self.classes)[ranking[:, 0]]
 
 
-def vote_tally(classes, pairs, D):
+def vote_tally(n_classes: int, D):
     """Vote counts and per-class |decision| sums for a decision matrix.
 
-    For pair column (a, b), a non-negative value is a vote for a. The
-    margin sum for a class accumulates only over pairs that class won.
+    Column p of ``D`` is the p-th class pair (a, b) of
+    ``np.triu_indices(n_classes, 1)``, which is ``combinations`` order;
+    a non-negative value is a vote for a, any other for b. The margin sum
+    for a class accumulates only over pairs that class won, in pair order.
     """
-    index = {c: i for i, c in enumerate(classes)}
     n = D.shape[0]
-    votes = np.zeros((n, len(classes)), dtype=np.int64)
-    margins = np.zeros((n, len(classes)))
-    for p, (a, b) in enumerate(pairs):
-        d = D[:, p]
-        won_a = d >= 0.0
-        ia, ib = index[a], index[b]
-        votes[won_a, ia] += 1
-        votes[~won_a, ib] += 1
-        margins[won_a, ia] += np.abs(d[won_a])
-        margins[~won_a, ib] += np.abs(d[~won_a])
+    a, b = np.triu_indices(n_classes, 1)
+    cell = (np.arange(n)[:, None] * n_classes
+            + np.where(D >= 0.0, a, b)).ravel()
+    size = n * n_classes
+    votes = np.bincount(cell, minlength=size).reshape(n, n_classes)
+    margins = np.bincount(cell, weights=np.abs(D).ravel(),
+                          minlength=size).reshape(n, n_classes)
     return votes, margins
 
 

@@ -449,13 +449,34 @@ def loop_take(X, labels, subjects, rows):
     return X[rows], [labels[i] for i in rows], [subjects[i] for i in rows]
 
 
-def loop_tree_predict(node, X):
-    """Each row walked down the tree on its own, to its leaf's label; a
-    differential oracle for ``tree_predict``'s fill per leaf."""
+def loop_tree_predict(tree, X):
+    """Each row walked down the tree's node arrays on its own, to its
+    leaf's class index; a differential oracle for ``tree_predict``'s
+    level-by-level walk."""
     out = []
     for x in np.atleast_2d(X):
-        n = node
-        while n.label is None:
-            n = n.left if x[n.feature] <= n.threshold else n.right
-        out.append(n.label)
+        i = 0
+        while tree.feature[i] >= 0:
+            go_left = x[tree.feature[i]] <= tree.threshold[i]
+            i = tree.left[i] if go_left else tree.right[i]
+        out.append(int(tree.value[i]))
     return out
+
+
+def loop_vote_tally(classes, pairs, D):
+    """Vote counts and per-class |decision| sums, one pair column at a
+    time with a class-position dict, as ``svm.vote_tally`` computed them
+    before its single bincount; kept as a differential oracle."""
+    index = {c: i for i, c in enumerate(classes)}
+    n = D.shape[0]
+    votes = np.zeros((n, len(classes)), dtype=np.int64)
+    margins = np.zeros((n, len(classes)))
+    for p, (a, b) in enumerate(pairs):
+        d = D[:, p]
+        won_a = d >= 0.0
+        ia, ib = index[a], index[b]
+        votes[won_a, ia] += 1
+        votes[~won_a, ib] += 1
+        margins[won_a, ia] += np.abs(d[won_a])
+        margins[~won_a, ib] += np.abs(d[~won_a])
+    return votes, margins

@@ -709,6 +709,19 @@ class TestEvaluate:
                          "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_forest_jobs_do_not_change_output(self, data_dir, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            report = tmp_path / f"report{jobs}.csv"
+            confusion = tmp_path / f"confusion{jobs}.csv"
+            assert dispatch(["evaluate", "--data", str(data_dir),
+                             "--classifier", "forest", "--trees", "5",
+                             "--depth", "4", "--report", str(report),
+                             "--confusion", str(confusion), "--seed", "2",
+                             "--jobs", jobs]) == 0
+            outputs.append((report.read_bytes(), confusion.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_select_below_one_rejected(self, tmp_path, capsys):
         # the data folder does not exist: the bound check comes first
         report = tmp_path / "r.csv"
@@ -759,10 +772,13 @@ class TestEvaluate:
                          "--report", str(tmp_path / "r.csv"),
                          "--mode", "loso"]) == 1
 
-    def test_zero_jobs_rejected(self, data_dir, tmp_path):
-        assert dispatch(["evaluate", "--data", str(data_dir),
-                         "--report", str(tmp_path / "r.csv"),
-                         "--jobs", "0"]) == 3
+    def test_zero_jobs_rejected(self, tmp_path, capsys):
+        # the data folder does not exist: the --jobs check comes first
+        report = tmp_path / "r.csv"
+        assert dispatch(["evaluate", "--data", str(tmp_path / "missing"),
+                         "--report", str(report), "--jobs", "0"]) == 3
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_single_subject_rejected(self, data_dir, tmp_path, capsys):
         lone = tmp_path / "lone"
@@ -879,6 +895,11 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
     ("importance", "--gamma", "inf", "gamma must be finite"),
     ("rqa-features", "--window-len", "5", "window shorter than the "
      "embedding needs"),
+    ("train-identifier", "--jobs", "0", "--jobs must be >= 1"),
+    ("evaluate", "--jobs", "0", "--jobs must be >= 1"),
+    ("importance", "--jobs", "0", "--jobs must be >= 1"),
+    ("rp-export", "--start", "-1", "--start must be >= 0"),
+    ("rp-export", "--length", "0", "--length must be >= 1"),
 ])
 def test_bad_setting_rejected_before_reading(command, option, value,
                                              message, tmp_path, capsys):

@@ -13,9 +13,21 @@ from gesturekit.forest import (
     tree_train,
 )
 from gesturekit.forest import _best_split
-from gesturekit.imu import LabeledDataset
+from gesturekit.imu import LabeledDataset, class_indices
 
 from oracles import loop_best_split, loop_tree_predict, naive_best_split
+
+
+class RecordingRng:
+    """A generator that records the size of every split-feature draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def choice(self, *args, size, **kwargs):
+        self.sizes.append(size)
+        return self.rng.choice(*args, size=size, **kwargs)
 
 
 class TestForestConfig:
@@ -24,21 +36,19 @@ class TestForestConfig:
             ForestConfig(n_trees=0)
         with pytest.raises(ValidationError):
             ForestConfig(max_depth=0)
-        with pytest.raises(ValidationError):
-            ForestConfig(features_per_split=0)
 
     def test_defaults(self):
         cfg = ForestConfig()
         assert (cfg.n_trees, cfg.max_depth) == (100, 10)
 
     def test_sqrt_feature_rule(self):
-        cfg = ForestConfig()
-        assert cfg.split_features(93) == 9
-        assert cfg.split_features(1) == 1
-
-    def test_explicit_feature_count_capped(self):
-        cfg = ForestConfig(features_per_split=50)
-        assert cfg.split_features(10) == 10
+        # every node draws max(1, floor(sqrt(d))) candidate features
+        r = np.random.default_rng(3)
+        for d, k in ((93, 9), (1, 1)):
+            X = r.normal(size=(60, d))
+            rng = RecordingRng(0)
+            tree_train(X, r.integers(0, 3, size=60), 3, 10, rng)
+            assert rng.sizes and set(rng.sizes) == {k}
 
 
 class TestBestSplit:
@@ -122,109 +132,117 @@ class TestBestSplit:
 
 def grid_xor():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    labels = ["A", "B", "B", "A"]
-    return X, labels
+    yi = np.array([0, 1, 1, 0])
+    return X, yi
+
+
+def depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(depth(tree, tree.left[node]),
+                   depth(tree, tree.right[node]))
 
 
 class TestTreeTrain:
     def test_single_class_becomes_leaf(self):
-        node = tree_train(np.zeros((5, 2)), ["A"] * 5, ForestConfig(),
+        tree = tree_train(np.zeros((5, 2)), [0] * 5, 1, 10,
                           np.random.default_rng(0))
-        assert node.label == "A"
-        assert node.left is None and node.right is None
+        assert tree.feature.tolist() == [-1]
+        assert tree.threshold.tolist() == [0.0]
+        assert tree.left.tolist() == tree.right.tolist() == [-1]
+        assert tree.value.tolist() == [0]
 
     def test_two_point_split(self):
-        node = tree_train(np.array([[0.0], [1.0]]), ["A", "B"],
-                          ForestConfig(), np.random.default_rng(0))
-        assert node.label is None
-        assert 0.0 < node.threshold < 1.0
-        assert tree_predict(node, np.array([[0.0], [1.0]])).tolist() == \
-            ["A", "B"]
+        tree = tree_train(np.array([[0.0], [1.0]]), [0, 1], 2, 10,
+                          np.random.default_rng(0))
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.left.tolist() == [1, -1, -1]
+        assert tree.right.tolist() == [2, -1, -1]
+        assert 0.0 < tree.threshold[0] < 1.0
+        assert tree_predict(tree, np.array([[0.0], [1.0]])).tolist() == \
+            [0, 1]
 
     def test_depth_one_stump_cannot_solve_xor(self):
-        X, labels = grid_xor()
-        cfg = ForestConfig(max_depth=1, features_per_split=2)
-        node = tree_train(X, labels, cfg, np.random.default_rng(0))
-        acc = np.mean([p == t
-                       for p, t in zip(tree_predict(node, X), labels)])
+        X, yi = grid_xor()
+        tree = tree_train(X, yi, 2, 1, np.random.default_rng(0))
+        acc = np.mean(tree_predict(tree, X) == yi)
         # exhaustive oracle: any axis split makes mixed halves, so no
         # stump beats 1/2 on this grid
         best_stump = 0.0
         for f in range(2):
-            for la in "AB":
-                for lb in "AB":
+            for la in range(2):
+                for lb in range(2):
                     pred = [la if X[i, f] <= 0.5 else lb for i in range(4)]
-                    hits = np.mean([p == t for p, t in zip(pred, labels)])
-                    best_stump = max(best_stump, hits)
+                    best_stump = max(best_stump, np.mean(pred == yi))
         assert best_stump == 0.5
         assert acc <= 0.75
 
     def test_xor_root_split_is_vacuous(self):
         # both axis splits leave the class mix unchanged, and vacuous
-        # splits are refused, so the tree stays a single leaf
-        X, labels = grid_xor()
-        cfg = ForestConfig(max_depth=5, features_per_split=2)
-        node = tree_train(X, labels, cfg, np.random.default_rng(0))
-        assert node.label == "A"
+        # splits are refused, so the tree stays a single leaf whichever
+        # feature is drawn
+        X, yi = grid_xor()
+        for seed in range(4):
+            tree = tree_train(X, yi, 2, 5, np.random.default_rng(seed))
+            assert tree.feature.tolist() == [-1]
+            assert tree.value.tolist() == [0]
 
     def test_depth_two_pattern_is_solved(self):
-        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        labels = ["A", "A", "B", "A"]
-        cfg = ForestConfig(max_depth=2, features_per_split=2)
-        node = tree_train(X, labels, cfg, np.random.default_rng(0))
-        assert tree_predict(node, X).tolist() == labels
+        # a class-1 row between class-0 rows: no single cut separates
+        # it, two do; with one feature every draw holds it
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        yi = np.array([0, 0, 1, 0])
+        tree = tree_train(X, yi, 2, 2, np.random.default_rng(0))
+        assert depth(tree) == 2
+        assert tree_predict(tree, X).tolist() == yi.tolist()
+        stump = tree_train(X, yi, 2, 1, np.random.default_rng(0))
+        assert tree_predict(stump, X).tolist() != yi.tolist()
 
     def test_depth_cap_is_respected(self):
+        # d = 9, so each node draws 3 of the 9 features
         r = np.random.default_rng(2)
-        X = r.normal(size=(200, 3))
-        labels = [str(v) for v in r.integers(0, 5, size=200)]
-        cfg = ForestConfig(max_depth=4, features_per_split=3)
-        node = tree_train(X, labels, cfg, np.random.default_rng(0))
-
-        def depth(n):
-            if n.label is not None:
-                return 0
-            return 1 + max(depth(n.left), depth(n.right))
-
-        assert depth(node) <= 4
+        X = r.normal(size=(200, 9))
+        yi = r.integers(0, 5, size=200)
+        tree = tree_train(X, yi, 5, 4, np.random.default_rng(0))
+        assert depth(tree) == 4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_predict_matches_loop_oracle(self, seed):
-        # labels of different widths, rows that reach only some leaves
+        # rows that reach only some leaves
         r = np.random.default_rng(seed)
         X = r.normal(size=(120, 4))
-        labels = r.choice(["Z", "Up", "Push", "gesture", "ADL"], 120)
-        node = tree_train(X, labels, ForestConfig(max_depth=5),
-                          np.random.default_rng(seed))
-        for rows in (X, r.normal(size=(37, 4)), X[:1]):
-            assert tree_predict(node, rows).tolist() == \
-                loop_tree_predict(node, rows)
+        yi = r.integers(0, 5, size=120)
+        tree = tree_train(X, yi, 5, 5, np.random.default_rng(seed))
+        assert len(tree.feature) > 3
+        # each training row once per split node, with that node's
+        # feature set to its threshold, which goes left
+        split = np.flatnonzero(tree.feature >= 0)
+        ties = np.repeat(X, len(split), axis=0)
+        ties[np.arange(len(ties)), np.tile(tree.feature[split], len(X))] = \
+            np.tile(tree.threshold[split], len(X))
+        for rows in (X, r.normal(size=(37, 4)), X[:1], ties):
+            assert tree_predict(tree, rows).tolist() == \
+                loop_tree_predict(tree, rows)
 
     def test_leaf_tie_breaks_canonically(self):
-        # equal counts pick the lowest canonical class
-        node = tree_train(np.zeros((2, 1)), ["B", "A"],
-                          ForestConfig(), np.random.default_rng(0))
-        assert node.label == "A"
-
-    def test_label_outside_the_class_list_rejected(self):
-        with pytest.raises(ValidationError,
-                           match="label 'Q' not in the class list"):
-            tree_train(np.zeros((2, 1)), np.array(["A", "Q"]),
-                       ForestConfig(), np.random.default_rng(0),
-                       classes=["A", "B"])
+        # equal counts pick the lowest class index, and the forest
+        # numbers classes in canonical order
+        tree = tree_train(np.zeros((2, 1)), [1, 0], 2, 10,
+                          np.random.default_rng(0))
+        assert tree.value.tolist() == [0]
+        data = LabeledDataset(X=np.zeros((2, 1)), labels=["B", "A"],
+                              subjects=["s", "s"], feature_names=["f0"])
+        assert forest_train_predict(data, np.zeros((3, 1)),
+                                    ForestConfig(n_trees=3), 0).tolist() \
+            == ["A"] * 3
 
     def test_rejects_empty_and_mismatched_input(self):
         with pytest.raises(ValidationError):
-            tree_train(np.zeros((0, 2)), [], ForestConfig(),
+            tree_train(np.zeros((0, 2)), [], 1, 10,
                        np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            tree_train(np.zeros((2, 2)), ["A"], ForestConfig(),
+            tree_train(np.zeros((2, 2)), [0], 1, 10,
                        np.random.default_rng(0))
-
-    def test_rejects_label_outside_class_list(self):
-        with pytest.raises(ValidationError):
-            tree_train(np.zeros((2, 1)), ["A", "Q"], ForestConfig(),
-                       np.random.default_rng(0), classes=["A", "B"])
 
 
 def clustered_dataset(seed=0, per_class=30, noise=0.3):
@@ -249,34 +267,36 @@ class TestForest:
         # the tree's stream draws the bootstrap rows first, then splits
         rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
         idx = rng.integers(0, len(data), size=len(data))
-        tree = tree_train(data.X[idx], data.labels[idx], cfg,
-                          rng, classes=data.classes)
-        assert got.tolist() == tree_predict(tree, data.X).tolist()
+        yi = class_indices(data.classes, data.labels)
+        tree = tree_train(data.X[idx], yi[idx], len(data.classes),
+                          cfg.max_depth, rng)
+        assert got.tolist() == \
+            [data.classes[i] for i in tree_predict(tree, data.X)]
 
     def test_first_twenty_trees_are_pinned(self):
         # Preorder (feature, threshold bits, label) of the first 20 trees
         # of a seed-5 forest, each grown from its own stream as in the
-        # test above. The digest was computed with the per-feature split
-        # scan that the batched one replaced, so any change to a split,
-        # a threshold bit or a tie rule shows here.
+        # test above; a split node has label None, a leaf feature -1 and
+        # threshold 0. The digest was computed with the per-feature split
+        # scan that the batched one replaced, on linked nodes that the
+        # node arrays replaced, so any change to a split, a threshold bit,
+        # a tie rule or the node order shows here.
         data = clustered_dataset(noise=2.0)
         cfg = ForestConfig()
+        classes = data.classes
+        yi = class_indices(classes, data.labels)
         digest = hashlib.sha256()
         nodes = 0
-
-        def preorder(node):
-            yield node.feature, node.threshold.hex(), node.label
-            if node.label is None:
-                yield from preorder(node.left)
-                yield from preorder(node.right)
-
         children = np.random.SeedSequence(5).spawn(cfg.n_trees)
         for child in children[:20]:
             rng = np.random.default_rng(child)
             idx = rng.integers(0, len(data), size=len(data))
-            tree = tree_train(data.X[idx], [data.labels[i] for i in idx],
-                              cfg, rng, classes=data.classes)
-            walk = list(preorder(tree))
+            tree = tree_train(data.X[idx], yi[idx], len(classes),
+                              cfg.max_depth, rng)
+            walk = [(int(f), float(t).hex(),
+                     classes[v] if f < 0 else None)
+                    for f, t, v in zip(tree.feature, tree.threshold,
+                                       tree.value)]
             nodes += len(walk)
             digest.update(repr(walk).encode())
         assert nodes == 574

@@ -29,7 +29,8 @@ from gesturekit.svm import (
 )
 
 from oracles import dual_objective as oracle_objective
-from oracles import loop_smo_solve, naive_vote_winner, pg_dual_solve
+from oracles import (loop_smo_solve, loop_vote_tally, naive_vote_winner,
+                     pg_dual_solve)
 
 
 def random_problem(seed, n=None, d=None, separation=0.3):
@@ -473,7 +474,7 @@ class TestOvo:
         D[r.random(size=D.shape) < 0.2] = 0.0
         # whole-number decisions tie on margin sums as well as on votes
         D = np.vstack([D, r.integers(-1, 2, size=D.shape).astype(float)])
-        votes, margins = vote_tally(classes, pairs, D)
+        votes, margins = vote_tally(len(classes), D)
         ranking = vote_ranking(votes, margins)
         for i in range(len(D)):
             want = naive_vote_winner(classes, pairs, D[i])
@@ -484,7 +485,7 @@ class TestOvo:
 
     def test_vote_tally_histogram(self, model):
         data = twelve_class_dataset()
-        votes, margins = vote_tally(model.classes, model.pairs,
+        votes, margins = vote_tally(len(model.classes),
                                     model.decision_matrix(data.X))
         assert votes.shape == (len(data), len(model.classes))
         assert np.all(votes.sum(axis=1) == 66)
@@ -494,6 +495,25 @@ class TestOvo:
         assert np.all(np.diff(votes[rows, ranking], axis=1) <= 0)
         assert [model.classes[w] for w in ranking[:, 0]] == \
             data.labels.tolist()
+
+    @pytest.mark.parametrize("k", [2, 12])
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_vote_tally_equals_loop_oracle(self, k, n):
+        # magnitudes over 16 decades, so a margin sum taken in another
+        # order would round differently; exact zeros of both signs vote
+        # for the pair's first class
+        r = np.random.default_rng(100 * k + n)
+        classes = [f"c{i:02d}" for i in range(k)]
+        pairs = list(combinations(classes, 2))
+        D = r.normal(size=(n, len(pairs))) * 10.0 ** r.uniform(-8, 8,
+                                                               (n, len(pairs)))
+        D[r.random(size=D.shape) < 0.15] = 0.0
+        D[r.random(size=D.shape) < 0.15] = -0.0
+        votes, margins = vote_tally(k, D)
+        want_votes, want_margins = loop_vote_tally(classes, pairs, D)
+        assert votes.dtype == want_votes.dtype
+        assert (votes == want_votes).all()
+        assert margins.tobytes() == want_margins.tobytes()
 
     def test_scaler_is_embedded(self, model):
         data = twelve_class_dataset()
