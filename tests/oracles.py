@@ -5,6 +5,8 @@ shared code with src/) so a bug in the optimized code cannot hide in its
 own oracle.
 """
 
+from collections import deque
+
 import numpy as np
 
 
@@ -207,46 +209,66 @@ def naive_best_split(X, yi, n_classes, feat_ids, min_leaf):
     return best
 
 
-def loop_best_split(X, yi, n_classes, feat_ids, min_leaf):
-    """The per-feature split scan that the batched ``_best_split`` replaced.
+def loop_grow_tree(X, yi, n_classes, max_depth, rng):
+    """One CART tree grown a node at a time from a breadth-first queue.
 
-    Kept verbatim as a differential oracle: the batched scan must return
-    the same tuple, bit for bit, including every tie.
+    Returns its (feature, threshold, left, right, value) lists in level
+    order, the layout of ``forest.Tree``. Each node with two or more
+    classes below the depth cap draws ``rng.choice(d, k, replace=False)``
+    in queue order, and every cut between distinct values of every drawn
+    feature is scored from Python-int class counts as
+    ``sl2 / nl + sr2 / nr``; the first highest score wins, and only if
+    ``n * (sl2 * nr + sr2 * nl) > sum(p * p) * nl * nr``.
     """
-    n = len(yi)
-    parent = np.bincount(yi, minlength=n_classes).astype(np.float64)
-    g_parent = 1.0 - ((parent / n) ** 2).sum()
-    best = None
-    best_dec = 0.0
-    for f in feat_ids:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = yi[order]
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if len(cut) == 0:
+    X = np.asarray(X, dtype=np.float64)
+    yi = [int(c) for c in yi]
+    n, d = X.shape
+    k = max(1, int(np.sqrt(d)))
+    feature, threshold, left, right, value = [], [], [], [], []
+    queue = deque([(list(range(n)), 0)])
+    while queue:
+        members, depth = queue.popleft()
+        counts = [0] * n_classes
+        for i in members:
+            counts[yi[i]] += 1
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(counts.index(max(counts)))
+        if depth >= max_depth or sum(c > 0 for c in counts) < 2:
             continue
-        left_n = cut + 1
-        keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        cut = cut[keep]
-        if len(cut) == 0:
+        total = len(members)
+        best = None
+        for f in rng.choice(d, k, replace=False):
+            f = int(f)
+            ordered = sorted(members, key=lambda i: X[i, f])
+            lc = [0] * n_classes
+            for j in range(total - 1):
+                lc[yi[ordered[j]]] += 1
+                lo, hi = X[ordered[j], f], X[ordered[j + 1], f]
+                if not lo < hi:
+                    continue
+                nl, nr = j + 1, total - j - 1
+                sl2 = sum(c * c for c in lc)
+                sr2 = sum((p - c) ** 2 for p, c in zip(counts, lc))
+                score = sl2 / nl + sr2 / nr
+                if best is None or score > best[0]:
+                    best = (score, f, float(0.5 * (lo + hi)),
+                            nl, nr, sl2, sr2)
+        if best is None:
             continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        lc = prefix[cut]
-        rc = parent - lc
-        nl = (cut + 1).astype(np.float64)
-        nr = n - nl
-        gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-        gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-        dec = g_parent - (nl * gl + nr * gr) / n
-        j = int(np.argmax(dec))
-        if dec[j] > best_dec:
-            best_dec = float(dec[j])
-            thr = 0.5 * (xs[cut[j]] + xs[cut[j] + 1])
-            best = (int(f), float(thr), best_dec)
-    return best
+        _, f, thr, nl, nr, sl2, sr2 = best
+        if not total * (sl2 * nr + sr2 * nl) > \
+                sum(c * c for c in counts) * nl * nr:
+            continue
+        at = len(feature) - 1
+        feature[at], threshold[at] = f, thr
+        left[at] = len(feature) + len(queue)
+        right[at] = left[at] + 1
+        queue.append(([i for i in members if X[i, f] <= thr], depth + 1))
+        queue.append(([i for i in members if X[i, f] > thr], depth + 1))
+    return feature, threshold, left, right, value
 
 
 def loop_smo_solve(K, y, cost, tol=1e-3, max_iter=None):
@@ -450,16 +472,20 @@ def loop_take(X, labels, subjects, rows):
 
 
 def loop_tree_predict(tree, X):
-    """Each row walked down the tree's node arrays on its own, to its
-    leaf's class index; a differential oracle for ``tree_predict``'s
-    level-by-level walk."""
+    """Each row walked down each tree of the node arrays on its own, to
+    its leaf's class index; a differential oracle for ``tree_predict``'s
+    level-by-level walk. The roots are the nodes no split points to."""
+    children = set(tree.left.tolist()) | set(tree.right.tolist())
+    roots = [i for i in range(len(tree.feature)) if i not in children]
     out = []
     for x in np.atleast_2d(X):
-        i = 0
-        while tree.feature[i] >= 0:
-            go_left = x[tree.feature[i]] <= tree.threshold[i]
-            i = tree.left[i] if go_left else tree.right[i]
-        out.append(int(tree.value[i]))
+        leaves = []
+        for i in roots:
+            while tree.feature[i] >= 0:
+                go_left = x[tree.feature[i]] <= tree.threshold[i]
+                i = tree.left[i] if go_left else tree.right[i]
+            leaves.append(int(tree.value[i]))
+        out.append(leaves)
     return out
 
 

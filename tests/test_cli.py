@@ -17,7 +17,7 @@ from gesturekit.features import read_feature_csv
 from gesturekit.forest import ForestConfig
 from gesturekit.imu import cut_segments, extract_segment, parse_imu_csv, \
     parse_label_csv, write_imu_csv
-from gesturekit import pipeline
+from gesturekit import forest, pipeline
 from gesturekit.pipeline import IdentificationConfig, SvmTrainer
 from gesturekit.rqa import RqaConfig
 from gesturekit.svm import load_model
@@ -721,6 +721,18 @@ class TestEvaluate:
                              "--jobs", jobs]) == 0
             outputs.append((report.read_bytes(), confusion.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_forest_row_bound_exits_3(self, data_dir, tmp_path, capsys,
+                                      monkeypatch):
+        # each fold trains on more rows than the lowered bound
+        monkeypatch.setattr(forest, "_MAX_ROWS", 10)
+        report = tmp_path / "r.csv"
+        assert dispatch(["evaluate", "--data", str(data_dir),
+                         "--classifier", "forest", "--trees", "2",
+                         "--report", str(report)]) == 3
+        assert ("the forest's exact split test allows at most 10"
+                in capsys.readouterr().err)
+        assert not report.exists()
 
     def test_select_below_one_rejected(self, tmp_path, capsys):
         # the data folder does not exist: the bound check comes first
