@@ -259,7 +259,7 @@ def _cmd_train_identifier(args) -> int:
     with _pool(args.jobs) as mapper:
         data = _load_streams(_data_dir(args.data, "identification"))
         model, report = train_identifier(data, cfg, seed=args.seed,
-                                         mapper=mapper)
+                                         mapper=mapper, jobs=args.jobs)
     save_model(model, args.out)
     if args.report:
         write_report_csv(report, args.report)
@@ -323,7 +323,7 @@ def _cmd_evaluate(args) -> int:
     with _pool(args.jobs) as mapper:
         dataset = _segment_dataset(args)
         report = loso_evaluate(dataset, trainer, seed=args.seed,
-                               mapper=mapper)
+                               mapper=mapper, jobs=args.jobs)
     write_report_csv(report, args.report)
     if args.confusion:
         write_confusion_csv(report, args.confusion)

@@ -4,16 +4,22 @@ selection, noise augmentation, LOSO evaluation, and report files.
 
 Folds, balance iterations, and permutation repetitions each draw from an
 rng derived as (master seed, task key), so any of them may run under a
-parallel mapper without changing a single output byte. Trainers are small
-picklable callables with the shared signature
-``trainer(train_dataset, test_rows, seed) -> a 1-D array of predicted
-labels``; the test labels never reach a trainer, and scalers / selected
-feature sets are fit inside the trainer on its training rows only.
+parallel mapper without changing a single output byte. The folds of an
+evaluation or an identifier are cut into ``jobs`` contiguous batches, one
+mapper task each. Trainers are small picklable callables with the shared
+signature ``trainer(folds) -> one 1-D array of predicted labels per
+fold``, where ``folds`` is an iterable of ``(train_dataset, test_rows,
+seed)`` and may be built lazily; the test labels never reach a trainer,
+and scalers / selected feature sets are fit inside the trainer on each
+fold's training rows only. The SVM trainer trains a whole batch in one
+streaming ``ovo_train_many`` call.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -174,29 +180,55 @@ def _balanced_subset(dataset, rng) -> LabeledDataset:
     return dataset.take(np.concatenate([gesture, np.sort(pick)]))
 
 
-def _identifier_fold(args):
-    dataset, cfg, seed, fi, subject = args
-    held = dataset.subjects == subject
-    train, test = dataset.take(~held), dataset.take(held)
-    accs, bals = [], []
-    gesture_votes = np.zeros(len(test), dtype=np.int64)
-    # every balance iteration's draw, then all their SVMs in one solve
-    subsets = [_balanced_subset(train, derive_rng(seed, BALANCE, fi, it))
-               for it in range(cfg.n_balance_iters)]
-    for model in ovo_train_many(subsets, cfg.kernel, cfg.cost):
-        pred = model.predict(test.X)
-        acc, bal, _ = fold_scores(_WINDOW_CLASSES, test.labels, pred)
-        accs.append(acc)
-        bals.append(bal)
-        gesture_votes += pred == GESTURE_WINDOW_LABEL
-    # majority vote across iterations; exact ties fall to ADL
-    majority = np.where(2 * gesture_votes > cfg.n_balance_iters,
-                        GESTURE_WINDOW_LABEL, ADL_LABEL)
-    conf = confusion_matrix(_WINDOW_CLASSES, test.labels, majority)
-    return subject, float(np.mean(accs)), float(np.mean(bals)), conf
+def _identifier_batch(args):
+    """``(rows, model)``: the report rows of a run of folds, and with
+    ``final`` the model of the final draw over all subjects, else None.
+    Every balance draw's SVM, and the final draw's, come from one
+    streaming ``ovo_train_many`` call."""
+    dataset, cfg, seed, folds, final = args
+    tests = [dataset.take(dataset.subjects == s) for _, s in folds]
+
+    def draws():
+        for fi, subject in folds:
+            train = dataset.take(dataset.subjects != subject)
+            for it in range(cfg.n_balance_iters):
+                yield _balanced_subset(
+                    train, derive_rng(seed, BALANCE, fi, it)), None
+        if final:
+            yield _balanced_subset(dataset, derive_rng(seed, FINAL)), None
+
+    models = ovo_train_many(draws(), cfg.kernel, cfg.cost)
+    rows = []
+    for (_, subject), test in zip(folds, tests):
+        accs, bals = [], []
+        gesture_votes = np.zeros(len(test), dtype=np.int64)
+        for model in islice(models, cfg.n_balance_iters):
+            pred = model.predict(test.X)
+            acc, bal, _ = fold_scores(_WINDOW_CLASSES, test.labels, pred)
+            accs.append(acc)
+            bals.append(bal)
+            gesture_votes += pred == GESTURE_WINDOW_LABEL
+        # majority vote across iterations; exact ties fall to ADL
+        majority = np.where(2 * gesture_votes > cfg.n_balance_iters,
+                            GESTURE_WINDOW_LABEL, ADL_LABEL)
+        conf = confusion_matrix(_WINDOW_CLASSES, test.labels, majority)
+        rows.append((subject, float(np.mean(accs)), float(np.mean(bals)),
+                     conf))
+    return rows, next(models, None)
 
 
-def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
+def _batches(items, jobs: int) -> list:
+    """``items`` cut into ``jobs`` contiguous runs (fewer when there are
+    fewer items) whose sizes differ by at most one, in order."""
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
+    n = min(jobs, len(items))
+    bounds = [len(items) * k // n for k in range(n + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map,
+                     jobs=1):
     """LOSO-style identification training with per-fold rebalancing.
 
     ``data`` is a sequence of (stream, intervals) pairs. Each fold holds
@@ -205,7 +237,8 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
     the held-out subject's windows. The report averages the iterations
     per fold and sums a majority-vote confusion matrix over folds; the
     returned model is trained on one balanced draw over all subjects and
-    carries ``cfg``'s window geometry.
+    carries ``cfg``'s window geometry. ``mapper`` runs the folds in
+    ``jobs`` contiguous batches; the final draw rides with the last.
     """
     # window labels need only the stream lengths, so every check runs
     # before any windowed RQA
@@ -225,12 +258,13 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map):
                               f"{', '.join(missing)}; every held-out "
                               "subject needs one")
     dataset = windows_dataset(data, cfg.rqa, labels)
-    tasks = [(dataset, cfg, seed, fi, s) for fi, s in enumerate(subjects)]
-    report = EvaluationReport.from_folds(mapper(_identifier_fold, tasks),
-                                         _WINDOW_CLASSES)
-    final_subset = _balanced_subset(dataset, derive_rng(seed, FINAL))
-    model = ovo_train(final_subset, cfg.kernel, cfg.cost)
-    return replace(model, rqa=cfg.rqa.text()), report
+    batches = _batches(list(enumerate(subjects)), jobs)
+    tasks = [(dataset, cfg, seed, folds, k == len(batches) - 1)
+             for k, folds in enumerate(batches)]
+    results = list(mapper(_identifier_batch, tasks))
+    report = EvaluationReport.from_folds(
+        chain.from_iterable(rows for rows, _ in results), _WINDOW_CLASSES)
+    return replace(results[-1][1], rqa=cfg.rqa.text()), report
 
 
 def load_identifier(path) -> tuple[OvoSvmModel, RqaConfig]:
@@ -296,23 +330,28 @@ def _stratified_split(labels):
     return np.flatnonzero(~test), np.flatnonzero(test)
 
 
-def _importance_accuracy(dataset, train_idx, test_idx, trainer,
-                         trainer_seed):
-    test = dataset.take(test_idx)
-    pred = trainer(dataset.take(train_idx), test.X, trainer_seed)
-    return float(np.mean(pred == test.labels))
+def _importance_accuracies(dataset, matrices, train_idx, test_idx,
+                           trainer, trainer_seed) -> np.ndarray:
+    """The trainer's accuracy on the fixed split of each feature matrix of
+    ``matrices`` (an iterable, pulled as the trainer asks), as one
+    batch."""
+    folds = ((replace(dataset, X=X).take(train_idx), X[test_idx],
+              trainer_seed) for X in matrices)
+    truth = dataset.labels[test_idx]
+    return np.array([np.mean(pred == truth) for pred in trainer(folds)])
 
 
 def _importance_feature(args):
     dataset, f, n_reps, seed, trainer, train_idx, test_idx, t_seed = args
-    out = np.empty(n_reps)
-    for r in range(n_reps):
-        rng = derive_rng(seed, PERMUTE, f, r)
-        Xp = dataset.X.copy()
-        Xp[:, f] = Xp[rng.permutation(len(Xp)), f]
-        out[r] = _importance_accuracy(replace(dataset, X=Xp), train_idx,
-                                      test_idx, trainer, t_seed)
-    return out
+
+    def permuted():
+        for r in range(n_reps):
+            rng = derive_rng(seed, PERMUTE, f, r)
+            Xp = dataset.X.copy()
+            Xp[:, f] = Xp[rng.permutation(len(Xp)), f]
+            yield Xp
+    return _importance_accuracies(dataset, permuted(), train_idx, test_idx,
+                                  trainer, t_seed)
 
 
 def check_reps(n_reps: int) -> None:
@@ -334,8 +373,8 @@ def permutation_importance(dataset: LabeledDataset, trainer, n_reps: int,
         raise ValidationError("every feature is constant; nothing to rank")
     train_idx, test_idx = _stratified_split(dataset.labels)
     t_seed = derive_int(seed, TRAINER)
-    baseline = _importance_accuracy(dataset, train_idx, test_idx, trainer,
-                                    t_seed)
+    baseline = float(_importance_accuracies(dataset, [dataset.X], train_idx,
+                                            test_idx, trainer, t_seed)[0])
     tasks = [(dataset, f, n_reps, seed, trainer, train_idx, test_idx, t_seed)
              for f in range(dataset.X.shape[1])]
     per_rep = np.vstack(list(mapper(_importance_feature, tasks)))
@@ -404,11 +443,16 @@ def standardize_augment(train: LabeledDataset, sigma: float, seed=0):
 class CentroidTrainer:
     """Nearest class centroid on standardized features.
 
-    Cheap deterministic stand-in used to rank features inside folds; the
-    seed argument is accepted and ignored.
+    Cheap deterministic stand-in used to rank features inside folds; each
+    fold's seed is accepted and ignored.
     """
 
-    def __call__(self, train: LabeledDataset, test_rows, seed=0):
+    def __call__(self, folds) -> list[np.ndarray]:
+        return [self._predict(train, test_rows)
+                for train, test_rows, _ in folds]
+
+    @staticmethod
+    def _predict(train: LabeledDataset, test_rows) -> np.ndarray:
         scaler = Scaler.fit(train.X)
         Xs, test = scaler.transform(train.X), scaler.transform(test_rows)
         classes = train.classes
@@ -450,55 +494,79 @@ class SvmTrainer:
         """The pairwise ensemble fit on all of ``train``, standardized and
         noise-augmented first when ``augment_sigma`` is set; ``seed`` only
         draws the noise."""
+        dataset, scaler = self._training_set(train, seed)
+        return ovo_train(dataset, self.kernel, self.cost, scaler=scaler)
+
+    def _training_set(self, train: LabeledDataset, seed):
+        """``(dataset, scaler)`` as ``ovo_train`` takes them: ``train``
+        and None, or its standardized, augmented rows and their scaler."""
         if self.augment_sigma is None:
-            return ovo_train(train, self.kernel, self.cost)
+            return train, None
         scaler, augmented = standardize_augment(train, self.augment_sigma,
                                                 seed=seed)
-        return ovo_train(augmented, self.kernel, self.cost, scaler=scaler)
+        return augmented, scaler
 
-    def __call__(self, train: LabeledDataset, test_rows, seed=0):
-        test = np.atleast_2d(np.asarray(test_rows, dtype=np.float64))
-        if self.select_k is not None:
-            imp = permutation_importance(train, SELECTION_RANKER,
-                                         n_reps=SELECTION_REPS, seed=seed)
-            idx = select_features(train.feature_names, imp.mean_accuracy,
-                                  imp.baseline, k=self.select_k)
-            train = train.take(columns=idx)
-            test = test[:, idx]
-        return self.model(train, seed=seed).predict(test)
+    def __call__(self, folds) -> list[np.ndarray]:
+        """Each fold's predictions; the folds' models come from one
+        ``ovo_train_many`` call, which pulls a fold (and runs its
+        selection) only when its pairs are needed."""
+        tests = deque()
+
+        def training_sets():
+            for train, test_rows, seed in folds:
+                test = np.atleast_2d(np.asarray(test_rows, dtype=np.float64))
+                if self.select_k is not None:
+                    imp = permutation_importance(
+                        train, SELECTION_RANKER, n_reps=SELECTION_REPS,
+                        seed=seed)
+                    idx = select_features(train.feature_names,
+                                          imp.mean_accuracy, imp.baseline,
+                                          k=self.select_k)
+                    train = train.take(columns=idx)
+                    test = test[:, idx]
+                tests.append(test)
+                yield self._training_set(train, seed)
+        return [model.predict(tests.popleft()) for model in
+                ovo_train_many(training_sets(), self.kernel, self.cost)]
 
 
 @dataclass(frozen=True)
 class ForestTrainer:
     config: ForestConfig = ForestConfig()
 
-    def __call__(self, train: LabeledDataset, test_rows, seed=0):
-        return forest_train_predict(train, test_rows, self.config, seed)
+    def __call__(self, folds) -> list[np.ndarray]:
+        return [forest_train_predict(train, test_rows, self.config, seed)
+                for train, test_rows, seed in folds]
 
 
-def _loso_fold(args):
-    dataset, trainer, classes, seed, fi, subject = args
-    held = dataset.subjects == subject
-    test = dataset.take(held)
-    pred = trainer(dataset.take(~held), test.X, derive_int(seed, FOLD, fi))
-    return (subject, *fold_scores(classes, test.labels, pred))
+def _loso_batch(args):
+    """The report rows of a run of folds, all handed to one trainer call."""
+    dataset, trainer, classes, seed, folds = args
+    tests = [dataset.take(dataset.subjects == s) for _, s in folds]
+    preds = trainer((dataset.take(dataset.subjects != s), test.X,
+                     derive_int(seed, FOLD, fi))
+                    for (fi, s), test in zip(folds, tests))
+    return [(s, *fold_scores(classes, test.labels, pred))
+            for (_, s), test, pred in zip(folds, tests, preds)]
 
 
-def loso_evaluate(dataset: LabeledDataset, trainer, seed=0,
-                  mapper=map) -> EvaluationReport:
+def loso_evaluate(dataset: LabeledDataset, trainer, seed=0, mapper=map,
+                  jobs=1) -> EvaluationReport:
     """Leave-one-subject-out evaluation: one fold per distinct subject.
 
     Balanced accuracy per fold averages recall over the classes actually
     present in that fold's test rows; the confusion matrix sums over
-    folds in global canonical class order.
+    folds in global canonical class order. ``mapper`` runs the folds in
+    ``jobs`` contiguous batches, one trainer call each.
     """
     subjects = dataset.subject_ids()
     if len(subjects) < 2:
         raise ValidationError("need >=2 subjects")
     classes = tuple(dataset.classes)
-    tasks = [(dataset, trainer, classes, seed, fi, s)
-             for fi, s in enumerate(subjects)]
-    return EvaluationReport.from_folds(mapper(_loso_fold, tasks), classes)
+    tasks = [(dataset, trainer, classes, seed, folds)
+             for folds in _batches(list(enumerate(subjects)), jobs)]
+    return EvaluationReport.from_folds(
+        chain.from_iterable(mapper(_loso_batch, tasks)), classes)
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:

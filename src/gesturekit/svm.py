@@ -4,12 +4,16 @@ Binary models are solved two Lagrange multipliers at a time, each pair
 picked by deterministic second-order working-set selection (WSS2), so a
 trained model depends on its data and settings alone. Multiclass problems
 train one binary model per unordered class pair and combine them by
-voting. All pairs (of one dataset or of several) are solved as one
-zero-padded stack that steps in lockstep, which pays numpy's per-call
-cost once per step instead of once per pair; every step is elementwise
-per problem, so each model is bit-equal to solving its pairs one by one.
-The pairs share one store of support vectors, each row held once
-with one weight column per pair, so prediction takes one kernel matrix.
+voting. The pairs of a stream of datasets (the folds of an evaluation,
+say) are solved in zero-padded stacks that step in lockstep, which pays
+numpy's per-call cost once per step instead of once per pair. A stack
+may span datasets and closes at a byte budget or a problem count, and
+each dataset's model streams out as soon as its last pair is solved.
+Every step is elementwise per problem, so each model is bit-equal to
+solving its pairs one by one. A radial kernel's pair matrices are cut
+from one Gram per dataset. The pairs share one store of support vectors,
+each row held once with one weight column per pair, so prediction takes
+one kernel matrix.
 Models serialize to a line-oriented text format that round-trips
 decision values exactly (17 significant digits).
 
@@ -23,16 +27,18 @@ order.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, count
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import Scaler
-from .imu import read_text, write_file
+from .imu import class_indices, read_text, write_file
 
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
 
@@ -83,6 +89,13 @@ def gram(cfg: KernelConfig, A, B) -> np.ndarray:
         return np.tanh(cfg.gamma * (A @ B.T) + cfg.coef0)
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.zeros((A.shape[0], B.shape[0]))
+    if A is B:
+        # each distance once: pdist runs cdist's kernel on the upper
+        # triangle, and the squared difference is symmetric, so the
+        # matrix is the same to the bit; scaled in place, as it is n^2
+        D = squareform(pdist(A, "sqeuclidean"))
+        D *= -cfg.gamma
+        return np.exp(D, out=D)
     return np.exp(-cfg.gamma * cdist(A, B, "sqeuclidean"))
 
 
@@ -117,10 +130,11 @@ def smo_solve(K, y, cost, tol=KKT_TOL, max_iter=None):
 
     Returns ``(alpha, bias)`` for labels ``y`` of +1/-1. This is
     ``smo_solve_stack`` on a stack of one: the lockstep loop that
-    ``ovo_train`` runs over all class pairs at once, which documents the
-    steps and why a problem's result is bit-equal in any stack. ``max_iter``
-    (default max(MIN_STEPS, 100n)) budgets the steps, past which a
-    ConvergenceError is raised instead of returning a half-optimized model.
+    ``ovo_train_many`` runs over its stacks of class pairs, which documents
+    the steps and why a problem's result is bit-equal in any stack.
+    ``max_iter`` (default max(MIN_STEPS, 100n)) budgets the steps, past
+    which a ConvergenceError is raised instead of returning a
+    half-optimized model.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -148,16 +162,18 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
     The problems are zero-padded to a common size n, and a padded row sits
     in neither I_up nor I_low, so it never wins an argmax. Every step runs
     the one-problem arithmetic elementwise, row by row of the stack, and
-    the bias is settled per problem on its own unpadded Gram, so each
-    alpha and bias is bit-equal to solving that problem alone.
+    the bias is settled per problem on a copy of its own unpadded Gram, so
+    each alpha and bias is bit-equal to solving that problem alone. ``Ks``
+    is read once, in order, into the padded stack, so it may form each
+    matrix on demand and hold none of them.
     """
     cost = np.asarray(costs, dtype=np.float64)[:, None]
     if not np.all((0.0 < cost) & (cost < np.inf)):
         raise ValidationError("cost must be positive and finite")
     sizes = [len(y) for y in ys]
     n = max(sizes)
-    K = np.zeros((len(Ks), n, n))
-    y = np.zeros((len(Ks), n))
+    K = np.zeros((len(ys), n, n))
+    y = np.zeros((len(ys), n))
     for p, (Kp, yp) in enumerate(zip(Ks, ys)):
         K[p, :len(yp), :len(yp)] = Kp
         y[p, :len(yp)] = yp
@@ -170,50 +186,65 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
     hi = np.where(y > 0.0, cost, 0.0)
     lo = np.where(y < 0.0, -cost, 0.0)
     g = y.copy()
-    diag = np.einsum("pii->pi", K)
+    diag = np.einsum("pii->pi", K).copy()
     final = np.zeros_like(y)
-    live = np.arange(len(Ks))
+    # Gathers and scatters go through flat indices, which numpy's take
+    # and put serve faster than (row, column) pairs: element (p, k) of a
+    # C-ordered (open problems, n) array sits at at[p] + k, and row k of
+    # open problem p's Gram at row_at[p] + k of K_rows. A row minimum is
+    # taken as the value at its argmin, which is faster than min along
+    # a short axis.
+    K_rows = K.reshape(-1, n)
+    live = np.arange(len(ys))
+    at, row_at = live * n, live * n
+    limit = budget.min()         # the first step an open budget runs out
     for step in count():
         up_g = np.where(v < hi, g, -np.inf)     # g over I_up
         low_g = np.where(v > lo, g, np.inf)     # g over I_low
         i = up_g.argmax(axis=1)
-        r = np.arange(len(live))
-        gap = up_g[r, i] - low_g.min(axis=1)
-        if not np.all(open_ := gap > tol):
+        g_i = up_g.take(at + i)
+        gap = g_i - low_g.take(at + low_g.argmin(axis=1))
+        if not (open_ := gap > tol).all():
             final[live[~open_]] = v[~open_]
-            live, v, hi, lo, g, diag, budget, i, up_g, low_g, gap = (
+            live, v, hi, lo, g, diag, budget, i, g_i, low_g, gap = (
                 a[open_] for a in (live, v, hi, lo, g, diag, budget, i,
-                                   up_g, low_g, gap))
+                                   g_i, low_g, gap))
             if not len(live):
                 break
-            r = np.arange(len(live))
-        if np.any(budget == step):
+            at, row_at = np.arange(len(live)) * n, live * n
+            limit = budget.min()
+        if step == limit:
             p = int(np.argmax(budget == step))
             raise ConvergenceError(
                 f"SMO did not converge within {step} steps "
                 f"(n={sizes[live[p]]}, cost={costs[live[p]]}, "
                 f"gap={gap[p]:.3g})")
-        b = np.maximum(up_g[r, i][:, None] - low_g, 0.0)
-        K_i = K[live, i]
+        b = np.maximum(g_i[:, None] - low_g, 0.0)
+        K_i = K_rows.take(row_at + i, axis=0)
+        i += at                             # a flat index from here on
         # row i of the curvature diag_i + diag - 2 K, for this step only
-        curvature = np.maximum(diag[r, i][:, None] + diag - 2.0 * K_i, 1e-12)
+        curvature = np.maximum(diag.take(i)[:, None] + diag - 2.0 * K_i,
+                               1e-12)
         gain = b * b
         gain /= curvature
         j = gain.argmax(axis=1)
+        K_i -= K_rows.take(row_at + j, axis=0)   # K_i - K_j from here on
+        j += at                             # a flat index from here on
         # v_i grows and v_j shrinks by t, keeping sum(v) = 0; a capped
         # multiplier lands exactly on its bound. t is min(step, cap_i,
         # cap_j) by Python's rule: a later value wins only if smaller
-        v_i, hi_i, lo_j = v[r, i], hi[r, i], lo[r, j]
-        cap_i, cap_j = hi_i - v_i, v[r, j] - lo_j
-        t = b[r, j] / curvature[r, j]
+        v_i, hi_i, lo_j = v.take(i), hi.take(i), lo.take(j)
+        cap_i, cap_j = hi_i - v_i, v.take(j) - lo_j
+        t = b.take(j) / curvature.take(j)
         t = np.where(cap_i < t, cap_i, t)
         t = np.where(cap_j < t, cap_j, t)
-        v[r, i] = np.where(t == cap_i, hi_i, v_i + t)
-        v[r, j] = np.where(t == cap_j, lo_j, v[r, j] - t)
-        g -= t[:, None] * (K_i - K[live, j])
+        v.put(i, np.where(t == cap_i, hi_i, v_i + t))
+        v.put(j, np.where(t == cap_j, lo_j, v.take(j) - t))
+        K_i *= t[:, None]
+        g -= K_i
     alphas = [np.abs(final[p, :m]) for p, m in enumerate(sizes)]
-    return [(a, _settle_bias(Kp, yp, a, c))
-            for a, Kp, yp, c in zip(alphas, Ks, ys, costs)]
+    return [(a, _settle_bias(K[p, :m, :m].copy(), ys[p], a, costs[p]))
+            for p, (a, m) in enumerate(zip(alphas, sizes))]
 
 
 def _settle_bias(K, y, alpha, cost) -> float:
@@ -323,9 +354,13 @@ def vote_ranking(votes, margins) -> np.ndarray:
     return np.lexsort((-margins, -votes), axis=1)
 
 
-# bytes of padded Gram matrices one lockstep SMO stack may hold; a longer
-# list of problems is solved in consecutive stacks under this budget
+# one lockstep SMO stack closes before its padded Gram matrices pass
+# _STACK_BYTES or it holds _STACK_PROBLEMS problems; the count bounds the
+# live arrays when problems are small, the bytes when they are large. A
+# stack's arrays add to a process's peak memory, and on 30-row problems
+# 96 keeps most of the per-step saving of larger stacks at less of it.
 _STACK_BYTES = 8 << 20
+_STACK_PROBLEMS = 96
 
 
 def ovo_train(dataset, cfg: KernelConfig, cost: float,
@@ -338,47 +373,107 @@ def ovo_train(dataset, cfg: KernelConfig, cost: float,
     scaler is embedded for prediction time; this is how noise-augmented
     (already standardized) matrices are trained.
     """
-    return ovo_train_many([dataset], cfg, cost, scaler)[0]
+    return next(ovo_train_many([(dataset, scaler)], cfg, cost))
 
 
-def ovo_train_many(datasets, cfg: KernelConfig, cost: float,
-                   scaler: Scaler | None = None) -> list[OvoSvmModel]:
-    """``ovo_train`` on each dataset, the class pairs of all of them solved
-    together by ``smo_solve_stack``; one model per dataset. Consecutive
-    pairs share a stack while their padded Gram matrices fit in
-    ``_STACK_BYTES``."""
-    setups = []
-    for dataset in datasets:
-        if len(dataset.classes) < 2:
-            raise ValidationError("need at least 2 classes")
-        fitted = scaler if scaler is not None else Scaler.fit(dataset.X)
-        Xs = dataset.X if scaler is not None else fitted.transform(dataset.X)
-        if not np.all(np.isfinite(Xs)):
-            raise ValidationError("non-finite features")
-        labels = dataset.labels
-        pairs = [(rows, np.where(labels[rows] == a, 1.0, -1.0))
-                 for a, b in combinations(dataset.classes, 2)
-                 for rows in [np.flatnonzero((labels == a) | (labels == b))]]
-        setups.append((dataset, fitted, Xs, pairs))
-    solved, Ks, ys = [], [], []
-    for _, _, Xs, pairs in setups:
-        for rows, y in pairs:
-            n = max(len(y), *map(len, ys)) if ys else len(y)
-            if ys and (len(ys) + 1) * n * n * 8 > _STACK_BYTES:
-                solved += smo_solve_stack(Ks, ys, [cost] * len(ys))
-                Ks, ys = [], []
-            X = Xs[rows]
-            # one array as both arguments: numpy then forms X @ X.T as a
-            # symmetric product, whose rounding differs from X @ copy.T
-            Ks.append(gram(cfg, X, X))
-            ys.append(y)
-    solved = iter(solved + smo_solve_stack(Ks, ys, [cost] * len(ys)))
-    return [_shared_sv_model(dataset, cfg, cost, fitted, Xs,
-                             [(rows, y, *next(solved)) for rows, y in pairs])
-            for dataset, fitted, Xs, pairs in setups]
+def ovo_train_many(datasets, cfg: KernelConfig, cost: float):
+    """``ovo_train`` on each ``(dataset, scaler)`` of an iterable; a
+    generator of one model per dataset, in order.
+
+    The class pairs of consecutive datasets share lockstep stacks of
+    ``smo_solve_stack``. A stack closes when one more problem would take
+    its padded Gram matrices past ``_STACK_BYTES`` or it already holds
+    ``_STACK_PROBLEMS`` problems. A model is yielded as soon as its
+    dataset's last pair is solved, and the next dataset is pulled only
+    when the open stack needs more problems, so only the datasets that one
+    stack spans are held at once.
+    """
+    waiting = deque()   # (build, pair count, fits) per dataset, in order
+    stack = []          # (rows, y, Gram maker, fits of its dataset)
+    n = 0               # the open stack's largest problem
+    for dataset, scaler in datasets:
+        build, n_pairs, problems = _pair_problems(dataset, cfg, cost, scaler)
+        fits = []
+        waiting.append((build, n_pairs, fits))
+        for rows, y, pair_gram in problems:
+            m = max(n, len(y))
+            if stack and (len(stack) == _STACK_PROBLEMS
+                          or (len(stack) + 1) * m * m * 8 > _STACK_BYTES):
+                _solve(stack, cost)
+                yield from _finished(waiting)
+                stack, m = [], len(y)
+            stack.append((rows, y, pair_gram, fits))
+            n = m
+    if stack:
+        _solve(stack, cost)
+    yield from _finished(waiting)
 
 
-def _shared_sv_model(dataset, cfg, cost, scaler, Xs, fits) -> OvoSvmModel:
+def _pair_problems(dataset, cfg, cost, scaler):
+    """``(build, n_pairs, problems)`` of one dataset: ``problems`` lazily
+    yields each of its ``n_pairs`` class pairs' ``(rows, y, pair_gram)`` in
+    ``combinations`` order, where ``pair_gram()`` forms the pair's Gram
+    matrix when its stack is solved, and ``build(fits)`` makes the model
+    from their ``(rows, y, alpha, bias)``. The model keeps the scaled rows,
+    not the dataset.
+
+    A radial kernel takes each pair's Gram out of one Gram over all rows,
+    bit-equal because each distance is computed on its own, when that Gram
+    takes at most a quarter of ``_STACK_BYTES``: it lives until its last
+    pair is solved, and a stack may span datasets, so larger datasets form
+    each pair's Gram from its own rows. The other kernels always do, with
+    one array as both arguments: numpy then forms X @ X.T as a symmetric
+    product, whose rounding differs from any other product.
+    """
+    classes = dataset.classes
+    if len(classes) < 2:
+        raise ValidationError("need at least 2 classes")
+    fitted = scaler if scaler is not None else Scaler.fit(dataset.X)
+    Xs = dataset.X if scaler is not None else fitted.transform(dataset.X)
+    if not np.all(np.isfinite(Xs)):
+        raise ValidationError("non-finite features")
+    codes = class_indices(classes, dataset.labels)
+    whole = cfg.kind == "radial" and len(Xs) ** 2 * 8 <= _STACK_BYTES // 4
+    G = gram(cfg, Xs, Xs) if whole else None
+    pairs = list(combinations(range(len(classes)), 2))
+
+    def problems():
+        for a, b in pairs:
+            rows = np.flatnonzero((codes == a) | (codes == b))
+            y = np.where(codes[rows] == a, 1.0, -1.0)
+            if G is None:
+                X = Xs[rows]
+                yield rows, y, partial(gram, cfg, X, X)
+            else:
+                yield rows, y, partial(_submatrix, G, rows)
+    build = partial(_shared_sv_model, tuple(classes),
+                    tuple(dataset.feature_names), cfg, cost, fitted, Xs)
+    return build, len(pairs), problems()
+
+
+def _submatrix(G, rows) -> np.ndarray:
+    return G.take(rows, 0).take(rows, 1)
+
+
+def _solve(stack, cost) -> None:
+    """Solve one stack, forming each Gram as it is padded in; each
+    problem's ``(rows, y, alpha, bias)`` joins the fits of its dataset."""
+    solved = smo_solve_stack((pair_gram() for _, _, pair_gram, _ in stack),
+                             [y for _, y, _, _ in stack],
+                             [cost] * len(stack))
+    for (rows, y, _, fits), (alpha, bias) in zip(stack, solved):
+        fits.append((rows, y, alpha, bias))
+
+
+def _finished(waiting):
+    """The models of the leading datasets whose pairs are all solved."""
+    while waiting and len(waiting[0][2]) == waiting[0][1]:
+        build, _, fits = waiting.popleft()
+        yield build(fits)
+
+
+def _shared_sv_model(classes, feature_names, cfg, cost, scaler, Xs,
+                     fits) -> OvoSvmModel:
     """Build one ensemble from its pairs' ``(rows, y, alpha, bias)``.
 
     A row that is a support vector of several pairs is stored once, and
@@ -394,11 +489,9 @@ def _shared_sv_model(dataset, cfg, cost, scaler, Xs, fits) -> OvoSvmModel:
     np.add.at(coef, (row.ravel()[first], column),
               np.concatenate([(alpha * y)[alpha > 0.0]
                               for _, y, alpha, _ in fits]))
-    return OvoSvmModel(classes=tuple(dataset.classes), cfg=cfg, cost=cost,
-                       sv=sv, coef=coef,
+    return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv, coef=coef,
                        bias=np.array([bias for _, _, _, bias in fits]),
-                       scaler=scaler,
-                       feature_names=tuple(dataset.feature_names))
+                       scaler=scaler, feature_names=feature_names)
 
 
 def _fmt(v: float) -> str:
@@ -448,7 +541,8 @@ def _floats(path, section, line, prefix, expect=None):
     if not (line.startswith(prefix + " ") or line == prefix):
         raise ParseError(f"{path}: expected a {prefix!r} line in {section}")
     try:
-        out = np.array([float(v) for v in line[len(prefix):].split()])
+        # accepts exactly the tokens float() accepts
+        out = np.array(line[len(prefix):].split(), dtype=np.float64)
     except ValueError:
         raise ParseError(f"{path}: bad number in {section} section") from None
     if expect is not None and len(out) != expect:

@@ -302,13 +302,15 @@ def test_10_reruns_with_workers_are_byte_identical(corpus, eval_selected,
     with ProcessPoolExecutor(max_workers=2) as pool:
         second = {
             "selected": loso_evaluate(dataset, SvmTrainer(select_k=43),
-                                      seed=MASTER_SEED, mapper=pool.map),
+                                      seed=MASTER_SEED, mapper=pool.map,
+                                      jobs=2),
             "augmented": loso_evaluate(dataset,
                                        SvmTrainer(augment_sigma=0.5),
-                                       seed=MASTER_SEED, mapper=pool.map),
+                                       seed=MASTER_SEED, mapper=pool.map,
+                                       jobs=2),
             "identifier": train_identifier(streams, IdentificationConfig(),
                                            seed=MASTER_SEED,
-                                           mapper=pool.map)[1],
+                                           mapper=pool.map, jobs=2)[1],
         }
     identical = []
     for name in first:

@@ -1,10 +1,12 @@
 """End-to-end runs of every subcommand through dispatch()."""
 
+import io
 import os
 import shutil
 import subprocess
 import sys
 from argparse import Namespace
+from contextlib import redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
@@ -681,6 +683,48 @@ class TestRecognize:
         assert captured.err == "votes: Right=10, Down=10, Z=9\n"
 
 
+# the commands that cut their folds into --jobs batches, each writing
+# every file it can into {out}
+JOBS_COMMANDS = {
+    "evaluate": ["evaluate", "--report", "{out}/report.csv",
+                 "--confusion", "{out}/confusion.csv"],
+    "augmented": ["evaluate", "--augment-sigma", "0.5",
+                  "--report", "{out}/report.csv",
+                  "--confusion", "{out}/confusion.csv"],
+    "identifier": ["train-identifier", "--iterations", "3",
+                   "--out", "{out}/model", "--report", "{out}/report.csv",
+                   "--confusion", "{out}/confusion.csv"],
+}
+
+
+def run_jobs_commands(data, base, jobs):
+    """Each of JOBS_COMMANDS' stdout and written bytes at ``--jobs``."""
+    out = {}
+    for name, argv in JOBS_COMMANDS.items():
+        folder = base / f"{name}-{jobs}"
+        folder.mkdir()
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert dispatch([a.format(out=folder) for a in argv]
+                            + ["--data", str(data), "--seed", "2",
+                               "--jobs", jobs]) == 0
+        out[name] = (stdout.getvalue(), {p.name: p.read_bytes()
+                                         for p in sorted(folder.iterdir())})
+    return out
+
+
+@pytest.fixture(scope="module")
+def five_subjects(tmp_path_factory):
+    """A five-subject corpus (five folds, a multiple of neither 2 nor 3)
+    and its outputs with one fold per batch."""
+    base = tmp_path_factory.mktemp("five")
+    data = base / "data"
+    assert dispatch(["synth", "--out", str(data), "--subjects", "5",
+                     "--reps", "1", "--adl-minutes", "1.0",
+                     "--seed", "5"]) == 0
+    return data, run_jobs_commands(data, base, "5")
+
+
 class TestEvaluate:
     def test_svm_report(self, data_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"
@@ -699,15 +743,12 @@ class TestEvaluate:
                          "--depth", "4", "--report", str(report)]) == 0
         assert len(report.read_text().splitlines()) == 3
 
-    def test_jobs_do_not_change_output(self, data_dir, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert dispatch(["evaluate", "--data", str(data_dir),
-                         "--report", str(a), "--seed", "2"]) == 0
-        assert dispatch(["evaluate", "--data", str(data_dir),
-                         "--report", str(b), "--seed", "2",
-                         "--jobs", "2"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_jobs_do_not_change_output(self, five_subjects, jobs, tmp_path):
+        # five folds cut into batches of 5, 3 + 2 and 2 + 2 + 1 write the
+        # bytes of one fold per batch
+        data, reference = five_subjects
+        assert run_jobs_commands(data, tmp_path, jobs) == reference
 
     def test_forest_jobs_do_not_change_output(self, data_dir, tmp_path):
         outputs = []

@@ -579,8 +579,8 @@ class TestLosoEvaluate:
         rep = loso_evaluate(data, CentroidTrainer(), seed=seed)
         mask = data.subjects == "s0"
         test = data.take(mask)
-        pred = CentroidTrainer()(data.take(~mask), test.X,
-                                 derive_int(seed, FOLD, 0))
+        [pred] = CentroidTrainer()([(data.take(~mask), test.X,
+                                     derive_int(seed, FOLD, 0))])
         acc = float(np.mean([p == t for p, t in zip(pred, test.labels)]))
         assert rep.accuracy[0] == acc
 
@@ -589,7 +589,7 @@ class TestLosoEvaluate:
         serial = loso_evaluate(data, CentroidTrainer(), seed=2)
         with ProcessPoolExecutor(max_workers=2) as pool:
             parallel = loso_evaluate(data, CentroidTrainer(), seed=2,
-                                     mapper=pool.map)
+                                     mapper=pool.map, jobs=2)
         assert np.array_equal(serial.accuracy, parallel.accuracy)
         assert np.array_equal(serial.confusion, parallel.confusion)
 
@@ -621,7 +621,7 @@ class TestTrainers:
                               subjects=["s01"] * 40,
                               feature_names=["f0", "f1", "f2", "f3"])
         cfg = ForestConfig(n_trees=3, max_depth=3)
-        preds = [ForestTrainer(cfg)(data, data.X, seed=s) for s in (1, 2)]
+        preds = ForestTrainer(cfg)([(data, data.X, s) for s in (1, 2)])
         assert preds[0].tolist() != preds[1].tolist()
         for s, pred in zip((1, 2), preds):
             assert pred.tolist() == \
@@ -632,7 +632,7 @@ class TestTrainers:
         accs = []
         for col in (1, 0):
             sliced = data.take(columns=[col])
-            pred = SvmTrainer()(sliced, sliced.X, seed=0)
+            [pred] = SvmTrainer()([(sliced, sliced.X, 0)])
             accs.append(np.mean([p == t for p, t in zip(pred, data.labels)]))
         acc_noise, acc_info = accs
         assert acc_info == 1.0 and acc_info > acc_noise
@@ -640,8 +640,8 @@ class TestTrainers:
     def test_augment_path_is_deterministic(self):
         data = subject_dataset(2, per=5, seed=3)
         trainer = SvmTrainer(augment_sigma=0.5)
-        a = trainer(data, data.X, seed=7)
-        b = trainer(data, data.X, seed=7)
+        [a] = trainer([(data, data.X, 7)])
+        [b] = trainer([(data, data.X, 7)])
         assert a.tolist() == b.tolist()
 
 

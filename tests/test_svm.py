@@ -143,6 +143,16 @@ class TestGram:
         assert np.allclose(K, K.T)
         assert np.allclose(np.diag(K), 1.0)
 
+    def test_radial_self_gram_equals_two_array_gram(self):
+        # one array as both arguments takes each distance once; the
+        # matrix must be the bytes of the two-array path
+        r = np.random.default_rng(4)
+        cfg = KernelConfig(kind="radial", gamma=0.3)
+        for n, d in ((1, 3), (2, 1), (37, 93), (168, 93), (300, 7)):
+            X = 5.0 * r.normal(size=(n, d))
+            assert gram(cfg, X, X).tobytes() == \
+                gram(cfg, X, X.copy()).tobytes()
+
 
 class TestSmoSolver:
     def test_matches_projected_gradient_oracle(self):
@@ -571,19 +581,48 @@ class TestOvo:
             assert np.count_nonzero(model.coef[:, p]) == np.count_nonzero(sv)
 
     def test_list_form_equals_one_dataset_at_a_time(self, monkeypatch):
-        # datasets of different sizes in one solve, cut into many small
-        # stacks, give the same bytes as training each dataset on its own
+        # datasets of different sizes streamed through one call, in stacks
+        # smaller than one dataset's 66 pairs and spanning datasets, give
+        # the same bytes as training each dataset on its own; the last two
+        # come already scaled, each with its own scaler
         datasets = [twelve_class_dataset(seed=s, per_class=k)
-                    for s, k in ((1, 3), (2, 6), (3, 4))]
-        cfg = KernelConfig(kind="radial", gamma=0.8)
-        alone = [ovo_train(ds, cfg, 1.0) for ds in datasets]
-        monkeypatch.setattr(svm, "_STACK_BYTES", 8 * 12 * 12 * 5)
-        for one, many in zip(alone, ovo_train_many(datasets, cfg, 1.0)):
-            assert many.classes == one.classes and many.cfg == one.cfg
-            for name in ("sv", "coef", "bias"):
-                assert getattr(many, name).tobytes() == \
-                    getattr(one, name).tobytes()
-            assert np.array_equal(many.scaler.mean, one.scaler.mean)
+                    for s, k in ((1, 2), (2, 6), (3, 4), (4, 5))]
+        items = [(ds, None) for ds in datasets[:2]]
+        for ds in datasets[2:]:
+            scaler = Scaler.fit(ds.X)
+            items.append((replace(ds, X=scaler.transform(ds.X)), scaler))
+        kernels = (KernelConfig(kind="radial", gamma=0.8),
+                   KernelConfig(kind="polynomial", gamma=0.5, coef0=1.0,
+                                degree=2),
+                   KernelConfig(kind="linear"))
+        alones = [[ovo_train(ds, cfg, 1.0, scaler=sc) for ds, sc in items]
+                  for cfg in kernels]
+        # the count cap closes the 4-row stacks, the byte budget the others;
+        # under it the 24-row dataset's radial pair Grams are cut from one
+        # Gram, the others' formed per pair
+        monkeypatch.setattr(svm, "_STACK_PROBLEMS", 40)
+        monkeypatch.setattr(svm, "_STACK_BYTES", 8 * 12 * 12 * 30)
+        for cfg, alone in zip(kernels, alones):
+            pulled = []
+
+            def stream():
+                for k, item in enumerate(items):
+                    pulled.append(k)
+                    yield item
+
+            out = 0
+            for k, many in enumerate(ovo_train_many(stream(), cfg, 1.0)):
+                # model k comes out before dataset k + 2 is pulled
+                assert len(pulled) <= k + 2
+                one = alone[k]
+                assert many.classes == one.classes and many.cfg == one.cfg
+                for name in ("sv", "coef", "bias"):
+                    assert getattr(many, name).tobytes() == \
+                        getattr(one, name).tobytes()
+                assert np.array_equal(many.scaler.mean, one.scaler.mean)
+                assert np.array_equal(many.scaler.std, one.scaler.std)
+                out += 1
+            assert out == len(items) and pulled == list(range(len(items)))
 
     def test_support_vectors_stored_once(self, model):
         assert len(np.unique(model.sv, axis=0)) == len(model.sv)
@@ -701,10 +740,12 @@ class TestPersistence:
         save_model(model, path)
         lines = path.read_text().splitlines()
         idx = next(i for i, ln in enumerate(lines) if ln.startswith("mean "))
-        lines[idx] = "mean 1.0 oops 2.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
-            load_model(path)
+        # nan(1) and 0x10 are numbers to C's strtod but not to float()
+        for token in ("oops", "nan(1)", "0x10"):
+            lines[idx] = f"mean 1.0 {token} 2.0"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ParseError, match="bad number in \\[scaler\\]"):
+                load_model(path)
 
     def test_duplicate_feature_name_rejected(self, trained, tmp_path):
         _, model = trained
