@@ -11,13 +11,17 @@ Stream CSV  header: ``t,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,mag_x,mag_y,mag_z
 Label CSV   header: ``start,end,label,subject`` with half-open sample
             intervals ``[start, end)`` and labels from the 12-gesture
             dictionary or ``ADL``.
+
+A stream CSV is converted by one ``np.loadtxt`` call. Python's ``int``
+and ``float`` convert it instead only to name the first bad row, or to
+take the literals numpy rejects but Python accepts, such as ``1_0``.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -190,41 +194,61 @@ def write_file(path, data: bytes | bytearray | str | Iterable[str]) -> None:
                      else chunk)
 
 
-# stream rows converted per block, parsed or written. It bounds the cell
-# strings alive at once; 2048 parsed no faster and raised a forest run's
-# peak RSS by 1 MB.
+# stream rows written per block. It bounds the row strings alive at once.
 _BLOCK_ROWS = 1024
 
+# a stream CSV row as numpy parses it: the sample index, then the channels
+_ROW = np.dtype([("t", np.int64), ("ch", np.float64, (9,))])
 
-def _convert_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Sample indices and (len, 9) channels of stream CSV rows.
 
-    Cells go through Python's ``int`` and ``float``. Raises ValueError
-    for a row without exactly 10 cells or a cell those reject, and
-    OverflowError for an index outside int64.
+def _numpy_rows(rows) -> np.ndarray | None:
+    """Stream CSV rows as ``_ROW`` records, from one ``np.loadtxt`` call;
+    None if it raises or warns.
+
+    Whatever this accepts, Python's ``int`` and ``float`` accept with the
+    same value, except cells with a ``\\x1f`` (see ``parse_imu_csv``). A
+    warning counts as a failure: from numpy 1.23 until that deprecation
+    expired, an integer cell such as ``2049.0`` parses with a
+    DeprecationWarning.
     """
-    n = len(rows)
-    if list(map(str.count, rows, repeat(","))).count(9) != n:
-        raise ValueError("a row without 10 cells")
-    cells = ",".join(rows).split(",")
-    t = np.fromiter(map(int, cells[0::10]), dtype=np.int64, count=n)
-    del cells[0::10]
-    ch = np.fromiter(map(float, cells), dtype=np.float64, count=9 * n)
-    return t, ch.reshape(n, 9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            records = np.loadtxt(rows, dtype=_ROW, delimiter=",",
+                                 comments=None, ndmin=1)
+        except (ValueError, OverflowError):
+            return None
+    return None if caught else records
 
 
-def _row_error(row: str, lineno: int) -> str | None:
-    """Why one stream row does not convert, or None if it does."""
-    cells = row.split(",")
-    if len(cells) != 10:
-        return f"expected 10 cells at line {lineno}, got {len(cells)}"
-    try:
-        _convert_rows([row])
-    except ValueError as exc:
-        return f"non-numeric cell at line {lineno}: {exc}"
-    except OverflowError:
-        return f"sample index out of int64 range at line {lineno}"
-    return None
+def _python_rows(rows):
+    """Sample indices and (len, 9) channels of stream CSV rows, converted
+    by Python's ``int`` and ``float`` up to the first row they reject.
+
+    Returns ``(t, ch, problem)``: ``problem`` is None if every row
+    converts, else ``(row, head, tail)`` for the first bad row, its
+    message being ``head``, the row's file line, then ``tail``; ``t`` and
+    ``ch`` then hold the rows before it.
+    """
+    t = np.empty(len(rows), dtype=np.int64)
+    ch = np.empty((len(rows), 9), dtype=np.float64)
+    for j, row in enumerate(rows):
+        cells = row.split(",")
+        if len(cells) != 10:
+            problem = (j, "expected 10 cells at line", f", got {len(cells)}")
+            break
+        try:
+            t[j] = int(cells[0])
+            ch[j] = list(map(float, cells[1:]))
+        except ValueError as exc:
+            problem = (j, "non-numeric cell at line", f": {exc}")
+            break
+        except OverflowError:
+            problem = (j, "sample index out of int64 range at line", "")
+            break
+    else:
+        return t, ch, None
+    return t[:j], ch[:j], problem
 
 
 def parse_imu_csv(path) -> ImuStream:
@@ -236,11 +260,20 @@ def parse_imu_csv(path) -> ImuStream:
     blank lines included. The first bad row is reported, with the first
     of those problems it has.
 
-    Rows are converted in blocks of ``_BLOCK_ROWS``; a block that fails
-    is scanned row by row only to name the row.
+    All rows are converted by one ``np.loadtxt`` call. Only if that
+    fails, or the text holds a ``\\x1f``, do Python's ``int`` and
+    ``float`` convert them, to name the first bad row or to take the
+    literals numpy rejects but Python accepts (``1_0``, non-ASCII
+    digits). The cells accepted, and their values, are Python's either
+    way.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
+    text = read_text(path)
+    # numpy strips a "\x1f" around a cell as whitespace but float() and
+    # int() reject it; "\x1c" to "\x1e" end lines, so never reach a cell
+    unit_separator = "\x1f" in text
+    lines = text.splitlines()
+    del text
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = tuple(c.strip() for c in lines[0].split(","))
@@ -255,41 +288,27 @@ def parse_imu_csv(path) -> ImuStream:
     rows = [ln for ln in lines[1:] if ln.strip()]
     if not rows:
         raise ParseError(f"{path}: empty stream")
-    def lineno(row: int) -> int:
-        # file line of a row: blank lines are skipped but still counted
-        return [i for i, ln in enumerate(lines[1:], 2) if ln.strip()][row]
-    n = len(rows)
-    t = np.empty(n, dtype=np.int64)
-    ch = np.empty((n, 9), dtype=np.float64)
-    # (row, message) of the first row with each kind of problem, in
+    records = None if unit_separator else _numpy_rows(rows)
+    if records is None:
+        t, ch, problem = _python_rows(rows)
+    else:
+        t, ch, problem = records["t"], np.ascontiguousarray(records["ch"]), None
+    # (row, head, tail) of the first row with each kind of problem, in
     # precedence order: conversion, non-finite, non-monotonic, gap
-    problems = []
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = rows[lo: lo + _BLOCK_ROWS]
-        try:
-            t[lo: lo + len(block)], ch[lo: lo + len(block)] = _convert_rows(block)
-        except (ValueError, OverflowError):
-            for j, row in enumerate(block):
-                message = _row_error(row, lineno(lo + j))
-                if message is not None:
-                    break
-            t[lo: lo + j], ch[lo: lo + j] = _convert_rows(block[:j])
-            n = lo + j
-            problems.append((n, message))
-            break
-    t, ch = t[:n], ch[:n]
-    for bad, offset, what in (
+    problems = [] if problem is None else [problem]
+    for bad, offset, head in (
             (~np.isfinite(ch).all(axis=1), 0, "non-finite value at line"),
             (t[1:] <= t[:-1], 1, "non-monotonic index at line"),
             (t[1:] != t[:-1] + 1, 1, "missing sample before line")):
         rows_hit = np.flatnonzero(bad)
         if len(rows_hit):
-            row = int(rows_hit[0]) + offset
-            problems.append((row, f"{what} {lineno(row)}"))
+            problems.append((int(rows_hit[0]) + offset, head, ""))
     if problems:
         # min keeps the first of equal rows, so the precedence order holds
-        row, message = min(problems, key=lambda p: p[0])
-        raise ParseError(f"{path}: {message}")
+        row, head, tail = min(problems, key=lambda p: p[0])
+        # file line of the row: blank lines are skipped but still counted
+        line = [i for i, ln in enumerate(lines[1:], 2) if ln.strip()][row]
+        raise ParseError(f"{path}: {head} {line}{tail}")
     return ImuStream(subject_id=path.stem, channels=ch)
 
 
@@ -300,9 +319,9 @@ def write_imu_csv(stream: ImuStream, path) -> None:
         yield ",".join(STREAM_HEADER) + "\n"
         for lo in range(0, len(stream), _BLOCK_ROWS):
             yield "".join(
-                ",".join([str(i)] + [format_float(v) for v in row]) + "\n"
-                for i, row in enumerate(stream.channels[lo: lo + _BLOCK_ROWS],
-                                        lo))
+                f"{i},{','.join(map(repr, row))}\n"
+                for i, row in enumerate(
+                    stream.channels[lo: lo + _BLOCK_ROWS].tolist(), lo))
     write_file(path, blocks())
 
 

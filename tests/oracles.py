@@ -6,8 +6,12 @@ own oracle.
 """
 
 from collections import deque
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
+
+from gesturekit.errors import ParseError
 
 
 def naive_embed(series, m, tau):
@@ -506,3 +510,94 @@ def loop_vote_tally(classes, pairs, D):
         margins[won_a, ia] += np.abs(d[won_a])
         margins[~won_a, ib] += np.abs(d[~won_a])
     return votes, margins
+
+
+STREAM_HEADER = ("t", "acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y",
+                 "gyro_z", "mag_x", "mag_y", "mag_z")
+
+
+def _loop_convert_rows(rows):
+    """Sample indices and (len, 9) channels of stream CSV rows, through
+    Python's int and float; ValueError or OverflowError if a row fails."""
+    n = len(rows)
+    if list(map(str.count, rows, repeat(","))).count(9) != n:
+        raise ValueError("a row without 10 cells")
+    cells = ",".join(rows).split(",")
+    t = np.fromiter(map(int, cells[0::10]), dtype=np.int64, count=n)
+    del cells[0::10]
+    ch = np.fromiter(map(float, cells), dtype=np.float64, count=9 * n)
+    return t, ch.reshape(n, 9)
+
+
+def _loop_row_error(row, lineno):
+    cells = row.split(",")
+    if len(cells) != 10:
+        return f"expected 10 cells at line {lineno}, got {len(cells)}"
+    try:
+        _loop_convert_rows([row])
+    except ValueError as exc:
+        return f"non-numeric cell at line {lineno}: {exc}"
+    except OverflowError:
+        return f"sample index out of int64 range at line {lineno}"
+    return None
+
+
+def loop_parse_imu_csv(path, block_rows=1024):
+    """``(subject id, channels)`` of a stream CSV, or ParseError with the
+    message ``imu.parse_imu_csv`` gives: rows go through Python's int and
+    float in blocks of ``block_rows``, and a block that fails is scanned
+    row by row for the first bad row."""
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = tuple(c.strip() for c in lines[0].split(","))
+    if header != STREAM_HEADER:
+        missing = set(STREAM_HEADER) - set(header)
+        dupes = {c for c in header if list(header).count(c) > 1}
+        if dupes:
+            raise ParseError(f"{path}: duplicate columns {sorted(dupes)}")
+        if missing:
+            raise ParseError(f"{path}: missing columns {sorted(missing)}")
+        raise ParseError(f"{path}: unexpected header {header}")
+    # file line of each row: blank lines are skipped but still counted
+    linenos = [i for i, ln in enumerate(lines[1:], 2) if ln.strip()]
+    rows = [ln for ln in lines[1:] if ln.strip()]
+    if not rows:
+        raise ParseError(f"{path}: empty stream")
+    n = len(rows)
+    t = np.empty(n, dtype=np.int64)
+    ch = np.empty((n, 9), dtype=np.float64)
+    problems = []
+    for lo in range(0, n, block_rows):
+        block = rows[lo: lo + block_rows]
+        try:
+            t[lo: lo + len(block)], ch[lo: lo + len(block)] = \
+                _loop_convert_rows(block)
+        except (ValueError, OverflowError):
+            for j, row in enumerate(block):
+                message = _loop_row_error(row, linenos[lo + j])
+                if message is not None:
+                    break
+            t[lo: lo + j], ch[lo: lo + j] = _loop_convert_rows(block[:j])
+            n = lo + j
+            problems.append((n, message))
+            break
+    t, ch = t[:n], ch[:n]
+    for bad, offset, what in (
+            (~np.isfinite(ch).all(axis=1), 0, "non-finite value at line"),
+            (t[1:] <= t[:-1], 1, "non-monotonic index at line"),
+            (t[1:] != t[:-1] + 1, 1, "missing sample before line")):
+        rows_hit = np.flatnonzero(bad)
+        if len(rows_hit):
+            row = int(rows_hit[0]) + offset
+            problems.append((row, f"{what} {linenos[row]}"))
+    if problems:
+        row, message = min(problems, key=lambda p: p[0])
+        raise ParseError(f"{path}: {message}")
+    return path.stem, ch

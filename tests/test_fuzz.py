@@ -1,11 +1,12 @@
 """Fuzzed parser input: a damaged model, parameter or CSV file either parses
-or raises ParseError, never another exception."""
+or raises ParseError, never another exception; a damaged stream CSV parses
+as the block-loop oracle parses it."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gesturekit.cli import read_params
@@ -18,6 +19,7 @@ from gesturekit.pipeline import load_identifier
 from gesturekit.rqa import RqaConfig
 from gesturekit.svm import KernelConfig, OvoSvmModel, load_model, ovo_train, \
     save_model
+from oracles import loop_parse_imu_csv
 
 # fixed examples, no example database, bounded count: a few seconds in all
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -227,3 +229,65 @@ def test_csv_with_bytes_flipped(csv_case, flips):
     for at, mask in flips:
         data[at % len(data)] ^= mask
     read_or_parse_error(reader, path, bytes(data))
+
+
+# cells where numpy's loadtxt grammar and Python's int and float may part:
+# separators, digits and spaces numpy rejects, whitespace it strips, line
+# ends, and values at the edges of the int64 and float64 ranges
+DIFF_TOKENS = ("1_0", "\u0663", "\x1f", "\x1e", "\xa0", "\u3000", "\x85",
+               " 1.5 ", "+5", "0005", "2049.0", "9223372036854775808", "nan",
+               "1e999", "0x1p3", "\x0c", "\r\n", "")
+
+
+@pytest.fixture(scope="module")
+def long_stream_lines(workdir):
+    path = workdir / "diff-valid.csv"
+    write_long_stream(path)
+    return path.read_text().split("\n")
+
+
+def parse_outcome(parse, path):
+    """``(subject, channel bytes)`` of a parse, or its ParseError text."""
+    try:
+        stream = parse(path)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(stream, ImuStream):
+        return stream.subject_id, stream.channels.tobytes()
+    subject, channels = stream
+    return subject, channels.tobytes()
+
+
+@FUZZ
+@given(subs=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 9),
+                               st.sampled_from(DIFF_TOKENS),
+                               st.sampled_from(("cell", "prefix", "suffix"))),
+                     max_size=4),
+       flips=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.integers(1, 255)), max_size=3))
+# the draws above rarely leave a stream numpy would accept whole, so the
+# cases where the two grammars part are also given outright
+@example(subs=[(1500, 9, "\x1f", "suffix")], flips=[])
+@example(subs=[(3000, 0, "\x1f", "suffix")], flips=[])
+@example(subs=[(0, 0, "2049.0", "cell")], flips=[])
+@example(subs=[(10, 0, "1_0", "cell"), (20, 4, "\u0663", "cell"),
+               (30, 5, "\u3000", "prefix")], flips=[])
+def test_stream_parse_matches_block_loop(workdir, long_stream_lines, subs,
+                                         flips):
+    lines = list(long_stream_lines)
+    for at, col, token, where in subs:
+        if token == "2049.0":
+            # as the index of data row 2049: the right value, as a float
+            at, col, where = 2049, 0, "cell"
+        k = 1 + at % (len(lines) - 2)
+        cells = lines[k].split(",")
+        cells[col] = {"cell": token, "prefix": token + cells[col],
+                      "suffix": cells[col] + token}[where]
+        lines[k] = ",".join(cells)
+    data = bytearray("\n".join(lines).encode())
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    path = workdir / "diff.csv"
+    write_file(path, bytes(data))
+    assert parse_outcome(parse_imu_csv, path) == \
+        parse_outcome(loop_parse_imu_csv, path)

@@ -72,13 +72,14 @@ def test_imu_csv_rejects_bad_cells(tmp_path):
         parse_imu_csv(p)
 
 
-BIG_ROWS = 5500      # several parse blocks, the last one partial
+BIG_ROWS = 5500      # several write blocks, the last one partial
 
 
 @pytest.fixture(scope="module")
 def big_stream(tmp_path_factory):
     """A valid multi-block stream: (its parsed stream, its CSV lines)."""
-    # BAD_STREAMS's rows 2048 and 4096 start blocks, and more follow
+    # BAD_STREAMS's rows 2048 and 4096 start blocks of the writer and of
+    # the block-loop oracle, and more follow
     assert 2048 % _BLOCK_ROWS == 0 and BIG_ROWS > 4096 + _BLOCK_ROWS
     path = tmp_path_factory.mktemp("big") / "s.csv"
     stream = make_stream(BIG_ROWS, seed=4)
@@ -98,7 +99,7 @@ def drop_last_cell(line):
 
 # ({data row: edit}, expected message); data row k is file line k + 2
 # unless an edit adds blank lines, and rows 2047/2048 and 4095/4096
-# straddle the parser's block boundaries
+# straddle block boundaries
 BAD_STREAMS = {
     "nine-cells-at-boundary": (
         {2048: drop_last_cell},
@@ -120,6 +121,23 @@ BAD_STREAMS = {
         {2049: lambda ln: set_cell(ln, 0, "2049.0")},
         "non-numeric cell at line 2051: "
         "invalid literal for int() with base 10: '2049.0'"),
+    # numpy strips a "\x1f" around a cell as whitespace; float() and
+    # int() reject it, and so must the parser
+    "unit-separator-after-channel": (
+        {1500: lambda ln: set_cell(ln, 9, "0.5\x1f")},
+        "non-numeric cell at line 1502: "
+        "could not convert string to float: '0.5\\x1f'"),
+    "unit-separator-after-index": (
+        {3000: lambda ln: set_cell(ln, 0, "3000\x1f")},
+        "non-numeric cell at line 3002: "
+        "invalid literal for int() with base 10: '3000\\x1f'"),
+    # the right index written as a float, the stream's only defect: from
+    # numpy 1.23 until that deprecation expired, loadtxt parses it with a
+    # DeprecationWarning
+    "float-index-in-first-row": (
+        {0: lambda ln: set_cell(ln, 0, "0.0")},
+        "non-numeric cell at line 2: "
+        "invalid literal for int() with base 10: '0.0'"),
     "index-beyond-int64": (
         {2048: lambda ln: set_cell(ln, 0, "99999999999999999999")},
         "sample index out of int64 range at line 2050"),
@@ -193,6 +211,30 @@ def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
     p.write_bytes(("\r\n".join(spaced) + "\r\n").encode())
     back = parse_imu_csv(p)
     assert np.array_equal(back.channels, stream.channels)
+
+
+def test_one_row_stream(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("t," + ",".join(CHANNELS) + "\n7," +
+                 ",".join(map(str, range(9))) + "\n")
+    back = parse_imu_csv(p)
+    assert back.channels.shape == (1, 9)
+    assert back.channels.tolist() == [list(map(float, range(9)))]
+
+
+def test_literals_only_python_accepts(tmp_path):
+    # numpy's loadtxt rejects digit separators and non-ASCII digits, so
+    # the rows go through Python's int and float, and every cell, the
+    # ones numpy would take too, keeps Python's value
+    p = tmp_path / "s.csv"
+    cells = ["1_0", "\u0663", "\xa02.5\u3000", "-0", "+5", "0005",
+             "1e-400", ".5", "5."]
+    p.write_text("t," + ",".join(CHANNELS) + "\n"
+                 "\u0661_0," + ",".join(cells) + "\n"
+                 "11," + ",".join(["1"] * 9) + "\n")
+    back = parse_imu_csv(p)
+    assert back.channels.tobytes() == np.array(
+        [[float(c) for c in cells], [1.0] * 9]).tobytes()
 
 
 def test_interval_validation():
