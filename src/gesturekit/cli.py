@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ConvergenceError, ParseError, ValidationError
@@ -31,7 +29,7 @@ from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, check_reps, check_select, check_sigma,
                        identify_segments, load_identifier,
-                       permutation_importance, loso_evaluate,
+                       permutation_importance, loso_evaluate, pool_map,
                        standardize_augment, train_identifier,
                        window_features, write_confusion_csv,
                        write_importance_csv, write_report_csv)
@@ -56,16 +54,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@contextmanager
-def _pool(jobs: int):
-    """Yield ``map``, or a ``jobs``-process pool's map shut down on exit."""
-    if jobs < 1:
+def _jobs(args) -> int:
+    """``--jobs``, checked before any data is read."""
+    if args.jobs < 1:
         raise ValidationError("--jobs must be >= 1")
-    if jobs == 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool.map
+    return args.jobs
 
 
 def _add_common(sub, jobs=False):
@@ -139,7 +132,9 @@ def _data_dir(root, kind: str) -> Path:
     return sub if sub.is_dir() else root
 
 
-def _load_streams(folder):
+def _load_streams(folder, channels=CHANNELS):
+    """``(stream, intervals)`` per stream CSV of ``folder``, each stream
+    keeping ``channels``."""
     folder = Path(folder)
     pairs = []
     for p in sorted(folder.glob("*.csv")):
@@ -148,7 +143,7 @@ def _load_streams(folder):
         labels = p.with_name(p.stem + "_labels.csv")
         if not labels.exists():
             raise ParseError(f"{labels}: missing label file")
-        pairs.append((parse_imu_csv(p), parse_label_csv(labels)))
+        pairs.append((parse_imu_csv(p, channels), parse_label_csv(labels)))
     if not pairs:
         raise ParseError(f"{folder}: no stream CSVs found")
     return pairs
@@ -210,7 +205,7 @@ def _cmd_synth(args) -> int:
     cfg = SynthConfig(n_subjects=args.subjects, reps=args.reps,
                       rate_hz=args.rate, adl_minutes=args.adl_minutes,
                       gesture_fraction=args.gesture_fraction, seed=args.seed)
-    with _pool(args.jobs) as mapper:
+    with pool_map(_jobs(args)) as mapper:
         result = generate_dataset(cfg, mapper)
     write_dataset(result, args.out)
     n_seg = sum(len(iv) for _, iv in result.recognition)
@@ -224,7 +219,7 @@ def _cmd_synth(args) -> int:
 def _cmd_rqa_features(args) -> int:
     cfg = RqaConfig.parse(vars(args))
     cfg.check_window()
-    stream = parse_imu_csv(args.infile)
+    stream = parse_imu_csv(args.infile, (cfg.series,))
     cfg.check_length(len(stream), f"{args.infile}: stream")
     starts, X = window_features(stream, cfg)
     write_rqa_csv(starts, X, args.outfile)
@@ -238,7 +233,7 @@ def _cmd_rp_export(args) -> int:
         raise ValidationError("--start must be >= 0")
     if args.length is not None and args.length < 1:
         raise ValidationError("--length must be >= 1")
-    series = parse_imu_csv(args.infile).channel(cfg.series)
+    series = parse_imu_csv(args.infile, (cfg.series,)).channel(cfg.series)
     start = args.start
     end = len(series) if args.length is None else start + args.length
     if not 0 <= start < end <= len(series):
@@ -256,10 +251,10 @@ def _cmd_train_identifier(args) -> int:
         RqaConfig.parse(vars(args)), overlap_fraction=args.overlap,
         n_balance_iters=args.iterations, kernel=_kernel_from(args),
         cost=args.cost)
-    with _pool(args.jobs) as mapper:
-        data = _load_streams(_data_dir(args.data, "identification"))
-        model, report = train_identifier(data, cfg, seed=args.seed,
-                                         mapper=mapper, jobs=args.jobs)
+    jobs = _jobs(args)
+    data = _load_streams(_data_dir(args.data, "identification"),
+                         (cfg.rqa.series,))
+    model, report = train_identifier(data, cfg, seed=args.seed, jobs=jobs)
     save_model(model, args.out)
     if args.report:
         write_report_csv(report, args.report)
@@ -270,8 +265,14 @@ def _cmd_train_identifier(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    stream = parse_imu_csv(args.infile)
-    model, cfg = load_identifier(args.model)
+    # the model names the one series to keep, but a bad stream is still
+    # reported before a bad model
+    try:
+        model, cfg = load_identifier(args.model)
+    except (ParseError, OSError):
+        parse_imu_csv(args.infile, CHANNELS[:1])
+        raise
+    stream = parse_imu_csv(args.infile, (cfg.series,))
     cfg.check_length(len(stream), f"{args.infile}: stream")
     segments = identify_segments(stream, model, cfg)
     write_file(args.outfile, "start,end,subject\n" + "".join(
@@ -320,10 +321,9 @@ def _cmd_evaluate(args) -> int:
     else:
         trainer = ForestTrainer(ForestConfig(n_trees=args.trees,
                                              max_depth=args.depth))
-    with _pool(args.jobs) as mapper:
-        dataset = _segment_dataset(args)
-        report = loso_evaluate(dataset, trainer, seed=args.seed,
-                               mapper=mapper, jobs=args.jobs)
+    jobs = _jobs(args)
+    dataset = _segment_dataset(args)
+    report = loso_evaluate(dataset, trainer, seed=args.seed, jobs=jobs)
     write_report_csv(report, args.report)
     if args.confusion:
         write_confusion_csv(report, args.confusion)
@@ -337,7 +337,7 @@ def _cmd_importance(args) -> int:
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost)
     else:
         trainer = CentroidTrainer()
-    with _pool(args.jobs) as mapper:
+    with pool_map(_jobs(args)) as mapper:
         dataset = _segment_dataset(args)
         result = permutation_importance(dataset, trainer, n_reps=args.reps,
                                         seed=args.seed, mapper=mapper)

@@ -101,6 +101,8 @@ def _segment_row(segment: ImuStream, n_samples: int) -> np.ndarray:
     samples."""
     if len(segment) < 2:
         raise ValidationError("segment must have at least 2 samples")
+    if segment.names != CHANNELS:
+        raise ValidationError("a segment needs all 9 channels in order")
     c = np.ascontiguousarray(segment.channels.T, dtype=np.float64)
     mean = c.mean(axis=1)
     d = c - mean[:, None]

@@ -12,14 +12,19 @@ Label CSV   header: ``start,end,label,subject`` with half-open sample
             intervals ``[start, end)`` and labels from the 12-gesture
             dictionary or ``ADL``.
 
-A stream CSV is converted by one ``np.loadtxt`` call. Python's ``int``
-and ``float`` convert it instead only to name the first bad row, or to
-take the literals numpy rejects but Python accepts, such as ``1_0``.
+A stream CSV is read ``_READ_BYTES`` at a time and converted in blocks of
+``_BLOCK_ROWS`` rows, one ``np.loadtxt`` call each, keeping only the
+channels the caller asks for, so parsing a long stream for one series
+holds one column of it. Python's ``int`` and ``float`` convert a block
+instead only to name the first bad row, or to take the literals numpy
+rejects but Python accepts, such as ``1_0``.
 """
 
 from __future__ import annotations
 
+import codecs
 import warnings
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,24 +66,42 @@ def class_indices(classes, labels) -> np.ndarray:
         raise ValidationError(f"label {e} not in the class list") from None
 
 
+def _channel_index(name: str) -> int:
+    try:
+        return CHANNELS.index(name)
+    except ValueError:
+        raise ValidationError(f"unknown channel {name!r}") from None
+
+
 @dataclass(frozen=True)
 class ImuStream:
-    """One subject's uniformly sampled 9-channel sequence.
+    """One subject's uniformly sampled sequence of some of the 9 channels.
 
-    ``channels`` is a read-only (N, 9) float array in CHANNELS order, one
-    row per sample; the sample index is the row number.
+    ``channels`` is a read-only (N, len(names)) float array, one row per
+    sample and one column per name of ``names``; the sample index is the
+    row number. ``names`` defaults to all of CHANNELS, in order, which is
+    what recognition needs; identification keeps only its series.
     """
     subject_id: str
     channels: np.ndarray
+    names: tuple[str, ...] = CHANNELS
 
     def __post_init__(self):
+        names = tuple(self.names)
+        for name in names:
+            _channel_index(name)
+        if not names or len(set(names)) != len(names):
+            raise ValidationError(f"channel names must be distinct and at "
+                                  f"least one, got {names}")
         ch = np.asarray(self.channels, dtype=np.float64)
-        if ch.ndim != 2 or ch.shape[1] != 9:
-            raise ValidationError(f"channels must be (N, 9), got {ch.shape}")
+        if ch.ndim != 2 or ch.shape[1] != len(names):
+            raise ValidationError(f"channels must be (N, {len(names)}), "
+                                  f"got {ch.shape}")
         if len(ch) == 0:
             raise ValidationError("empty stream")
         if not np.all(np.isfinite(ch)):
             raise ValidationError("non-finite channel value")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "channels", ch)
         ch.setflags(write=False)
 
@@ -87,10 +110,11 @@ class ImuStream:
 
     def channel(self, name: str) -> np.ndarray:
         """Single channel by name, e.g. ``acc_y``."""
-        try:
-            return self.channels[:, CHANNELS.index(name)]
-        except ValueError:
-            raise ValidationError(f"unknown channel {name!r}") from None
+        if name not in self.names:
+            _channel_index(name)
+            raise ValidationError(f"channel {name!r} is not kept in this "
+                                  "stream")
+        return self.channels[:, self.names.index(name)]
 
 
 @dataclass(frozen=True)
@@ -169,6 +193,11 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _not_utf8(path, exc: UnicodeDecodeError, start: int) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                      f"{start})")
+
+
 def read_text(path) -> str:
     """A UTF-8 text file's contents; bytes that do not decode raise
     ParseError naming the file."""
@@ -176,8 +205,7 @@ def read_text(path) -> str:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                         f"{exc.start})") from None
+        raise _not_utf8(path, exc, exc.start) from None
 
 
 def write_file(path, data: bytes | bytearray | str | Iterable[str]) -> None:
@@ -194,8 +222,12 @@ def write_file(path, data: bytes | bytearray | str | Iterable[str]) -> None:
                      else chunk)
 
 
-# stream rows written per block. It bounds the row strings alive at once.
+# stream rows written or converted per block. It bounds the row strings
+# and the converted rows alive at once.
 _BLOCK_ROWS = 1024
+
+# bytes of a stream CSV read and decoded at a time
+_READ_BYTES = 1 << 18
 
 # a stream CSV row as numpy parses it: the sample index, then the channels
 _ROW = np.dtype([("t", np.int64), ("ch", np.float64, (9,))])
@@ -251,32 +283,47 @@ def _python_rows(rows):
     return t[:j], ch[:j], problem
 
 
-def parse_imu_csv(path) -> ImuStream:
-    """Parse a stream CSV into a validated ImuStream.
+def _decoded_chunks(path, fh):
+    """The text of the binary file ``fh``, decoded as UTF-8
+    ``_READ_BYTES`` at a time. Bytes that do not decode raise the
+    ParseError ``read_text`` gives, at the same byte."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0        # bytes read before this chunk
+    while True:
+        data = fh.read(_READ_BYTES)
+        # the decoder holds back the bytes of a character cut at the end
+        held = len(decoder.getstate()[0])
+        try:
+            text = decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, done - held + exc.start) from None
+        yield text
+        if not data:
+            return
+        done += len(data)
 
-    The subject id is the file stem. Errors (bad header, wrong cell
-    count, non-numeric cell, index out of int64 range, non-finite value,
-    non-monotonic or gapped index) name the 1-based line in the file,
-    blank lines included. The first bad row is reported, with the first
-    of those problems it has.
 
-    All rows are converted by one ``np.loadtxt`` call. Only if that
-    fails, or the text holds a ``\\x1f``, do Python's ``int`` and
-    ``float`` convert them, to name the first bad row or to take the
-    literals numpy rejects but Python accepts (``1_0``, non-ASCII
-    digits). The cells accepted, and their values, are Python's either
-    way.
+def _line_runs(chunks):
+    """``(lines, unit_separator)`` per run of the text that ``chunks``
+    join to: the run's lines, as ``str.splitlines`` splits the whole text,
+    and whether the run holds a ``"\x1f"``.
+
+    A run ends at the last ``"\n"`` of a chunk, which always ends a line,
+    so a ``"\r\n"`` split between two chunks stays one line break.
     """
-    path = Path(path)
-    text = read_text(path)
-    # numpy strips a "\x1f" around a cell as whitespace but float() and
-    # int() reject it; "\x1c" to "\x1e" end lines, so never reach a cell
-    unit_separator = "\x1f" in text
-    lines = text.splitlines()
-    del text
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = tuple(c.strip() for c in lines[0].split(","))
+    tail = ""
+    for text in chunks:
+        text = tail + text
+        tail = text[text.rfind("\n") + 1:]
+        lines = text.splitlines()
+        # the tail's lines are the last ones, and they wait for the rest
+        del lines[len(lines) - len(tail.splitlines()):]
+        yield lines, "\x1f" in text
+    yield tail.splitlines(), "\x1f" in tail
+
+
+def _check_header(path, line: str) -> None:
+    header = tuple(c.strip() for c in line.split(","))
     if header != STREAM_HEADER:
         missing = set(STREAM_HEADER) - set(header)
         dupes = {c for c in header if list(header).count(c) > 1}
@@ -285,31 +332,134 @@ def parse_imu_csv(path) -> ImuStream:
         if missing:
             raise ParseError(f"{path}: missing columns {sorted(missing)}")
         raise ParseError(f"{path}: unexpected header {header}")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if not rows:
-        raise ParseError(f"{path}: empty stream")
-    records = None if unit_separator else _numpy_rows(rows)
+
+
+def _convert_block(rows, before, python_only):
+    """``(t, ch, problem)`` of one block of stream CSV rows: their sample
+    indices and (len, 9) channels, converted by ``_numpy_rows`` unless
+    ``python_only`` or it fails, else by ``_python_rows``.
+
+    ``problem`` is None, or ``(row, head, tail)`` for the block's first
+    bad row, as ``_python_rows`` gives it: a conversion problem, then a
+    non-finite value, an index not above the one before, then a gap.
+    ``before`` is the previous block's last index, or None for the first
+    block.
+    """
+    records = None if python_only else _numpy_rows(rows)
     if records is None:
         t, ch, problem = _python_rows(rows)
     else:
-        t, ch, problem = records["t"], np.ascontiguousarray(records["ch"]), None
+        t, ch, problem = records["t"], records["ch"], None
     # (row, head, tail) of the first row with each kind of problem, in
-    # precedence order: conversion, non-finite, non-monotonic, gap
+    # precedence order
     problems = [] if problem is None else [problem]
-    for bad, offset, head in (
+    if before is None:
+        steps, offset = t, 1
+    else:
+        steps, offset = np.concatenate(([before], t)), 0
+    for bad, shift, head in (
             (~np.isfinite(ch).all(axis=1), 0, "non-finite value at line"),
-            (t[1:] <= t[:-1], 1, "non-monotonic index at line"),
-            (t[1:] != t[:-1] + 1, 1, "missing sample before line")):
+            (steps[1:] <= steps[:-1], offset, "non-monotonic index at line"),
+            (steps[1:] != steps[:-1] + 1, offset,
+             "missing sample before line")):
         rows_hit = np.flatnonzero(bad)
         if len(rows_hit):
-            problems.append((int(rows_hit[0]) + offset, head, ""))
-    if problems:
-        # min keeps the first of equal rows, so the precedence order holds
-        row, head, tail = min(problems, key=lambda p: p[0])
-        # file line of the row: blank lines are skipped but still counted
-        line = [i for i, ln in enumerate(lines[1:], 2) if ln.strip()][row]
-        raise ParseError(f"{path}: {head} {line}{tail}")
-    return ImuStream(subject_id=path.stem, channels=ch)
+            problems.append((int(rows_hit[0]) + shift, head, ""))
+    # min keeps the first of equal rows, so the precedence order holds
+    return t, ch, min(problems, key=lambda p: p[0], default=None)
+
+
+def _parse_rows(path, runs, keep) -> np.ndarray:
+    """The ``keep`` columns of every row of a stream CSV given as line
+    runs (see ``_line_runs``), after its header and every cell check."""
+    header = None
+    pending = []            # rows read but not yet converted
+    converted = 0           # rows converted so far
+    # per blank line, the count of rows before it
+    blanks = []
+    before = None           # the last converted row's index
+    python_only = False
+    parts = []
+
+    def convert(rows):
+        nonlocal converted, before
+        t, ch, problem = _convert_block(rows, before, python_only)
+        if problem is not None:
+            row, head, tail = problem
+            row += converted
+            # file line of the row: blank lines are skipped but counted
+            line = row + 2 + bisect_right(blanks, row)
+            raise ParseError(f"{path}: {head} {line}{tail}")
+        parts.append(ch[:, keep])
+        converted += len(rows)
+        before = t[-1]
+
+    for lines, unit_separator in runs:
+        if header is None:
+            if not lines:
+                continue
+            _check_header(path, lines[0])
+            header, lines = lines[0], lines[1:]
+        # numpy strips a "\x1f" around a cell as whitespace but float()
+        # and int() reject it; "\x1c" to "\x1e" end lines, so never
+        # reach a cell
+        python_only = python_only or unit_separator
+        rows = [ln for ln in lines if ln.strip()]
+        if len(rows) != len(lines):
+            seen = converted + len(pending)
+            for ln in lines:
+                if ln.strip():
+                    seen += 1
+                else:
+                    blanks.append(seen)
+        pending += rows
+        while len(pending) >= _BLOCK_ROWS:
+            convert(pending[:_BLOCK_ROWS])
+            del pending[:_BLOCK_ROWS]
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    if pending:
+        convert(pending)
+    if not parts:
+        raise ParseError(f"{path}: empty stream")
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def parse_imu_csv(path, channels=CHANNELS) -> ImuStream:
+    """Parse a stream CSV into a validated ImuStream of ``channels``.
+
+    The subject id is the file stem. Errors (bad header, wrong cell
+    count, non-numeric cell, index out of int64 range, non-finite value,
+    non-monotonic or gapped index) name the 1-based line in the file,
+    blank lines included. The first bad row is reported, with the first
+    of those problems it has, and a byte that does not decode as UTF-8
+    anywhere in the file is reported before any of them. Every cell of
+    every row is checked, whatever ``channels`` keeps.
+
+    The file is read ``_READ_BYTES`` at a time, and its rows are
+    converted ``_BLOCK_ROWS`` at a time by one ``np.loadtxt`` call each.
+    Only if that fails, or a ``\x1f`` has been read, do Python's
+    ``int`` and ``float`` convert them, to name the first bad
+    row or to take the literals numpy rejects but Python accepts
+    (``1_0``, non-ASCII digits). The cells accepted, and their values,
+    are Python's either way. Only the columns of ``channels`` are kept
+    from each block, so the stream's other channels are never held
+    whole.
+    """
+    path = Path(path)
+    channels = tuple(channels)
+    keep = [_channel_index(name) for name in channels]
+    with open(path, "rb") as fh:
+        chunks = _decoded_chunks(path, fh)
+        try:
+            return ImuStream(path.stem, _parse_rows(path, _line_runs(chunks),
+                                                    keep), channels)
+        except ParseError:
+            # the rest of the file is still decoded, so that a byte that
+            # does not decode wins, as when the whole text was read first
+            for _ in chunks:
+                pass
+            raise
 
 
 def write_imu_csv(stream: ImuStream, path) -> None:

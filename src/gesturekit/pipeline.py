@@ -5,8 +5,10 @@ selection, noise augmentation, LOSO evaluation, and report files.
 Folds, balance iterations, and permutation repetitions each draw from an
 rng derived as (master seed, task key), so any of them may run under a
 parallel mapper without changing a single output byte. The folds of an
-evaluation or an identifier are cut into ``jobs`` contiguous batches, one
-mapper task each. Trainers are small picklable callables with the shared
+evaluation or an identifier are cut into ``jobs`` contiguous batches;
+``loso_evaluate`` and ``train_identifier`` open the pool themselves, one
+worker process per batch, so the batch count and the pool size cannot
+disagree. Trainers are small picklable callables with the shared
 signature ``trainer(folds) -> one 1-D array of predicted labels per
 fold``, where ``folds`` is an iterable of ``(train_dataset, test_rows,
 seed)`` and may be built lazily; the test labels never reach a trainer,
@@ -18,6 +20,8 @@ streaming ``ovo_train_many`` call.
 from __future__ import annotations
 
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
 
@@ -217,18 +221,39 @@ def _identifier_batch(args):
     return rows, next(models, None)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
+
+
+@contextmanager
+def pool_map(jobs: int):
+    """Yield ``map``, or a ``jobs``-process pool's map shut down on exit."""
+    _check_jobs(jobs)
+    if jobs == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
+
+
 def _batches(items, jobs: int) -> list:
     """``items`` cut into ``jobs`` contiguous runs (fewer when there are
     fewer items) whose sizes differ by at most one, in order."""
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
+    _check_jobs(jobs)
     n = min(jobs, len(items))
     bounds = [len(items) * k // n for k in range(n + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map,
-                     jobs=1):
+def _run_batches(fn, tasks) -> list:
+    """``fn`` of each task, in order: one task runs in this process, more
+    in a pool of one process each."""
+    with pool_map(len(tasks)) as mapper:
+        return list(mapper(fn, tasks))
+
+
+def train_identifier(data, cfg: IdentificationConfig, seed=0, jobs=1):
     """LOSO-style identification training with per-fold rebalancing.
 
     ``data`` is a sequence of (stream, intervals) pairs. Each fold holds
@@ -237,8 +262,9 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map,
     the held-out subject's windows. The report averages the iterations
     per fold and sums a majority-vote confusion matrix over folds; the
     returned model is trained on one balanced draw over all subjects and
-    carries ``cfg``'s window geometry. ``mapper`` runs the folds in
-    ``jobs`` contiguous batches; the final draw rides with the last.
+    carries ``cfg``'s window geometry. The folds run in ``jobs``
+    contiguous batches, each in its own process when there are more than
+    one; the final draw rides with the last.
     """
     # window labels need only the stream lengths, so every check runs
     # before any windowed RQA
@@ -261,7 +287,7 @@ def train_identifier(data, cfg: IdentificationConfig, seed=0, mapper=map,
     batches = _batches(list(enumerate(subjects)), jobs)
     tasks = [(dataset, cfg, seed, folds, k == len(batches) - 1)
              for k, folds in enumerate(batches)]
-    results = list(mapper(_identifier_batch, tasks))
+    results = _run_batches(_identifier_batch, tasks)
     report = EvaluationReport.from_folds(
         chain.from_iterable(rows for rows, _ in results), _WINDOW_CLASSES)
     return replace(results[-1][1], rqa=cfg.rqa.text()), report
@@ -550,14 +576,15 @@ def _loso_batch(args):
             for (_, s), test, pred in zip(folds, tests, preds)]
 
 
-def loso_evaluate(dataset: LabeledDataset, trainer, seed=0, mapper=map,
+def loso_evaluate(dataset: LabeledDataset, trainer, seed=0,
                   jobs=1) -> EvaluationReport:
     """Leave-one-subject-out evaluation: one fold per distinct subject.
 
     Balanced accuracy per fold averages recall over the classes actually
     present in that fold's test rows; the confusion matrix sums over
-    folds in global canonical class order. ``mapper`` runs the folds in
-    ``jobs`` contiguous batches, one trainer call each.
+    folds in global canonical class order. The folds run in ``jobs``
+    contiguous batches, one trainer call each, each batch in its own
+    process when there are more than one.
     """
     subjects = dataset.subject_ids()
     if len(subjects) < 2:
@@ -566,7 +593,7 @@ def loso_evaluate(dataset: LabeledDataset, trainer, seed=0, mapper=map,
     tasks = [(dataset, trainer, classes, seed, folds)
              for folds in _batches(list(enumerate(subjects)), jobs)]
     return EvaluationReport.from_folds(
-        chain.from_iterable(mapper(_loso_batch, tasks)), classes)
+        chain.from_iterable(_run_batches(_loso_batch, tasks)), classes)
 
 
 def write_report_csv(report: EvaluationReport, path) -> None:

@@ -432,7 +432,11 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     r = np.asarray(series, dtype=np.float64)
     cfg.check_window()
     cfg.check_length(len(r), "series")
-    states = time_delay_embed(r, cfg)
+    # time_delay_embed's states as a read-only view of the series, not an
+    # m-column copy of it
+    states = as_strided(r, (cfg.n_states(len(r)), cfg.dimension),
+                        (r.strides[0], cfg.delay * r.strides[0]),
+                        writeable=False)
     n, step = cfg.n_states(cfg.window_len), cfg.step
     h = min(step, n)
     # the t-th block of a window counts triangles up to column ends[t]

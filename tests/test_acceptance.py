@@ -9,7 +9,6 @@ bit.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -299,19 +298,15 @@ def test_10_reruns_with_workers_are_byte_identical(corpus, eval_selected,
     streams, id_report, _ = identification
     first = {"selected": eval_selected[0], "augmented": eval_augmented[0],
              "identifier": id_report}
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        second = {
-            "selected": loso_evaluate(dataset, SvmTrainer(select_k=43),
-                                      seed=MASTER_SEED, mapper=pool.map,
-                                      jobs=2),
-            "augmented": loso_evaluate(dataset,
-                                       SvmTrainer(augment_sigma=0.5),
-                                       seed=MASTER_SEED, mapper=pool.map,
-                                       jobs=2),
-            "identifier": train_identifier(streams, IdentificationConfig(),
-                                           seed=MASTER_SEED,
-                                           mapper=pool.map, jobs=2)[1],
-        }
+    # jobs=2 runs the folds in two batches, each in a worker process
+    second = {
+        "selected": loso_evaluate(dataset, SvmTrainer(select_k=43),
+                                  seed=MASTER_SEED, jobs=2),
+        "augmented": loso_evaluate(dataset, SvmTrainer(augment_sigma=0.5),
+                                   seed=MASTER_SEED, jobs=2),
+        "identifier": train_identifier(streams, IdentificationConfig(),
+                                       seed=MASTER_SEED, jobs=2)[1],
+    }
     identical = []
     for name in first:
         a = tmp_path / f"{name}_serial.csv"

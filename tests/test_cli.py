@@ -142,18 +142,24 @@ class TestParsing:
         assert proc.returncode == 0
         assert "COMMAND" in proc.stdout
 
-    def test_cli_import_leaves_out_scipy_signal(self):
-        """Only synth needs scipy.signal, so the other commands do not
-        pay for importing it."""
+    def test_cli_import_leaves_out_scipy_signal(self, tmp_path):
+        """No command needs scipy.signal, not even synth writing ADL
+        streams, so none pays for importing it."""
         package_root = str(Path(gesturekit.__file__).resolve().parents[1])
         probe = ("import sys\n"
                  f"sys.path.insert(0, {package_root!r})\n"
                  "import gesturekit.cli\n"
-                 "print('scipy.signal' in sys.modules)\n")
+                 "print('scipy.signal' in sys.modules)\n"
+                 "code = gesturekit.cli.dispatch(['synth', '--out', "
+                 f"{str(tmp_path / 'corpus')!r}, '--subjects', '2', "
+                 "'--reps', '1', '--adl-minutes', '0.5'])\n"
+                 "print(code, 'scipy.signal' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[0] == "False"
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "corpus" / "identification" / "s01.csv").exists()
 
     def test_geometry_options_match_the_model_file(self):
         """Only synth takes a rate (`evaluate --rate 50` exits 1), identify
@@ -588,6 +594,34 @@ class TestIdentify:
         assert dispatch(["identify", "--in", str(stream_csv),
                          "--model", str(bad), "--out", str(out)]) == 2
         assert "bad [rqa] section" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["missing", "no-rqa", "not-utf8"])
+    def test_bad_stream_reported_before_bad_model(self, identifier,
+                                                  stream_csv, tmp_path,
+                                                  capsys, model):
+        # the model is read first, for the one series the stream keeps,
+        # but a bad stream still reports its own error first
+        lines = stream_csv.read_text().splitlines()
+        cells = lines[1500].split(",")
+        cells[7] = "oops"
+        lines[1500] = ",".join(cells)
+        stream = tmp_path / "s01.csv"
+        stream.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "bad.model"
+        text = identifier[0].read_text()
+        if model == "no-rqa":
+            text = "\n".join(text.splitlines()[:1] + text.splitlines()[9:])
+        if model == "not-utf8":
+            with_bad_byte(text, path)
+        elif model == "no-rqa":
+            path.write_text(text + "\n")
+        out = tmp_path / "o.csv"
+        assert dispatch(["identify", "--in", str(stream), "--model",
+                         str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stream}: non-numeric cell at line 1501: could not "
+            "convert string to float: 'oops'\n")
         assert not out.exists()
 
     def test_v1_model_asks_for_retraining(self, identifier, stream_csv,

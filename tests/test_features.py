@@ -173,6 +173,12 @@ def test_featurize_segments_rejects_an_unknown_name():
                                "segment featurization does not produce")
 
 
+def test_featurize_segments_needs_all_nine_channels():
+    segment = ImuStream("s01", np.zeros((20, 1)), ("acc_y",))
+    with pytest.raises(ValidationError, match="all 9 channels"):
+        featurize_segments([(segment, "Up")])
+
+
 def test_full_feature_set_is_c_ordered():
     # Scaler.fit's column means round by layout, and the model files'
     # [scaler] bits were fixed with the stacked, C-ordered rows

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import gesturekit
+from gesturekit import imu
 from gesturekit.cli import dispatch
 from gesturekit.errors import ParseError, ValidationError
 from gesturekit.imu import (_BLOCK_ROWS, ADL_LABEL, CHANNELS, GESTURES,
@@ -13,7 +15,7 @@ from gesturekit.imu import (_BLOCK_ROWS, ADL_LABEL, CHANNELS, GESTURES,
                             canonical_class_order, extract_segment,
                             parse_imu_csv, parse_label_csv, write_file,
                             write_imu_csv, write_label_csv)
-from oracles import loop_take
+from oracles import loop_parse_imu_csv, loop_take
 
 
 def make_stream(n=40, subject="s01", seed=0):
@@ -213,6 +215,173 @@ def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
     assert np.array_equal(back.channels, stream.channels)
 
 
+def parse_outcome(parse, path):
+    """``(subject, channel bytes)`` of a parse, or its ParseError text."""
+    try:
+        parsed = parse(path)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(parsed, ImuStream):
+        parsed = parsed.subject_id, parsed.channels
+    return parsed[0], parsed[1].tobytes()
+
+
+# (rows per block, bytes per read): each row a block of its own, so every
+# BAD_STREAMS edit is on a block's first row; or reads shorter than a
+# row, so every line spans two reads, in blocks that rows 2048 and 4096
+# open
+SMALL_SIZES = [(1, 4099), (8, 173)]
+
+
+@pytest.fixture(params=SMALL_SIZES,
+                ids=[f"rows{r}-bytes{b}" for r, b in SMALL_SIZES])
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(imu, "_BLOCK_ROWS", request.param[0])
+    monkeypatch.setattr(imu, "_READ_BYTES", request.param[1])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STREAMS))
+def test_small_blocks_match_block_loop(big_stream, tmp_path, small_blocks,
+                                       case):
+    edits, message = BAD_STREAMS[case]
+    lines = list(big_stream[1])
+    for row, edit in edits.items():
+        lines[row + 1] = edit(lines[row + 1])
+    p = tmp_path / "s.csv"
+    p.write_text("\n".join(lines) + "\n")
+    assert parse_outcome(parse_imu_csv, p) == \
+        parse_outcome(loop_parse_imu_csv, p) == f"{p}: {message}"
+
+
+def test_small_blocks_crlf_and_blank_lines(big_stream, tmp_path,
+                                           small_blocks):
+    stream, lines = big_stream
+    spaced = list(lines)
+    for k in (4097, 4096, 2048, 2047, 10):
+        spaced.insert(k, "  " if k % 2 else "")
+    p = tmp_path / "s.csv"
+    p.write_bytes(("\r\n".join(spaced) + "\r\n").encode())
+    assert parse_outcome(parse_imu_csv, p) == \
+        parse_outcome(loop_parse_imu_csv, p) == \
+        ("s", stream.channels.tobytes())
+
+
+SMALL_ROWS = [f"{i},0.5,-1.25,{i}e-3,2,3,4,5,6,7" for i in range(7)]
+
+
+def small_csv(rows=SMALL_ROWS, sep="\n") -> bytes:
+    """A stream CSV of ``rows``; a lone surrogate ``"\\udcXX"`` writes
+    the byte XX, which is not UTF-8."""
+    return sep.join(["t," + ",".join(CHANNELS), *rows, ""]).encode(
+        "utf-8", "surrogateescape")
+
+
+def with_rows(**edits) -> list[str]:
+    """SMALL_ROWS with row ``r<k>`` replaced by the given text."""
+    return [edits.get(f"r{k}", row) for k, row in enumerate(SMALL_ROWS)]
+
+
+# (file bytes, the bytes before the read boundary the case is about,
+# and the parse's ParseError message, or None if it parses)
+READ_CASES = {
+    "crlf-across-reads": (
+        small_csv(sep="\r\n"), b"\r\n2,", None),
+    "multibyte-across-reads": (
+        small_csv(with_rows(r3="3,\u0663,\u30001.5,1,1,1,1,1,1,1")),
+        b"3,\xd9", None),
+    "three-byte-character-across-reads": (
+        small_csv(with_rows(r3="3,\u0663,\u30001.5,1,1,1,1,1,1,1")),
+        b"\xe3\x80", None),
+    "blank-lines-across-reads": (
+        small_csv(with_rows(r2="\r\n  \r\n2,1,1,1,1,1,1,1,1,1"),
+                  sep="\r\n"), b"\r\n  \r", None),
+    "bad-cell-after-blank-lines": (
+        small_csv(with_rows(r2="\n\n2,1,1,1,1,1,1,1,1,1",
+                            r4="4,1,1,1,1,1,1,1,1,x")), b"\n\n",
+        "non-numeric cell at line 8: could not convert string to float: "
+        "'x'"),
+    "gap-on-block-first-row": (
+        small_csv(with_rows(r4="5,1,1,1,1,1,1,1,1,1")), b"\n5",
+        "missing sample before line 6"),
+    "non-monotonic-on-block-first-row": (
+        small_csv(with_rows(r4="3,1,1,1,1,1,1,1,1,1")), b"\n3,1",
+        "non-monotonic index at line 6"),
+    # the whole file is decoded before a bad row is reported
+    "decode-error-after-bad-row": (
+        small_csv(with_rows(r1="1,oops,1,1,1,1,1,1,1,1",
+                            r6="6,1,1,1,1,1,1,1,1,\udcff")), b"1,oops",
+        "not UTF-8 text (invalid start byte at byte 245)"),
+    "character-cut-at-end": (
+        small_csv() + b"\xe3\x80", b"\xe3", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+@pytest.mark.parametrize("block_rows", [1, 2, 4, 1024])
+def test_read_boundaries_match_block_loop(tmp_path, monkeypatch, case,
+                                          block_rows):
+    data, before, message = READ_CASES[case]
+    p = tmp_path / "s.csv"
+    p.write_bytes(data)
+    want = parse_outcome(loop_parse_imu_csv, p)
+    if message is not None:
+        assert want == f"{p}: {message}"
+    monkeypatch.setattr(imu, "_BLOCK_ROWS", block_rows)
+    # a read ends just after ``before``, then reads of 1 to 7 bytes put a
+    # boundary everywhere
+    split = data.index(before) + len(before)
+    for size in (split, 1, 2, 3, 7, 1 << 18):
+        monkeypatch.setattr(imu, "_READ_BYTES", size)
+        assert parse_outcome(parse_imu_csv, p) == want
+
+
+def test_kept_channels_and_every_cell_checked(big_stream, tmp_path):
+    stream, lines = big_stream
+    p = tmp_path / "s.csv"
+    p.write_text("\n".join(lines) + "\n")
+    back = parse_imu_csv(p, ("gyro_z", "acc_x"))
+    assert back.names == ("gyro_z", "acc_x")
+    assert back.channels.tobytes() == stream.channels[:, [5, 0]].tobytes()
+    assert np.array_equal(back.channel("acc_x"), stream.channels[:, 0])
+    with pytest.raises(ValidationError, match="'acc_y' is not kept"):
+        back.channel("acc_y")
+    with pytest.raises(ValidationError, match="unknown channel 'acc_w'"):
+        parse_imu_csv(p, ("acc_w",))
+    # a channel that is not kept is still checked
+    lines = list(lines)
+    lines[3001] = set_cell(lines[3001], 9, "oops")
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-numeric cell at line 3002"):
+        parse_imu_csv(p, ("acc_y",))
+
+
+def test_stream_names_validated():
+    with pytest.raises(ValidationError, match=r"\(N, 2\)"):
+        ImuStream("s", np.zeros((3, 9)), ("acc_x", "acc_y"))
+    with pytest.raises(ValidationError, match="distinct"):
+        ImuStream("s", np.zeros((3, 2)), ("acc_x", "acc_x"))
+    with pytest.raises(ValidationError, match="unknown channel"):
+        ImuStream("s", np.zeros((3, 1)), ("acc_w",))
+
+
+def test_one_kept_column_parses_in_flat_memory(tmp_path):
+    """Parsing one column of a stream ten times as long takes at most
+    1 MB more memory at its peak: the text is read and converted in
+    bounded pieces, and nine of ten channels are dropped per block."""
+    peaks = []
+    for n in (4000, 40000):
+        p = tmp_path / f"s{n}.csv"
+        write_imu_csv(make_stream(n, seed=n), p)
+        tracemalloc.start()
+        try:
+            stream = parse_imu_csv(p, ("acc_y",))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == n
+    assert peaks[1] - peaks[0] <= 1 << 20, peaks
+
+
 def test_one_row_stream(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("t," + ",".join(CHANNELS) + "\n7," +
@@ -277,7 +446,9 @@ def test_extract_segment_reoriginates():
 
 
 def test_stream_is_its_subject_and_channels():
-    assert [f.name for f in fields(ImuStream)] == ["subject_id", "channels"]
+    assert [f.name for f in fields(ImuStream)] == ["subject_id", "channels",
+                                                   "names"]
+    assert make_stream().names == CHANNELS
     with pytest.raises(ValueError, match="read-only"):
         make_stream().channels[0, 0] = 1.0
 

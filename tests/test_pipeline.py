@@ -1,12 +1,12 @@
 """Window labeling, identification, selection, augmentation, LOSO."""
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gesturekit import pipeline
 from gesturekit.errors import ValidationError
 from gesturekit.features import feature_names, is_sample_feature
 from gesturekit.forest import ForestConfig, forest_train_predict
@@ -308,14 +308,16 @@ class TestTrainIdentifier:
             train_identifier(stripped, id_config, seed=0)
 
     def test_subject_without_gestures_named_before_folds(self, id_corpus,
-                                                         id_config):
-        def no_folds(fn, tasks):
+                                                         id_config,
+                                                         monkeypatch):
+        def no_folds(args):
             pytest.fail("a fold ran")
 
+        monkeypatch.setattr(pipeline, "_identifier_batch", no_folds)
         data = [id_corpus[0], (id_corpus[1][0], [])]
         with pytest.raises(ValidationError, match="no gesture windows in "
                            "subject s02; every held-out subject needs one"):
-            train_identifier(data, id_config, seed=0, mapper=no_folds)
+            train_identifier(data, id_config, seed=0)
 
 
 def test_geometry_round_trips_through_the_model_file(tmp_path):
@@ -587,9 +589,7 @@ class TestLosoEvaluate:
     def test_parallel_mapper_matches_serial(self):
         data = subject_dataset(3)
         serial = loso_evaluate(data, CentroidTrainer(), seed=2)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            parallel = loso_evaluate(data, CentroidTrainer(), seed=2,
-                                     mapper=pool.map, jobs=2)
+        parallel = loso_evaluate(data, CentroidTrainer(), seed=2, jobs=2)
         assert np.array_equal(serial.accuracy, parallel.accuracy)
         assert np.array_equal(serial.confusion, parallel.confusion)
 

@@ -17,6 +17,7 @@ from gesturekit.synth import (
     MAG_FIELD_UT,
     TEMPLATES,
     SynthConfig,
+    first_order_filter,
     gesture_trajectory,
     generate_dataset,
     identity_profile,
@@ -248,6 +249,28 @@ class TestIdentificationStream:
         cfg = SynthConfig(n_subjects=2, reps=1, adl_minutes=0.05, seed=0)
         with pytest.raises(ValidationError):
             generate_dataset(cfg)
+
+
+class TestFirstOrderFilter:
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 1000, 15000])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e5, 1e300])
+    def test_bit_equal_to_lfilter(self, length, scale):
+        # scipy.signal is imported here only: synth itself never loads it
+        from scipy.signal import lfilter
+        rng = np.random.default_rng([length, int(np.log10(scale)) + 400])
+        x = rng.normal(size=(length, 3)) * scale
+        for gain, decay in ((3.5e-5, 0.85), (1.0, 0.999), (0.3, 1e-3)):
+            want = lfilter([gain], [1.0, -decay], x, axis=0)
+            got = first_order_filter(x, gain, decay)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_columns_filter_on_their_own(self):
+        x = np.zeros((5, 3))
+        x[0] = [1.0, 2.0, 4.0]
+        got = first_order_filter(x, 0.5, 0.5)
+        assert got.tolist() == [[0.5 * c * 0.5 ** k for c in (1.0, 2.0, 4.0)]
+                                for k in range(5)]
 
 
 class TestWriteDataset:
