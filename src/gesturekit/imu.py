@@ -303,23 +303,35 @@ def _decoded_chunks(path, fh):
         done += len(data)
 
 
+# what ``str.splitlines`` ends a line at, ``"\r\n"`` being one line end
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _line_runs(chunks):
     """``(lines, unit_separator)`` per run of the text that ``chunks``
     join to: the run's lines, as ``str.splitlines`` splits the whole text,
     and whether the run holds a ``"\x1f"``.
 
-    A run ends at the last ``"\n"`` of a chunk, which always ends a line,
-    so a ``"\r\n"`` split between two chunks stays one line break.
+    A run ends at the last line end of a chunk, any that ``splitlines``
+    knows, but a ``"\r"`` at the very end, which may be the first half of
+    a ``"\r\n"`` split between two chunks. Chunks with no line end are
+    held, not joined, until one comes, so each character is split at most
+    three times, however long the lines are.
     """
-    tail = ""
+    held = []       # the text since the last line end that ended a run
     for text in chunks:
-        text = tail + text
-        tail = text[text.rfind("\n") + 1:]
+        held.append(text)
+        if "\n" not in text and text.splitlines() in ([], [text]):
+            continue
+        text = "".join(held)
         lines = text.splitlines()
-        # the tail's lines are the last ones, and they wait for the rest
-        del lines[len(lines) - len(tail.splitlines()):]
+        end = text[-1]
+        # the last line waits for the rest of the text, unless it ended
+        held = ([lines.pop() + "\r"] if end == "\r"
+                else [lines.pop()] if end not in _LINE_ENDS else [])
         yield lines, "\x1f" in text
-    yield tail.splitlines(), "\x1f" in tail
+    text = "".join(held)
+    yield text.splitlines(), "\x1f" in text
 
 
 def _check_header(path, line: str) -> None:
@@ -463,8 +475,11 @@ def parse_imu_csv(path, channels=CHANNELS) -> ImuStream:
 
 
 def write_imu_csv(stream: ImuStream, path) -> None:
-    """Serialize a stream indexed from 0, ``_BLOCK_ROWS`` rows at a time;
-    values survive a parse round-trip."""
+    """Serialize a stream of all nine channels indexed from 0,
+    ``_BLOCK_ROWS`` rows at a time; values survive a parse round-trip."""
+    if stream.names != CHANNELS:
+        raise ValidationError(f"a stream CSV holds all of {CHANNELS}, "
+                              f"got {stream.names}")
     def blocks():
         yield ",".join(STREAM_HEADER) + "\n"
         for lo in range(0, len(stream), _BLOCK_ROWS):
@@ -520,7 +535,8 @@ def extract_segment(stream: ImuStream, interval: LabeledInterval) -> ImuStream:
             f"interval [{interval.start}, {interval.end}) out of bounds "
             f"for stream of length {len(stream)}")
     return ImuStream(stream.subject_id,
-                     stream.channels[interval.start:interval.end])
+                     stream.channels[interval.start:interval.end],
+                     stream.names)
 
 
 def cut_segments(pairs) -> list[tuple[ImuStream, str]]:

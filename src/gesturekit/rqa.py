@@ -153,7 +153,8 @@ def time_delay_embed(series, cfg: RqaConfig) -> np.ndarray:
 
     Returns
     -------
-    (n_states, m) float array.
+    (n_states, m) float array: a read-only view of the series, not an
+    m-column copy of it.
     """
     r = np.asarray(series, dtype=np.float64)
     if r.ndim != 1:
@@ -163,8 +164,9 @@ def time_delay_embed(series, cfg: RqaConfig) -> np.ndarray:
         raise ValidationError(
             f"series of length {len(r)} too short for m={cfg.dimension}, "
             f"tau={cfg.delay} (would give {ns} states)")
-    return np.column_stack([r[j * cfg.delay: j * cfg.delay + ns]
-                            for j in range(cfg.dimension)])
+    return as_strided(r, (ns, cfg.dimension),
+                      (r.strides[0], cfg.delay * r.strides[0]),
+                      writeable=False)
 
 
 def _threshold(states, cfg: RqaConfig, out: np.ndarray) -> None:
@@ -432,11 +434,7 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     r = np.asarray(series, dtype=np.float64)
     cfg.check_window()
     cfg.check_length(len(r), "series")
-    # time_delay_embed's states as a read-only view of the series, not an
-    # m-column copy of it
-    states = as_strided(r, (cfg.n_states(len(r)), cfg.dimension),
-                        (r.strides[0], cfg.delay * r.strides[0]),
-                        writeable=False)
+    states = time_delay_embed(r, cfg)
     n, step = cfg.n_states(cfg.window_len), cfg.step
     h = min(step, n)
     # the t-th block of a window counts triangles up to column ends[t]

@@ -266,6 +266,21 @@ def test_small_blocks_crlf_and_blank_lines(big_stream, tmp_path,
         ("s", stream.channels.tobytes())
 
 
+@pytest.mark.parametrize("sep", ["\r", "\x85", "\u2028"],
+                         ids=["cr", "nel", "line-separator"])
+def test_small_blocks_other_line_ends(big_stream, tmp_path, small_blocks,
+                                      sep):
+    stream, lines = big_stream
+    spaced = list(lines)
+    for k in (4097, 4096, 2048, 2047, 10):
+        spaced.insert(k, "  " if k % 2 else "")
+    p = tmp_path / "s.csv"
+    p.write_bytes((sep.join(spaced) + sep).encode())
+    assert parse_outcome(parse_imu_csv, p) == \
+        parse_outcome(loop_parse_imu_csv, p) == \
+        ("s", stream.channels.tobytes())
+
+
 SMALL_ROWS = [f"{i},0.5,-1.25,{i}e-3,2,3,4,5,6,7" for i in range(7)]
 
 
@@ -313,6 +328,21 @@ READ_CASES = {
         "not UTF-8 text (invalid start byte at byte 245)"),
     "character-cut-at-end": (
         small_csv() + b"\xe3\x80", b"\xe3", None),
+    "cr-only-across-reads": (
+        small_csv(sep="\r"), b"\r2,", None),
+    "cr-blank-lines-across-reads": (
+        small_csv(with_rows(r2="\r\r2,1,1,1,1,1,1,1,1,1"), sep="\r"),
+        b"\r\r", None),
+    "bad-cell-after-cr-blank-lines": (
+        small_csv(with_rows(r2="\r\r2,1,1,1,1,1,1,1,1,1",
+                            r4="4,1,1,1,1,1,1,1,1,x"), sep="\r"),
+        b"\r\r\r",
+        "non-numeric cell at line 8: could not convert string to float: "
+        "'x'"),
+    "nel-across-reads": (
+        small_csv(sep="\x85"), b"\xc2", None),
+    "line-separator-across-reads": (
+        small_csv(sep="\u2028"), b"\xe2\x80\xa8", None),
 }
 
 
@@ -364,14 +394,17 @@ def test_stream_names_validated():
         ImuStream("s", np.zeros((3, 1)), ("acc_w",))
 
 
-def test_one_kept_column_parses_in_flat_memory(tmp_path):
+@pytest.mark.parametrize("sep", ["\n", "\r"], ids=["lf", "cr"])
+def test_one_kept_column_parses_in_flat_memory(tmp_path, sep):
     """Parsing one column of a stream ten times as long takes at most
-    1 MB more memory at its peak: the text is read and converted in
-    bounded pieces, and nine of ten channels are dropped per block."""
+    1 MB more memory at its peak, whatever ends its lines: the text is
+    read and converted in bounded pieces, and nine of ten channels are
+    dropped per block."""
     peaks = []
     for n in (4000, 40000):
         p = tmp_path / f"s{n}.csv"
         write_imu_csv(make_stream(n, seed=n), p)
+        p.write_bytes(p.read_bytes().replace(b"\n", sep.encode()))
         tracemalloc.start()
         try:
             stream = parse_imu_csv(p, ("acc_y",))
@@ -445,6 +478,14 @@ def test_extract_segment_reoriginates():
         extract_segment(s, LabeledInterval(40, 60, "Up", "s01"))
 
 
+def test_extract_segment_keeps_the_streams_channels():
+    s = make_stream(50)
+    kept = ImuStream(s.subject_id, s.channels[:, [5]], ("gyro_z",))
+    seg = extract_segment(kept, LabeledInterval(10, 30, "Up", "s01"))
+    assert seg.names == ("gyro_z",)
+    assert np.array_equal(seg.channel("gyro_z"), s.channels[10:30, 5])
+
+
 def test_stream_is_its_subject_and_channels():
     assert [f.name for f in fields(ImuStream)] == ["subject_id", "channels",
                                                    "names"]
@@ -465,6 +506,14 @@ def test_write_imu_csv_numbers_rows_from_zero(tmp_path):
     assert [ln.split(",")[0] for ln in lines] == ["t", "0", "1", "2", "3"]
     assert [ln.split(",", 1)[1] for ln in lines[1:]] == \
         [",".join(["0.5"] * 9)] * 4
+
+
+def test_write_imu_csv_needs_all_nine_channels(tmp_path):
+    kept = ImuStream("s", make_stream(5).channels[:, [1]], ("acc_y",))
+    p = tmp_path / "s.csv"
+    with pytest.raises(ValidationError, match="holds all of"):
+        write_imu_csv(kept, p)
+    assert not p.exists()
 
 
 def test_dataset_validation():

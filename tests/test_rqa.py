@@ -23,6 +23,15 @@ def test_embed_matches_oracle():
         assert np.array_equal(got, want)
 
 
+def test_embed_is_a_read_only_view():
+    r = np.arange(20.0)[::2]
+    states = time_delay_embed(r, RqaConfig(dimension=3, delay=2))
+    assert np.shares_memory(states, r)
+    assert np.array_equal(states, naive_embed(r, 3, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        states[0, 0] = 1.0
+
+
 def test_embed_too_short():
     with pytest.raises(ValidationError):
         time_delay_embed(np.arange(5.0), RqaConfig(dimension=6, delay=1))
