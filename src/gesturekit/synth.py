@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -288,8 +287,8 @@ def first_order_filter(x, gain: float, decay: float) -> np.ndarray:
     """
     y = np.empty_like(x, dtype=np.float64)
     for j, column in enumerate((x * gain).T.tolist()):
-        y[:, j] = list(accumulate(column, lambda prev, s: s + prev * decay,
-                                  initial=0.0))[1:]
+        prev = 0.0
+        y[:, j] = [prev := s + prev * decay for s in column]
     return y
 
 
