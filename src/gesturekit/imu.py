@@ -315,8 +315,8 @@ def _line_runs(chunks):
     A run ends at the last line end of a chunk, any that ``splitlines``
     knows, but a ``"\r"`` at the very end, which may be the first half of
     a ``"\r\n"`` split between two chunks. Chunks with no line end are
-    held, not joined, until one comes, so each character is split at most
-    three times, however long the lines are.
+    held, not joined, until one comes, so the work stays linear in the
+    text however long its lines are.
     """
     held = []       # the text since the last line end that ended a run
     for text in chunks:
