@@ -362,22 +362,7 @@ def _cmd_augment(args) -> int:
     return 0
 
 
-def build_parser():
-    parser = _Parser(prog="gesturekit",
-                     description="Gesture identification and recognition "
-                                 "on wearable IMU streams.")
-    subs = {}
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def sub(name, handler, help_text, jobs=False):
-        p = commands.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=handler)
-        _add_common(p, jobs=jobs)
-        subs[name] = p
-        return p
-
-    p = sub("synth", _cmd_synth,
-            "Generate a synthetic labeled IMU corpus.", jobs=True)
+def _synth_options(p):
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output dataset directory")
     p.add_argument("--subjects", type=int, default=_SYNTH.n_subjects,
@@ -396,16 +381,16 @@ def build_parser():
                    help="fraction of background samples inside gestures "
                         "(default %(default)s)")
 
-    p = sub("rqa-features", _cmd_rqa_features,
-            "Windowed recurrence features (rr, tra) from one stream.")
+
+def _rqa_features_options(p):
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="input IMU stream")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output feature table")
     _add_rqa(p)
 
-    p = sub("rp-export", _cmd_rp_export,
-            "Export one recurrence plot as a PGM image.")
+
+def _rp_export_options(p):
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="input IMU stream")
     p.add_argument("--out", dest="outfile", required=True, metavar="PGM",
@@ -417,9 +402,8 @@ def build_parser():
                    help="span length in samples (default: whole stream)")
     _add_rp(p)
 
-    p = sub("train-identifier", _cmd_train_identifier,
-            "Train the gesture-window identifier on continuous streams.",
-            jobs=True)
+
+def _train_identifier_options(p):
     p.add_argument("--data", required=True, metavar="DIR",
                    help="dataset root or folder of stream + label CSVs")
     p.add_argument("--out", required=True, metavar="MODEL",
@@ -438,8 +422,8 @@ def build_parser():
     _add_rqa(p)
     _add_svm(p, _IDENTIFICATION)
 
-    p = sub("identify", _cmd_identify,
-            "Locate candidate gesture segments in a continuous stream.")
+
+def _identify_options(p):
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="input IMU stream")
     p.add_argument("--model", required=True, metavar="MODEL",
@@ -447,8 +431,8 @@ def build_parser():
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output segment table (start,end,subject)")
 
-    p = sub("train-recognizer", _cmd_train_recognizer,
-            "Train the 12-class gesture recognizer on labeled segments.")
+
+def _train_recognizer_options(p):
     p.add_argument("--data", required=True, metavar="DIR",
                    help="dataset root or folder of segment streams")
     p.add_argument("--out", required=True, metavar="MODEL",
@@ -459,16 +443,15 @@ def build_parser():
     _add_features(p)
     _add_svm(p, _RECOGNITION)
 
-    p = sub("recognize", _cmd_recognize,
-            "Classify one gesture segment with a trained recognizer.")
+
+def _recognize_options(p):
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="segment stream to classify")
     p.add_argument("--model", required=True, metavar="MODEL",
                    help="recognizer model file")
 
-    p = sub("evaluate", _cmd_evaluate,
-            "Leave-one-subject-out evaluation on labeled segments.",
-            jobs=True)
+
+def _evaluate_options(p):
     p.add_argument("--data", required=True, metavar="DIR",
                    help="dataset root or folder of segment streams")
     p.add_argument("--classifier", default="svm", choices=("svm", "forest"),
@@ -490,8 +473,8 @@ def build_parser():
     _add_features(p)
     _add_svm(p, _RECOGNITION)
 
-    p = sub("importance", _cmd_importance,
-            "Permutation importance of segment features.", jobs=True)
+
+def _importance_options(p):
     p.add_argument("--data", required=True, metavar="DIR",
                    help="dataset root or folder of segment streams")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
@@ -505,8 +488,8 @@ def build_parser():
     _add_features(p, default="stats")
     _add_svm(p, _RECOGNITION)
 
-    p = sub("augment", _cmd_augment,
-            "Append noisy copies to a feature table.")
+
+def _augment_options(p):
     p.add_argument("--in", dest="infile", required=True, metavar="CSV",
                    help="input feature table")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
@@ -515,12 +498,62 @@ def build_parser():
                    help="noise scale in per-feature standard deviations "
                         "(default %(default)s)")
 
+
+# name: (handler, help line, takes --jobs, adds the other options)
+_COMMANDS = {
+    "synth": (_cmd_synth, "Generate a synthetic labeled IMU corpus.", True,
+              _synth_options),
+    "rqa-features": (_cmd_rqa_features, "Windowed recurrence features "
+                     "(rr, tra) from one stream.", False,
+                     _rqa_features_options),
+    "rp-export": (_cmd_rp_export, "Export one recurrence plot as a PGM "
+                  "image.", False, _rp_export_options),
+    "train-identifier": (_cmd_train_identifier, "Train the gesture-window "
+                         "identifier on continuous streams.", True,
+                         _train_identifier_options),
+    "identify": (_cmd_identify, "Locate candidate gesture segments in a "
+                 "continuous stream.", False, _identify_options),
+    "train-recognizer": (_cmd_train_recognizer, "Train the 12-class gesture "
+                         "recognizer on labeled segments.", False,
+                         _train_recognizer_options),
+    "recognize": (_cmd_recognize, "Classify one gesture segment with a "
+                  "trained recognizer.", False, _recognize_options),
+    "evaluate": (_cmd_evaluate, "Leave-one-subject-out evaluation on "
+                 "labeled segments.", True, _evaluate_options),
+    "importance": (_cmd_importance, "Permutation importance of segment "
+                   "features.", True, _importance_options),
+    "augment": (_cmd_augment, "Append noisy copies to a feature table.",
+                False, _augment_options),
+}
+
+
+def build_parser(command=None):
+    """The top-level parser and its subparsers by name.
+
+    Every subcommand is registered with its help line, but only the
+    subcommand named ``command`` gets its options, as argparse's cost is
+    per option; all do when ``command`` names none of them. A parse that
+    starts with a subcommand's name reaches no other subparser, so its
+    result, help and error text are those of the full parser.
+    """
+    parser = _Parser(prog="gesturekit",
+                     description="Gesture identification and recognition "
+                                 "on wearable IMU streams.")
+    subs = {}
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (handler, help_text, jobs, add_options) in _COMMANDS.items():
+        p = commands.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(func=handler)
+        if command == name or command not in _COMMANDS:
+            _add_common(p, jobs=jobs)
+            add_options(p)
+        subs[name] = p
     return parser, subs
 
 
 def dispatch(argv) -> int:
     """Parse and run one invocation; returns the exit status."""
-    parser, subs = build_parser()
+    parser, subs = build_parser(argv[0] if argv else None)
     try:
         try:
             args = parser.parse_args(argv)

@@ -233,24 +233,31 @@ _READ_BYTES = 1 << 18
 _ROW = np.dtype([("t", np.int64), ("ch", np.float64, (9,))])
 
 
+def loadtxt_or_none(rows, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt(rows, **kwargs)``, or None if it raises or warns.
+
+    A warning counts as a failure: from numpy 1.23 until that deprecation
+    expired, an integer cell such as ``2049.0`` parses with a
+    DeprecationWarning, and no rows at all parse with a UserWarning.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = np.loadtxt(rows, **kwargs)
+        except (ValueError, OverflowError):
+            return None
+    return None if caught else out
+
+
 def _numpy_rows(rows) -> np.ndarray | None:
     """Stream CSV rows as ``_ROW`` records, from one ``np.loadtxt`` call;
     None if it raises or warns.
 
     Whatever this accepts, Python's ``int`` and ``float`` accept with the
-    same value, except cells with a ``\\x1f`` (see ``parse_imu_csv``). A
-    warning counts as a failure: from numpy 1.23 until that deprecation
-    expired, an integer cell such as ``2049.0`` parses with a
-    DeprecationWarning.
+    same value, except cells with a ``\\x1f`` (see ``parse_imu_csv``).
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            records = np.loadtxt(rows, dtype=_ROW, delimiter=",",
-                                 comments=None, ndmin=1)
-        except (ValueError, OverflowError):
-            return None
-    return None if caught else records
+    return loadtxt_or_none(rows, dtype=_ROW, delimiter=",", comments=None,
+                           ndmin=1)
 
 
 def _python_rows(rows):

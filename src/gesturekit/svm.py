@@ -38,7 +38,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import Scaler
-from .imu import class_indices, read_text, write_file
+from .imu import class_indices, loadtxt_or_none, read_text, write_file
 
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
 
@@ -494,8 +494,17 @@ def _shared_sv_model(classes, feature_names, cfg, cost, scaler, Xs,
                        scaler=scaler, feature_names=feature_names)
 
 
+# 17 significant digits, which round-trip every float64
+_G17 = "{:.17g}".format
+
+
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return _G17(float(v))
+
+
+def _fmt_all(values) -> str:
+    """The values, one ``_fmt`` token each, space-separated."""
+    return " ".join(map(_G17, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def _check_token(kind: str, token: str) -> str:
@@ -508,7 +517,11 @@ def _check_token(kind: str, token: str) -> str:
 def save_model(model: OvoSvmModel, path) -> None:
     """Write the ensemble to the GKMODEL v2 text format: the ``rqa`` pairs
     (if any) as a leading ``[rqa]`` section, one ``sv`` line per support
-    vector, then per class pair one weight per ``sv`` line and the bias."""
+    vector, then per class pair one weight per ``sv`` line and the bias.
+
+    Every value is written with 17 significant digits, formatted from the
+    Python floats of one ``tolist`` per array, so a loaded model's arrays
+    are bit-equal to the saved one's."""
     cfg = model.cfg
     lines = ["GKMODEL v2"]
     if model.rqa:
@@ -522,18 +535,19 @@ def save_model(model: OvoSvmModel, path) -> None:
              f"degree {cfg.degree}",
              f"cost {_fmt(model.cost)}",
              "[scaler]",
-             "mean " + " ".join(_fmt(v) for v in model.scaler.mean),
-             "std " + " ".join(_fmt(v) for v in model.scaler.std),
+             "mean " + _fmt_all(model.scaler.mean),
+             "std " + _fmt_all(model.scaler.std),
              "[registry]"]
     lines.extend(_check_token("feature name", nm) for nm in model.feature_names)
     lines.append("[sv]")
-    lines.extend("sv " + " ".join(_fmt(v) for v in row) for row in model.sv)
-    for p, (a, b) in enumerate(model.pairs):
+    lines.extend("sv " + " ".join(map(_G17, row)) for row in model.sv.tolist())
+    for (a, b), weights, bias in zip(model.pairs, model.coef.T.tolist(),
+                                     model.bias.tolist()):
         _check_token("class name", a)
         _check_token("class name", b)
         lines.append(f"[pair {a} {b}]")
-        lines.append("alpha_y " + " ".join(_fmt(v) for v in model.coef[:, p]))
-        lines.append("bias " + _fmt(model.bias[p]))
+        lines.append("alpha_y " + " ".join(map(_G17, weights)))
+        lines.append("bias " + _G17(bias))
     write_file(path, "\n".join(lines) + "\n")
 
 
@@ -552,8 +566,40 @@ def _floats(path, section, line, prefix, expect=None):
     return out
 
 
+def _float_block(lines, prefix, width):
+    """The values of ``prefix`` lines as one (len(lines), width) array,
+    converted by a single ``np.loadtxt`` over the text after each prefix;
+    None if a line lacks the prefix, numpy raises or warns, the shape is
+    not that, or a value is not finite.
+
+    Whatever this accepts, ``_floats`` accepts line by line with the same
+    values: numpy splits on the whitespace ``str.split`` splits on, and
+    takes a subset of the literals ``float()`` takes. On None the caller
+    runs ``_floats`` over the lines, which raises its message for the
+    first bad line or takes the literals numpy rejects (``1_0``,
+    non-ASCII digits).
+    """
+    head = prefix + " "
+    if not lines or not all(ln.startswith(head) for ln in lines):
+        return None
+    block = loadtxt_or_none([ln[len(head):] for ln in lines],
+                            dtype=np.float64, comments=None, ndmin=2)
+    if (block is None or block.shape != (len(lines), width)
+            or not np.isfinite(block).all()):
+        return None
+    return block
+
+
 def load_model(path) -> OvoSvmModel:
-    """Parse a GKMODEL v2 file back into an ensemble."""
+    """Parse a GKMODEL v2 file back into an ensemble.
+
+    The ``sv`` lines are converted by one ``np.loadtxt`` call, and so are
+    all ``alpha_y`` lines and all ``bias`` lines (see ``_float_block``).
+    Only if that fails are they converted line by line, so an error names
+    the first bad line's section, and literals that ``float()`` takes but
+    numpy does not still load with the same values. A ``cost`` that is not
+    positive and finite is rejected, as no trainer takes it.
+    """
     path = Path(path)
     lines = read_text(path).splitlines()
     while lines and not lines[-1].strip():
@@ -594,7 +640,7 @@ def load_model(path) -> OvoSvmModel:
         cost = float(fields["cost"])
     except (KeyError, ValueError, ValidationError) as e:
         raise ParseError(f"{path}: bad [kernel] section: {e}") from None
-    if len(kernel) != 5 or not np.isfinite(cost):
+    if len(kernel) != 5 or not 0.0 < cost < np.inf:
         raise ParseError(f"{path}: bad [kernel] section")
 
     if len(scaler) != 2:
@@ -606,18 +652,28 @@ def load_model(path) -> OvoSvmModel:
     names = [ln.strip() for ln in names]
     if not names or len(names) != len(mean):
         raise ParseError(f"{path}: registry size differs from scaler width")
-    sv = np.array([_floats(path, "[sv]", ln, "sv", expect=len(names))
-                   for ln in rows]).reshape(len(rows), len(names))
+    sv = _float_block(rows, "sv", len(names))
+    if sv is None:
+        sv = np.array([_floats(path, "[sv]", ln, "sv", expect=len(names))
+                       for ln in rows]).reshape(len(rows), len(names))
 
-    pairs, coef, bias = [], [], []
-    for title, body in sections[4:]:
-        m = re.fullmatch(r"\[pair (\S+) (\S+)\]", title)
-        if m is None or len(body) != 2:
-            raise ParseError(f"{path}: expected a [pair] section with an "
-                             f"alpha_y and a bias line, got {title!r}")
-        pairs.append(m.groups())
-        coef.append(_floats(path, title, body[0], "alpha_y", expect=len(sv)))
-        bias.append(_floats(path, title, body[1], "bias", expect=1)[0])
+    pair_title = re.compile(r"\[pair (\S+) (\S+)\]")
+    titles = [pair_title.fullmatch(title) for title, _ in sections[4:]]
+    bodies = [body for _, body in sections[4:]]
+    coef = bias = None
+    if all(titles) and all(len(body) == 2 for body in bodies):
+        coef = _float_block([body[0] for body in bodies], "alpha_y", len(sv))
+        bias = _float_block([body[1] for body in bodies], "bias", 1)
+    if coef is None or bias is None:
+        coef, bias = [], []
+        for (title, body), m in zip(sections[4:], titles):
+            if m is None or len(body) != 2:
+                raise ParseError(f"{path}: expected a [pair] section with an "
+                                 f"alpha_y and a bias line, got {title!r}")
+            coef.append(_floats(path, title, body[0], "alpha_y",
+                                expect=len(sv)))
+            bias.append(_floats(path, title, body[1], "bias", expect=1))
+    pairs = [m.groups() for m in titles]
     classes = tuple(dict.fromkeys(c for pair in pairs for c in pair))
     if not pairs or pairs != list(combinations(classes, 2)):
         raise ParseError(f"{path}: [pair] sections must cover every class "
@@ -625,7 +681,8 @@ def load_model(path) -> OvoSvmModel:
     try:
         return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv,
                            coef=np.reshape(coef, (len(pairs), len(sv))).T,
-                           bias=np.array(bias), scaler=Scaler(mean, std),
+                           bias=np.reshape(bias, len(pairs)),
+                           scaler=Scaler(mean, std),
                            feature_names=tuple(names), rqa=rqa)
     except ValidationError as e:
         raise ParseError(f"{path}: inconsistent model: {e}") from None

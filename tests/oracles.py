@@ -5,13 +5,17 @@ shared code with src/) so a bug in the optimized code cannot hide in its
 own oracle.
 """
 
+import re
 from collections import deque
-from itertools import repeat
+from itertools import combinations, repeat
 from pathlib import Path
 
 import numpy as np
 
-from gesturekit.errors import ParseError
+from gesturekit.errors import ParseError, ValidationError
+from gesturekit.features import Scaler
+from gesturekit.imu import read_text
+from gesturekit.svm import KernelConfig, OvoSvmModel
 
 
 def naive_embed(series, m, tau):
@@ -601,3 +605,100 @@ def loop_parse_imu_csv(path, block_rows=1024):
         row, message = min(problems, key=lambda p: p[0])
         raise ParseError(f"{path}: {message}")
     return path.stem, ch
+
+
+def _loop_floats(path, section, line, prefix, expect=None):
+    if not (line.startswith(prefix + " ") or line == prefix):
+        raise ParseError(f"{path}: expected a {prefix!r} line in {section}")
+    try:
+        # accepts exactly the tokens float() accepts
+        out = np.array(line[len(prefix):].split(), dtype=np.float64)
+    except ValueError:
+        raise ParseError(f"{path}: bad number in {section} section") from None
+    if expect is not None and len(out) != expect:
+        raise ParseError(f"{path}: wrong value count in {section} section")
+    if not np.all(np.isfinite(out)):
+        raise ParseError(f"{path}: non-finite value in {section} section")
+    return out
+
+
+def loop_load_model(path) -> OvoSvmModel:
+    """``svm.load_model`` with every number line converted on its own by
+    ``np.array`` over its ``str.split`` tokens, section by section: the
+    model, or the ParseError ``svm.load_model`` gives."""
+    path = Path(path)
+    lines = read_text(path).splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError(f"{path}: empty model file")
+    head = re.fullmatch(r"GKMODEL v(\d+)", lines[0].strip())
+    if head is None:
+        raise ParseError(f"{path}: not a GKMODEL file")
+    if head.group(1) == "1":
+        raise ParseError(f"{path}: GKMODEL v1 files are not read; retrain "
+                         "the model to write v2")
+    if head.group(1) != "2":
+        raise ParseError(f"{path}: unsupported model version v{head.group(1)}")
+
+    sections = []       # (header line, the lines under it)
+    for ln in lines[1:]:
+        if ln.startswith("[") or not sections:
+            sections.append((ln, []))
+        else:
+            sections[-1][1].append(ln)
+    rqa = ()
+    if sections and sections[0][0] == "[rqa]":
+        rqa = tuple(tuple(ln.split()) for ln in sections.pop(0)[1])
+        if not rqa or any(len(kv) != 2 for kv in rqa):
+            raise ParseError(f"{path}: [rqa] needs `key value` lines")
+    if ([h for h, _ in sections[:4]]
+            != ["[kernel]", "[scaler]", "[registry]", "[sv]"]):
+        raise ParseError(f"{path}: expected [kernel], [scaler], [registry] "
+                         "and [sv] sections")
+    (_, kernel), (_, scaler), (_, names), (_, rows) = sections[:4]
+
+    try:
+        fields = dict(ln.split(None, 1) for ln in kernel)
+        cfg = KernelConfig(kind=fields["kind"], gamma=float(fields["gamma"]),
+                           coef0=float(fields["coef0"]),
+                           degree=int(fields["degree"]))
+        cost = float(fields["cost"])
+    except (KeyError, ValueError, ValidationError) as e:
+        raise ParseError(f"{path}: bad [kernel] section: {e}") from None
+    if len(kernel) != 5 or not np.isfinite(cost) or cost <= 0.0:
+        raise ParseError(f"{path}: bad [kernel] section")
+
+    if len(scaler) != 2:
+        raise ParseError(f"{path}: [scaler] needs a mean and a std line")
+    mean = _loop_floats(path, "[scaler]", scaler[0], "mean")
+    std = _loop_floats(path, "[scaler]", scaler[1], "std", expect=len(mean))
+    if np.any(std <= 0.0):
+        raise ParseError(f"{path}: scaler std must be positive")
+    names = [ln.strip() for ln in names]
+    if not names or len(names) != len(mean):
+        raise ParseError(f"{path}: registry size differs from scaler width")
+    sv = np.array([_loop_floats(path, "[sv]", ln, "sv", expect=len(names))
+                   for ln in rows]).reshape(len(rows), len(names))
+
+    pairs, coef, bias = [], [], []
+    for title, body in sections[4:]:
+        m = re.fullmatch(r"\[pair (\S+) (\S+)\]", title)
+        if m is None or len(body) != 2:
+            raise ParseError(f"{path}: expected a [pair] section with an "
+                             f"alpha_y and a bias line, got {title!r}")
+        pairs.append(m.groups())
+        coef.append(_loop_floats(path, title, body[0], "alpha_y",
+                                 expect=len(sv)))
+        bias.append(_loop_floats(path, title, body[1], "bias", expect=1)[0])
+    classes = tuple(dict.fromkeys(c for pair in pairs for c in pair))
+    if not pairs or pairs != list(combinations(classes, 2)):
+        raise ParseError(f"{path}: [pair] sections must cover every class "
+                         "pair once, in order")
+    try:
+        return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv,
+                           coef=np.reshape(coef, (len(pairs), len(sv))).T,
+                           bias=np.array(bias), scaler=Scaler(mean, std),
+                           feature_names=tuple(names), rqa=rqa)
+    except ValidationError as e:
+        raise ParseError(f"{path}: inconsistent model: {e}") from None

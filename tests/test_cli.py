@@ -19,11 +19,16 @@ from gesturekit.features import read_feature_csv
 from gesturekit.forest import ForestConfig
 from gesturekit.imu import cut_segments, extract_segment, parse_imu_csv, \
     parse_label_csv, write_imu_csv
-from gesturekit import forest, pipeline
+from gesturekit import cli, forest, pipeline
 from gesturekit.pipeline import IdentificationConfig, SvmTrainer
 from gesturekit.rqa import RqaConfig
 from gesturekit.svm import load_model
 from gesturekit.synth import TEMPLATES, SynthConfig
+
+
+COMMANDS = ("synth", "rqa-features", "rp-export", "train-identifier",
+            "identify", "train-recognizer", "recognize", "evaluate",
+            "importance", "augment")
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +92,35 @@ class TestParsing:
         assert dispatch(["identify", "--help"]) == 0
         out = capsys.readouterr().out
         assert "[rqa] sets" in out and "window 125" not in out
+
+    @pytest.mark.parametrize("command", (None,) + COMMANDS)
+    def test_help_and_usage_error_match_full_parser(self, command, capsys):
+        """dispatch builds the options of the invoked command only, and its
+        help and usage-error text are the fully built parser's, byte for
+        byte."""
+        parser, subs = build_parser()
+        assert tuple(subs) == COMMANDS
+        head = [] if command is None else [command]
+        for argv in (head + ["--help"], head + ["--no-such-option"]):
+            code = dispatch(argv)
+            lazy = capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            full = capsys.readouterr()
+            assert (code, lazy.out, lazy.err) == \
+                (exc.value.code, full.out, full.err)
+            assert lazy.out if argv[-1] == "--help" else lazy.err
+
+    def test_parser_for_one_command_leaves_the_others_bare(self):
+        _, subs = build_parser("recognize")
+        _, full = build_parser()
+        for name in COMMANDS:
+            dests = [a.dest for a in subs[name]._actions]
+            if name == "recognize":
+                assert dests == [a.dest for a in full[name]._actions]
+                assert {"infile", "model", "seed", "params"} <= set(dests)
+            else:
+                assert dests == ["help"]
 
     def test_option_defaults_are_the_library_defaults(self):
         """Every tuned option defaults to the value of the library object
@@ -300,6 +334,26 @@ class TestParams:
         out = tmp_path / "rqa.csv"
         assert dispatch(["rqa-features", "--in", str(stream_csv),
                          "--out", str(out), "--params", str(params)]) == 0
+        assert len(out.read_text().splitlines()) == \
+            1 + (3000 - 250) // 50 + 1
+
+    def test_file_overrides_defaults_on_a_lazy_parser(self, stream_csv,
+                                                       tmp_path, monkeypatch):
+        built = []
+
+        def recorded(command=None):
+            parser, subs = build_parser(command)
+            built.append(subs)
+            return parser, subs
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        params = tmp_path / "rqa.params"
+        params.write_text("window_len = 250\nstep = 50\n")
+        out = tmp_path / "rqa.csv"
+        assert dispatch(["rqa-features", "--in", str(stream_csv),
+                         "--out", str(out), "--params", str(params)]) == 0
+        assert [[a.dest for a in subs["rp-export"]._actions]
+                for subs in built] == [["help"]]
         assert len(out.read_text().splitlines()) == \
             1 + (3000 - 250) // 50 + 1
 

@@ -1,6 +1,7 @@
 """Fuzzed parser input: a damaged model, parameter or CSV file either parses
-or raises ParseError, never another exception; a damaged stream CSV parses
-as the block-loop oracle parses it."""
+or raises ParseError, never another exception; a damaged model loads as the
+line-loop oracle loads it, and a damaged stream CSV parses as the
+block-loop oracle parses it."""
 
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from gesturekit.pipeline import load_identifier
 from gesturekit.rqa import RqaConfig
 from gesturekit.svm import KernelConfig, OvoSvmModel, load_model, ovo_train, \
     save_model
-from oracles import loop_parse_imu_csv
+from oracles import loop_load_model, loop_parse_imu_csv
 
 # fixed examples, no example database, bounded count: a few seconds in all
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -91,6 +92,61 @@ def test_model_with_bytes_flipped(workdir, model_bytes, flips):
     for at, mask in flips:
         data[at % len(data)] ^= mask
     load_or_parse_error(workdir / "m.model", bytes(data))
+
+
+# tokens where numpy's loadtxt and float() may part, or that a model must
+# refuse: a digit separator and non-ASCII digits numpy rejects, signs and
+# zeros, non-finite and overflowing values, hex and Fortran literals
+# neither takes, whitespace both split on, no value and one value too many
+MODEL_TOKENS = ("1_0", "\u0661\u0662", "+1", "-0", "nan", "inf", "1e999",
+                "0x1p3", "1d5", "\x1f", "\xa0", "", "1 2")
+
+
+def load_outcome(load, path):
+    """The bytes of a loaded model's arrays, or its ParseError text."""
+    try:
+        model = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return tuple((a.shape, a.tobytes())
+                 for a in (model.sv, model.coef, model.bias))
+
+
+@FUZZ
+@given(subs=st.lists(st.tuples(st.sampled_from(("sv", "alpha_y")),
+                               st.integers(0, 10 ** 6),
+                               st.integers(0, 10 ** 6),
+                               st.sampled_from(MODEL_TOKENS),
+                               st.sampled_from(("cell", "prefix", "suffix"))),
+                     max_size=3),
+       flips=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.integers(1, 255)), max_size=2))
+# numpy rejects these but float() takes them, so they load line by line
+@example(subs=[("sv", 0, 1, "1_0", "cell")], flips=[])
+@example(subs=[("alpha_y", 1, 2, "\u0661\u0662", "cell"),
+               ("sv", 3, 0, "\xa0", "suffix")], flips=[])
+# numpy takes these, but a model must refuse them
+@example(subs=[("sv", 2, 0, "nan", "cell")], flips=[])
+@example(subs=[("alpha_y", 0, 0, "1e999", "cell")], flips=[])
+# a line with no values, which loadtxt skips as blank
+@example(subs=[("sv", 0, 0, "", "cell"), ("sv", 0, 1, "", "cell")], flips=[])
+def test_model_load_matches_line_loop(workdir, model_bytes, subs, flips):
+    lines = model_bytes.decode().split("\n")
+    for kind, at, col, token, where in subs:
+        rows = [i for i, ln in enumerate(lines) if ln.startswith(kind + " ")]
+        k = rows[at % len(rows)]
+        cells = lines[k].split(" ")
+        j = 1 + col % (len(cells) - 1)
+        cells[j] = {"cell": token, "prefix": token + cells[j],
+                    "suffix": cells[j] + token}[where]
+        lines[k] = " ".join(cells)
+    data = bytearray("\n".join(lines).encode())
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    path = workdir / "diff.model"
+    write_file(path, bytes(data))
+    assert load_outcome(load_model, path) == \
+        load_outcome(loop_load_model, path)
 
 
 @pytest.fixture(scope="module")

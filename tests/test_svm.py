@@ -695,7 +695,7 @@ class TestPersistence:
     @pytest.mark.parametrize("key,value", [
         ("sv", "nan"), ("sv", "inf"), ("alpha_y", "-inf"), ("bias", "nan"),
         ("mean", "inf"), ("std", "0"), ("std", "-1"), ("gamma", "inf"),
-        ("cost", "nan")])
+        ("cost", "nan"), ("cost", "-1"), ("cost", "0")])
     def test_non_finite_or_zero_scale_rejected(self, trained, tmp_path,
                                                key, value):
         _, model = trained
@@ -708,6 +708,17 @@ class TestPersistence:
         lines[idx] = " ".join([key] + [value] * width)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
+            load_model(path)
+
+    @pytest.mark.parametrize("cost", ["-1", "0"])
+    def test_cost_no_solver_takes_rejected(self, trained, tmp_path, cost):
+        _, model = trained
+        path = tmp_path / "m.gkmodel"
+        save_model(model, path)
+        text = path.read_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith("cost "))
+        path.write_text(text.replace(line, f"cost {cost}"))
+        with pytest.raises(ParseError, match=r"bad \[kernel\] section$"):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
