@@ -494,12 +494,13 @@ def _shared_sv_model(classes, feature_names, cfg, cost, scaler, Xs,
                        scaler=scaler, feature_names=feature_names)
 
 
-# 17 significant digits, which round-trip every float64
-_G17 = "{:.17g}".format
-
-
 def _fmt(v: float) -> str:
-    return _G17(float(v))
+    return format(float(v), ".17g")
+
+
+# ``_fmt`` bound once; it formats the Python floats of a ``tolist`` faster
+# than ``format`` formats numpy scalars one by one
+_G17 = "{:.17g}".format
 
 
 def _fmt_all(values) -> str:
@@ -519,9 +520,9 @@ def save_model(model: OvoSvmModel, path) -> None:
     (if any) as a leading ``[rqa]`` section, one ``sv`` line per support
     vector, then per class pair one weight per ``sv`` line and the bias.
 
-    Every value is written with 17 significant digits, formatted from the
-    Python floats of one ``tolist`` per array, so a loaded model's arrays
-    are bit-equal to the saved one's."""
+    Every value is written with 17 significant digits, so a loaded model's
+    arrays are bit-equal to the saved one's; the rows of the arrays are
+    formatted from the Python floats of their ``tolist``."""
     cfg = model.cfg
     lines = ["GKMODEL v2"]
     if model.rqa:
@@ -540,14 +541,13 @@ def save_model(model: OvoSvmModel, path) -> None:
              "[registry]"]
     lines.extend(_check_token("feature name", nm) for nm in model.feature_names)
     lines.append("[sv]")
-    lines.extend("sv " + " ".join(map(_G17, row)) for row in model.sv.tolist())
-    for (a, b), weights, bias in zip(model.pairs, model.coef.T.tolist(),
-                                     model.bias.tolist()):
+    lines.extend("sv " + _fmt_all(row) for row in model.sv)
+    for p, (a, b) in enumerate(model.pairs):
         _check_token("class name", a)
         _check_token("class name", b)
         lines.append(f"[pair {a} {b}]")
-        lines.append("alpha_y " + " ".join(map(_G17, weights)))
-        lines.append("bias " + _G17(bias))
+        lines.append("alpha_y " + _fmt_all(model.coef[:, p]))
+        lines.append("bias " + _fmt(model.bias[p]))
     write_file(path, "\n".join(lines) + "\n")
 
 

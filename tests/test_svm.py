@@ -710,17 +710,6 @@ class TestPersistence:
         with pytest.raises(ParseError):
             load_model(path)
 
-    @pytest.mark.parametrize("cost", ["-1", "0"])
-    def test_cost_no_solver_takes_rejected(self, trained, tmp_path, cost):
-        _, model = trained
-        path = tmp_path / "m.gkmodel"
-        save_model(model, path)
-        text = path.read_text()
-        line = next(ln for ln in text.splitlines() if ln.startswith("cost "))
-        path.write_text(text.replace(line, f"cost {cost}"))
-        with pytest.raises(ParseError, match=r"bad \[kernel\] section$"):
-            load_model(path)
-
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "m.gkmodel"
         path.write_text("hello world\n")
