@@ -118,7 +118,6 @@ class TestParsing:
             dests = [a.dest for a in subs[name]._actions]
             if name == "recognize":
                 assert dests == [a.dest for a in full[name]._actions]
-                assert {"infile", "model", "seed", "params"} <= set(dests)
             else:
                 assert dests == ["help"]
 
