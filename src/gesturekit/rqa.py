@@ -19,26 +19,25 @@ neighbours criterion.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ValidationError
 from .imu import CHANNELS, format_float, write_file
 
 NORMS = ("L1", "L2", "Linf")
-_CDIST_METRIC = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
 
-# distance rows per cdist call in _threshold: a plot of n states needs its
-# n^2 uint8 cells, never n^2 float64 distances
-_THRESHOLD_ROWS = 256
+# plot rows thresholded at a time by _threshold: a plot of n states needs
+# its n^2 uint8 cells, never n^2 float64 distances. 16 and 32 rows ran
+# slower at 4000 states, as the m difference blocks outgrow the cache.
+_THRESHOLD_ROWS = 8
 
-# band rows per cdist call in _band; 32 and 48 ran as fast, 128 slower
-_BAND_ROWS = 64
+# band rows per lag-difference array in _band; 64 and 128 ran slower
+_BAND_ROWS = 256
 
 # blocks counted per chunk by windowed_rqa. At the default geometry, 32
 # blocks hold a 0.9 MB float32 band and 0.4 MB of triangle counts; 64
@@ -169,15 +168,70 @@ def time_delay_embed(series, cfg: RqaConfig) -> np.ndarray:
                       writeable=False)
 
 
-def _threshold(states, cfg: RqaConfig, out: np.ndarray) -> None:
-    """Write ``||x_i - x_j|| <= epsilon`` for every state pair into ``out``
-    (any numeric dtype; 1 for a recurrence, 0 otherwise), in blocks of rows.
-    ``cdist`` computes each distance on its own, so the blocks change no bit.
+def _limit(cfg: RqaConfig) -> float:
+    """The largest combined distance term of a recurrence: epsilon, or for
+    L2, whose terms are squares, the largest double whose square root is
+    at most epsilon. ``sqrt`` is correctly rounded and monotone, so a sum
+    is at most this limit exactly when its root is at most epsilon, and
+    no root need be taken."""
+    eps = cfg.epsilon
+    if cfg.norm != "L2":
+        return eps
+    limit = eps * eps
+    while math.sqrt(limit) > eps:
+        limit = math.nextafter(limit, 0.0)
+    while math.sqrt(math.nextafter(limit, math.inf)) <= eps:
+        limit = math.nextafter(limit, math.inf)
+    return limit
+
+
+def _terms(diff: np.ndarray, cfg: RqaConfig) -> np.ndarray:
+    """Turn coordinate differences, in place, into the terms ``cfg``'s norm
+    combines: squares for L2, absolute values otherwise."""
+    return np.square(diff, out=diff) if cfg.norm == "L2" \
+        else np.abs(diff, out=diff)
+
+
+def _within(terms, cfg: RqaConfig, limit: float, out: np.ndarray) -> None:
+    """Write into ``out`` whether each distance is within epsilon, from its
+    per-coordinate ``terms`` (a sequence of equal-shape arrays, one per
+    coordinate, in coordinate order) and ``_limit(cfg)``.
+
+    The terms are combined left to right, by ``+`` for L2 and L1 and by
+    ``maximum`` for Linf, the order in which ``scipy.spatial.distance.cdist``
+    combines them, so every cell is the one that thresholding ``cdist``
+    gives. A NaN term makes no recurrence under any norm.
     """
-    for lo in range(0, len(states), _THRESHOLD_ROWS):
-        block = slice(lo, lo + _THRESHOLD_ROWS)
-        np.less_equal(cdist(states[block], states, _CDIST_METRIC[cfg.norm]),
-                      cfg.epsilon, out=out[block])
+    total = terms[0]
+    if len(terms) > 1:
+        combine = np.maximum if cfg.norm == "Linf" else np.add
+        total = combine(terms[0], terms[1])
+        for term in terms[2:]:
+            combine(total, term, out=total)
+    np.less_equal(total, limit, out=out)
+
+
+def _threshold(states: np.ndarray, cfg: RqaConfig, out: np.ndarray) -> None:
+    """Write ``||x_i - x_j|| <= epsilon`` for every state pair into the
+    square uint8 array ``out``, ``_THRESHOLD_ROWS`` rows at a time.
+
+    Each block of rows takes its pairs from the diagonal on: one
+    difference array per coordinate, turned into terms and combined by
+    ``_within``. The difference of a pair is the negated difference of
+    its mirror pair, so the terms, and the cells, are symmetric exactly,
+    and each block copies the cells left of its diagonal from the
+    transposed rows above it.
+    """
+    n, m = states.shape
+    limit = _limit(cfg)
+    columns = np.ascontiguousarray(states.T)
+    diff = np.empty(m * _THRESHOLD_ROWS * n)
+    for lo in range(0, n, _THRESHOLD_ROWS):
+        hi = min(lo + _THRESHOLD_ROWS, n)
+        block = diff[: m * (hi - lo) * (n - lo)].reshape(m, hi - lo, n - lo)
+        np.subtract(columns[:, lo:hi, None], columns[:, None, lo:], out=block)
+        _within(_terms(block, cfg), cfg, limit, out[lo:hi, lo:])
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
 
 
 def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:
@@ -331,6 +385,9 @@ def fnn_fraction(series, m: int, tau: int,
             f"series of length {len(r)} too short to lift to m={m + 1}")
     y = y[:n1]
     attractor = float(np.std(r))
+    # the one scipy use of this module: the estimates serve analysis, not
+    # the spotting path
+    from scipy.spatial import cKDTree
     tree = cKDTree(y)
     dist, nbr = tree.query(y, k=2)
     d_m = dist[:, 1]
@@ -364,36 +421,33 @@ def estimate_dimension(series, tau: int, cap: int = 10,
     return cap
 
 
-def _band(states, lo: int, n: int, cfg: RqaConfig, out: np.ndarray) -> None:
-    """Write the recurrence band of states ``lo, lo + 1, ...`` into the
-    (rows, n - 1) array ``out``: ``out[r, d - 1]`` is 1 iff
-    ``||x_{lo+r} - x_{lo+r+d}|| <= epsilon``, for 0 < d < n and both
-    states in ``states``, and 0 otherwise.
+def _band(series: np.ndarray, lo: int, n: int, cfg: RqaConfig, limit: float,
+          out: np.ndarray) -> None:
+    """Write the recurrence band of states ``lo, lo + 1, ...`` of the
+    embedded ``series`` into the (rows, n - 1) array ``out``:
+    ``out[r, d - 1]`` is 1 iff ``||x_{lo+r} - x_{lo+r+d}|| <= epsilon``,
+    for 0 < d < n and both states in the embedding, and 0 otherwise.
 
-    Each ``cdist`` call takes ``_BAND_ROWS`` states against the next
-    ``_BAND_ROWS + n - 2``, and row r of the band is the diagonal that
-    starts at column r of that block. ``cdist`` computes each distance on
-    its own, so every cell equals the same pair's cell in a plot of any
-    window that holds both states.
+    Coordinate k of state i minus state i + d is ``s[i + k*tau] -
+    s[i + d + k*tau]``, the lag-d difference of the series at i + k*tau.
+    So ``_BAND_ROWS`` rows take one lag-difference array over
+    ``(m - 1)*tau`` more positions of the series, whose rows from k*tau
+    on are coordinate k, and ``_within`` combines them in the order that
+    ``cdist`` does. A state past the embedding reads NaN past the end of
+    the series, which makes no recurrence.
     """
-    metric = _CDIST_METRIC[cfg.norm]
-    buf = np.empty(_BAND_ROWS * (_BAND_ROWS + n - 1))
-    valid = max(0, min(len(out), len(states) - lo))
-    out[valid:] = 0
-    for r in range(0, valid, _BAND_ROWS):
+    span = (cfg.dimension - 1) * cfg.delay
+    for r in range(0, len(out), _BAND_ROWS):
+        k = min(_BAND_ROWS, len(out) - r)
         a = lo + r
-        k = min(_BAND_ROWS, valid - r)
-        width = k + n - 2
-        dist = buf[: k * width].reshape(k, width)
-        partners = states[a + 1: a + k + n - 1]
-        if len(partners) < width:       # the last states have fewer partners
-            dist[:] = np.inf
-            dist[:, :len(partners)] = cdist(states[a: a + k], partners, metric)
-        else:
-            cdist(states[a: a + k], partners, metric, out=dist)
-        # element (i, j) of this view is dist[i, i + j]
-        np.less_equal(buf[: k * (width + 1)].reshape(k, width + 1)[:, :n - 1],
-                      cfg.epsilon, out=out[r: r + k])
+        seg = series[a: a + k + span + n - 1]
+        if len(seg) < k + span + n - 1:     # the last states' tail
+            seg = np.concatenate([seg, np.full(k + span + n - 1 - len(seg),
+                                               np.nan)])
+        lags = sliding_window_view(seg, n)
+        diff = _terms(np.subtract(lags[:, :1], lags[:, 1:]), cfg)
+        _within([diff[j: j + k] for j in range(0, span + 1, cfg.delay)],
+                cfg, limit, out[r: r + k])
 
 
 def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
@@ -402,9 +456,10 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
 
     Row k is the window covering samples ``[k*step, k*step + window_len)``,
     the one starting at ``cfg.starts(N)[k]``; there are
-    ``floor((N - window_len)/step) + 1`` windows. The series is embedded
-    once, and window k's n states are rows ``k*step`` onwards of that
-    embedding, bit for bit the states of the window embedded on its own.
+    ``floor((N - window_len)/step) + 1`` windows. Window k's n states are
+    states ``k*step`` onwards of the series' embedding, bit for bit the
+    states of the window embedded on its own; ``_band`` reads their
+    differences straight from the series, so no embedding is built.
 
     Windows overlap, so each count is made once and shared:
 
@@ -432,9 +487,11 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     memory does not grow with the series.
     """
     r = np.asarray(series, dtype=np.float64)
+    if r.ndim != 1:
+        raise ValidationError("series must be 1-D")
     cfg.check_window()
     cfg.check_length(len(r), "series")
-    states = time_delay_embed(r, cfg)
+    limit = _limit(cfg)
     n, step = cfg.n_states(cfg.window_len), cfg.step
     h = min(step, n)
     # the t-th block of a window counts triangles up to column ends[t]
@@ -453,7 +510,7 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     for lo in range(0, n_blocks, _BLOCK_CHUNK):
         k = min(_BLOCK_CHUNK, n_blocks - lo)
         rows = (k - 1) * step + n
-        _band(states, lo * step + kept, n, cfg, band[kept:rows, 1:n])
+        _band(r, lo * step + kept, n, cfg, limit, band[kept:rows, 1:n])
         # U's row a is band row a moved a cells right: U[a, b] = R[a, b - a]
         u = as_strided(band, (k, n, n), (step * row, row - cell, cell))
         paths = np.matmul(u[:, :h], u)

@@ -34,7 +34,6 @@ from itertools import combinations, count
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import Scaler
@@ -89,6 +88,9 @@ def gram(cfg: KernelConfig, A, B) -> np.ndarray:
         return np.tanh(cfg.gamma * (A @ B.T) + cfg.coef0)
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.zeros((A.shape[0], B.shape[0]))
+    # only the radial kernel loads scipy.spatial, so the commands that
+    # train or apply no radial model run without it
+    from scipy.spatial.distance import cdist, pdist, squareform
     if A is B:
         # each distance once: pdist runs cdist's kernel on the upper
         # triangle, and the squared difference is symmetric, so the

@@ -22,11 +22,11 @@ with per-channel Gaussian noise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import ValidationError
 from .imu import (GESTURES, ImuStream, LabeledInterval, write_file,
@@ -131,6 +131,31 @@ def identity_profile(subject_id="s00", **overrides) -> SubjectProfile:
     return SubjectProfile(**fields)
 
 
+def rotation_matrix(rotvec) -> np.ndarray:
+    """The 3x3 matrix of the rotation by ``|rotvec|`` radians about
+    ``rotvec``'s direction.
+
+    It goes through the unit quaternion, rounding each step as
+    ``scipy.spatial.transform.Rotation.from_rotvec(rotvec).as_matrix()``
+    does, so the two agree bit for bit without importing
+    scipy.spatial. At an angle of at most 1e-3 rad, ``sin(angle/2) /
+    angle`` is its Taylor series, as there.
+    """
+    v0, v1, v2 = (float(c) for c in rotvec)
+    angle = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
+    else:
+        scale = math.sin(angle / 2) / angle
+    x, y, z, w = scale * v0, scale * v1, scale * v2, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
+
+
 def make_subject_profile(subject_id: str, rng) -> SubjectProfile:
     """Draw a subject's variation parameters from its derived stream."""
     amplitude = float(rng.lognormal(0.0, 0.12))
@@ -139,7 +164,7 @@ def make_subject_profile(subject_id: str, rng) -> SubjectProfile:
     axis = rng.normal(size=3)
     norm = np.linalg.norm(axis)
     axis = axis / norm if norm > 1e-9 else np.array([0.0, 0.0, 1.0])
-    tilt = Rotation.from_rotvec(np.radians(angle_deg) * axis).as_matrix()
+    tilt = rotation_matrix(np.radians(angle_deg) * axis)
     noise_factor = float(rng.lognormal(0.0, 0.15))
     return SubjectProfile(subject_id=subject_id,
                           amplitude_scale=amplitude, speed_scale=speed,
@@ -292,6 +317,29 @@ def first_order_filter(x, gain: float, decay: float) -> np.ndarray:
     return y
 
 
+def box_filter(x, size: int) -> np.ndarray:
+    """Mean of the ``size`` samples around each one, down axis 0 of ``x``,
+    the ends extended by repeating the edge samples.
+
+    A running window sum starts from the first window's samples added in
+    order, then adds each entering sample minus the leaving one, and each
+    sum is divided by ``size``. That is the arithmetic of
+    ``scipy.ndimage.uniform_filter1d(x, size, axis=0, mode="nearest")``,
+    so the two agree bit for bit without importing scipy.ndimage.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    left = size // 2
+    padded = np.concatenate([np.repeat(x[:1], left, axis=0), x,
+                             np.repeat(x[-1:], size - 1 - left, axis=0)])
+    sums = np.empty_like(padded)
+    sums[:size] = padded[:size]
+    np.subtract(padded[size:], padded[:-size], out=sums[size:])
+    np.cumsum(sums, axis=0, out=sums)
+    means = sums[size - 1:]
+    means /= size
+    return means
+
+
 def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
                            si: int):
     """A long low-prevalence stream: OU background, rest gaps, gestures.
@@ -301,10 +349,6 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
     damped while a gesture plays; gesture velocity is added on top so the
     position stays continuous across gesture boundaries.
     """
-    # only the ADL streams smooth; importing this here keeps scipy.ndimage
-    # out of every command that imports synth for its SynthConfig defaults
-    from scipy.ndimage import uniform_filter1d
-
     rng = derive_rng(cfg.seed, ADL, si)
     L = int(round(cfg.adl_minutes * 60.0 * cfg.rate_hz))
     nominal = int(round(GESTURE_S * cfg.rate_hz))
@@ -317,7 +361,7 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
     # (an order of magnitude larger) do not
     theta, sigma = 0.15, 3.5e-5
     v_bg = first_order_filter(rng.normal(size=(L, 3)), sigma, 1.0 - theta)
-    v_bg = uniform_filter1d(v_bg, size=7, axis=0, mode="nearest")
+    v_bg = box_filter(v_bg, 7)
 
     env = np.ones(L)
     cursor = int(round(cfg.rate_hz * rng.uniform(1.0, 3.0)))
@@ -326,8 +370,7 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
         rest = int(round(cfg.rate_hz * rng.uniform(0.5, 2.0)))
         env[cursor:cursor + rest] = 0.0
         cursor += rest
-    env = uniform_filter1d(env, size=max(3, int(round(0.3 * cfg.rate_hz))),
-                           mode="nearest")
+    env = box_filter(env, max(3, int(round(0.3 * cfg.rate_hz))))
 
     n_gestures = max(1, int(round(cfg.gesture_fraction * L / nominal)))
     block = L // n_gestures
@@ -348,8 +391,7 @@ def _identification_stream(cfg: SynthConfig, profile: SubjectProfile,
         damp[start:start + g_len] = 0.15
         intervals.append(LabeledInterval(start, start + g_len, cls,
                                          profile.subject_id))
-    damp = uniform_filter1d(damp, size=max(3, int(round(0.3 * cfg.rate_hz))),
-                            mode="nearest")
+    damp = box_filter(damp, max(3, int(round(0.3 * cfg.rate_hz))))
 
     positions = np.cumsum(v_bg * (env * damp)[:, None] + v_gest, axis=0)
     stream = trajectory_to_imu(positions, profile, cfg.rate_hz,

@@ -194,6 +194,48 @@ class TestParsing:
         assert proc.stdout.splitlines()[-1] == "0 False"
         assert (tmp_path / "corpus" / "identification" / "s01.csv").exists()
 
+    def test_only_the_radial_kernel_loads_scipy(self, tmp_path):
+        """Spotting, the RQA exports and the forest run on numpy alone; the
+        radial kernel's Gram is the one scipy user left, so an SVM
+        evaluate loads scipy.spatial.distance."""
+        package_root = str(Path(gesturekit.__file__).resolve().parents[1])
+        data, out = tmp_path / "corpus", tmp_path / "out"
+        stream = data / "identification" / "s01.csv"
+        commands = [
+            ["synth", "--out", data, "--subjects", "2", "--reps", "2",
+             "--adl-minutes", "0.5"],
+            ["train-identifier", "--data", data, "--out", out / "id.model",
+             "--report", out / "id.csv", "--iterations", "2"],
+            ["identify", "--in", stream, "--model", out / "id.model",
+             "--out", out / "hits.csv"],
+            ["rqa-features", "--in", stream, "--out", out / "rqa.csv"],
+            ["rp-export", "--in", stream, "--out", out / "rp.pgm",
+             "--length", "300"],
+            ["evaluate", "--data", data, "--classifier", "forest",
+             "--trees", "5", "--depth", "3", "--report", out / "forest.csv"],
+            ["evaluate", "--data", data, "--report", out / "svm.csv"],
+        ]
+        out.mkdir()
+        probe = ("import sys\n"
+                 f"sys.path.insert(0, {package_root!r})\n"
+                 "import gesturekit.cli\n"
+                 "def scipy_modules():\n"
+                 "    return sorted(m for m in sys.modules\n"
+                 "                  if m.split('.')[0] == 'scipy')\n"
+                 "print('probe', 'import', scipy_modules())\n"
+                 f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
+                 "    code = gesturekit.cli.dispatch(argv)\n"
+                 "    print('probe', argv[0], code, scipy_modules())\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stdout.splitlines()
+                 if line.startswith("probe ")]
+        assert lines[:-1] == ["probe import []"] + [
+            f"probe {c[0]} 0 []" for c in commands[:-1]]
+        assert lines[-1].startswith("probe evaluate 0 [")
+        assert "'scipy.spatial.distance'" in lines[-1]
+
     def test_geometry_options_match_the_model_file(self):
         """Only synth takes a rate (`evaluate --rate 50` exits 1), identify
         takes no RQA option (`identify --window-len 250` exits 1), and

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from gesturekit.rqa import (NORMS, _BLOCK_CHUNK, RecurrencePlot, RqaConfig,
 from oracles import (naive_embed, naive_fnn_fraction,
                      naive_recurrence_matrix, naive_recurrence_rate,
                      naive_transitivity)
+
+# the scipy metric that each norm's distance kernel must equal bit for bit
+CDIST_METRIC = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
 
 
 def test_embed_matches_oracle():
@@ -41,7 +46,7 @@ def test_recurrence_plot_matches_oracle_small(monkeypatch):
     rng = np.random.default_rng(2)
     states = rng.normal(size=(30, 3))
     # in one block, then in blocks of 8 rows: three full and a short one
-    for rows in (rqa._THRESHOLD_ROWS, 8):
+    for rows in (len(states), 8):
         monkeypatch.setattr(rqa, "_THRESHOLD_ROWS", rows)
         for norm in ("L1", "L2", "Linf"):
             plot = recurrence_plot(states, RqaConfig(epsilon=1.2, norm=norm))
@@ -54,11 +59,112 @@ def test_recurrence_plot_blocks_equal_one_distance_matrix():
     from scipy.spatial.distance import cdist
     rng = np.random.default_rng(6)
     states = rng.normal(size=(2 * rqa._THRESHOLD_ROWS + 45, 3))
-    for norm, metric in rqa._CDIST_METRIC.items():
+    for norm, metric in CDIST_METRIC.items():
         plot = recurrence_plot(states, RqaConfig(epsilon=1.2, norm=norm))
         want = (cdist(states, states, metric=metric) <= 1.2).astype(np.uint8)
         np.fill_diagonal(want, 1)
         assert np.array_equal(plot.matrix, want)
+
+
+def cdist_plot(states, cfg):
+    """The plot that thresholding one whole cdist matrix gives."""
+    from scipy.spatial.distance import cdist
+    want = cdist(states, states, CDIST_METRIC[cfg.norm]) <= cfg.epsilon
+    np.fill_diagonal(want, True)
+    return want.astype(np.uint8)
+
+
+def dyadic(rng, shape):
+    """Values 0 and 0.25: two states one coordinate apart are exactly 0.25
+    apart under every norm, a tie with epsilon 0.25."""
+    return 0.25 * rng.integers(0, 2, size=shape)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [1, 2, 4, 7])
+def test_recurrence_plot_equals_cdist(norm, m):
+    rng = np.random.default_rng([m, len(norm)])
+    cfg = RqaConfig(epsilon=0.9, norm=norm)
+    # a row count the block size does not divide, and states in a strided
+    # view as time_delay_embed gives them
+    states = rng.normal(size=(5 * rqa._THRESHOLD_ROWS + 3, m))
+    assert np.array_equal(recurrence_plot(states, cfg).matrix,
+                          cdist_plot(states, cfg))
+    for tau in (1, 3):
+        embedded = time_delay_embed(rng.normal(scale=0.5, size=90),
+                                    RqaConfig(dimension=m, delay=tau))
+        assert np.array_equal(recurrence_plot(embedded, cfg).matrix,
+                              cdist_plot(embedded, cfg))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [1, 2, 4, 7])
+def test_recurrence_plot_ties_equal_cdist(norm, m):
+    rng = np.random.default_rng([m, len(norm), 1])
+    cfg = RqaConfig(epsilon=0.25, norm=norm)
+    states = dyadic(rng, (60, m))
+    plot = recurrence_plot(states, cfg).matrix
+    assert np.array_equal(plot, cdist_plot(states, cfg))
+    from scipy.spatial.distance import cdist
+    ties = cdist(states, states, CDIST_METRIC[norm]) == 0.25
+    assert ties.any() and plot[ties].all()
+
+
+def cdist_band(series, lo, rows, n, cfg):
+    """``_band``'s cells from one cdist per state: row r holds state lo + r
+    against each of its next n - 1 states, 0 past the embedding."""
+    from scipy.spatial.distance import cdist
+    states = naive_embed(series, cfg.dimension, cfg.delay)
+    want = np.zeros((rows, n - 1), dtype=np.float32)
+    for r in range(rows):
+        i = lo + r
+        partners = states[i + 1: i + n]
+        if i < len(states) and len(partners):
+            near = cdist(states[i: i + 1], partners,
+                         CDIST_METRIC[cfg.norm])[0] <= cfg.epsilon
+            want[r, :len(partners)] = near
+    return want
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [1, 2, 4, 7])
+@pytest.mark.parametrize("tau", [1, 3])
+@pytest.mark.parametrize("series", ["walk", "dyadic"])
+def test_band_equals_cdist(monkeypatch, norm, m, tau, series):
+    # row groups of 5, a last group cut short, and rows at the tail whose
+    # partners run out, and rows past the last state
+    monkeypatch.setattr(rqa, "_BAND_ROWS", 5)
+    rng = np.random.default_rng([m, tau, len(norm)])
+    if series == "walk":
+        r = np.cumsum(rng.normal(scale=0.1, size=80))
+        cfg = RqaConfig(dimension=m, delay=tau, epsilon=0.1 * m + 0.2,
+                        norm=norm)
+    else:
+        r = dyadic(rng, 80)
+        cfg = RqaConfig(dimension=m, delay=tau, epsilon=0.25, norm=norm)
+    n = 12
+    ns = cfg.n_states(len(r))
+    cells = []
+    for lo, rows in ((0, 23), (7, 11), (ns - 20, 17), (ns - 6, 14)):
+        got = np.full((rows, n - 1), 7.0, dtype=np.float32)
+        rqa._band(r, lo, n, cfg, rqa._limit(cfg), got)
+        want = cdist_band(r, lo, rows, n, cfg)
+        assert np.array_equal(got, want), (lo, rows)
+        cells.append(got)
+    assert set(np.concatenate(cells).ravel().tolist()) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.3, 1.0, 2.0, 3.0, 1e-3,
+                                     7.5e-155, 1e-300, 5e-324, 1e154,
+                                     1.5e154, 1e300])
+def test_l2_limit_is_the_last_square_within_epsilon(epsilon):
+    limit = rqa._limit(RqaConfig(epsilon=epsilon, norm="L2"))
+    below = math.nextafter(limit, 0.0)
+    above = math.nextafter(limit, math.inf)
+    assert np.sqrt(limit) <= epsilon and np.sqrt(below) <= epsilon
+    assert not np.sqrt(above) <= epsilon
+    for norm in ("L1", "Linf"):
+        assert rqa._limit(RqaConfig(epsilon=epsilon, norm=norm)) == epsilon
 
 
 def test_recurrence_plot_tie_is_recurrence():
@@ -305,7 +411,7 @@ def test_windowed_rqa_edges_bit_equal_per_window_oracle(edge, norm):
 @pytest.mark.parametrize("chunk,rows", [(1, 1), (2, 5), (7, 3)])
 def test_windowed_rqa_chunks_bit_equal_per_window_oracle(monkeypatch, norm,
                                                          chunk, rows):
-    # many chunks of blocks, each band chunk in many cdist calls
+    # many chunks of blocks, each band chunk in many lag-difference arrays
     monkeypatch.setattr(rqa, "_BLOCK_CHUNK", chunk)
     monkeypatch.setattr(rqa, "_BAND_ROWS", rows)
     rng = np.random.default_rng(14)

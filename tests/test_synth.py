@@ -17,11 +17,13 @@ from gesturekit.synth import (
     MAG_FIELD_UT,
     TEMPLATES,
     SynthConfig,
+    box_filter,
     first_order_filter,
     gesture_trajectory,
     generate_dataset,
     identity_profile,
     make_subject_profile,
+    rotation_matrix,
     trajectory_to_imu,
     write_dataset,
 )
@@ -271,6 +273,77 @@ class TestFirstOrderFilter:
         got = first_order_filter(x, 0.5, 0.5)
         assert got.tolist() == [[0.5 * c * 0.5 ** k for c in (1.0, 2.0, 4.0)]
                                 for k in range(5)]
+
+
+class TestRotationMatrix:
+    @staticmethod
+    def assert_bit_equal(rotvec):
+        want = Rotation.from_rotvec(rotvec).as_matrix()
+        got = rotation_matrix(rotvec)
+        assert got.shape == want.shape == (3, 3)
+        assert got.tobytes() == want.tobytes(), rotvec
+
+    def test_bit_equal_on_profile_draws(self):
+        # the draws of make_subject_profile: up to 15 degrees about a
+        # Gaussian axis; about 1 in 130 falls in the small-angle branch
+        rng = np.random.default_rng(2024)
+        small = 0
+        for _ in range(2500):
+            angle = np.radians(min(abs(float(rng.normal(0.0, 6.0))), 15.0))
+            axis = rng.normal(size=3)
+            rotvec = angle * axis / np.linalg.norm(axis)
+            small += angle <= 1e-3
+            self.assert_bit_equal(rotvec)
+        assert small >= 5
+
+    @pytest.mark.parametrize("angle", [
+        0.0, 1e-8, 1e-4, np.nextafter(1e-3, 0.0), 1e-3,
+        np.nextafter(1e-3, 1.0), 0.1, np.radians(15.0), np.pi])
+    def test_bit_equal_around_the_small_angle_branch(self, angle):
+        rng = np.random.default_rng(7)
+        axes = [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)]
+        axes += [a / np.linalg.norm(a) for a in rng.normal(size=(8, 3))]
+        for axis in axes:
+            self.assert_bit_equal(angle * np.asarray(axis))
+
+    def test_profile_tilt_is_the_drawn_rotation(self):
+        rng = np.random.default_rng(3)
+        profile = make_subject_profile("s01", np.random.default_rng(3))
+        rng.lognormal(0.0, 0.12)
+        rng.lognormal(0.0, 0.10)
+        angle_deg = min(abs(float(rng.normal(0.0, 6.0))), 15.0)
+        axis = rng.normal(size=3)
+        rotvec = np.radians(angle_deg) * (axis / np.linalg.norm(axis))
+        want = Rotation.from_rotvec(rotvec).as_matrix()
+        assert profile.tilt.tobytes() == want.tobytes()
+
+
+class TestBoxFilter:
+    @pytest.mark.parametrize("size", [3, 7, 15])
+    @pytest.mark.parametrize("kind", ["constant", "step", "gaussian"])
+    def test_bit_equal_to_uniform_filter1d(self, size, kind):
+        # scipy.ndimage is imported here only: synth itself never loads it
+        from scipy.ndimage import uniform_filter1d
+        rng = np.random.default_rng([size, len(kind)])
+        for length in (1, size - 1, size, 15000):
+            for shape in ((length,), (length, 3)):
+                if kind == "constant":
+                    x = np.full(shape, 0.3)
+                elif kind == "step":
+                    x = np.where(np.arange(length) < length // 2, 0.15, 1.0)
+                    x = np.broadcast_to(x.reshape((length,) + (1,) * (
+                        len(shape) - 1)), shape)
+                else:
+                    x = rng.normal(size=shape) * 3.5e-5
+                want = uniform_filter1d(x, size=size, axis=0,
+                                        mode="nearest")
+                got = box_filter(x, size)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (length, shape)
+
+    def test_means_of_the_edge_extended_windows(self):
+        got = box_filter(np.array([0.0, 3.0, 6.0, 9.0]), 3)
+        assert got.tolist() == [1.0, 3.0, 6.0, 8.0]
 
 
 class TestWriteDataset:
