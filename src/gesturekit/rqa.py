@@ -211,6 +211,12 @@ def _within(terms, cfg: RqaConfig, limit: float, out: np.ndarray) -> None:
     np.less_equal(total, limit, out=out)
 
 
+# a difference or square beyond the float range is inf, as in cdist, and
+# NaN past the series is meant: neither warns
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
 def _threshold(states: np.ndarray, cfg: RqaConfig, out: np.ndarray) -> None:
     """Write ``||x_i - x_j|| <= epsilon`` for every state pair into the
     square uint8 array ``out``, ``_THRESHOLD_ROWS`` rows at a time.
@@ -421,6 +427,7 @@ def estimate_dimension(series, tau: int, cap: int = 10,
     return cap
 
 
+@_quiet
 def _band(series: np.ndarray, lo: int, n: int, cfg: RqaConfig, limit: float,
           out: np.ndarray) -> None:
     """Write the recurrence band of states ``lo, lo + 1, ...`` of the

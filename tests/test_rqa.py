@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,23 @@ def test_recurrence_plot_ties_equal_cdist(norm, m):
     from scipy.spatial.distance import cdist
     ties = cdist(states, states, CDIST_METRIC[norm]) == 0.25
     assert ties.any() and plot[ties].all()
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_distances_past_the_float_range_do_not_warn(norm):
+    # differences and squares overflow to inf, as in cdist, silently
+    rng = np.random.default_rng(3)
+    r = rng.normal(size=150) * 1e200
+    r[::7] = 1e308
+    r[3::7] = -1e308
+    cfg = RqaConfig(window_len=20, step=5, epsilon=1e200, norm=norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = window_table(r, cfg)
+        plot = recurrence_plot(time_delay_embed(r, cfg), cfg)
+    assert got == per_window_reference(r, cfg)
+    assert np.array_equal(plot.matrix,
+                          cdist_plot(time_delay_embed(r, cfg), cfg))
 
 
 def cdist_band(series, lo, rows, n, cfg):
