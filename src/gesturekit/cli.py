@@ -25,7 +25,7 @@ from .features import (DEFAULT_SAMPLES, STAT_NAMES, check_samples,
                        write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
-                  parse_label_csv, read_text, write_file)
+                  parse_label_csv, read_lines, write_file)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, check_reps, check_select, check_sigma,
                        identify_segments, load_identifier,
@@ -164,11 +164,11 @@ def read_params(path) -> dict[str, str]:
     """Flat config file: one ``key = value`` per line, ``#`` comments."""
     path = Path(path)
     try:
-        text = read_text(path)
+        lines = read_lines(path)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

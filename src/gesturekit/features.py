@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .imu import (CHANNELS, ImuStream, LabeledDataset, format_float, read_text,
+from .imu import (CHANNELS, ImuStream, LabeledDataset, format_float, read_lines,
                   write_file)
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
@@ -157,7 +157,7 @@ def write_feature_csv(dataset: LabeledDataset, path) -> None:
 
 
 def read_feature_csv(path) -> LabeledDataset:
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]

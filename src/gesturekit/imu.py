@@ -6,25 +6,29 @@ segment is a read-only row view of the stream it is cut from.
 File formats
 ------------
 Stream CSV  header: ``t,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,mag_x,mag_y,mag_z``
-            one row per sample, decimal point, UTF-8, LF or CRLF; ``t``
+            one row per sample, decimal point, UTF-8, LF, CRLF or CR; ``t``
             counts up by one from any start, and is written from 0.
 Label CSV   header: ``start,end,label,subject`` with half-open sample
             intervals ``[start, end)`` and labels from the 12-gesture
             dictionary or ``ADL``.
 
-A stream CSV is read ``_READ_BYTES`` at a time and converted in blocks of
-``_BLOCK_ROWS`` rows, one ``np.loadtxt`` call each, keeping only the
-channels the caller asks for, so parsing a long stream for one series
-holds one column of it. Python's ``int`` and ``float`` convert a block
-instead only to name the first bad row, or to take the literals numpy
-rejects but Python accepts, such as ``1_0``.
+Every reader ends lines at ``"\n"``, ``"\r\n"`` or ``"\r"`` alone, and a
+stream or model number is what ``np.loadtxt`` reads (README, "File
+formats"). A stream CSV is read ``_READ_BYTES`` at a time and converted
+in blocks of ``_BLOCK_ROWS`` rows, one ``np.loadtxt`` call each, keeping
+only the channels the caller asks for, so parsing a long stream for one
+series holds one column of it. A block that fails is converted again
+row by row, also by ``np.loadtxt``, to name its first bad row.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
+import re
 import warnings
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,14 +202,19 @@ def _not_utf8(path, exc: UnicodeDecodeError, start: int) -> ParseError:
                       f"{start})")
 
 
-def read_text(path) -> str:
-    """A UTF-8 text file's contents; bytes that do not decode raise
-    ParseError naming the file."""
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, each ended by ``"\n"``, ``"\r\n"``
+    or ``"\r"`` (or by the end of the file), without their line ends.
+    Bytes that do not decode raise ParseError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
+        # universal newlines: "\r\n" and "\r" are read as "\n"
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc, exc.start) from None
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def write_file(path, data: bytes | bytearray | str | Iterable[str]) -> None:
@@ -249,103 +258,90 @@ def loadtxt_or_none(rows, **kwargs) -> np.ndarray | None:
     return None if caught else out
 
 
+def read_number(cell: str, kind: type[int] | type[float]) -> int | float:
+    """``cell`` as one int64 or float64, as ``np.loadtxt`` reads it: the
+    number grammar of stream CSVs and GKMODEL files (README, "File
+    formats"). A cell outside the grammar raises ValueError with the
+    message Python's ``int`` or ``float`` gives for a literal it rejects,
+    and an integer outside the int64 range raises OverflowError."""
+    value = loadtxt_or_none([cell], delimiter=",", comments=None, ndmin=1,
+                            dtype=np.int64 if kind is int else np.float64)
+    if value is not None and value.shape == (1,):
+        return value[0].item()
+    if kind is float:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    if re.fullmatch("[+-]?[0-9]+", cell.strip()):
+        raise OverflowError(f"{cell.strip()} is outside the int64 range")
+    raise ValueError("invalid literal for int() with base 10: "
+                     + repr(cell)[:200])
+
+
 def _numpy_rows(rows) -> np.ndarray | None:
     """Stream CSV rows as ``_ROW`` records, from one ``np.loadtxt`` call;
-    None if it raises or warns.
-
-    Whatever this accepts, Python's ``int`` and ``float`` accept with the
-    same value, except cells with a ``\\x1f`` (see ``parse_imu_csv``).
-    """
+    None if it raises or warns."""
     return loadtxt_or_none(rows, dtype=_ROW, delimiter=",", comments=None,
                            ndmin=1)
 
 
-def _python_rows(rows):
-    """Sample indices and (len, 9) channels of stream CSV rows, converted
-    by Python's ``int`` and ``float`` up to the first row they reject.
+def _row_problem(row: str):
+    """``(head, tail)`` of the message for a stream CSV row that
+    ``_numpy_rows`` rejects: a cell count other than 10, else its first
+    cell outside the grammar, in column order; ``_numpy_rows`` rejects a
+    row for nothing else."""
+    cells = row.split(",")
+    if len(cells) != 10:
+        return "expected 10 cells at line", f", got {len(cells)}"
+    try:
+        for cell, kind in zip(cells, [int] + [float] * 9):
+            read_number(cell, kind)
+    except OverflowError:
+        return "sample index out of int64 range at line", ""
+    except ValueError as exc:
+        return "non-numeric cell at line", f": {exc}"
 
-    Returns ``(t, ch, problem)``: ``problem`` is None if every row
-    converts, else ``(row, head, tail)`` for the first bad row, its
-    message being ``head``, the row's file line, then ``tail``; ``t`` and
-    ``ch`` then hold the rows before it.
+
+def _line_runs(path, fh):
+    """The lines of the binary file ``fh``, decoded as UTF-8
+    ``_READ_BYTES`` at a time, in runs: each read with a line end yields
+    the lines it ends, and the text after the last line end comes last.
+    Lines end at ``"\n"``, ``"\r\n"`` or ``"\r"``. Bytes that do not
+    decode raise the ParseError ``read_lines`` gives, at the same byte.
+    Reads with no line end are held, not joined, until one comes, so the
+    work stays linear in the text however long its lines are.
     """
-    t = np.empty(len(rows), dtype=np.int64)
-    ch = np.empty((len(rows), 9), dtype=np.float64)
-    for j, row in enumerate(rows):
-        cells = row.split(",")
-        if len(cells) != 10:
-            problem = (j, "expected 10 cells at line", f", got {len(cells)}")
-            break
-        try:
-            t[j] = int(cells[0])
-            ch[j] = list(map(float, cells[1:]))
-        except ValueError as exc:
-            problem = (j, "non-numeric cell at line", f": {exc}")
-            break
-        except OverflowError:
-            problem = (j, "sample index out of int64 range at line", "")
-            break
-    else:
-        return t, ch, None
-    return t[:j], ch[:j], problem
-
-
-def _decoded_chunks(path, fh):
-    """The text of the binary file ``fh``, decoded as UTF-8
-    ``_READ_BYTES`` at a time. Bytes that do not decode raise the
-    ParseError ``read_text`` gives, at the same byte."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    done = 0        # bytes read before this chunk
+    # reads "\r\n" and "\r" as "\n", holding back a read's last "\r"
+    # until it sees whether a "\n" follows
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")(), translate=True)
+    done = 0        # bytes read before this read
+    held = []       # the text since the last line end
     while True:
         data = fh.read(_READ_BYTES)
         # the decoder holds back the bytes of a character cut at the end
-        held = len(decoder.getstate()[0])
+        cut = len(decoder.getstate()[0])
         try:
             text = decoder.decode(data, final=not data)
         except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc, done - held + exc.start) from None
-        yield text
+            raise _not_utf8(path, exc, done - cut + exc.start) from None
+        ended, newline, rest = text.rpartition("\n")
+        if newline:
+            held.append(ended)
+            yield "".join(held).split("\n")
+            held = []
+        held.append(rest)
         if not data:
-            return
+            break
         done += len(data)
-
-
-# what ``str.splitlines`` ends a line at, ``"\r\n"`` being one line end
-_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _line_runs(chunks):
-    """``(lines, unit_separator)`` per run of the text that ``chunks``
-    join to: the run's lines, as ``str.splitlines`` splits the whole text,
-    and whether the run holds a ``"\x1f"``.
-
-    A run ends at the last line end of a chunk, any that ``splitlines``
-    knows, but a ``"\r"`` at the very end, which may be the first half of
-    a ``"\r\n"`` split between two chunks. Chunks with no line end are
-    held, not joined, until one comes, so the work stays linear in the
-    text however long its lines are.
-    """
-    held = []       # the text since the last line end that ended a run
-    for text in chunks:
-        held.append(text)
-        if "\n" not in text and text.splitlines() in ([], [text]):
-            continue
-        text = "".join(held)
-        lines = text.splitlines()
-        end = text[-1]
-        # the last line waits for the rest of the text, unless it ended
-        held = ([lines.pop() + "\r"] if end == "\r"
-                else [lines.pop()] if end not in _LINE_ENDS else [])
-        yield lines, "\x1f" in text
-    text = "".join(held)
-    yield text.splitlines(), "\x1f" in text
+    last = "".join(held)
+    if last:
+        yield [last]
 
 
 def _check_header(path, line: str) -> None:
     header = tuple(c.strip() for c in line.split(","))
     if header != STREAM_HEADER:
         missing = set(STREAM_HEADER) - set(header)
-        dupes = {c for c in header if list(header).count(c) > 1}
+        dupes = {c for c, k in Counter(header).items() if k > 1}
         if dupes:
             raise ParseError(f"{path}: duplicate columns {sorted(dupes)}")
         if missing:
@@ -353,25 +349,28 @@ def _check_header(path, line: str) -> None:
         raise ParseError(f"{path}: unexpected header {header}")
 
 
-def _convert_block(rows, before, python_only):
-    """``(t, ch, problem)`` of one block of stream CSV rows: their sample
-    indices and (len, 9) channels, converted by ``_numpy_rows`` unless
-    ``python_only`` or it fails, else by ``_python_rows``.
+def _convert_block(rows, before):
+    """``(t, ch, problem)`` of one block of stream CSV rows: the sample
+    indices and (len, 9) channels of its rows up to the first bad one,
+    converted by ``_numpy_rows``.
 
     ``problem`` is None, or ``(row, head, tail)`` for the block's first
-    bad row, as ``_python_rows`` gives it: a conversion problem, then a
-    non-finite value, an index not above the one before, then a gap.
+    bad row, its message being ``head``, the row's file line, then
+    ``tail``: a row ``_numpy_rows`` rejects (see ``_row_problem``), then
+    a non-finite value, an index not above the one before, then a gap.
     ``before`` is the previous block's last index, or None for the first
     block.
     """
-    records = None if python_only else _numpy_rows(rows)
-    if records is None:
-        t, ch, problem = _python_rows(rows)
-    else:
-        t, ch, problem = records["t"], records["ch"], None
+    records = _numpy_rows(rows)
     # (row, head, tail) of the first row with each kind of problem, in
     # precedence order
-    problems = [] if problem is None else [problem]
+    problems = []
+    if records is None:
+        bad = next(j for j, row in enumerate(rows)
+                   if _numpy_rows([row]) is None)
+        problems.append((bad, *_row_problem(rows[bad])))
+        records = _numpy_rows(rows[:bad]) if bad else np.empty(0, _ROW)
+    t, ch = records["t"], records["ch"]
     if before is None:
         steps, offset = t, 1
     else:
@@ -397,12 +396,11 @@ def _parse_rows(path, runs, keep) -> np.ndarray:
     # per blank line, the count of rows before it
     blanks = []
     before = None           # the last converted row's index
-    python_only = False
     parts = []
 
     def convert(rows):
         nonlocal converted, before
-        t, ch, problem = _convert_block(rows, before, python_only)
+        t, ch, problem = _convert_block(rows, before)
         if problem is not None:
             row, head, tail = problem
             row += converted
@@ -413,16 +411,10 @@ def _parse_rows(path, runs, keep) -> np.ndarray:
         converted += len(rows)
         before = t[-1]
 
-    for lines, unit_separator in runs:
+    for lines in runs:
         if header is None:
-            if not lines:
-                continue
             _check_header(path, lines[0])
             header, lines = lines[0], lines[1:]
-        # numpy strips a "\x1f" around a cell as whitespace but float()
-        # and int() reject it; "\x1c" to "\x1e" end lines, so never
-        # reach a cell
-        python_only = python_only or unit_separator
         rows = [ln for ln in lines if ln.strip()]
         if len(rows) != len(lines):
             seen = converted + len(pending)
@@ -455,28 +447,26 @@ def parse_imu_csv(path, channels=CHANNELS) -> ImuStream:
     anywhere in the file is reported before any of them. Every cell of
     every row is checked, whatever ``channels`` keeps.
 
-    The file is read ``_READ_BYTES`` at a time, and its rows are
-    converted ``_BLOCK_ROWS`` at a time by one ``np.loadtxt`` call each.
-    Only if that fails, or a ``\x1f`` has been read, do Python's
-    ``int`` and ``float`` convert them, to name the first bad
-    row or to take the literals numpy rejects but Python accepts
-    (``1_0``, non-ASCII digits). The cells accepted, and their values,
-    are Python's either way. Only the columns of ``channels`` are kept
-    from each block, so the stream's other channels are never held
-    whole.
+    Lines end at ``"\n"``, ``"\r\n"`` or ``"\r"``, and a cell is read
+    as ``np.loadtxt`` reads it (README, "File formats"). The file is read
+    ``_READ_BYTES`` at a time, and its rows are converted ``_BLOCK_ROWS``
+    at a time by one ``np.loadtxt`` call each; a block that fails is
+    converted again row by row to find its first bad row. Only the
+    columns of ``channels`` are kept from each block, so the stream's
+    other channels are never held whole.
     """
     path = Path(path)
     channels = tuple(channels)
     keep = [_channel_index(name) for name in channels]
     with open(path, "rb") as fh:
-        chunks = _decoded_chunks(path, fh)
+        runs = _line_runs(path, fh)
         try:
-            return ImuStream(path.stem, _parse_rows(path, _line_runs(chunks),
-                                                    keep), channels)
+            return ImuStream(path.stem, _parse_rows(path, runs, keep),
+                             channels)
         except ParseError:
             # the rest of the file is still decoded, so that a byte that
             # does not decode wins, as when the whole text was read first
-            for _ in chunks:
+            for _ in runs:
                 pass
             raise
 
@@ -499,7 +489,7 @@ def write_imu_csv(stream: ImuStream, path) -> None:
 
 def parse_label_csv(path) -> list[LabeledInterval]:
     """Parse a label CSV into intervals sorted by start; overlaps are errors."""
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = tuple(c.strip() for c in lines[0].split(","))

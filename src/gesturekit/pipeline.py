@@ -306,7 +306,7 @@ def load_identifier(path) -> tuple[OvoSvmModel, RqaConfig]:
             raise ValueError(f"want one line each for {', '.join(keys)}")
         cfg = RqaConfig.parse(dict(model.rqa))
         cfg.check_window()
-    except (ValueError, ValidationError) as exc:
+    except (ValueError, OverflowError, ValidationError) as exc:
         raise ParseError(f"{path}: bad [rqa] section: {exc}") from None
     return model, cfg
 

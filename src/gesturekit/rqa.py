@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ValidationError
-from .imu import CHANNELS, format_float, write_file
+from .imu import CHANNELS, format_float, read_number, write_file
 
 NORMS = ("L1", "L2", "Linf")
 
@@ -81,9 +81,13 @@ class RqaConfig:
     def parse(cls, values) -> "RqaConfig":
         """The config that ``values`` maps by field name, as parsed option
         values or as ``[rqa]`` text alike. Each value is typed by its
-        field's default; a field ``values`` lacks keeps its default, and
-        other keys are ignored."""
-        return cls(**{f.name: type(f.default)(values[f.name])
+        field's default, a number in text by ``read_number``; a field
+        ``values`` lacks keeps its default, and other keys are ignored."""
+        def typed(default, value):
+            if isinstance(value, str) and not isinstance(default, str):
+                return read_number(value, type(default))
+            return type(default)(value)
+        return cls(**{f.name: typed(f.default, values[f.name])
                       for f in fields(cls) if f.name in values})
 
     def text(self) -> tuple[tuple[str, str], ...]:

@@ -30,14 +30,15 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, count
+from itertools import combinations, count, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import Scaler
-from .imu import class_indices, loadtxt_or_none, read_text, write_file
+from .imu import (class_indices, loadtxt_or_none, read_lines, read_number,
+                  write_file)
 
 KERNEL_KINDS = ("linear", "polynomial", "radial", "sigmoid")
 
@@ -496,18 +497,11 @@ def _shared_sv_model(classes, feature_names, cfg, cost, scaler, Xs,
                        scaler=scaler, feature_names=feature_names)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-# ``_fmt`` bound once; it formats the Python floats of a ``tolist`` faster
-# than ``format`` formats numpy scalars one by one
-_G17 = "{:.17g}".format
-
-
-def _fmt_all(values) -> str:
-    """The values, one ``_fmt`` token each, space-separated."""
-    return " ".join(map(_G17, np.asarray(values, dtype=np.float64).tolist()))
+def _fmt(values) -> str:
+    """A value or 1-D values, 17 significant digits each, space-separated;
+    formatted from Python floats, which is faster than numpy scalars."""
+    return " ".join(map("{:.17g}".format,
+                        np.ravel(np.asarray(values, np.float64)).tolist()))
 
 
 def _check_token(kind: str, token: str) -> str:
@@ -538,72 +532,71 @@ def save_model(model: OvoSvmModel, path) -> None:
              f"degree {cfg.degree}",
              f"cost {_fmt(model.cost)}",
              "[scaler]",
-             "mean " + _fmt_all(model.scaler.mean),
-             "std " + _fmt_all(model.scaler.std),
+             "mean " + _fmt(model.scaler.mean),
+             "std " + _fmt(model.scaler.std),
              "[registry]"]
     lines.extend(_check_token("feature name", nm) for nm in model.feature_names)
     lines.append("[sv]")
-    lines.extend("sv " + _fmt_all(row) for row in model.sv)
+    lines.extend("sv " + _fmt(row) for row in model.sv)
     for p, (a, b) in enumerate(model.pairs):
         _check_token("class name", a)
         _check_token("class name", b)
         lines.append(f"[pair {a} {b}]")
-        lines.append("alpha_y " + _fmt_all(model.coef[:, p]))
+        lines.append("alpha_y " + _fmt(model.coef[:, p]))
         lines.append("bias " + _fmt(model.bias[p]))
     write_file(path, "\n".join(lines) + "\n")
 
 
-def _floats(path, section, line, prefix, expect=None):
+def _number_line(path, section, line, prefix, width=None) -> np.ndarray:
+    """The values of one ``prefix`` line of ``section``, as ``np.loadtxt``
+    reads them. ParseError naming the section if the line lacks the
+    prefix, holds a value outside the grammar, holds other than ``width``
+    values (any count if None), or a value that is not finite."""
     if not (line.startswith(prefix + " ") or line == prefix):
         raise ParseError(f"{path}: expected a {prefix!r} line in {section}")
-    try:
-        # accepts exactly the tokens float() accepts
-        out = np.array(line[len(prefix):].split(), dtype=np.float64)
-    except ValueError:
-        raise ParseError(f"{path}: bad number in {section} section") from None
-    if expect is not None and len(out) != expect:
+    text = line[len(prefix):]
+    # loadtxt reads a line of no values as no line at all
+    values = (loadtxt_or_none([text], dtype=np.float64, comments=None,
+                              ndmin=1) if text.split() else np.empty(0))
+    if values is None:
+        raise ParseError(f"{path}: bad number in {section} section")
+    if width is not None and len(values) != width:
         raise ParseError(f"{path}: wrong value count in {section} section")
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(values)):
         raise ParseError(f"{path}: non-finite value in {section} section")
-    return out
+    return values
 
 
-def _float_block(lines, prefix, width):
+def _number_block(path, sections, lines, prefix, width) -> np.ndarray:
     """The values of ``prefix`` lines as one (len(lines), width) array,
-    converted by a single ``np.loadtxt`` over the text after each prefix;
-    None if a line lacks the prefix, numpy raises or warns, the shape is
-    not that, or a value is not finite.
-
-    Whatever this accepts, ``_floats`` accepts line by line with the same
-    values: numpy splits on the whitespace ``str.split`` splits on, and
-    takes a subset of the literals ``float()`` takes. On None the caller
-    runs ``_floats`` over the lines, which raises its message for the
-    first bad line or takes the literals numpy rejects (``1_0``,
-    non-ASCII digits).
-    """
+    converted by a single ``np.loadtxt`` over the text after each prefix.
+    If that fails, ``_number_line`` checks the lines in order, with
+    ``sections[i]`` naming line i's section, and raises for the first bad
+    one."""
     head = prefix + " "
-    if not lines or not all(ln.startswith(head) for ln in lines):
-        return None
-    block = loadtxt_or_none([ln[len(head):] for ln in lines],
-                            dtype=np.float64, comments=None, ndmin=2)
-    if (block is None or block.shape != (len(lines), width)
-            or not np.isfinite(block).all()):
-        return None
-    return block
+    if all(ln.startswith(head) for ln in lines):
+        block = loadtxt_or_none([ln[len(head):] for ln in lines],
+                                dtype=np.float64, comments=None, ndmin=2)
+        if (block is not None and block.shape == (len(lines), width)
+                and np.isfinite(block).all()):
+            return block
+    return np.array([_number_line(path, section, ln, prefix, width)
+                     for section, ln in zip(sections, lines)]
+                    ).reshape(len(lines), width)
 
 
 def load_model(path) -> OvoSvmModel:
     """Parse a GKMODEL v2 file back into an ensemble.
 
-    The ``sv`` lines are converted by one ``np.loadtxt`` call, and so are
-    all ``alpha_y`` lines and all ``bias`` lines (see ``_float_block``).
-    Only if that fails are they converted line by line, so an error names
-    the first bad line's section, and literals that ``float()`` takes but
-    numpy does not still load with the same values. A ``cost`` that is not
-    positive and finite is rejected, as no trainer takes it.
+    Lines end at ``"\n"``, ``"\r\n"`` or ``"\r"``, and every number is
+    read as ``np.loadtxt`` reads it (README, "File formats"): the ``sv``
+    lines by one ``np.loadtxt`` call, and so all ``alpha_y`` lines and all
+    ``bias`` lines (see ``_number_block``). An error names the section of
+    the first bad line. A ``cost`` that is not positive and finite is
+    rejected, as no trainer takes it.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -636,46 +629,39 @@ def load_model(path) -> OvoSvmModel:
 
     try:
         fields = dict(ln.split(None, 1) for ln in kernel)
-        cfg = KernelConfig(kind=fields["kind"], gamma=float(fields["gamma"]),
-                           coef0=float(fields["coef0"]),
-                           degree=int(fields["degree"]))
-        cost = float(fields["cost"])
-    except (KeyError, ValueError, ValidationError) as e:
+        cfg = KernelConfig(kind=fields["kind"],
+                           gamma=read_number(fields["gamma"], float),
+                           coef0=read_number(fields["coef0"], float),
+                           degree=read_number(fields["degree"], int))
+        cost = read_number(fields["cost"], float)
+    except (KeyError, ValueError, OverflowError, ValidationError) as e:
         raise ParseError(f"{path}: bad [kernel] section: {e}") from None
     if len(kernel) != 5 or not 0.0 < cost < np.inf:
         raise ParseError(f"{path}: bad [kernel] section")
 
     if len(scaler) != 2:
         raise ParseError(f"{path}: [scaler] needs a mean and a std line")
-    mean = _floats(path, "[scaler]", scaler[0], "mean")
-    std = _floats(path, "[scaler]", scaler[1], "std", expect=len(mean))
+    mean = _number_line(path, "[scaler]", scaler[0], "mean")
+    std = _number_line(path, "[scaler]", scaler[1], "std", width=len(mean))
     if np.any(std <= 0.0):
         raise ParseError(f"{path}: scaler std must be positive")
     names = [ln.strip() for ln in names]
     if not names or len(names) != len(mean):
         raise ParseError(f"{path}: registry size differs from scaler width")
-    sv = _float_block(rows, "sv", len(names))
-    if sv is None:
-        sv = np.array([_floats(path, "[sv]", ln, "sv", expect=len(names))
-                       for ln in rows]).reshape(len(rows), len(names))
+    sv = _number_block(path, repeat("[sv]"), rows, "sv", len(names))
 
     pair_title = re.compile(r"\[pair (\S+) (\S+)\]")
-    titles = [pair_title.fullmatch(title) for title, _ in sections[4:]]
+    titles = [title for title, _ in sections[4:]]
     bodies = [body for _, body in sections[4:]]
-    coef = bias = None
-    if all(titles) and all(len(body) == 2 for body in bodies):
-        coef = _float_block([body[0] for body in bodies], "alpha_y", len(sv))
-        bias = _float_block([body[1] for body in bodies], "bias", 1)
-    if coef is None or bias is None:
-        coef, bias = [], []
-        for (title, body), m in zip(sections[4:], titles):
-            if m is None or len(body) != 2:
-                raise ParseError(f"{path}: expected a [pair] section with an "
-                                 f"alpha_y and a bias line, got {title!r}")
-            coef.append(_floats(path, title, body[0], "alpha_y",
-                                expect=len(sv)))
-            bias.append(_floats(path, title, body[1], "bias", expect=1))
-    pairs = [m.groups() for m in titles]
+    for title, body in sections[4:]:
+        if pair_title.fullmatch(title) is None or len(body) != 2:
+            raise ParseError(f"{path}: expected a [pair] section with an "
+                             f"alpha_y and a bias line, got {title!r}")
+    coef = _number_block(path, titles, [body[0] for body in bodies],
+                         "alpha_y", len(sv))
+    bias = _number_block(path, titles, [body[1] for body in bodies],
+                         "bias", 1)
+    pairs = [pair_title.fullmatch(title).groups() for title in titles]
     classes = tuple(dict.fromkeys(c for pair in pairs for c in pair))
     if not pairs or pairs != list(combinations(classes, 2)):
         raise ParseError(f"{path}: [pair] sections must cover every class "

@@ -6,7 +6,7 @@ own oracle.
 """
 
 import re
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, repeat
 from pathlib import Path
 
@@ -14,7 +14,6 @@ import numpy as np
 
 from gesturekit.errors import ParseError, ValidationError
 from gesturekit.features import Scaler
-from gesturekit.imu import read_text
 from gesturekit.svm import KernelConfig, OvoSvmModel
 
 
@@ -519,17 +518,59 @@ def loop_vote_tally(classes, pairs, D):
 STREAM_HEADER = ("t", "acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y",
                  "gyro_z", "mag_x", "mag_y", "mag_z")
 
+# README's number grammar, once the whitespace str.strip strips is gone
+# from around the number: ASCII digits only, and nan, inf and infinity in
+# any case
+GRAMMAR_INT = re.compile(r"[+-]?[0-9]+")
+GRAMMAR_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                           r"(?:[eE][+-]?[0-9]+)?|nan|inf|infinity)",
+                           re.IGNORECASE)
+
+
+def grammar_int(cell):
+    """An int64 cell by the grammar, converted by int; ValueError with
+    Python's message for a literal int rejects, OverflowError past int64."""
+    if GRAMMAR_INT.fullmatch(cell.strip()) is None:
+        raise ValueError("invalid literal for int() with base 10: "
+                         + repr(cell)[:200])
+    value = int(cell.strip())
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise OverflowError(f"{cell.strip()} is outside the int64 range")
+    return value
+
+
+def grammar_float(cell):
+    """A float64 cell by the grammar, converted by float; ValueError with
+    Python's message for a literal float rejects."""
+    if GRAMMAR_FLOAT.fullmatch(cell.strip()) is None:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell.strip())
+
+
+def read_grammar_lines(path):
+    """A UTF-8 file's lines, split at "\r\n", "\r" and "\n" alone."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
 
 def _loop_convert_rows(rows):
     """Sample indices and (len, 9) channels of stream CSV rows, through
-    Python's int and float; ValueError or OverflowError if a row fails."""
+    ``grammar_int`` and ``grammar_float``; ValueError or OverflowError if
+    a row fails."""
     n = len(rows)
     if list(map(str.count, rows, repeat(","))).count(9) != n:
         raise ValueError("a row without 10 cells")
     cells = ",".join(rows).split(",")
-    t = np.fromiter(map(int, cells[0::10]), dtype=np.int64, count=n)
+    t = np.fromiter(map(grammar_int, cells[0::10]), dtype=np.int64, count=n)
     del cells[0::10]
-    ch = np.fromiter(map(float, cells), dtype=np.float64, count=9 * n)
+    ch = np.fromiter(map(grammar_float, cells), dtype=np.float64,
+                     count=9 * n)
     return t, ch.reshape(n, 9)
 
 
@@ -548,22 +589,17 @@ def _loop_row_error(row, lineno):
 
 def loop_parse_imu_csv(path, block_rows=1024):
     """``(subject id, channels)`` of a stream CSV, or ParseError with the
-    message ``imu.parse_imu_csv`` gives: rows go through Python's int and
-    float in blocks of ``block_rows``, and a block that fails is scanned
-    row by row for the first bad row."""
+    message ``imu.parse_imu_csv`` gives: rows go through the grammar's
+    int and float in blocks of ``block_rows``, and a block that fails is
+    scanned row by row for the first bad row."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                         f"{exc.start})") from None
+    lines = read_grammar_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = tuple(c.strip() for c in lines[0].split(","))
     if header != STREAM_HEADER:
         missing = set(STREAM_HEADER) - set(header)
-        dupes = {c for c in header if list(header).count(c) > 1}
+        dupes = {c for c, k in Counter(header).items() if k > 1}
         if dupes:
             raise ParseError(f"{path}: duplicate columns {sorted(dupes)}")
         if missing:
@@ -611,8 +647,8 @@ def _loop_floats(path, section, line, prefix, expect=None):
     if not (line.startswith(prefix + " ") or line == prefix):
         raise ParseError(f"{path}: expected a {prefix!r} line in {section}")
     try:
-        # accepts exactly the tokens float() accepts
-        out = np.array(line[len(prefix):].split(), dtype=np.float64)
+        out = np.array([grammar_float(token)
+                        for token in line[len(prefix):].split()])
     except ValueError:
         raise ParseError(f"{path}: bad number in {section} section") from None
     if expect is not None and len(out) != expect:
@@ -623,11 +659,13 @@ def _loop_floats(path, section, line, prefix, expect=None):
 
 
 def loop_load_model(path) -> OvoSvmModel:
-    """``svm.load_model`` with every number line converted on its own by
-    ``np.array`` over its ``str.split`` tokens, section by section: the
-    model, or the ParseError ``svm.load_model`` gives."""
+    """``svm.load_model`` with every number line converted on its own,
+    token by token through ``grammar_float``, section by section: the
+    model, or the ParseError ``svm.load_model`` gives. The [pair]
+    sections' titles are checked first, then their alpha_y lines, then
+    their bias lines."""
     path = Path(path)
-    lines = read_text(path).splitlines()
+    lines = read_grammar_lines(path)
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -660,11 +698,12 @@ def loop_load_model(path) -> OvoSvmModel:
 
     try:
         fields = dict(ln.split(None, 1) for ln in kernel)
-        cfg = KernelConfig(kind=fields["kind"], gamma=float(fields["gamma"]),
-                           coef0=float(fields["coef0"]),
-                           degree=int(fields["degree"]))
-        cost = float(fields["cost"])
-    except (KeyError, ValueError, ValidationError) as e:
+        cfg = KernelConfig(kind=fields["kind"],
+                           gamma=grammar_float(fields["gamma"]),
+                           coef0=grammar_float(fields["coef0"]),
+                           degree=grammar_int(fields["degree"]))
+        cost = grammar_float(fields["cost"])
+    except (KeyError, ValueError, OverflowError, ValidationError) as e:
         raise ParseError(f"{path}: bad [kernel] section: {e}") from None
     if len(kernel) != 5 or not np.isfinite(cost) or cost <= 0.0:
         raise ParseError(f"{path}: bad [kernel] section")
@@ -688,8 +727,10 @@ def loop_load_model(path) -> OvoSvmModel:
             raise ParseError(f"{path}: expected a [pair] section with an "
                              f"alpha_y and a bias line, got {title!r}")
         pairs.append(m.groups())
+    for title, body in sections[4:]:
         coef.append(_loop_floats(path, title, body[0], "alpha_y",
                                  expect=len(sv)))
+    for title, body in sections[4:]:
         bias.append(_loop_floats(path, title, body[1], "bias", expect=1)[0])
     classes = tuple(dict.fromkeys(c for pair in pairs for c in pair))
     if not pairs or pairs != list(combinations(classes, 2)):

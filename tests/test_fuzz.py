@@ -1,7 +1,9 @@
 """Fuzzed parser input: a damaged model, parameter or CSV file either parses
 or raises ParseError, never another exception; a damaged model loads as the
 line-loop oracle loads it, and a damaged stream CSV parses as the
-block-loop oracle parses it."""
+block-loop oracle parses it, both oracles reading numbers by a regex of
+README's grammar. Each fuzz token's outcome in a cell is pinned in a
+table."""
 
 from dataclasses import replace
 
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 from gesturekit.cli import read_params
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv, write_feature_csv
-from gesturekit.imu import (ImuStream, LabeledDataset, LabeledInterval,
-                            parse_imu_csv, parse_label_csv, write_file,
-                            write_imu_csv, write_label_csv)
+from gesturekit.imu import (CHANNELS, ImuStream, LabeledDataset,
+                            LabeledInterval, parse_imu_csv, parse_label_csv,
+                            read_number, write_file, write_imu_csv,
+                            write_label_csv)
 from gesturekit.pipeline import load_identifier
 from gesturekit.rqa import RqaConfig
 from gesturekit.svm import KernelConfig, OvoSvmModel, load_model, ovo_train, \
@@ -94,12 +97,90 @@ def test_model_with_bytes_flipped(workdir, model_bytes, flips):
     load_or_parse_error(workdir / "m.model", bytes(data))
 
 
-# tokens where numpy's loadtxt and float() may part, or that a model must
-# refuse: a digit separator and non-ASCII digits numpy rejects, signs and
-# zeros, non-finite and overflowing values, hex and Fortran literals
-# neither takes, whitespace both split on, no value and one value too many
+# tokens at the edges of the grammar, or that a model must refuse: a digit
+# separator and non-ASCII digits it rejects (float() takes them), signs
+# and zeros, non-finite and overflowing values, hex and Fortran literals,
+# whitespace that splits values, no value and one value too many
 MODEL_TOKENS = ("1_0", "\u0661\u0662", "+1", "-0", "nan", "inf", "1e999",
                 "0x1p3", "1d5", "\x1f", "\xa0", "", "1 2")
+
+
+def token_id(token):
+    """A test id for a token: ASCII, no spaces, never empty."""
+    return ascii(token)[1:-1].replace(" ", "\\x20") or "empty"
+
+
+def token_cell(token):
+    """The cell a grammar table puts a token in: a token of whitespace
+    only follows a 2, any other token stands alone."""
+    return "2" + token if token and not token.strip() else token
+
+
+# MODEL_TOKENS token: the value an sv cell made of it loads as, or the
+# load's message; values that split a cell in two or leave it empty
+# change the line's value count
+MODEL_GRAMMAR = {
+    "1_0": "bad number in [sv] section",
+    "\u0661\u0662": "bad number in [sv] section",
+    "+1": 1.0,
+    "-0": -0.0,
+    "nan": "non-finite value in [sv] section",
+    "inf": "non-finite value in [sv] section",
+    "1e999": "non-finite value in [sv] section",
+    "0x1p3": "bad number in [sv] section",
+    "1d5": "bad number in [sv] section",
+    "\x1f": 2.0,
+    "\xa0": 2.0,
+    "": "wrong value count in [sv] section",
+    "1 2": "wrong value count in [sv] section",
+}
+
+
+def test_model_grammar_covers_the_tokens():
+    assert sorted(MODEL_GRAMMAR) == sorted(MODEL_TOKENS)
+
+
+@pytest.mark.parametrize("token", MODEL_TOKENS, ids=token_id)
+def test_model_cell_grammar(workdir, model_bytes, token):
+    """The token as the second value of the first sv line: the value it
+    loads as, or the message; the line-loop oracle agrees."""
+    lines = model_bytes.decode().split("\n")
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("sv "))
+    cells = lines[k].split(" ")
+    cells[2] = token_cell(token)
+    lines[k] = " ".join(cells)
+    path = workdir / "grammar.model"
+    write_file(path, "\n".join(lines))
+    want = MODEL_GRAMMAR[token]
+    got = load_outcome(load_model, path)
+    assert got == load_outcome(loop_load_model, path)
+    if isinstance(want, str):
+        assert got == f"{path}: {want}"
+    else:
+        sv = load_model(path).sv
+        assert np.float64(want).tobytes() == sv[0, 1].tobytes()
+
+
+def test_kernel_scalars_read_by_the_grammar(workdir, model_bytes):
+    """The [kernel] numbers go through the same grammar as the rest."""
+    path = workdir / "kernel.model"
+    for edit, message in (
+            (("gamma 0.5", "gamma 1_0"),
+             "could not convert string to float: '1_0'"),
+            (("cost 1\n", "cost \u0661\n"),
+             "could not convert string to float: '\u0661'"),
+            (("degree 3", "degree 3.0"),
+             "invalid literal for int() with base 10: '3.0'"),
+            (("degree 3", "degree 99999999999999999999"),
+             "99999999999999999999 is outside the int64 range")):
+        assert edit[0] in model_bytes.decode()
+        write_file(path, model_bytes.decode().replace(*edit))
+        assert load_outcome(load_model, path) == \
+            load_outcome(loop_load_model, path) == \
+            f"{path}: bad [kernel] section: {message}"
+    write_file(path, model_bytes.decode().replace("gamma 0.5",
+                                                  "gamma \xa0+0.5\x1f"))
+    assert load_model(path).cfg.gamma == 0.5
 
 
 def load_outcome(load, path):
@@ -121,11 +202,11 @@ def load_outcome(load, path):
                      max_size=3),
        flips=st.lists(st.tuples(st.integers(0, 10 ** 6),
                                 st.integers(1, 255)), max_size=2))
-# numpy rejects these but float() takes them, so they load line by line
+# float() takes these but the grammar does not: the file is refused
 @example(subs=[("sv", 0, 1, "1_0", "cell")], flips=[])
 @example(subs=[("alpha_y", 1, 2, "\u0661\u0662", "cell"),
                ("sv", 3, 0, "\xa0", "suffix")], flips=[])
-# numpy takes these, but a model must refuse them
+# the grammar takes these, but a model must refuse them
 @example(subs=[("sv", 2, 0, "nan", "cell")], flips=[])
 @example(subs=[("alpha_y", 0, 0, "1e999", "cell")], flips=[])
 # a line with no values, which loadtxt skips as blank
@@ -173,6 +254,26 @@ def identify_or_parse_error(path, data: bytes):
 def test_valid_identifier_loads(workdir, identifier_bytes):
     path = workdir / "id.model"
     write_file(path, identifier_bytes)
+    assert load_identifier(path)[1] == RqaConfig()
+
+
+def test_rqa_values_read_by_the_grammar(workdir, identifier_bytes):
+    """The [rqa] numbers go through the same grammar as the rest."""
+    path = workdir / "rqa.model"
+    text = identifier_bytes.decode()
+    for edit, message in (
+            (("window_len 125", "window_len 1_25"),
+             "invalid literal for int() with base 10: '1_25'"),
+            (("delay 1\n", "delay 99999999999999999999\n"),
+             "99999999999999999999 is outside the int64 range"),
+            (("epsilon 0.1", "epsilon \u0660.1"),
+             "could not convert string to float: '\u0660.1'")):
+        assert edit[0] in text
+        write_file(path, text.replace(*edit))
+        with pytest.raises(ParseError) as info:
+            load_identifier(path)
+        assert str(info.value) == f"{path}: bad [rqa] section: {message}"
+    write_file(path, text.replace("window_len 125", "window_len +0125"))
     assert load_identifier(path)[1] == RqaConfig()
 
 
@@ -287,12 +388,119 @@ def test_csv_with_bytes_flipped(csv_case, flips):
     read_or_parse_error(reader, path, bytes(data))
 
 
-# cells where numpy's loadtxt grammar and Python's int and float may part:
-# separators, digits and spaces numpy rejects, whitespace it strips, line
-# ends, and values at the edges of the int64 and float64 ranges
+def read_digest(reader, path):
+    """What a reader gives, in a form == compares, or "ParseError"."""
+    try:
+        out = reader(path)
+    except ParseError:
+        return "ParseError"
+    if isinstance(out, ImuStream):
+        return out.channels.tobytes()
+    if isinstance(out, LabeledDataset):
+        return out.X.tobytes(), out.labels.tolist(), out.subjects.tolist()
+    if isinstance(out, OvoSvmModel):
+        return out.sv.tobytes(), out.coef.tobytes(), out.bias.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("name", ["stream", "labels", "features", "params",
+                                  "model"])
+def test_every_reader_ends_lines_alike(workdir, model_bytes, name):
+    """LF, CRLF and CR end lines in every reader; NEL and U+2028, which
+    str.splitlines also splits at, end none."""
+    path = workdir / f"line-ends-{name}"
+    if name == "model":
+        reader, text = load_model, model_bytes.decode()
+    elif name == "params":
+        reader, text = read_params, "delay = 2\nnorm = L1\n"
+    else:
+        reader, write = CSV_READERS[name]
+        write(path)
+        text = path.read_text()
+    digests = []
+    for sep in ("\n", "\r\n", "\r", "\x85", "\u2028"):
+        write_file(path, text.replace("\n", sep))
+        digests.append(read_digest(reader, path))
+    assert digests[0] != "ParseError"
+    assert digests[1] == digests[2] == digests[0]
+    assert digests[3] != digests[0] and digests[4] != digests[0]
+
+
+# cells at the edges of the grammar, where Python's int and float may
+# part from it: separators and non-ASCII digits it rejects, whitespace it
+# strips (float() rejects "\x1f" and "\x1e"), line ends, signs, zeros and
+# bare points, and values at the edges of the int64 and float64 ranges
 DIFF_TOKENS = ("1_0", "\u0663", "\x1f", "\x1e", "\xa0", "\u3000", "\x85",
                " 1.5 ", "+5", "0005", "2049.0", "9223372036854775808", "nan",
-               "1e999", "0x1p3", "\x0c", "\r\n", "")
+               "1e999", "0x1p3", "\x0c", "\r\n", "", "-0", ".5", "5.",
+               "1e-400")
+
+
+def bad_cell(cell, kind="float"):
+    if kind == "int":
+        return ("non-numeric cell at line 2: invalid literal for int() "
+                f"with base 10: {cell!r}")
+    return f"non-numeric cell at line 2: could not convert string to " \
+        f"float: {cell!r}"
+
+
+# DIFF_TOKENS token: (the value of a channel cell made of it, or the
+# parse's message; the same as the index cell of a one-row stream)
+STREAM_GRAMMAR = {
+    "1_0": (bad_cell("1_0"), bad_cell("1_0", "int")),
+    "\u0663": (bad_cell("\u0663"), bad_cell("\u0663", "int")),
+    "\x1f": (2.0, 2),
+    "\x1e": (2.0, 2),
+    "\xa0": (2.0, 2),
+    "\u3000": (2.0, 2),
+    "\x85": (2.0, 2),
+    " 1.5 ": (1.5, bad_cell(" 1.5 ", "int")),
+    "+5": (5.0, 5),
+    "0005": (5.0, 5),
+    "2049.0": (2049.0, bad_cell("2049.0", "int")),
+    "9223372036854775808": (9223372036854775808.0,
+                            "sample index out of int64 range at line 2"),
+    "nan": ("non-finite value at line 2", bad_cell("nan", "int")),
+    "1e999": ("non-finite value at line 2", bad_cell("1e999", "int")),
+    "0x1p3": (bad_cell("0x1p3"), bad_cell("0x1p3", "int")),
+    "\x0c": (2.0, 2),
+    # the line ends after the 2: a last cell parses, a first one is alone
+    "\r\n": (2.0, "expected 10 cells at line 2, got 1"),
+    "": (bad_cell(""), bad_cell("", "int")),
+    "-0": (-0.0, 0),
+    ".5": (0.5, bad_cell(".5", "int")),
+    "5.": (5.0, bad_cell("5.", "int")),
+    "1e-400": (0.0, bad_cell("1e-400", "int")),
+}
+
+
+def test_stream_grammar_covers_the_tokens():
+    assert sorted(STREAM_GRAMMAR) == sorted(DIFF_TOKENS)
+
+
+@pytest.mark.parametrize("token", DIFF_TOKENS, ids=token_id)
+def test_stream_cell_grammar(workdir, token):
+    """The token as the last channel cell, then as the index cell, of a
+    one-row stream: the value it parses as, or the message; the
+    block-loop oracle agrees."""
+    path = workdir / "grammar.csv"
+    cell = token_cell(token)
+    header = "t," + ",".join(CHANNELS) + "\n"
+    for row, want in ((",".join(["7"] + ["1"] * 8 + [cell]),
+                       STREAM_GRAMMAR[token][0]),
+                      (",".join([cell] + ["1"] * 9),
+                       STREAM_GRAMMAR[token][1])):
+        write_file(path, header + row + "\n")
+        got = parse_outcome(parse_imu_csv, path)
+        assert got == parse_outcome(loop_parse_imu_csv, path)
+        if isinstance(want, str):
+            assert got == f"{path}: {want}"
+        elif isinstance(want, float):
+            assert got == ("grammar", np.array(
+                [[1.0] * 8 + [want]]).tobytes())
+        else:
+            assert got == ("grammar", np.ones((1, 9)).tobytes())
+            assert read_number(cell, int) == want
 
 
 @pytest.fixture(scope="module")
@@ -321,8 +529,8 @@ def parse_outcome(parse, path):
                      max_size=4),
        flips=st.lists(st.tuples(st.integers(0, 10 ** 6),
                                 st.integers(1, 255)), max_size=3))
-# the draws above rarely leave a stream numpy would accept whole, so the
-# cases where the two grammars part are also given outright
+# the draws above rarely leave a stream the grammar accepts whole, so the
+# cases where it parts from Python's int and float are also given outright
 @example(subs=[(1500, 9, "\x1f", "suffix")], flips=[])
 @example(subs=[(3000, 0, "\x1f", "suffix")], flips=[])
 @example(subs=[(0, 0, "2049.0", "cell")], flips=[])

@@ -99,9 +99,9 @@ def drop_last_cell(line):
     return line[:line.rindex(",")]
 
 
-# ({data row: edit}, expected message); data row k is file line k + 2
-# unless an edit adds blank lines, and rows 2047/2048 and 4095/4096
-# straddle block boundaries
+# ({data row: edit}, expected message, or None if the edited stream
+# parses); data row k is file line k + 2 unless an edit adds blank lines,
+# and rows 2047/2048 and 4095/4096 straddle block boundaries
 BAD_STREAMS = {
     "nine-cells-at-boundary": (
         {2048: drop_last_cell},
@@ -123,16 +123,12 @@ BAD_STREAMS = {
         {2049: lambda ln: set_cell(ln, 0, "2049.0")},
         "non-numeric cell at line 2051: "
         "invalid literal for int() with base 10: '2049.0'"),
-    # numpy strips a "\x1f" around a cell as whitespace; float() and
-    # int() reject it, and so must the parser
+    # the grammar strips a "\x1f" around a cell as whitespace, as
+    # np.loadtxt does, though Python's float() and int() reject it
     "unit-separator-after-channel": (
-        {1500: lambda ln: set_cell(ln, 9, "0.5\x1f")},
-        "non-numeric cell at line 1502: "
-        "could not convert string to float: '0.5\\x1f'"),
+        {1500: lambda ln: ln + "\x1f"}, None),
     "unit-separator-after-index": (
-        {3000: lambda ln: set_cell(ln, 0, "3000\x1f")},
-        "non-numeric cell at line 3002: "
-        "invalid literal for int() with base 10: '3000\\x1f'"),
+        {3000: lambda ln: set_cell(ln, 0, "3000\x1f")}, None),
     # the right index written as a float, the stream's only defect: from
     # numpy 1.23 until that deprecation expired, loadtxt parses it with a
     # DeprecationWarning
@@ -191,17 +187,34 @@ BAD_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_STREAMS))
-def test_big_stream_errors_name_first_bad_line(big_stream, tmp_path, case):
+def parse_outcome(parse, path):
+    """``(subject, channel bytes)`` of a parse, or its ParseError text."""
+    try:
+        parsed = parse(path)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(parsed, ImuStream):
+        parsed = parsed.subject_id, parsed.channels
+    return parsed[0], parsed[1].tobytes()
+
+
+def edited_outcome(big_stream, path, case):
+    """``BAD_STREAMS[case]``'s edits written to ``path``, and the outcome
+    ``parse_outcome`` must give: its error, or the unedited channels."""
     edits, message = BAD_STREAMS[case]
     lines = list(big_stream[1])
     for row, edit in edits.items():
         lines[row + 1] = edit(lines[row + 1])
-    p = tmp_path / "s.csv"
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError) as info:
-        parse_imu_csv(p)
-    assert str(info.value) == f"{p}: {message}"
+    path.write_text("\n".join(lines) + "\n")
+    if message is None:
+        return "s", big_stream[0].channels.tobytes()
+    return f"{path}: {message}"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STREAMS))
+def test_big_stream_errors_name_first_bad_line(big_stream, tmp_path, case):
+    want = edited_outcome(big_stream, tmp_path / "s.csv", case)
+    assert parse_outcome(parse_imu_csv, tmp_path / "s.csv") == want
 
 
 def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
@@ -213,17 +226,6 @@ def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
     p.write_bytes(("\r\n".join(spaced) + "\r\n").encode())
     back = parse_imu_csv(p)
     assert np.array_equal(back.channels, stream.channels)
-
-
-def parse_outcome(parse, path):
-    """``(subject, channel bytes)`` of a parse, or its ParseError text."""
-    try:
-        parsed = parse(path)
-    except ParseError as exc:
-        return str(exc)
-    if isinstance(parsed, ImuStream):
-        parsed = parsed.subject_id, parsed.channels
-    return parsed[0], parsed[1].tobytes()
 
 
 # (rows per block, bytes per read): each row a block of its own, so every
@@ -243,14 +245,10 @@ def small_blocks(request, monkeypatch):
 @pytest.mark.parametrize("case", sorted(BAD_STREAMS))
 def test_small_blocks_match_block_loop(big_stream, tmp_path, small_blocks,
                                        case):
-    edits, message = BAD_STREAMS[case]
-    lines = list(big_stream[1])
-    for row, edit in edits.items():
-        lines[row + 1] = edit(lines[row + 1])
     p = tmp_path / "s.csv"
-    p.write_text("\n".join(lines) + "\n")
+    want = edited_outcome(big_stream, p, case)
     assert parse_outcome(parse_imu_csv, p) == \
-        parse_outcome(loop_parse_imu_csv, p) == f"{p}: {message}"
+        parse_outcome(loop_parse_imu_csv, p) == want
 
 
 def test_small_blocks_crlf_and_blank_lines(big_stream, tmp_path,
@@ -266,19 +264,49 @@ def test_small_blocks_crlf_and_blank_lines(big_stream, tmp_path,
         ("s", stream.channels.tobytes())
 
 
+# a lone "\r" ends a line; NEL and U+2028, which str.splitlines also
+# splits at, do not, so the rows they join are one line of 49 501 cells
 @pytest.mark.parametrize("sep", ["\r", "\x85", "\u2028"],
                          ids=["cr", "nel", "line-separator"])
 def test_small_blocks_other_line_ends(big_stream, tmp_path, small_blocks,
                                       sep):
     stream, lines = big_stream
-    spaced = list(lines)
-    for k in (4097, 4096, 2048, 2047, 10):
-        spaced.insert(k, "  " if k % 2 else "")
+    spaced = list(lines[1:])
+    for k in (4096, 4095, 2047, 2046, 9):
+        spaced.insert(k, "" if k % 2 else "  ")
     p = tmp_path / "s.csv"
-    p.write_bytes((sep.join(spaced) + sep).encode())
+    p.write_bytes((lines[0] + "\n" + sep.join(spaced) + sep).encode())
+    want = ("s", stream.channels.tobytes()) if sep == "\r" else \
+        f"{p}: expected 10 cells at line 2, got {9 * BIG_ROWS + 1}"
+    assert parse_outcome(parse_imu_csv, p) == \
+        parse_outcome(loop_parse_imu_csv, p) == want
+
+
+@pytest.mark.parametrize("column", [0, 9], ids=["index", "channel"])
+def test_long_bad_cell_message_is_pythons(tmp_path, column):
+    # Python's int cuts the repr in its message at 200 characters; float
+    # does not
+    cell = "7" * 150 + "x" * 150
+    try:
+        (int if column == 0 else float)(cell)
+    except ValueError as exc:
+        python_message = str(exc)
+    p = tmp_path / "s.csv"
+    p.write_text("t," + ",".join(CHANNELS) + "\n"
+                 + set_cell("0,1,1,1,1,1,1,1,1,1", column, cell) + "\n")
     assert parse_outcome(parse_imu_csv, p) == \
         parse_outcome(loop_parse_imu_csv, p) == \
-        ("s", stream.channels.tobytes())
+        f"{p}: non-numeric cell at line 2: {python_message}"
+
+
+def test_header_of_a_whole_stream_is_checked_in_linear_time(big_stream,
+                                                           tmp_path):
+    # with no line end the header line is the whole file, 49 510 cells;
+    # looking for duplicate columns once per cell took minutes
+    p = tmp_path / "s.csv"
+    p.write_text("\x85".join(big_stream[1]))
+    with pytest.raises(ParseError, match=r"missing columns \['mag_z'\]$"):
+        parse_imu_csv(p)
 
 
 SMALL_ROWS = [f"{i},0.5,-1.25,{i}e-3,2,3,4,5,6,7" for i in range(7)]
@@ -302,10 +330,10 @@ READ_CASES = {
     "crlf-across-reads": (
         small_csv(sep="\r\n"), b"\r\n2,", None),
     "multibyte-across-reads": (
-        small_csv(with_rows(r3="3,\u0663,\u30001.5,1,1,1,1,1,1,1")),
-        b"3,\xd9", None),
+        small_csv(with_rows(r3="3,\xa01,\u30001.5,1,1,1,1,1,1,1")),
+        b"3,\xc2", None),
     "three-byte-character-across-reads": (
-        small_csv(with_rows(r3="3,\u0663,\u30001.5,1,1,1,1,1,1,1")),
+        small_csv(with_rows(r3="3,\xa01,\u30001.5,1,1,1,1,1,1,1")),
         b"\xe3\x80", None),
     "blank-lines-across-reads": (
         small_csv(with_rows(r2="\r\n  \r\n2,1,1,1,1,1,1,1,1,1"),
@@ -339,10 +367,13 @@ READ_CASES = {
         b"\r\r\r",
         "non-numeric cell at line 8: could not convert string to float: "
         "'x'"),
+    # NEL and U+2028 end no line, so the seven rows are one line
     "nel-across-reads": (
-        small_csv(sep="\x85"), b"\xc2", None),
+        small_csv(["\x85".join(SMALL_ROWS)]), b"\xc2",
+        "expected 10 cells at line 2, got 64"),
     "line-separator-across-reads": (
-        small_csv(sep="\u2028"), b"\xe2\x80\xa8", None),
+        small_csv(["\u2028".join(SMALL_ROWS)]), b"\xe2\x80\xa8",
+        "expected 10 cells at line 2, got 64"),
 }
 
 
@@ -422,21 +453,6 @@ def test_one_row_stream(tmp_path):
     back = parse_imu_csv(p)
     assert back.channels.shape == (1, 9)
     assert back.channels.tolist() == [list(map(float, range(9)))]
-
-
-def test_literals_only_python_accepts(tmp_path):
-    # numpy's loadtxt rejects digit separators and non-ASCII digits, so
-    # the rows go through Python's int and float, and every cell, the
-    # ones numpy would take too, keeps Python's value
-    p = tmp_path / "s.csv"
-    cells = ["1_0", "\u0663", "\xa02.5\u3000", "-0", "+5", "0005",
-             "1e-400", ".5", "5."]
-    p.write_text("t," + ",".join(CHANNELS) + "\n"
-                 "\u0661_0," + ",".join(cells) + "\n"
-                 "11," + ",".join(["1"] * 9) + "\n")
-    back = parse_imu_csv(p)
-    assert back.channels.tobytes() == np.array(
-        [[float(c) for c in cells], [1.0] * 9]).tobytes()
 
 
 def test_interval_validation():
