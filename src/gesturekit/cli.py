@@ -530,23 +530,23 @@ _COMMANDS = {
 def build_parser(command=None):
     """The top-level parser and its subparsers by name.
 
-    Every subcommand is registered with its help line, but only the
-    subcommand named ``command`` gets its options, as argparse's cost is
-    per option; all do when ``command`` names none of them. A parse that
-    starts with a subcommand's name reaches no other subparser, so its
-    result, help and error text are those of the full parser.
+    Only the subcommand named ``command`` is registered, as argparse's
+    cost is per parser and per option; all are when ``command`` names
+    none of them. A parse that starts with a subcommand's name reaches no
+    other subparser, and the top-level usage names none, so its result,
+    help and error text are those of the full parser.
     """
     parser = _Parser(prog="gesturekit",
                      description="Gesture identification and recognition "
                                  "on wearable IMU streams.")
     subs = {}
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (handler, help_text, jobs, add_options) in _COMMANDS.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        handler, help_text, jobs, add_options = _COMMANDS[name]
         p = commands.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=handler)
-        if command == name or command not in _COMMANDS:
-            _add_common(p, jobs=jobs)
-            add_options(p)
+        _add_common(p, jobs=jobs)
+        add_options(p)
         subs[name] = p
     return parser, subs
 

@@ -40,6 +40,7 @@ from .svm import (KernelConfig, OvoSvmModel, load_model, ovo_train,
 
 GESTURE_WINDOW_LABEL = "gesture"
 _WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
+_ADL, _GESTURE = 0, 1   # the window class codes: positions in the above
 
 
 @dataclass(frozen=True)
@@ -111,22 +112,31 @@ class EvaluationReport:
                 f"balanced mean={self.mean_balanced:.4f}")
 
 
+def confusion_counts(k: int, true_codes, pred_codes) -> np.ndarray:
+    """(k, k) counts of class-code pairs, rows = true class."""
+    return np.bincount(true_codes * k + pred_codes,
+                       minlength=k * k).reshape(k, k)
+
+
 def confusion_matrix(classes, true_labels, pred_labels) -> np.ndarray:
-    k = len(classes)
-    cell = (class_indices(classes, true_labels) * k
-            + class_indices(classes, pred_labels))
-    return np.bincount(cell, minlength=k * k).reshape(k, k)
+    return confusion_counts(len(classes), class_indices(classes, true_labels),
+                            class_indices(classes, pred_labels))
 
 
-def fold_scores(classes, truth, pred) -> tuple[float, float, np.ndarray]:
-    """``(accuracy, balanced accuracy, confusion)`` of one fold's
-    predictions. Balanced accuracy is the mean recall over the classes
-    present in ``truth``; for two present classes it is (TPR + TNR) / 2."""
-    conf = confusion_matrix(classes, truth, pred)
+def scores(conf) -> tuple[float, float]:
+    """``(accuracy, balanced accuracy)`` of a confusion matrix. Balanced
+    accuracy is the mean recall over the classes present in the truth;
+    for two present classes it is (TPR + TNR) / 2."""
     totals = conf.sum(axis=1)
     present = totals > 0
     recalls = np.diag(conf)[present] / totals[present]
-    return float(np.trace(conf) / conf.sum()), float(recalls.mean()), conf
+    return float(np.trace(conf) / conf.sum()), float(recalls.mean())
+
+
+def fold_scores(classes, truth, pred) -> tuple[float, float, np.ndarray]:
+    """``(accuracy, balanced accuracy, confusion)`` of fold predictions."""
+    conf = confusion_matrix(classes, truth, pred)
+    return *scores(conf), conf
 
 
 def label_windows(stream: ImuStream, intervals, cfg: RqaConfig,
@@ -172,10 +182,8 @@ def windows_dataset(data, cfg: RqaConfig, labels) -> LabeledDataset:
         feature_names=["rr", "tra"])
 
 
-def _balanced_subset(dataset, rng) -> LabeledDataset:
-    """All gesture windows plus an equal-size ADL draw (no replacement)."""
-    gesture = np.flatnonzero(dataset.labels == GESTURE_WINDOW_LABEL)
-    adl = np.flatnonzero(dataset.labels == ADL_LABEL)
+def _balanced_subset(dataset, gesture, adl, rng) -> LabeledDataset:
+    """Rows ``gesture`` plus an equal-size sorted draw from rows ``adl``."""
     if len(gesture) == 0:
         raise ValidationError("no gesture windows in the training data")
     if len(adl) < len(gesture):
@@ -187,37 +195,39 @@ def _balanced_subset(dataset, rng) -> LabeledDataset:
 def _identifier_batch(args):
     """``(rows, model)``: the report rows of a run of folds, and with
     ``final`` the model of the final draw over all subjects, else None.
-    Every balance draw's SVM, and the final draw's, come from one
-    streaming ``ovo_train_many`` call."""
+    Every draw takes rows by index; their SVMs come from one streaming
+    ``ovo_train_many`` call and are scored on ``_WINDOW_CLASSES`` codes."""
     dataset, cfg, seed, folds, final = args
-    tests = [dataset.take(dataset.subjects == s) for _, s in folds]
+    codes = class_indices(_WINDOW_CLASSES, dataset.labels)
+    gesture = codes == _GESTURE
+    tests = [dataset.subjects == s for _, s in folds]
 
     def draws():
-        for fi, subject in folds:
-            train = dataset.take(dataset.subjects != subject)
+        for (fi, _), test in zip(folds, tests):
+            train = (np.flatnonzero(gesture & ~test),
+                     np.flatnonzero(~gesture & ~test))
             for it in range(cfg.n_balance_iters):
-                yield _balanced_subset(
-                    train, derive_rng(seed, BALANCE, fi, it)), None
+                yield _balanced_subset(dataset, *train, derive_rng(
+                    seed, BALANCE, fi, it)), None
         if final:
-            yield _balanced_subset(dataset, derive_rng(seed, FINAL)), None
+            yield _balanced_subset(dataset, np.flatnonzero(gesture),
+                                   np.flatnonzero(~gesture),
+                                   derive_rng(seed, FINAL)), None
 
     models = ovo_train_many(draws(), cfg.kernel, cfg.cost)
     rows = []
     for (_, subject), test in zip(folds, tests):
-        accs, bals = [], []
-        gesture_votes = np.zeros(len(test), dtype=np.int64)
-        for model in islice(models, cfg.n_balance_iters):
-            pred = model.predict(test.X)
-            acc, bal, _ = fold_scores(_WINDOW_CLASSES, test.labels, pred)
-            accs.append(acc)
-            bals.append(bal)
-            gesture_votes += pred == GESTURE_WINDOW_LABEL
+        X, truth = dataset.X[test], codes[test]
+        preds = [np.take([_WINDOW_CLASSES.index(c) for c in model.classes],
+                         model.predict_index(X))
+                 for model in islice(models, cfg.n_balance_iters)]
+        accs, bals = zip(*(scores(confusion_counts(2, truth, pred))
+                           for pred in preds))
         # majority vote across iterations; exact ties fall to ADL
-        majority = np.where(2 * gesture_votes > cfg.n_balance_iters,
-                            GESTURE_WINDOW_LABEL, ADL_LABEL)
-        conf = confusion_matrix(_WINDOW_CLASSES, test.labels, majority)
+        votes = np.sum([pred == _GESTURE for pred in preds], axis=0)
+        majority = np.where(2 * votes > cfg.n_balance_iters, _GESTURE, _ADL)
         rows.append((subject, float(np.mean(accs)), float(np.mean(bals)),
-                     conf))
+                     confusion_counts(2, truth, majority)))
     return rows, next(models, None)
 
 

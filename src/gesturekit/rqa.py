@@ -124,7 +124,7 @@ class RqaConfig:
 @dataclass(frozen=True)
 class RecurrencePlot:
     """Binary recurrence matrix: symmetric 0/1 with a unit main diagonal,
-    which the RQA measures rely on."""
+    which the RQA measures rely on and the constructor checks."""
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -259,7 +259,11 @@ def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:
     matrix = np.empty((len(x), len(x)), dtype=np.uint8)
     _threshold(x, cfg, matrix)
     np.fill_diagonal(matrix, 1)
-    return RecurrencePlot(matrix)
+    # valid by construction, so the constructor's check is skipped
+    plot = object.__new__(RecurrencePlot)
+    object.__setattr__(plot, "matrix", matrix)
+    matrix.setflags(write=False)
+    return plot
 
 
 def _rr_tra(matrix: np.ndarray) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, count, repeat
 from pathlib import Path
 
@@ -322,10 +322,13 @@ class OvoSvmModel:
         Xs = self.scaler.transform(X)
         return gram(self.cfg, Xs, self.sv) @ self.coef + self.bias
 
-    def predict(self, X) -> np.ndarray:
+    def predict_index(self, X) -> np.ndarray:
+        """The position in ``classes`` of each row's winning class."""
         D = self.decision_matrix(X)
-        ranking = vote_ranking(*vote_tally(len(self.classes), D))
-        return np.asarray(self.classes)[ranking[:, 0]]
+        return vote_ranking(*vote_tally(len(self.classes), D))[:, 0]
+
+    def predict(self, X) -> np.ndarray:
+        return np.asarray(self.classes)[self.predict_index(X)]
 
 
 def vote_tally(n_classes: int, D):
@@ -337,7 +340,7 @@ def vote_tally(n_classes: int, D):
     for a class accumulates only over pairs that class won, in pair order.
     """
     n = D.shape[0]
-    a, b = np.triu_indices(n_classes, 1)
+    a, b = _pair_sides(n_classes)
     cell = (np.arange(n)[:, None] * n_classes
             + np.where(D >= 0.0, a, b)).ravel()
     size = n * n_classes
@@ -345,6 +348,14 @@ def vote_tally(n_classes: int, D):
     margins = np.bincount(cell, weights=np.abs(D).ravel(),
                           minlength=size).reshape(n, n_classes)
     return votes, margins
+
+
+@cache
+def _pair_sides(n_classes: int):
+    """``np.triu_indices(n_classes, 1)``, read-only, made once per count."""
+    a, b = np.triu_indices(n_classes, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def vote_ranking(votes, margins) -> np.ndarray:

@@ -7,14 +7,17 @@ own oracle.
 
 import re
 from collections import Counter, deque
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from gesturekit.errors import ParseError, ValidationError
 from gesturekit.features import Scaler
-from gesturekit.svm import KernelConfig, OvoSvmModel
+from gesturekit.imu import ADL_LABEL
+from gesturekit.pipeline import GESTURE_WINDOW_LABEL
+from gesturekit.seeding import BALANCE, FINAL, derive_rng
+from gesturekit.svm import KernelConfig, OvoSvmModel, ovo_train_many
 
 
 def naive_embed(series, m, tau):
@@ -449,6 +452,61 @@ def loop_confusion_matrix(classes, true_labels, pred_labels):
     for t, p in zip(true_labels, pred_labels):
         out[index[t], index[p]] += 1
     return out
+
+
+def loop_identifier_batch(args):
+    """``pipeline._identifier_batch`` as it was before draws became row
+    indices: each fold copies its training rows, each balance draw finds
+    its gesture and ADL rows by label text, and each draw's predicted
+    labels are scored as strings by ``loop_confusion_matrix``. Kept as a
+    differential oracle of the report rows and the final model."""
+    classes = (ADL_LABEL, GESTURE_WINDOW_LABEL)
+    dataset, cfg, seed, folds, final = args
+
+    def balanced_subset(data, rng):
+        gesture = np.flatnonzero(data.labels == GESTURE_WINDOW_LABEL)
+        adl = np.flatnonzero(data.labels == ADL_LABEL)
+        if len(gesture) == 0:
+            raise ValidationError("no gesture windows in the training data")
+        if len(adl) < len(gesture):
+            raise ValidationError("not enough ADL windows for a balanced "
+                                  "draw")
+        pick = rng.choice(adl, size=len(gesture), replace=False)
+        return data.take(np.concatenate([gesture, np.sort(pick)]))
+
+    def scores(conf):
+        totals = conf.sum(axis=1)
+        present = totals > 0
+        recalls = np.diag(conf)[present] / totals[present]
+        return float(np.trace(conf) / conf.sum()), float(recalls.mean())
+
+    def draws():
+        for fi, subject in folds:
+            train = dataset.take(dataset.subjects != subject)
+            for it in range(cfg.n_balance_iters):
+                yield balanced_subset(
+                    train, derive_rng(seed, BALANCE, fi, it)), None
+        if final:
+            yield balanced_subset(dataset, derive_rng(seed, FINAL)), None
+
+    tests = [dataset.take(dataset.subjects == s) for _, s in folds]
+    models = ovo_train_many(draws(), cfg.kernel, cfg.cost)
+    rows = []
+    for (_, subject), test in zip(folds, tests):
+        accs, bals = [], []
+        gesture_votes = np.zeros(len(test), dtype=np.int64)
+        for model in islice(models, cfg.n_balance_iters):
+            pred = model.predict(test.X)
+            acc, bal = scores(loop_confusion_matrix(classes, test.labels,
+                                                    pred))
+            accs.append(acc)
+            bals.append(bal)
+            gesture_votes += pred == GESTURE_WINDOW_LABEL
+        majority = np.where(2 * gesture_votes > cfg.n_balance_iters,
+                            GESTURE_WINDOW_LABEL, ADL_LABEL)
+        rows.append((subject, float(np.mean(accs)), float(np.mean(bals)),
+                     loop_confusion_matrix(classes, test.labels, majority)))
+    return rows, next(models, None)
 
 
 def loop_stratified_split(labels):

@@ -111,15 +111,27 @@ class TestParsing:
                 (exc.value.code, full.out, full.err)
             assert lazy.out if argv[-1] == "--help" else lazy.err
 
-    def test_parser_for_one_command_leaves_the_others_bare(self):
+    def test_parser_for_one_command_registers_it_alone(self):
         _, subs = build_parser("recognize")
         _, full = build_parser()
-        for name in COMMANDS:
-            dests = [a.dest for a in subs[name]._actions]
-            if name == "recognize":
-                assert dests == [a.dest for a in full[name]._actions]
-            else:
-                assert dests == ["help"]
+        assert tuple(subs) == ("recognize",)
+        assert [a.dest for a in subs["recognize"]._actions] == \
+            [a.dest for a in full["recognize"]._actions]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_option_errors_match_full_parser(self, command, capsys):
+        """The invoked command's own parser reports a missing required
+        option and a bad option value with the full parser's text."""
+        parser, _ = build_parser()
+        for argv in ([command], [command, "--seed", "x"]):
+            code = dispatch(argv)
+            lazy = capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            full = capsys.readouterr()
+            assert (code, lazy.out, lazy.err) == \
+                (exc.value.code, full.out, full.err)
+            assert code == 1 and f"gesturekit {command}: error:" in lazy.err
 
     def test_option_defaults_are_the_library_defaults(self):
         """Every tuned option defaults to the value of the library object
@@ -393,8 +405,7 @@ class TestParams:
         out = tmp_path / "rqa.csv"
         assert dispatch(["rqa-features", "--in", str(stream_csv),
                          "--out", str(out), "--params", str(params)]) == 0
-        assert [[a.dest for a in subs["rp-export"]._actions]
-                for subs in built] == [["help"]]
+        assert [tuple(subs) for subs in built] == [("rqa-features",)]
         assert len(out.read_text().splitlines()) == \
             1 + (3000 - 250) // 50 + 1
 

@@ -35,13 +35,15 @@ from gesturekit.pipeline import (
     write_importance_csv,
     write_report_csv,
 )
-from gesturekit.pipeline import _balanced_subset, _stratified_split
+from gesturekit.pipeline import (_balanced_subset, _batches,
+                                 _identifier_batch, _stratified_split)
 from gesturekit.rqa import RqaConfig
 from gesturekit.seeding import FOLD, derive_int, derive_rng
 from gesturekit.svm import KernelConfig, ovo_train, save_model
 from gesturekit.synth import SynthConfig, generate_dataset
-from oracles import (loop_confusion_matrix, loop_identify_segments,
-                     loop_label_windows, loop_stratified_split)
+from oracles import (loop_confusion_matrix, loop_identifier_batch,
+                     loop_identify_segments, loop_label_windows,
+                     loop_stratified_split)
 
 
 def corpus_labels(data, cfg):
@@ -250,30 +252,115 @@ class TestWindowsDataset:
         assert starts[1] - starts[0] == 25
 
 
+def balance_rows(data):
+    """The ascending gesture and ADL row indices of a window dataset."""
+    return (np.flatnonzero(data.labels == GESTURE_WINDOW_LABEL),
+            np.flatnonzero(data.labels == ADL_LABEL))
+
+
 class TestBalancedSubset:
     def test_exact_balance_every_draw(self, id_corpus, id_config):
         data = windows_dataset(id_corpus, id_config.rqa,
                                corpus_labels(id_corpus, id_config))
         n_gesture = np.count_nonzero(data.labels == GESTURE_WINDOW_LABEL)
         for it in range(5):
-            subset = _balanced_subset(data, np.random.default_rng(it))
+            subset = _balanced_subset(data, *balance_rows(data),
+                                      np.random.default_rng(it))
             assert len(subset) == 2 * n_gesture
             assert np.count_nonzero(
                 subset.labels == GESTURE_WINDOW_LABEL) == n_gesture
             assert np.count_nonzero(subset.labels == ADL_LABEL) == n_gesture
 
+    def test_draw_over_global_rows_equals_fold_local_draw(self, id_corpus,
+                                                          id_config):
+        """Drawing from a fold's training rows of the whole dataset picks
+        the windows that drawing from the fold's own copy picks, in the
+        same order: ``choice`` draws positions, and the training ADL rows
+        ascend in both."""
+        data = windows_dataset(id_corpus, id_config.rqa,
+                               corpus_labels(id_corpus, id_config))
+        train = data.subjects != "s01"
+        local = data.take(train)
+        gesture, adl = balance_rows(data)
+        for it in range(5):
+            got = _balanced_subset(data, gesture[train[gesture]],
+                                   adl[train[adl]], np.random.default_rng(it))
+            want = _balanced_subset(local, *balance_rows(local),
+                                    np.random.default_rng(it))
+            assert np.array_equal(got.X, want.X)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.subjects, want.subjects)
+
     def test_requires_gesture_windows(self):
         data = LabeledDataset(X=np.zeros((4, 2)), labels=[ADL_LABEL] * 4,
                               subjects=["s"] * 4, feature_names=["rr", "tra"])
-        with pytest.raises(ValidationError):
-            _balanced_subset(data, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="no gesture windows in "
+                           "the training data"):
+            _balanced_subset(data, *balance_rows(data),
+                             np.random.default_rng(0))
 
     def test_requires_enough_adl(self):
         labels = [GESTURE_WINDOW_LABEL] * 3 + [ADL_LABEL]
         data = LabeledDataset(X=np.zeros((4, 2)), labels=labels,
                               subjects=["s"] * 4, feature_names=["rr", "tra"])
-        with pytest.raises(ValidationError):
-            _balanced_subset(data, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="not enough ADL windows "
+                           "for a balanced draw"):
+            _balanced_subset(data, *balance_rows(data),
+                             np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def id_windows3():
+    """The window dataset of a 3-subject identification corpus, labelled
+    as ``train_identifier`` labels it."""
+    cfg = IdentificationConfig(n_balance_iters=4)
+    data = generate_dataset(SynthConfig(n_subjects=3, reps=1,
+                                        adl_minutes=2.0, seed=9)
+                            ).identification
+    return windows_dataset(data, cfg.rqa, corpus_labels(data, cfg))
+
+
+def single_gesture_window(data, subject):
+    """``data`` with every gesture window of ``subject`` but its first
+    relabelled ADL."""
+    labels = data.labels.copy()
+    rows = np.flatnonzero((data.subjects == subject)
+                          & (labels == GESTURE_WINDOW_LABEL))
+    labels[rows[1:]] = ADL_LABEL
+    return replace(data, labels=labels)
+
+
+class TestIdentifierBatch:
+    @pytest.mark.parametrize("seed, jobs, single", [
+        (3, 1, False), (8, 1, False), (3, 2, False), (3, 1, True)],
+        ids=["seed3", "seed8", "seed3-jobs2", "single-gesture-window"])
+    def test_matches_string_label_oracle(self, id_windows3, seed, jobs,
+                                         single):
+        """Every batch ``train_identifier`` runs at ``jobs`` gives the
+        report rows and the final model of the string-label batch."""
+        data = id_windows3
+        if single:
+            data = single_gesture_window(data, "s02")
+            assert np.count_nonzero((data.subjects == "s02") & (
+                data.labels == GESTURE_WINDOW_LABEL)) == 1
+        cfg = IdentificationConfig(n_balance_iters=4)
+        batches = _batches(list(enumerate(data.subject_ids())), jobs)
+        assert len(batches) == jobs
+        for k, folds in enumerate(batches):
+            task = (data, cfg, seed, folds, k == len(batches) - 1)
+            rows, model = _identifier_batch(task)
+            want_rows, want_model = loop_identifier_batch(task)
+            assert len(rows) == len(want_rows) == len(folds)
+            for got, want in zip(rows, want_rows):
+                assert got[:3] == want[:3]
+                assert np.array_equal(got[3], want[3])
+            if want_model is None:
+                assert model is None
+                continue
+            assert model.classes == want_model.classes
+            for name in ("sv", "coef", "bias"):
+                assert np.array_equal(getattr(model, name),
+                                      getattr(want_model, name))
 
 
 class TestTrainIdentifier:

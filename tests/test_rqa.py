@@ -202,6 +202,21 @@ def test_recurrence_plot_rejects_other_matrices(matrix):
         RecurrencePlot(matrix)
 
 
+@pytest.mark.parametrize("norm", NORMS)
+def test_built_plot_is_one_the_constructor_accepts(norm):
+    """recurrence_plot skips the constructor's check, so its plots must
+    pass it: square, symmetric 0/1 with a unit diagonal, and read-only,
+    as the constructor leaves a plot."""
+    r = np.random.default_rng(5).normal(size=300)
+    cfg = RqaConfig(dimension=3, delay=2, epsilon=0.8, norm=norm)
+    plot = recurrence_plot(time_delay_embed(r, cfg), cfg)
+    assert plot.matrix.dtype == np.uint8 and not plot.matrix.flags.writeable
+    assert 0 < plot.matrix.mean() < 1
+    checked = RecurrencePlot(plot.matrix.copy())
+    assert np.array_equal(checked.matrix, plot.matrix)
+    assert not checked.matrix.flags.writeable
+
+
 def test_rqa_values_match_oracles():
     rng = np.random.default_rng(3)
     r = rng.normal(size=80)

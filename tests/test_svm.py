@@ -525,6 +525,16 @@ class TestOvo:
         assert (votes == want_votes).all()
         assert margins.tobytes() == want_margins.tobytes()
 
+    @pytest.mark.parametrize("k", [2, 3, 12])
+    def test_vote_pair_sides_are_made_once_read_only(self, k):
+        """vote_tally's pair sides are ``np.triu_indices(k, 1)``, cached
+        per class count, so no caller may write to them."""
+        a, b = svm._pair_sides(k)
+        want_a, want_b = np.triu_indices(k, 1)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        assert not a.flags.writeable and not b.flags.writeable
+        assert svm._pair_sides(k)[0] is a
+
     def test_scaler_is_embedded(self, model):
         data = twelve_class_dataset()
         expected = gram(model.cfg, model.scaler.transform(data.X),
