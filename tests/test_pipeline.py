@@ -271,26 +271,6 @@ class TestBalancedSubset:
                 subset.labels == GESTURE_WINDOW_LABEL) == n_gesture
             assert np.count_nonzero(subset.labels == ADL_LABEL) == n_gesture
 
-    def test_draw_over_global_rows_equals_fold_local_draw(self, id_corpus,
-                                                          id_config):
-        """Drawing from a fold's training rows of the whole dataset picks
-        the windows that drawing from the fold's own copy picks, in the
-        same order: ``choice`` draws positions, and the training ADL rows
-        ascend in both."""
-        data = windows_dataset(id_corpus, id_config.rqa,
-                               corpus_labels(id_corpus, id_config))
-        train = data.subjects != "s01"
-        local = data.take(train)
-        gesture, adl = balance_rows(data)
-        for it in range(5):
-            got = _balanced_subset(data, gesture[train[gesture]],
-                                   adl[train[adl]], np.random.default_rng(it))
-            want = _balanced_subset(local, *balance_rows(local),
-                                    np.random.default_rng(it))
-            assert np.array_equal(got.X, want.X)
-            assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(got.subjects, want.subjects)
-
     def test_requires_gesture_windows(self):
         data = LabeledDataset(X=np.zeros((4, 2)), labels=[ADL_LABEL] * 4,
                               subjects=["s"] * 4, feature_names=["rr", "tra"])
