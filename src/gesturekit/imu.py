@@ -488,24 +488,32 @@ def write_imu_csv(stream: ImuStream, path) -> None:
 
 
 def parse_label_csv(path) -> list[LabeledInterval]:
-    """Parse a label CSV into intervals sorted by start; overlaps are errors."""
+    """Parse a label CSV into intervals sorted by start; overlaps are errors.
+    All bounds are read in the number grammar (README, "File formats") by
+    one ``np.loadtxt`` call; a file it rejects is read line by line."""
     lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = tuple(c.strip() for c in lines[0].split(","))
     if header != LABEL_HEADER:
         raise ParseError(f"{path}: unexpected header {header}, want {LABEL_HEADER}")
+    rows = [(lineno, [c.strip() for c in ln.split(",")])
+            for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    pairs = loadtxt_or_none([",".join(cells[:2]) for _, cells in rows],
+                            dtype=np.int64, delimiter=",", comments=None,
+                            ndmin=2)
+    if pairs is not None and pairs.shape == (len(rows), 2):
+        bounds = iter(pairs.tolist())
+    else:   # a line at a time, up to the first bad line
+        bounds = ((read_number(cells[0], int), read_number(cells[1], int))
+                  for _, cells in rows)
     intervals = []
-    for i, ln in enumerate(lines[1:]):
-        if not ln.strip():
-            continue
-        lineno = i + 2
-        cells = [c.strip() for c in ln.split(",")]
+    for lineno, cells in rows:
         if len(cells) != 4:
             raise ParseError(f"{path}: expected 4 cells at line {lineno}")
         try:
-            start, end = int(cells[0]), int(cells[1])
-        except ValueError:
+            start, end = next(bounds)
+        except (ValueError, OverflowError):
             raise ParseError(f"{path}: non-integer bound at line {lineno}") from None
         try:
             intervals.append(LabeledInterval(start, end, cells[2], cells[3]))

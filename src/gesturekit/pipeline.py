@@ -35,8 +35,8 @@ from .imu import (ADL_LABEL, ImuStream, LabeledDataset, class_indices,
 from .rqa import RqaConfig, windowed_rqa
 from .seeding import (AUGMENT, BALANCE, FINAL, FOLD, PERMUTE, TRAINER,
                       derive_int, derive_rng)
-from .svm import (KernelConfig, OvoSvmModel, load_model, ovo_train,
-                  ovo_train_many)
+from .svm import (KernelConfig, OvoSvmModel, check_cost, load_model,
+                  ovo_train, ovo_train_many)
 
 GESTURE_WINDOW_LABEL = "gesture"
 _WINDOW_CLASSES = (ADL_LABEL, GESTURE_WINDOW_LABEL)
@@ -59,6 +59,7 @@ class IdentificationConfig:
             raise ValidationError("overlap_fraction must be in (0, 1]")
         if self.n_balance_iters < 1:
             raise ValidationError("n_balance_iters must be >= 1")
+        check_cost(self.cost)
         self.rqa.check_window()
 
 
@@ -521,6 +522,7 @@ class SvmTrainer:
     augment_sigma: float | None = None
 
     def __post_init__(self):
+        check_cost(self.cost)
         if self.select_k is not None and self.select_k < 1:
             raise ValidationError(f"select_k={self.select_k} must be >= 1")
         if self.augment_sigma is not None:

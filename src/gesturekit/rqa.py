@@ -124,7 +124,8 @@ class RqaConfig:
 @dataclass(frozen=True)
 class RecurrencePlot:
     """Binary recurrence matrix: symmetric 0/1 with a unit main diagonal,
-    which the RQA measures rely on and the constructor checks."""
+    as thresholding state distances makes it; the constructor checks a
+    matrix given from outside."""
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -264,49 +265,6 @@ def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:
     object.__setattr__(plot, "matrix", matrix)
     matrix.setflags(write=False)
     return plot
-
-
-def _rr_tra(matrix: np.ndarray) -> tuple[float, float]:
-    """Recurrence rate and transitivity of one symmetric 0/1 recurrence
-    matrix whose main diagonal counts as all ones, whatever it holds.
-
-    With A the matrix minus its diagonal and deg its row sums:
-
-    - rr = (sum A + n) / n^2;
-    - tra = sum (A @ A) * A / sum deg * (deg - 1), or 0 when the
-      denominator is 0.
-
-    Both are exact for n < 2^17 states. Every entry of A @ A counts
-    common neighbours, an integer of at most n - 1 < 2^24, so the float32
-    matrix product holds each partial sum exactly in any summation order.
-    The totals are integers below n^3 < 2^53, summed in float64, so they
-    are exact too, and rr and tra are the correctly rounded quotients of
-    exact counts.
-    """
-    n = len(matrix)
-    a = matrix.astype(np.float32)
-    np.fill_diagonal(a, 0.0)
-    deg = a.sum(axis=1, dtype=np.float64)
-    connected = np.sum(deg * (deg - 1.0))
-    closed = np.sum((a @ a) * a, dtype=np.float64)
-    rr = (deg.sum() + n) / float(n * n)
-    return float(rr), float(closed / connected) if connected > 0.0 else 0.0
-
-
-def recurrence_rate(rp: RecurrencePlot) -> float:
-    """Density of ones in the matrix, the unit main diagonal included."""
-    return _rr_tra(rp.matrix)[0]
-
-
-def transitivity(rp: RecurrencePlot) -> float:
-    """Transitivity of the recurrence network.
-
-    With A the recurrence matrix minus its main diagonal,
-    ``TRA = sum_ijk A_ij A_jk A_ki / sum_{i, j != k} A_ij A_ik``
-    (closed ordered triples over connected ordered triples); an empty
-    denominator yields 0.
-    """
-    return _rr_tra(rp.matrix)[1]
 
 
 def ami_curve(series, max_lag: int, bins: int = 16) -> np.ndarray:
@@ -490,16 +448,19 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
       n - 1 - t*step. Its degrees are the row plus the column sums of
       block k's U, the window's own upper triangle.
 
-    Then rr = (sum deg + n) / n^2 and tra = 6 triangles / sum deg (deg - 1),
-    the quotients ``recurrence_rate`` and ``transitivity`` take. Every
-    count is an integer. The entries of the float32 products are at most
-    n - 1, so they are exact for n < 2^24 in any summation order and with
-    any number of BLAS threads. The totals, below n^3, are summed in
-    float64, exact for n < 2^17. So every row equals the RR and TRA of
-    the window's own ``recurrence_plot``, bit for bit, whatever its
-    neighbours. The band is built ``_BLOCK_CHUNK`` blocks at a time, and
-    a chunk keeps the rows it shares with the one before, so working
-    memory does not grow with the series.
+    Then rr = (sum deg + n) / n^2, the density of ones with the unit
+    diagonal, and tra = 6 triangles / sum deg (deg - 1), the closed over
+    the connected ordered triples of the plot without its diagonal, or 0
+    when no triple is connected. Every count is an integer. The entries
+    of the float32 products are at most n - 1, so they are exact for
+    n < 2^24 in any summation order and with any number of BLAS threads.
+    The totals, below n^3, are summed in float64, exact for n < 2^17. So
+    every row is the correctly rounded quotient of exact counts, the RR
+    and TRA of the window's own ``recurrence_plot``, whatever its
+    neighbours; with ``window_len = step = N`` the one row is those of
+    the whole series' plot. The band is built ``_BLOCK_CHUNK`` blocks at
+    a time, and a chunk keeps the rows it shares with the one before, so
+    working memory does not grow with the series.
     """
     r = np.asarray(series, dtype=np.float64)
     if r.ndim != 1:
@@ -515,7 +476,8 @@ def windowed_rqa(series, cfg: RqaConfig) -> np.ndarray:
     n_blocks = n_windows + len(ends) - 1
     # band cells n.. stay 0, so that U's lower triangle reads zeros
     pitch = 2 * n - 1
-    band = np.zeros(((_BLOCK_CHUNK - 1) * step + n, pitch), dtype=np.float32)
+    band = np.zeros(((min(_BLOCK_CHUNK, n_blocks) - 1) * step + n, pitch),
+                    dtype=np.float32)
     row, cell = band.strides
     ones = np.ones(n, dtype=np.float32)
     prefix = np.empty((n_blocks, len(ends)))

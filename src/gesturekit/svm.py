@@ -102,50 +102,11 @@ def gram(cfg: KernelConfig, A, B) -> np.ndarray:
     return np.exp(-cfg.gamma * cdist(A, B, "sqeuclidean"))
 
 
-def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    """Dual objective W(alpha) = sum(alpha) - 1/2 (alpha y)' K (alpha y)."""
-    v = alpha * y
-    return float(alpha.sum() - 0.5 * (v @ K @ v))
-
-
-def kkt_max_violation(K, y, alpha, bias, cost) -> float:
-    """Largest KKT violation, with the same semantics the solver uses.
-
-    A point can be pushed up while alpha < C and its margin residual
-    r = y f - 1 is negative, or pushed down while alpha > 0 and r is
-    positive; the violation is the residual magnitude on whichever side
-    applies. A converged model keeps the maximum at or below KKT_TOL.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    r = y * (K @ (alpha * y) + bias) - 1.0
-    viol = np.zeros(len(y))
-    below_cap = alpha < cost
-    above_zero = alpha > 0.0
-    viol[below_cap] = np.maximum(viol[below_cap], -r[below_cap])
-    viol[above_zero] = np.maximum(viol[above_zero], r[above_zero])
-    return float(viol.max(initial=0.0))
-
-
-def smo_solve(K, y, cost, tol=KKT_TOL, max_iter=None):
-    """Solve the dual QP on a precomputed Gram matrix.
-
-    Returns ``(alpha, bias)`` for labels ``y`` of +1/-1. This is
-    ``smo_solve_stack`` on a stack of one: the lockstep loop that
-    ``ovo_train_many`` runs over its stacks of class pairs, which documents
-    the steps and why a problem's result is bit-equal in any stack.
-    ``max_iter`` (default max(MIN_STEPS, 100n)) budgets the steps, past
-    which a ConvergenceError is raised instead of returning a
-    half-optimized model.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if K.shape != (len(y), len(y)):
-        raise ValidationError("Gram matrix shape does not match labels")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValidationError("labels must be +1 or -1")
-    return smo_solve_stack([K], [y], [cost], tol, max_iter)[0]
+def check_cost(cost) -> None:
+    """Reject a soft-margin cost, or an array of them, that is not
+    positive and finite."""
+    if not np.all((0.0 < cost) & (cost < np.inf)):
+        raise ValidationError("cost must be positive and finite")
 
 
 def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
@@ -168,11 +129,11 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
     the bias is settled per problem on a copy of its own unpadded Gram, so
     each alpha and bias is bit-equal to solving that problem alone. ``Ks``
     is read once, in order, into the padded stack, so it may form each
-    matrix on demand and hold none of them.
+    matrix on demand and hold none of them. The labels must be +1/-1 and
+    each Gram square over its labels' rows; the callers build them so.
     """
     cost = np.asarray(costs, dtype=np.float64)[:, None]
-    if not np.all((0.0 < cost) & (cost < np.inf)):
-        raise ValidationError("cost must be positive and finite")
+    check_cost(cost)
     sizes = [len(y) for y in ys]
     n = max(sizes)
     K = np.zeros((len(ys), n, n))

@@ -122,15 +122,6 @@ class SubjectProfile:
         tilt.setflags(write=False)
 
 
-def identity_profile(subject_id="s00", **overrides) -> SubjectProfile:
-    """Noise-free unit profile, mostly for tests and examples."""
-    fields = dict(subject_id=subject_id, amplitude_scale=1.0, speed_scale=1.0,
-                  tilt=np.eye(3), noise_acc=0.0, noise_gyro=0.0,
-                  noise_mag=0.0)
-    fields.update(overrides)
-    return SubjectProfile(**fields)
-
-
 def rotation_matrix(rotvec) -> np.ndarray:
     """The 3x3 matrix of the rotation by ``|rotvec|`` radians about
     ``rotvec``'s direction.

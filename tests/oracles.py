@@ -187,6 +187,26 @@ def dual_objective(K, y, alpha):
     return float(np.sum(alpha) - 0.5 * ay @ K @ ay)
 
 
+def kkt_max_violation(K, y, alpha, bias, cost) -> float:
+    """Largest KKT violation, with the same semantics the solver uses.
+
+    A point can be pushed up while alpha < C and its margin residual
+    r = y f - 1 is negative, or pushed down while alpha > 0 and r is
+    positive; the violation is the residual magnitude on whichever side
+    applies. A converged model keeps the maximum at or below KKT_TOL.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    r = y * (K @ (alpha * y) + bias) - 1.0
+    viol = np.zeros(len(y))
+    below_cap = alpha < cost
+    above_zero = alpha > 0.0
+    viol[below_cap] = np.maximum(viol[below_cap], -r[below_cap])
+    viol[above_zero] = np.maximum(viol[above_zero], r[above_zero])
+    return float(viol.max(initial=0.0))
+
+
 def naive_best_split(X, yi, n_classes, feat_ids, min_leaf):
     """Exhaustive scan over every feature and midpoint threshold.
 

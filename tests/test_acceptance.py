@@ -13,9 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dual_objective as oracle_objective
-from oracles import (duality_gap, naive_embed, naive_recurrence_matrix,
-                     pg_dual_solve)
+from oracles import (dual_objective, duality_gap, kkt_max_violation,
+                     naive_embed, naive_recurrence_matrix, pg_dual_solve)
 
 from gesturekit.cli import dispatch
 from gesturekit.features import featurize_segments, is_sample_feature
@@ -25,10 +24,8 @@ from gesturekit.pipeline import (IdentificationConfig, SvmTrainer,
                                  train_identifier, write_report_csv)
 from gesturekit.rqa import (NORMS, RqaConfig, ami_curve, estimate_delay,
                             estimate_dimension, recurrence_plot,
-                            recurrence_rate, time_delay_embed, transitivity,
-                            windowed_rqa)
-from gesturekit.svm import (KernelConfig, dual_objective, gram,
-                            kkt_max_violation, ovo_train, smo_solve)
+                            time_delay_embed, windowed_rqa)
+from gesturekit.svm import KernelConfig, gram, ovo_train, smo_solve_stack
 from gesturekit.synth import SynthConfig, generate_dataset
 
 MASTER_SEED = 20
@@ -140,19 +137,20 @@ def test_02_rqa_invariants_and_window_count_formula():
     for trial in range(12):
         m = int(rng.integers(1, 6))
         tau = int(rng.integers(1, 4))
-        series = rng.normal(size=int(rng.integers(150, 301)))
-        states = time_delay_embed(series, RqaConfig(dimension=m, delay=tau))
-        rp = recurrence_plot(
-            states, RqaConfig(epsilon=float(rng.uniform(0.2, 1.5)),
-                              norm=NORMS[trial % 3]))
-        rr = recurrence_rate(rp)
-        tra = transitivity(rp)
+        n = int(rng.integers(150, 301))
+        series = rng.normal(size=n)
+        # one window over the whole series: the rr and tra of its plot
+        cfg = RqaConfig(window_len=n, step=n, dimension=m, delay=tau,
+                        epsilon=float(rng.uniform(0.2, 1.5)),
+                        norm=NORMS[trial % 3])
+        rp = recurrence_plot(time_delay_embed(series, cfg), cfg)
+        rr, tra = windowed_rqa(series, cfg)[0]
         bounds_ok &= bool(np.array_equal(rp.matrix, rp.matrix.T))
         bounds_ok &= bool((np.diag(rp.matrix) == 1).all())
         bounds_ok &= 0.0 <= rr <= 1.0 and 0.0 <= tra <= 1.0
-    states = time_delay_embed(rng.normal(size=400),
-                              RqaConfig(dimension=3, delay=2))
-    rates = [recurrence_rate(recurrence_plot(states, RqaConfig(epsilon=e)))
+    series = rng.normal(size=400)
+    rates = [windowed_rqa(series, RqaConfig(
+        window_len=400, step=400, dimension=3, delay=2, epsilon=e))[0, 0]
              for e in (0.05, 0.1, 0.3, 0.6, 1.0, 1.5, 2.5, 4.0)]
     monotone = all(a <= b for a, b in zip(rates, rates[1:]))
     win = RqaConfig()
@@ -199,7 +197,7 @@ def test_04_smo_matches_projected_gradient_oracle():
         cost = float(rng.choice([0.5, 1.0, 3.0]))
         t0 = time.perf_counter()
         K = gram(kernels[trial % 3], X, X)
-        alpha, bias = smo_solve(K, y, cost, tol=2e-4)
+        alpha, bias = smo_solve_stack([K], [y], [cost], tol=2e-4)[0]
         t1 = time.perf_counter()
         reference = pg_dual_solve(K, y, cost)
         elapsed += t1 - t0
@@ -207,7 +205,7 @@ def test_04_smo_matches_projected_gradient_oracle():
         worst_certified = max(worst_certified,
                               duality_gap(K, y, reference, cost))
         gap = abs(dual_objective(K, y, alpha)
-                  - oracle_objective(K, y, reference))
+                  - dual_objective(K, y, reference))
         worst_gap = max(worst_gap, gap)
         worst_kkt = max(worst_kkt, kkt_max_violation(K, y, alpha, bias,
                                                      cost))

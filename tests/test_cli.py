@@ -1082,6 +1082,10 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
     ("importance", "--jobs", "0", "--jobs must be >= 1"),
     ("rp-export", "--start", "-1", "--start must be >= 0"),
     ("rp-export", "--length", "0", "--length must be >= 1"),
+    *((command, "--cost", cost, "cost must be positive and finite")
+      for command in ("train-identifier", "evaluate", "train-recognizer",
+                      "importance")
+      for cost in ("0", "-1", "inf", "nan")),
 ])
 def test_bad_setting_rejected_before_reading(command, option, value,
                                              message, tmp_path, capsys):

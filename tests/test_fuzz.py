@@ -503,6 +503,33 @@ def test_stream_cell_grammar(workdir, token):
             assert read_number(cell, int) == want
 
 
+# label CSV bounds are read as a stream's index cell: "1_0", "\u0663" and
+# a bound past int64 are refused, padded signed digits are taken (a line
+# end in a cell would split its line, so that token is left out)
+LABEL_BOUND_TOKENS = tuple(t for t in DIFF_TOKENS if t != "\r\n") + (" +12 ",)
+
+
+@pytest.mark.parametrize("token", LABEL_BOUND_TOKENS, ids=token_id)
+def test_label_bound_grammar(workdir, token):
+    """The token as the start, then as the end, of a one-row label CSV:
+    the bound it reads as, or the parse's message."""
+    path = workdir / "grammar-labels.csv"
+    cell = token_cell(token)
+    want = 12 if token == " +12 " else STREAM_GRAMMAR[token][1]
+    cases = [(f"{cell},100", (want, 100))]
+    if want != 0:
+        cases.append((f"0,{cell}", (0, want)))
+    for bounds, interval in cases:
+        write_file(path, f"start,end,label,subject\n{bounds},Up,s01\n")
+        if isinstance(want, int):
+            assert parse_label_csv(path) == [LabeledInterval(*interval, "Up",
+                                                             "s01")]
+        else:
+            with pytest.raises(ParseError) as got:
+                parse_label_csv(path)
+            assert str(got.value) == f"{path}: non-integer bound at line 2"
+
+
 @pytest.fixture(scope="module")
 def long_stream_lines(workdir):
     path = workdir / "diff-valid.csv"

@@ -8,9 +8,8 @@ from gesturekit.errors import ValidationError
 from gesturekit import rqa
 from gesturekit.rqa import (NORMS, _BLOCK_CHUNK, RecurrencePlot, RqaConfig,
                             ami_curve, estimate_delay, estimate_dimension,
-                            fnn_fraction, recurrence_plot, recurrence_rate,
-                            time_delay_embed, transitivity, windowed_rqa,
-                            write_rp_pgm, write_rqa_csv)
+                            fnn_fraction, recurrence_plot, time_delay_embed,
+                            windowed_rqa, write_rp_pgm, write_rqa_csv)
 from oracles import (naive_embed, naive_fnn_fraction,
                      naive_recurrence_matrix, naive_recurrence_rate,
                      naive_transitivity)
@@ -197,7 +196,7 @@ def test_recurrence_plot_tie_is_recurrence():
     np.zeros((3, 3)), 2 * np.eye(3), np.triu(np.ones((3, 3)))],
     ids=["zero-diagonal", "not-0/1", "asymmetric"])
 def test_recurrence_plot_rejects_other_matrices(matrix):
-    # rr and tra count the diagonal as ones and A @ A * A as trace(A^3)
+    # a matrix from outside must be one that thresholding distances makes
     with pytest.raises(ValidationError):
         RecurrencePlot(matrix)
 
@@ -217,43 +216,33 @@ def test_built_plot_is_one_the_constructor_accepts(norm):
     assert not checked.matrix.flags.writeable
 
 
-def test_rqa_values_match_oracles():
-    rng = np.random.default_rng(3)
-    r = rng.normal(size=80)
-    states = time_delay_embed(r, RqaConfig(dimension=3, delay=2))
-    plot = recurrence_plot(states, RqaConfig(epsilon=1.0, norm="L2"))
-    assert recurrence_rate(plot) == pytest.approx(
-        naive_recurrence_rate(plot.matrix))
-    assert transitivity(plot) == pytest.approx(
-        naive_transitivity(plot.matrix))
-
-
-def test_rqa_invariant_ranges():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        states = rng.normal(size=(40, 4))
-        eps = float(rng.uniform(0.2, 3.0))
-        plot = recurrence_plot(states, RqaConfig(epsilon=eps, norm="L2"))
-        m = plot.matrix
-        assert np.array_equal(m, m.T)
-        assert np.all(np.diag(m) == 1)
-        assert 0.0 <= recurrence_rate(plot) <= 1.0
-        assert 0.0 <= transitivity(plot) <= 1.0
-
-
-def test_rr_monotone_in_epsilon():
-    rng = np.random.default_rng(5)
-    states = rng.normal(size=(50, 4))
-    rates = [recurrence_rate(recurrence_plot(states, RqaConfig(epsilon=e)))
-             for e in (0.2, 0.5, 1.0, 2.0, 4.0)]
-    assert all(a <= b for a, b in zip(rates, rates[1:]))
-
-
-def test_transitivity_empty_graph_is_zero():
-    # far-apart states: only the forced diagonal, which transitivity drops
-    states = np.array([[0.0], [10.0], [20.0]])
-    plot = recurrence_plot(states, RqaConfig(epsilon=0.5))
-    assert transitivity(plot) == 0.0
+@pytest.mark.parametrize("series,m,tau,epsilons", [
+    (np.random.default_rng(3).normal(size=80), 3, 2, (1.0,)),
+    (np.random.default_rng(4).normal(size=43), 4, 1,
+     (0.2, 0.6, 1.1, 1.7, 2.4, 3.0)),
+    (np.random.default_rng(5).normal(size=53), 4, 1,
+     (0.2, 0.5, 1.0, 2.0, 4.0)),
+    # far-apart states: only the forced diagonal, which transitivity
+    # drops, so no triple is connected and tra is the oracle's 0.0
+    (np.array([0.0, 10.0, 20.0]), 1, 1, (0.5,)),
+], ids=["values", "ranges", "monotone-in-epsilon", "empty-graph"])
+def test_one_window_rr_tra_equal_oracles(series, m, tau, epsilons):
+    """rr and tra of one plot, from a single window, equal the loop
+    oracles' quotients exactly: both are correctly rounded quotients of
+    exact counts. rr never falls as epsilon grows."""
+    rates = []
+    for epsilon in epsilons:
+        # one window spanning the series: the rr and tra of its plot
+        cfg = RqaConfig(window_len=len(series), step=len(series),
+                        dimension=m, delay=tau, epsilon=epsilon, norm="L2")
+        rr, tra = windowed_rqa(series, cfg)[0].tolist()
+        matrix = naive_recurrence_matrix(naive_embed(series, m, tau),
+                                         epsilon, "L2")
+        assert rr == naive_recurrence_rate(matrix)
+        assert tra == naive_transitivity(matrix)
+        assert 0.0 <= rr <= 1.0 and 0.0 <= tra <= 1.0
+        rates.append(rr)
+    assert rates == sorted(rates)
 
 
 def test_ami_curve_basic_properties():

@@ -16,12 +16,12 @@ from gesturekit.synth import (
     GESTURE_S,
     MAG_FIELD_UT,
     TEMPLATES,
+    SubjectProfile,
     SynthConfig,
     box_filter,
     first_order_filter,
     gesture_trajectory,
     generate_dataset,
-    identity_profile,
     make_subject_profile,
     rotation_matrix,
     trajectory_to_imu,
@@ -30,6 +30,15 @@ from gesturekit.synth import (
 
 # the identity profile is noise-free, so its draws are multiplied by zero
 RNG = np.random.default_rng(0)
+
+
+def identity_profile(subject_id="s00", **overrides) -> SubjectProfile:
+    """Noise-free unit profile, with ``overrides`` replacing its fields."""
+    fields = dict(subject_id=subject_id, amplitude_scale=1.0, speed_scale=1.0,
+                  tilt=np.eye(3), noise_acc=0.0, noise_gyro=0.0,
+                  noise_mag=0.0)
+    fields.update(overrides)
+    return SubjectProfile(**fields)
 
 
 class TestTemplatesAndProfiles:
