@@ -17,8 +17,13 @@ stream or model number is what ``np.loadtxt`` reads (README, "File
 formats"). A stream CSV is read ``_READ_BYTES`` at a time and converted
 in blocks of ``_BLOCK_ROWS`` rows, one ``np.loadtxt`` call each, keeping
 only the channels the caller asks for, so parsing a long stream for one
-series holds one column of it. A block that fails is converted again
-row by row, also by ``np.loadtxt``, to name its first bad row.
+series holds one column of it. A parse that keeps fewer than nine
+channels converts only the index and the kept cells, and checks each
+other cell as bytes: a plain cell (``_CELL``) is one the grammar reads as
+a finite number, and a block with any other cell is converted whole, so
+the grammar and every message stay the same. A block that fails is
+converted again row by row, also by ``np.loadtxt``, to name its first
+bad row.
 """
 
 from __future__ import annotations
@@ -283,6 +288,62 @@ def _numpy_rows(rows) -> np.ndarray | None:
                            ndmin=1)
 
 
+# A cell a kept-subset parse need not convert: np.loadtxt reads an unkept
+# cell as _CELL bytes, and the cell is plain if it is -?D+(.D+)?(e[+-]D{1,2})?
+# with D an ASCII digit and leaves at least one NUL in its 24 bytes, so
+# that a longer cell, which loadtxt cuts to 24, is not. np.loadtxt reads
+# every plain cell as a finite float, and repr writes every sensor-range
+# value as one. An automaton reads a cell two bytes at a time: _PAIR maps
+# a "<u2" pair to 7 * class(first byte) + class(second byte), and _STEP
+# maps a state times 49 plus a pair code to the next state times 49.
+_CELL = np.dtype("S24")
+# byte classes: digit 1, "." 2, "e" 3, "+" 4, "-" 5, NUL 6, any other 0
+_CLASS = np.zeros(256, np.uint8)
+_CLASS[list(b"0123456789.e+-\0")] = [1] * 10 + [2, 3, 4, 5, 6]
+_PAIR = np.add.outer(_CLASS, 7 * _CLASS).ravel()
+# each state's moves by byte class: start, sign, digits, point, fraction,
+# "e", exponent sign, first and second exponent digit, NUL after a number;
+# a missing move goes to the dead state 10
+_MOVES = ({1: 2, 5: 1}, {1: 2}, {1: 2, 2: 3, 3: 5, 6: 9}, {1: 4},
+          {1: 4, 3: 5, 6: 9}, {4: 6, 5: 6}, {1: 7}, {1: 8, 6: 9}, {6: 9},
+          {6: 9}, {})
+_STEP = np.array([49 * _MOVES[_MOVES[s].get(a, 10)].get(b, 10)
+                  for s in range(11) for a in range(7) for b in range(7)],
+                 np.uint16)
+
+
+def _plain(cells) -> np.ndarray:
+    """Whether each ``_CELL`` cell of ``cells`` is plain (see ``_CELL``)."""
+    codes = _PAIR.take(cells.view("<u2").reshape(cells.shape + (12,)))
+    state = np.zeros(cells.shape, np.uint16)
+    for j in range(12):
+        state += codes[..., j]
+        _STEP.take(state, out=state, mode="clip")
+    return state == 49 * 9
+
+
+def _plain_block(rows, keep):
+    """``(t, ch)`` of a block of stream CSV rows, its sample indices and
+    ``keep`` columns, from one ``np.loadtxt`` call that reads every other
+    channel as ``_CELL`` bytes; None if ``keep`` names all nine channels,
+    the call fails or warns, or any other cell is not plain."""
+    # a _CELL drops the NULs that end a cell, so no row may hold a NUL
+    if len(set(keep)) == len(CHANNELS) or "\0" in "".join(rows):
+        return None
+    dtype = np.dtype([("t", np.int64)] + [
+        (name, np.float64 if i in keep else _CELL)
+        for i, name in enumerate(CHANNELS)])
+    records = loadtxt_or_none(rows, dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+    if records is None:
+        return None
+    other = [name for i, name in enumerate(CHANNELS) if i not in keep]
+    if not _plain(np.stack([records[name] for name in other], axis=1)).all():
+        return None
+    return records["t"], np.stack([records[CHANNELS[i]] for i in keep],
+                                  axis=1)
+
+
 def _row_problem(row: str):
     """``(head, tail)`` of the message for a stream CSV row that
     ``_numpy_rows`` rejects: a cell count other than 10, else its first
@@ -349,10 +410,10 @@ def _check_header(path, line: str) -> None:
         raise ParseError(f"{path}: unexpected header {header}")
 
 
-def _convert_block(rows, before):
+def _convert_block(rows, before, keep):
     """``(t, ch, problem)`` of one block of stream CSV rows: the sample
-    indices and (len, 9) channels of its rows up to the first bad one,
-    converted by ``_numpy_rows``.
+    indices and ``keep`` columns of its rows up to the first bad one,
+    from ``_plain_block`` or else converted whole by ``_numpy_rows``.
 
     ``problem`` is None, or ``(row, head, tail)`` for the block's first
     bad row, its message being ``head``, the row's file line, then
@@ -361,22 +422,30 @@ def _convert_block(rows, before):
     ``before`` is the previous block's last index, or None for the first
     block.
     """
-    records = _numpy_rows(rows)
     # (row, head, tail) of the first row with each kind of problem, in
     # precedence order
     problems = []
-    if records is None:
-        bad = next(j for j, row in enumerate(rows)
-                   if _numpy_rows([row]) is None)
-        problems.append((bad, *_row_problem(rows[bad])))
-        records = _numpy_rows(rows[:bad]) if bad else np.empty(0, _ROW)
-    t, ch = records["t"], records["ch"]
+    plain = _plain_block(rows, keep)
+    if plain is not None:
+        # the other cells are plain, so finite
+        t, ch = plain
+        finite = np.isfinite(ch).all(axis=1)
+    else:
+        records = _numpy_rows(rows)
+        if records is None:
+            bad = next(j for j, row in enumerate(rows)
+                       if _numpy_rows([row]) is None)
+            problems.append((bad, *_row_problem(rows[bad])))
+            records = _numpy_rows(rows[:bad]) if bad else np.empty(0, _ROW)
+        t, ch = records["t"], records["ch"]
+        finite = np.isfinite(ch).all(axis=1)
+        ch = ch[:, keep]
     if before is None:
         steps, offset = t, 1
     else:
         steps, offset = np.concatenate(([before], t)), 0
     for bad, shift, head in (
-            (~np.isfinite(ch).all(axis=1), 0, "non-finite value at line"),
+            (~finite, 0, "non-finite value at line"),
             (steps[1:] <= steps[:-1], offset, "non-monotonic index at line"),
             (steps[1:] != steps[:-1] + 1, offset,
              "missing sample before line")):
@@ -400,14 +469,14 @@ def _parse_rows(path, runs, keep) -> np.ndarray:
 
     def convert(rows):
         nonlocal converted, before
-        t, ch, problem = _convert_block(rows, before)
+        t, ch, problem = _convert_block(rows, before, keep)
         if problem is not None:
             row, head, tail = problem
             row += converted
             # file line of the row: blank lines are skipped but counted
             line = row + 2 + bisect_right(blanks, row)
             raise ParseError(f"{path}: {head} {line}{tail}")
-        parts.append(ch[:, keep])
+        parts.append(ch)
         converted += len(rows)
         before = t[-1]
 
@@ -453,7 +522,12 @@ def parse_imu_csv(path, channels=CHANNELS) -> ImuStream:
     at a time by one ``np.loadtxt`` call each; a block that fails is
     converted again row by row to find its first bad row. Only the
     columns of ``channels`` are kept from each block, so the stream's
-    other channels are never held whole.
+    other channels are never held whole. When ``channels`` is fewer than
+    nine, a block's other cells are read as bytes and checked, not
+    converted, if each is plain: ``-?D+(.D+)?(e[+-]D{1,2})?`` in at most 23
+    bytes, as ``repr`` writes a sensor value; a block with any other cell
+    is converted whole, so what parses and every message are as when all
+    nine are kept.
     """
     path = Path(path)
     channels = tuple(channels)

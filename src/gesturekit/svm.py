@@ -458,7 +458,7 @@ def _shared_sv_model(classes, feature_names, cfg, cost, scaler, Xs,
     """
     sv_of = [rows[alpha > 0.0] for rows, _, alpha, _ in fits]
     index, first = np.unique(np.concatenate(sv_of), return_inverse=True)
-    sv, row = np.unique(Xs[index], axis=0, return_inverse=True)
+    sv, row = _unique_rows(Xs[index])
     column = np.repeat(np.arange(len(fits)), [len(s) for s in sv_of])
     coef = np.zeros((len(sv), len(fits)))
     np.add.at(coef, (row.ravel()[first], column),
@@ -467,6 +467,19 @@ def _shared_sv_model(classes, feature_names, cfg, cost, scaler, Xs,
     return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv, coef=coef,
                        bias=np.array([bias for _, _, _, bias in fits]),
                        scaler=scaler, feature_names=feature_names)
+
+
+def _unique_rows(X):
+    """``np.unique(X, axis=0, return_inverse=True)``. When the first column
+    has no ties, it alone decides the rows' lexicographic order and no two
+    rows are equal, so one argsort of it is enough."""
+    order = np.argsort(X[:, 0])
+    lead = X[order, 0]
+    if np.any(lead[1:] == lead[:-1]):
+        return np.unique(X, axis=0, return_inverse=True)
+    row = np.empty_like(order)
+    row[order] = np.arange(len(order))
+    return X[order], row
 
 
 def _fmt(values) -> str:

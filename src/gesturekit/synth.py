@@ -302,7 +302,9 @@ def first_order_filter(x, gain: float, decay: float) -> np.ndarray:
     importing scipy.signal (about 36 MB and 0.2 s).
     """
     y = np.empty_like(x, dtype=np.float64)
-    for j, column in enumerate((x * gain).T.tolist()):
+    # one column of Python floats at a time holds a third of the memory
+    for j in range(x.shape[1]):
+        column = (x[:, j] * gain).tolist()
         prev = 0.0
         y[:, j] = [prev := s + prev * decay for s in column]
     return y

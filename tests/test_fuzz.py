@@ -1,9 +1,9 @@
 """Fuzzed parser input: a damaged model, parameter or CSV file either parses
 or raises ParseError, never another exception; a damaged model loads as the
 line-loop oracle loads it, and a damaged stream CSV parses as the
-block-loop oracle parses it, both oracles reading numbers by a regex of
-README's grammar. Each fuzz token's outcome in a cell is pinned in a
-table."""
+block-loop oracle parses it, whatever channels the parse keeps, both
+oracles reading numbers by a regex of README's grammar. Each fuzz token's
+outcome in a cell is pinned in a table."""
 
 from dataclasses import replace
 
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gesturekit import imu
 from gesturekit.cli import read_params
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv, write_feature_csv
@@ -429,11 +430,16 @@ def test_every_reader_ends_lines_alike(workdir, model_bytes, name):
 # cells at the edges of the grammar, where Python's int and float may
 # part from it: separators and non-ASCII digits it rejects, whitespace it
 # strips (float() rejects "\x1f" and "\x1e"), line ends, signs, zeros and
-# bare points, and values at the edges of the int64 and float64 ranges
+# bare points, and values at the edges of the int64 and float64 ranges;
+# then cells at the edges of the plain cells a kept-subset parse checks
+# without converting: exponents without a sign, points without digits on
+# one side, a leading "+", the largest doubles, and mantissas of 23 and
+# 24 bytes, the longest plain one and the shortest a 24-byte cell cuts
 DIFF_TOKENS = ("1_0", "\u0663", "\x1f", "\x1e", "\xa0", "\u3000", "\x85",
                " 1.5 ", "+5", "0005", "2049.0", "9223372036854775808", "nan",
                "1e999", "0x1p3", "\x0c", "\r\n", "", "-0", ".5", "5.",
-               "1e-400")
+               "1e-400", "1e5", "1.", "+1.5", "1e+308",
+               "1.7976931348623157e+308", "-0.0", "1" * 23, "1" * 24)
 
 
 def bad_cell(cell, kind="float"):
@@ -471,7 +477,30 @@ STREAM_GRAMMAR = {
     ".5": (0.5, bad_cell(".5", "int")),
     "5.": (5.0, bad_cell("5.", "int")),
     "1e-400": (0.0, bad_cell("1e-400", "int")),
+    "1e5": (1e5, bad_cell("1e5", "int")),
+    "1.": (1.0, bad_cell("1.", "int")),
+    "+1.5": (1.5, bad_cell("+1.5", "int")),
+    "1e+308": (1e308, bad_cell("1e+308", "int")),
+    "1.7976931348623157e+308": (1.7976931348623157e+308,
+                                bad_cell("1.7976931348623157e+308", "int")),
+    "-0.0": (-0.0, bad_cell("-0.0", "int")),
+    "1" * 23: (1.1111111111111111e+22,
+               "sample index out of int64 range at line 2"),
+    "1" * 24: (1.1111111111111111e+23,
+               "sample index out of int64 range at line 2"),
 }
+
+# the channels a parse keeps: all nine, or fewer, whose other cells a
+# kept-subset parse checks without converting them
+KEPT = (CHANNELS, ("acc_y",), ("gyro_z", "acc_x"))
+
+
+def assert_parses_match_block_loop(path):
+    """Each KEPT parse gives the block-loop oracle's columns, or its
+    message."""
+    for names in KEPT:
+        assert parse_outcome(lambda p: parse_imu_csv(p, names), path) == \
+            parse_outcome(loop_parse_imu_csv, path, names)
 
 
 def test_stream_grammar_covers_the_tokens():
@@ -482,7 +511,7 @@ def test_stream_grammar_covers_the_tokens():
 def test_stream_cell_grammar(workdir, token):
     """The token as the last channel cell, then as the index cell, of a
     one-row stream: the value it parses as, or the message; the
-    block-loop oracle agrees."""
+    block-loop oracle agrees, whatever channels the parse keeps."""
     path = workdir / "grammar.csv"
     cell = token_cell(token)
     header = "t," + ",".join(CHANNELS) + "\n"
@@ -492,7 +521,7 @@ def test_stream_cell_grammar(workdir, token):
                        STREAM_GRAMMAR[token][1])):
         write_file(path, header + row + "\n")
         got = parse_outcome(parse_imu_csv, path)
-        assert got == parse_outcome(loop_parse_imu_csv, path)
+        assert_parses_match_block_loop(path)
         if isinstance(want, str):
             assert got == f"{path}: {want}"
         elif isinstance(want, float):
@@ -537,8 +566,9 @@ def long_stream_lines(workdir):
     return path.read_text().split("\n")
 
 
-def parse_outcome(parse, path):
-    """``(subject, channel bytes)`` of a parse, or its ParseError text."""
+def parse_outcome(parse, path, names=CHANNELS):
+    """``(subject, channel bytes)`` of a parse, or its ParseError text; of
+    an oracle's nine channels, the bytes of the ``names`` columns."""
     try:
         stream = parse(path)
     except ParseError as exc:
@@ -546,7 +576,7 @@ def parse_outcome(parse, path):
     if isinstance(stream, ImuStream):
         return stream.subject_id, stream.channels.tobytes()
     subject, channels = stream
-    return subject, channels.tobytes()
+    return subject, channels[:, [CHANNELS.index(c) for c in names]].tobytes()
 
 
 @FUZZ
@@ -563,6 +593,18 @@ def parse_outcome(parse, path):
 @example(subs=[(0, 0, "2049.0", "cell")], flips=[])
 @example(subs=[(10, 0, "1_0", "cell"), (20, 4, "\u0663", "cell"),
                (30, 5, "\u3000", "prefix")], flips=[])
+# plain cells and cells a 24-byte cell cuts, in channels a kept-subset
+# parse checks without converting
+@example(subs=[(700, 3, "1.7976931348623157e+308", "cell"),
+               (1200, 9, "-0.0", "cell"), (1900, 6, "1e5", "suffix")],
+         flips=[])
+@example(subs=[(1500, 7, "1" * 24, "cell")], flips=[])
+# non-finite values in the kept channels of a kept-subset parse
+@example(subs=[(300, 2, "nan", "cell")], flips=[])
+@example(subs=[(1800, 6, "1e999", "cell"), (1900, 1, "nan", "cell")],
+         flips=[])
+@example(subs=[(400, 3, "1" * 23, "cell"), (2050, 8, "\x1f", "prefix")],
+         flips=[])
 def test_stream_parse_matches_block_loop(workdir, long_stream_lines, subs,
                                          flips):
     lines = list(long_stream_lines)
@@ -580,5 +622,39 @@ def test_stream_parse_matches_block_loop(workdir, long_stream_lines, subs,
         data[at % len(data)] ^= mask
     path = workdir / "diff.csv"
     write_file(path, bytes(data))
-    assert parse_outcome(parse_imu_csv, path) == \
-        parse_outcome(loop_parse_imu_csv, path)
+    assert_parses_match_block_loop(path)
+
+
+def plain_cell(cell):
+    """Whether a parse keeping acc_y checks ``cell``, as an acc_z cell,
+    without converting it."""
+    return imu._plain_block([f"7,1,1,{cell}" + ",1" * 6], [1]) is not None
+
+
+@FUZZ
+@given(cell=st.one_of(
+    st.text(alphabet="0123456789.eE+- \x00", max_size=26),
+    st.from_regex(r"-?[0-9]{1,26}(\.[0-9]{1,12})?(e[+-][0-9]{1,3})?\x00?",
+                  fullmatch=True)))
+@example(cell="1\x00")
+@example(cell="9" * 19 + "e+99")
+@example(cell="9" * 20 + "e+99")
+@example(cell="1" * 24 + "-")
+def test_plain_cells_read_as_finite(cell):
+    """A cell a kept-subset parse takes without converting it is one the
+    grammar reads as a finite float. The byte read drops the NULs that
+    end a cell, so "1\x00", which the grammar rejects, is not taken."""
+    if plain_cell(cell):
+        assert np.isfinite(read_number(cell, float))
+
+
+@FUZZ
+@given(x=st.floats(-1e100, 1e100, exclude_min=True, exclude_max=True,
+                   allow_subnormal=False).filter(
+                       lambda x: x == 0 or abs(x) >= 1e-99))
+@example(x=-1.2345678901234567e-05)
+@example(x=-9.999999999999999e+99)
+def test_repr_of_a_double_is_plain(x):
+    """Every double whose decimal exponent is at most 99 is written, by
+    repr, as a plain cell."""
+    assert plain_cell(repr(x))

@@ -228,6 +228,23 @@ def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
     assert np.array_equal(back.channels, stream.channels)
 
 
+def test_kept_subset_parse_never_converts_a_written_block_whole(
+        big_stream, tmp_path, monkeypatch):
+    """Every block of a written stream parsed for fewer than nine channels
+    takes the kept-subset path: converting a block whole raises here."""
+    stream, lines = big_stream
+    p = tmp_path / "s.csv"
+    p.write_text("\n".join(lines) + "\n")
+
+    def whole(rows):
+        raise AssertionError("a block was converted whole")
+    monkeypatch.setattr(imu, "_numpy_rows", whole)
+    for names in (("acc_y",), ("gyro_z", "acc_x")):
+        kept = [CHANNELS.index(c) for c in names]
+        assert parse_imu_csv(p, names).channels.tobytes() == \
+            stream.channels[:, kept].tobytes()
+
+
 # (rows per block, bytes per read): each row a block of its own, so every
 # BAD_STREAMS edit is on a block's first row; or reads shorter than a
 # row, so every line spans two reads, in blocks that rows 2048 and 4096

@@ -632,6 +632,29 @@ class TestOvo:
         assert len(model.sv) < np.count_nonzero(model.coef)
 
 
+# rows for svm._unique_rows: a first column with no ties, which orders the
+# rows alone, or with ties, which np.unique settles
+UNIQUE_ROWS = {
+    "no-ties": np.random.default_rng(5).normal(size=(40, 3)),
+    "first-column-ties": np.array([[1.0, 2.0], [0.5, 9.0], [1.0, -3.0],
+                                   [0.5, 1.0]]),
+    "duplicate-rows": np.array([[2.0, 1.0], [0.0, 4.0], [2.0, 1.0],
+                                [3.0, 0.0], [0.0, 4.0]]),
+    "signed-zeros": np.array([[0.0, 1.0], [-0.0, 0.5], [-1.0, 2.0]]),
+    "signed-zeros-equal-rows": np.array([[0.0, 1.0], [-0.0, 1.0]]),
+    "one-row": np.array([[4.0, -1.0, 2.5]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIQUE_ROWS))
+def test_unique_rows_match_numpy(case):
+    X = UNIQUE_ROWS[case]
+    sv, row = svm._unique_rows(X)
+    want_sv, want_row = np.unique(X, axis=0, return_inverse=True)
+    assert sv.tobytes() == want_sv.tobytes()
+    assert np.array_equal(row.ravel(), want_row.ravel())
+
+
 @pytest.fixture(scope="module")
 def persisted():
     data = twelve_class_dataset(seed=4, per_class=3)
