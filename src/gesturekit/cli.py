@@ -5,7 +5,9 @@ Every subcommand accepts ``--seed`` and derives all randomness from it,
 so repeating an invocation with identical flags writes byte-identical
 files; ``--jobs`` changes wall time only. ``--params FILE`` reads a flat
 ``key = value`` text file whose keys are long option names with
-underscores (``window_len = 250``); explicit flags still win. An option
+underscores (``window_len = 250``); explicit flags still win. A number
+there or on the command line is read in the number grammar of every
+input (``imu.read_number``), and ``--seed`` must be >= 0. An option
 for a tuned setting takes its default from the library object that owns
 the setting (``RqaConfig``, ``IdentificationConfig``, ``SvmTrainer``,
 ``SynthConfig`` or ``ForestConfig``), and its help line shows that
@@ -25,7 +27,7 @@ from .features import (DEFAULT_SAMPLES, STAT_NAMES, check_samples,
                        write_feature_csv)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
-                  parse_label_csv, read_lines, write_file)
+                  parse_label_csv, read_lines, read_number, write_file)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
                        SvmTrainer, check_reps, check_select, check_sigma,
                        identify_segments, load_identifier,
@@ -54,6 +56,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(kind):
+    """The argparse ``type`` of a ``kind`` option, named ``kind`` in its
+    messages: ``read_number``, raising ValueError for int64 overflow."""
+    def convert(text):
+        try:
+            return read_number(text, kind)
+        except OverflowError as exc:
+            raise ValueError(str(exc)) from None
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 def _jobs(args) -> int:
     """``--jobs``, checked before any data is read."""
     if args.jobs < 1:
@@ -62,22 +79,22 @@ def _jobs(args) -> int:
 
 
 def _add_common(sub, jobs=False):
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_INT, default=0,
                      help="master seed for every random draw "
                           "(default %(default)s)")
     sub.add_argument("--params", metavar="FILE",
                      help="flat `key = value` file overriding option "
                           "defaults")
     if jobs:
-        sub.add_argument("--jobs", type=int, default=1,
+        sub.add_argument("--jobs", type=_INT, default=1,
                          help="worker processes; results are identical "
                               "for any value (default %(default)s)")
 
 
 def _add_rqa(sub):
-    sub.add_argument("--window-len", type=int, default=_RQA.window_len,
+    sub.add_argument("--window-len", type=_INT, default=_RQA.window_len,
                      help="window length in samples (default %(default)s)")
-    sub.add_argument("--step", type=int, default=_RQA.step,
+    sub.add_argument("--step", type=_INT, default=_RQA.step,
                      help="window step in samples (default %(default)s)")
     _add_rp(sub)
 
@@ -85,11 +102,11 @@ def _add_rqa(sub):
 def _add_rp(sub):
     sub.add_argument("--series", default=_RQA.series, choices=CHANNELS,
                      help="channel to analyse (default %(default)s)")
-    sub.add_argument("--delay", type=int, default=_RQA.delay,
+    sub.add_argument("--delay", type=_INT, default=_RQA.delay,
                      help="embedding delay (default %(default)s)")
-    sub.add_argument("--dimension", type=int, default=_RQA.dimension,
+    sub.add_argument("--dimension", type=_INT, default=_RQA.dimension,
                      help="embedding dimension (default %(default)s)")
-    sub.add_argument("--epsilon", type=float, default=_RQA.epsilon,
+    sub.add_argument("--epsilon", type=_FLOAT, default=_RQA.epsilon,
                      help="recurrence threshold (default %(default)s)")
     sub.add_argument("--norm", default=_RQA.norm, choices=NORMS,
                      help="state-distance norm (default %(default)s)")
@@ -100,13 +117,13 @@ def _add_svm(sub, owner):
     kernel, cost = owner.kernel, owner.cost
     sub.add_argument("--kernel", default=kernel.kind, choices=KERNEL_KINDS,
                      help="kernel kind (default %(default)s)")
-    sub.add_argument("--gamma", type=float, default=kernel.gamma,
+    sub.add_argument("--gamma", type=_FLOAT, default=kernel.gamma,
                      help="kernel gamma (default %(default)s)")
-    sub.add_argument("--cost", type=float, default=cost,
+    sub.add_argument("--cost", type=_FLOAT, default=cost,
                      help="soft-margin cost (default %(default)s)")
-    sub.add_argument("--degree", type=int, default=kernel.degree,
+    sub.add_argument("--degree", type=_INT, default=kernel.degree,
                      help="polynomial degree (default %(default)s)")
-    sub.add_argument("--coef0", type=float, default=kernel.coef0,
+    sub.add_argument("--coef0", type=_FLOAT, default=kernel.coef0,
                      help="polynomial/sigmoid offset (default %(default)s)")
 
 
@@ -116,7 +133,7 @@ def _add_features(sub, default="full"):
                      help="feature set: 63 statistics + samples, "
                           "statistics only, or resampled accelerations "
                           "only (default %(default)s)")
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+    sub.add_argument("--samples", type=_INT, default=DEFAULT_SAMPLES,
                      help="resampled points per acceleration axis "
                           "(default %(default)s)")
 
@@ -194,7 +211,7 @@ def _typed_overrides(sub: argparse.ArgumentParser, params_path) -> dict:
         if action.type is not None:
             try:
                 value = action.type(value)
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ParseError(f"{params_path}: invalid value for "
                                  f"{key!r}: {value!r}") from None
         out[key] = value
@@ -205,7 +222,7 @@ def _cmd_synth(args) -> int:
     cfg = SynthConfig(n_subjects=args.subjects, reps=args.reps,
                       rate_hz=args.rate, adl_minutes=args.adl_minutes,
                       gesture_fraction=args.gesture_fraction, seed=args.seed)
-    with pool_map(_jobs(args)) as mapper:
+    with pool_map(min(_jobs(args), cfg.n_subjects)) as mapper:
         result = generate_dataset(cfg, mapper)
     write_dataset(result, args.out)
     n_seg = sum(len(iv) for _, iv in result.recognition)
@@ -242,7 +259,7 @@ def _cmd_rp_export(args) -> int:
             f"{len(series)} samples")
     plot = recurrence_plot(time_delay_embed(series[start:end], cfg), cfg)
     write_rp_pgm(plot, args.outfile)
-    print(f"wrote {plot.n_states} x {plot.n_states} plot to {args.outfile}")
+    print(f"wrote {len(plot)} x {len(plot)} plot to {args.outfile}")
     return 0
 
 
@@ -337,8 +354,9 @@ def _cmd_importance(args) -> int:
         trainer = SvmTrainer(kernel=_kernel_from(args), cost=args.cost)
     else:
         trainer = CentroidTrainer()
-    with pool_map(_jobs(args)) as mapper:
-        dataset = _segment_dataset(args)
+    jobs = _jobs(args)
+    dataset = _segment_dataset(args)
+    with pool_map(min(jobs, dataset.X.shape[1])) as mapper:
         result = permutation_importance(dataset, trainer, n_reps=args.reps,
                                         seed=args.seed, mapper=mapper)
     write_importance_csv(result, args.outfile)
@@ -365,18 +383,18 @@ def _cmd_augment(args) -> int:
 def _synth_options(p):
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output dataset directory")
-    p.add_argument("--subjects", type=int, default=_SYNTH.n_subjects,
+    p.add_argument("--subjects", type=_INT, default=_SYNTH.n_subjects,
                    help="number of synthetic subjects (default %(default)s)")
-    p.add_argument("--reps", type=int, default=_SYNTH.reps,
+    p.add_argument("--reps", type=_INT, default=_SYNTH.reps,
                    help="repetitions of each gesture per subject "
                         "(default %(default)s)")
-    p.add_argument("--rate", type=float, default=_SYNTH.rate_hz,
+    p.add_argument("--rate", type=_FLOAT, default=_SYNTH.rate_hz,
                    help="sampling rate in Hz (default %(default)s)")
-    p.add_argument("--adl-minutes", type=float, default=_SYNTH.adl_minutes,
+    p.add_argument("--adl-minutes", type=_FLOAT, default=_SYNTH.adl_minutes,
                    help="continuous background stream length per subject; "
                         "0 skips identification streams (default "
                         "%(default)s)")
-    p.add_argument("--gesture-fraction", type=float,
+    p.add_argument("--gesture-fraction", type=_FLOAT,
                    default=_SYNTH.gesture_fraction,
                    help="fraction of background samples inside gestures "
                         "(default %(default)s)")
@@ -395,10 +413,10 @@ def _rp_export_options(p):
                    help="input IMU stream")
     p.add_argument("--out", dest="outfile", required=True, metavar="PGM",
                    help="output image (P5, white = recurrence)")
-    p.add_argument("--start", type=int, default=0,
+    p.add_argument("--start", type=_INT, default=0,
                    help="first sample of the exported span "
                         "(default %(default)s)")
-    p.add_argument("--length", type=int, default=None,
+    p.add_argument("--length", type=_INT, default=None,
                    help="span length in samples (default: whole stream)")
     _add_rp(p)
 
@@ -412,11 +430,11 @@ def _train_identifier_options(p):
                    help="per-fold metric table")
     p.add_argument("--confusion", metavar="CSV",
                    help="summed confusion matrix")
-    p.add_argument("--overlap", type=float,
+    p.add_argument("--overlap", type=_FLOAT,
                    default=_IDENTIFICATION.overlap_fraction,
                    help="fraction of a gesture that must fall inside a "
                         "window to label it positive (default %(default)s)")
-    p.add_argument("--iterations", type=int,
+    p.add_argument("--iterations", type=_INT,
                    default=_IDENTIFICATION.n_balance_iters,
                    help="balanced redraws per fold (default %(default)s)")
     _add_rqa(p)
@@ -437,7 +455,7 @@ def _train_recognizer_options(p):
                    help="dataset root or folder of segment streams")
     p.add_argument("--out", required=True, metavar="MODEL",
                    help="output model file")
-    p.add_argument("--augment-sigma", type=float, default=None,
+    p.add_argument("--augment-sigma", type=_FLOAT, default=None,
                    help="train on originals plus noisy copies with this "
                         "z-score noise scale (default: off; tuned 0.5)")
     _add_features(p)
@@ -460,15 +478,15 @@ def _evaluate_options(p):
                    help="per-fold metric table (default %(default)s)")
     p.add_argument("--confusion", metavar="CSV",
                    help="summed confusion matrix")
-    p.add_argument("--select", type=int, default=None,
+    p.add_argument("--select", type=_INT, default=None,
                    help="rank statistical features per fold and keep this "
                         "many (default: off; tuned 43)")
-    p.add_argument("--augment-sigma", type=float, default=None,
+    p.add_argument("--augment-sigma", type=_FLOAT, default=None,
                    help="per-fold noise augmentation scale "
                         "(default: off; tuned 0.5)")
-    p.add_argument("--trees", type=int, default=_FOREST.n_trees,
+    p.add_argument("--trees", type=_INT, default=_FOREST.n_trees,
                    help="forest size (default %(default)s)")
-    p.add_argument("--depth", type=int, default=_FOREST.max_depth,
+    p.add_argument("--depth", type=_INT, default=_FOREST.max_depth,
                    help="forest depth cap (default %(default)s)")
     _add_features(p)
     _add_svm(p, _RECOGNITION)
@@ -479,7 +497,7 @@ def _importance_options(p):
                    help="dataset root or folder of segment streams")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output table (feature,mean_accuracy,drop)")
-    p.add_argument("--reps", type=int, default=100,
+    p.add_argument("--reps", type=_INT, default=100,
                    help="permutations per feature (default %(default)s)")
     p.add_argument("--classifier", default="svm",
                    choices=("svm", "centroid"),
@@ -494,7 +512,7 @@ def _augment_options(p):
                    help="input feature table")
     p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
                    help="output table with originals then noisy copies")
-    p.add_argument("--sigma", type=float, default=0.5,
+    p.add_argument("--sigma", type=_FLOAT, default=0.5,
                    help="noise scale in per-feature standard deviations "
                         "(default %(default)s)")
 
@@ -569,6 +587,8 @@ def dispatch(argv) -> int:
                 args = parser.parse_args(argv)
             except SystemExit as exc:
                 return int(exc.code or 0)
+        if args.seed < 0:
+            raise ValidationError("--seed must be >= 0")
         return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .imu import (CHANNELS, ImuStream, LabeledDataset, format_float, read_lines,
-                  write_file)
+from .imu import (CHANNELS, ImuStream, LabeledDataset, format_float,
+                  number_rows, read_lines, write_file)
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
 DEFAULT_SAMPLES = 10
-_SAMPLE_NAME = re.compile(r"acc_[xyz]_s(\d+)")
+_SAMPLE_NAME = re.compile(r"acc_[xyz]_s([0-9]+)")
 
 
 # the 63 statistical names: sensor-major, then axis, then statistic
@@ -157,6 +157,8 @@ def write_feature_csv(dataset: LabeledDataset, path) -> None:
 
 
 def read_feature_csv(path) -> LabeledDataset:
+    """Parse a feature matrix CSV; its feature cells are read in the
+    number grammar by ``number_rows``."""
     lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -164,19 +166,19 @@ def read_feature_csv(path) -> LabeledDataset:
     if len(header) < 3 or header[-2:] != ["label", "subject"]:
         raise ParseError(f"{path}: feature CSV must end with label,subject columns")
     names = header[:-2]
+    entries = [(lineno, ln.split(","))
+             for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    values = number_rows([cells[:-2] for _, cells in entries], float)
     rows, labels, subjects = [], [], []
-    for i, ln in enumerate(lines[1:]):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
+    for lineno, cells in entries:
         if len(cells) != len(header):
-            raise ParseError(f"{path}: wrong cell count at line {i + 2}")
+            raise ParseError(f"{path}: wrong cell count at line {lineno}")
         try:
-            rows.append([float(c) for c in cells[:-2]])
+            rows.append(next(values))
         except ValueError:
-            raise ParseError(f"{path}: non-numeric cell at line {i + 2}") from None
+            raise ParseError(f"{path}: non-numeric cell at line {lineno}") from None
         if not np.all(np.isfinite(rows[-1])):
-            raise ParseError(f"{path}: non-finite value at line {i + 2}")
+            raise ParseError(f"{path}: non-finite value at line {lineno}")
         labels.append(cells[-2].strip())
         subjects.append(cells[-1].strip())
     if not rows:

@@ -12,18 +12,20 @@ Label CSV   header: ``start,end,label,subject`` with half-open sample
             intervals ``[start, end)`` and labels from the 12-gesture
             dictionary or ``ADL``.
 
-Every reader ends lines at ``"\n"``, ``"\r\n"`` or ``"\r"`` alone, and a
-stream or model number is what ``np.loadtxt`` reads (README, "File
-formats"). A stream CSV is read ``_READ_BYTES`` at a time and converted
-in blocks of ``_BLOCK_ROWS`` rows, one ``np.loadtxt`` call each, keeping
-only the channels the caller asks for, so parsing a long stream for one
-series holds one column of it. A parse that keeps fewer than nine
-channels converts only the index and the kept cells, and checks each
-other cell as bytes: a plain cell (``_CELL``) is one the grammar reads as
-a finite number, and a block with any other cell is converted whole, so
-the grammar and every message stay the same. A block that fails is
-converted again row by row, also by ``np.loadtxt``, to name its first
-bad row.
+Every reader ends lines at ``"\n"``, ``"\r\n"`` or ``"\r"`` alone
+(``_line_runs``), and every number the program reads, from a file or
+the command line, is what ``np.loadtxt`` reads (``read_number``; README,
+"File formats"). A stream CSV is read ``_READ_BYTES`` at a time and
+converted in blocks of ``_BLOCK_ROWS`` rows, one ``np.loadtxt`` call
+(``_records``) each, keeping only the channels the caller asks for, so
+parsing a long stream for one series holds one column of it. A parse
+that keeps fewer than nine channels converts only the index and the
+kept cells, and checks each other cell as bytes: a plain cell
+(``_CELL``) is one the grammar reads as a finite number, and a block
+with any other cell is converted whole, so the grammar and every
+message stay the same. A block that fails is converted again row by
+row to name its first bad row. Label and feature CSVs convert their
+numeric cells through ``number_rows``.
 """
 
 from __future__ import annotations
@@ -208,18 +210,9 @@ def _not_utf8(path, exc: UnicodeDecodeError, start: int) -> ParseError:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, each ended by ``"\n"``, ``"\r\n"``
-    or ``"\r"`` (or by the end of the file), without their line ends.
-    Bytes that do not decode raise ParseError naming the file."""
-    try:
-        # universal newlines: "\r\n" and "\r" are read as "\n"
-        with open(path, "r", encoding="utf-8", newline=None) as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, exc.start) from None
-    if not lines[-1]:
-        lines.pop()
-    return lines
+    """The lines of a UTF-8 text file, as ``_line_runs`` reads them."""
+    with open(path, "rb") as fh:
+        return [line for run in _line_runs(path, fh) for line in run]
 
 
 def write_file(path, data: bytes | bytearray | str | Iterable[str]) -> None:
@@ -240,11 +233,8 @@ def write_file(path, data: bytes | bytearray | str | Iterable[str]) -> None:
 # and the converted rows alive at once.
 _BLOCK_ROWS = 1024
 
-# bytes of a stream CSV read and decoded at a time
+# bytes of a text file read and decoded at a time
 _READ_BYTES = 1 << 18
-
-# a stream CSV row as numpy parses it: the sample index, then the channels
-_ROW = np.dtype([("t", np.int64), ("ch", np.float64, (9,))])
 
 
 def loadtxt_or_none(rows, **kwargs) -> np.ndarray | None:
@@ -265,10 +255,10 @@ def loadtxt_or_none(rows, **kwargs) -> np.ndarray | None:
 
 def read_number(cell: str, kind: type[int] | type[float]) -> int | float:
     """``cell`` as one int64 or float64, as ``np.loadtxt`` reads it: the
-    number grammar of stream CSVs and GKMODEL files (README, "File
-    formats"). A cell outside the grammar raises ValueError with the
-    message Python's ``int`` or ``float`` gives for a literal it rejects,
-    and an integer outside the int64 range raises OverflowError."""
+    number grammar of every input (README, "File formats"). A cell
+    outside the grammar raises ValueError with the message Python's
+    ``int`` or ``float`` gives for a literal it rejects, and an integer
+    outside the int64 range raises OverflowError."""
     value = loadtxt_or_none([cell], delimiter=",", comments=None, ndmin=1,
                             dtype=np.int64 if kind is int else np.float64)
     if value is not None and value.shape == (1,):
@@ -281,11 +271,19 @@ def read_number(cell: str, kind: type[int] | type[float]) -> int | float:
                      + repr(cell)[:200])
 
 
-def _numpy_rows(rows) -> np.ndarray | None:
-    """Stream CSV rows as ``_ROW`` records, from one ``np.loadtxt`` call;
-    None if it raises or warns."""
-    return loadtxt_or_none(rows, dtype=_ROW, delimiter=",", comments=None,
-                           ndmin=1)
+def number_rows(rows, kind: type[int] | type[float]):
+    """An iterator of the numbers of each row of ``rows`` (lists of
+    cells), read as ``kind`` by ``read_number``'s grammar: all rows by
+    one ``np.loadtxt`` call, or, if that call fails, a row at a time, so
+    that a bad cell raises ValueError or OverflowError when its row is
+    reached."""
+    block = loadtxt_or_none([",".join(cells) for cells in rows],
+                            dtype=np.int64 if kind is int else np.float64,
+                            delimiter=",", comments=None, ndmin=2)
+    # loadtxt skips a line of whitespace, so the count is checked
+    if block is not None and len(block) == len(rows):
+        return iter(block.tolist())
+    return ([read_number(cell, kind) for cell in cells] for cells in rows)
 
 
 # A cell a kept-subset parse need not convert: np.loadtxt reads an unkept
@@ -322,33 +320,32 @@ def _plain(cells) -> np.ndarray:
     return state == 49 * 9
 
 
-def _plain_block(rows, keep):
-    """``(t, ch)`` of a block of stream CSV rows, its sample indices and
-    ``keep`` columns, from one ``np.loadtxt`` call that reads every other
-    channel as ``_CELL`` bytes; None if ``keep`` names all nine channels,
-    the call fails or warns, or any other cell is not plain."""
+def _records(rows, keep) -> np.ndarray | None:
+    """Stream CSV rows as records from one ``np.loadtxt`` call: the
+    sample index ``t``, then each channel by name, a float if ``keep``
+    holds its index, else ``_CELL`` bytes; None if the call fails or
+    warns, or a byte cell is not plain."""
+    other = [name for i, name in enumerate(CHANNELS) if i not in keep]
     # a _CELL drops the NULs that end a cell, so no row may hold a NUL
-    if len(set(keep)) == len(CHANNELS) or "\0" in "".join(rows):
+    if other and "\0" in "".join(rows):
         return None
     dtype = np.dtype([("t", np.int64)] + [
-        (name, np.float64 if i in keep else _CELL)
-        for i, name in enumerate(CHANNELS)])
+        (name, _CELL if name in other else np.float64) for name in CHANNELS])
+    if not rows:
+        return np.empty(0, dtype)
     records = loadtxt_or_none(rows, dtype=dtype, delimiter=",",
                               comments=None, ndmin=1)
-    if records is None:
+    if records is not None and other and not _plain(
+            np.stack([records[name] for name in other], axis=1)).all():
         return None
-    other = [name for i, name in enumerate(CHANNELS) if i not in keep]
-    if not _plain(np.stack([records[name] for name in other], axis=1)).all():
-        return None
-    return records["t"], np.stack([records[CHANNELS[i]] for i in keep],
-                                  axis=1)
+    return records
 
 
 def _row_problem(row: str):
     """``(head, tail)`` of the message for a stream CSV row that
-    ``_numpy_rows`` rejects: a cell count other than 10, else its first
-    cell outside the grammar, in column order; ``_numpy_rows`` rejects a
-    row for nothing else."""
+    ``_records`` rejects when it converts all nine channels: a cell count
+    other than 10, else its first cell outside the grammar, in column
+    order; such a call rejects a row for nothing else."""
     cells = row.split(",")
     if len(cells) != 10:
         return "expected 10 cells at line", f", got {len(cells)}"
@@ -365,10 +362,10 @@ def _line_runs(path, fh):
     """The lines of the binary file ``fh``, decoded as UTF-8
     ``_READ_BYTES`` at a time, in runs: each read with a line end yields
     the lines it ends, and the text after the last line end comes last.
-    Lines end at ``"\n"``, ``"\r\n"`` or ``"\r"``. Bytes that do not
-    decode raise the ParseError ``read_lines`` gives, at the same byte.
-    Reads with no line end are held, not joined, until one comes, so the
-    work stays linear in the text however long its lines are.
+    Lines end at ``"\n"``, ``"\r\n"`` or ``"\r"``, and nowhere else.
+    Bytes that do not decode raise ParseError naming the file and the
+    byte. Reads with no line end are held, not joined, until one comes,
+    so the work stays linear in the text however long its lines are.
     """
     # reads "\r\n" and "\r" as "\n", holding back a read's last "\r"
     # until it sees whether a "\n" follows
@@ -413,11 +410,12 @@ def _check_header(path, line: str) -> None:
 def _convert_block(rows, before, keep):
     """``(t, ch, problem)`` of one block of stream CSV rows: the sample
     indices and ``keep`` columns of its rows up to the first bad one,
-    from ``_plain_block`` or else converted whole by ``_numpy_rows``.
+    from one ``_records(rows, keep)`` call, or, if it fails, with all
+    nine channels converted, a whole block and then row by row.
 
     ``problem`` is None, or ``(row, head, tail)`` for the block's first
     bad row, its message being ``head``, the row's file line, then
-    ``tail``: a row ``_numpy_rows`` rejects (see ``_row_problem``), then
+    ``tail``: a row that conversion rejects (see ``_row_problem``), then
     a non-finite value, an index not above the one before, then a gap.
     ``before`` is the previous block's last index, or None for the first
     block.
@@ -425,21 +423,21 @@ def _convert_block(rows, before, keep):
     # (row, head, tail) of the first row with each kind of problem, in
     # precedence order
     problems = []
-    plain = _plain_block(rows, keep)
-    if plain is not None:
-        # the other cells are plain, so finite
-        t, ch = plain
-        finite = np.isfinite(ch).all(axis=1)
-    else:
-        records = _numpy_rows(rows)
+    records = _records(rows, keep)
+    if records is None:
+        nine = range(len(CHANNELS))
+        records = _records(rows, nine)
         if records is None:
             bad = next(j for j, row in enumerate(rows)
-                       if _numpy_rows([row]) is None)
+                       if _records([row], nine) is None)
             problems.append((bad, *_row_problem(rows[bad])))
-            records = _numpy_rows(rows[:bad]) if bad else np.empty(0, _ROW)
-        t, ch = records["t"], records["ch"]
-        finite = np.isfinite(ch).all(axis=1)
-        ch = ch[:, keep]
+            records = _records(rows[:bad], nine)
+    t = records["t"]
+    # the converted channels; the byte cells are plain, so finite
+    finite = np.logical_and.reduce(
+        [np.isfinite(records[name]) for name in CHANNELS
+         if records.dtype[name] != _CELL])
+    ch = np.stack([records[CHANNELS[i]] for i in keep], axis=1)
     if before is None:
         steps, offset = t, 1
     else:
@@ -514,20 +512,9 @@ def parse_imu_csv(path, channels=CHANNELS) -> ImuStream:
     blank lines included. The first bad row is reported, with the first
     of those problems it has, and a byte that does not decode as UTF-8
     anywhere in the file is reported before any of them. Every cell of
-    every row is checked, whatever ``channels`` keeps.
-
-    Lines end at ``"\n"``, ``"\r\n"`` or ``"\r"``, and a cell is read
-    as ``np.loadtxt`` reads it (README, "File formats"). The file is read
-    ``_READ_BYTES`` at a time, and its rows are converted ``_BLOCK_ROWS``
-    at a time by one ``np.loadtxt`` call each; a block that fails is
-    converted again row by row to find its first bad row. Only the
-    columns of ``channels`` are kept from each block, so the stream's
-    other channels are never held whole. When ``channels`` is fewer than
-    nine, a block's other cells are read as bytes and checked, not
-    converted, if each is plain: ``-?D+(.D+)?(e[+-]D{1,2})?`` in at most 23
-    bytes, as ``repr`` writes a sensor value; a block with any other cell
-    is converted whole, so what parses and every message are as when all
-    nine are kept.
+    every row is checked, whatever ``channels`` keeps, and only the
+    columns of ``channels`` are held: see the module docstring, and
+    README's "File formats" for the grammar.
     """
     path = Path(path)
     channels = tuple(channels)
@@ -563,8 +550,7 @@ def write_imu_csv(stream: ImuStream, path) -> None:
 
 def parse_label_csv(path) -> list[LabeledInterval]:
     """Parse a label CSV into intervals sorted by start; overlaps are errors.
-    All bounds are read in the number grammar (README, "File formats") by
-    one ``np.loadtxt`` call; a file it rejects is read line by line."""
+    All bounds are read in the number grammar by ``number_rows``."""
     lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -573,14 +559,7 @@ def parse_label_csv(path) -> list[LabeledInterval]:
         raise ParseError(f"{path}: unexpected header {header}, want {LABEL_HEADER}")
     rows = [(lineno, [c.strip() for c in ln.split(",")])
             for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    pairs = loadtxt_or_none([",".join(cells[:2]) for _, cells in rows],
-                            dtype=np.int64, delimiter=",", comments=None,
-                            ndmin=2)
-    if pairs is not None and pairs.shape == (len(rows), 2):
-        bounds = iter(pairs.tolist())
-    else:   # a line at a time, up to the first bad line
-        bounds = ((read_number(cells[0], int), read_number(cells[1], int))
-                  for _, cells in rows)
+    bounds = number_rows([cells[:2] for _, cells in rows], int)
     intervals = []
     for lineno, cells in rows:
         if len(cells) != 4:

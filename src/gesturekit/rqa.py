@@ -2,14 +2,16 @@
 measures, and embedding-parameter estimation.
 
 A scalar series is lifted into phase space by time-delay embedding, the
-pairwise state distances are thresholded into a binary recurrence matrix,
-and two quantifiers are computed per sliding window: the recurrence rate
-(density of recurrences) and the transitivity of the recurrence network
-(closed over connected triples). Both are ratios of integer counts, so
-overlapping windows share them: ``windowed_rqa`` thresholds the band of
-state pairs less than a window apart once, and counts each triangle once,
-in the block of ``step`` states that holds its lowest state; a window adds
-up the column prefixes of the blocks it covers. The float32 counts are
+pairwise state distances are thresholded into a binary recurrence matrix
+(``recurrence_plot`` returns it as a read-only uint8 array, symmetric
+0/1 with a unit diagonal by construction), and two quantifiers are
+computed per sliding window: the recurrence rate (density of
+recurrences) and the transitivity of the recurrence network (closed over
+connected triples). Both are ratios of integer counts, so overlapping
+windows share them: ``windowed_rqa`` thresholds the band of state pairs
+less than a window apart once, and counts each triangle once, in the
+block of ``step`` states that holds its lowest state; a window adds up
+the column prefixes of the blocks it covers. The float32 counts are
 exact for windows of fewer than 2^24 states and the float64 totals for
 fewer than 2^17, so a window's rr and tra equal those of its own plot,
 bit for bit. The embedding delay is picked at the first minimum of the
@@ -121,29 +123,6 @@ class RqaConfig:
         return np.arange(self.n_windows(n), dtype=np.int64) * self.step
 
 
-@dataclass(frozen=True)
-class RecurrencePlot:
-    """Binary recurrence matrix: symmetric 0/1 with a unit main diagonal,
-    as thresholding state distances makes it; the constructor checks a
-    matrix given from outside."""
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.uint8)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("recurrence matrix must be square")
-        if (np.any(m > 1) or not np.array_equal(m, m.T)
-                or not np.all(m.diagonal())):
-            raise ValidationError("recurrence matrix must be symmetric 0/1 "
-                                  "with a unit main diagonal")
-        object.__setattr__(self, "matrix", m)
-        m.setflags(write=False)
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-
 def time_delay_embed(series, cfg: RqaConfig) -> np.ndarray:
     """Reconstruct the phase-space trajectory of a scalar series.
 
@@ -245,12 +224,13 @@ def _threshold(states: np.ndarray, cfg: RqaConfig, out: np.ndarray) -> None:
         out[lo:hi, :lo] = out[:lo, lo:hi].T
 
 
-def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:
+def recurrence_plot(states, cfg: RqaConfig) -> np.ndarray:
     """Threshold pairwise state distances into a recurrence matrix.
 
     R[i, j] = 1 iff ||x_i - x_j|| <= epsilon; ties at exactly epsilon are
-    recurrences (Heaviside step with theta(0) = 1). The matrix is
-    symmetric with a unit main diagonal.
+    recurrences (Heaviside step with theta(0) = 1). The matrix is a
+    read-only square uint8 array, symmetric 0/1 with a unit main
+    diagonal.
     """
     x = np.asarray(states, dtype=np.float64)
     if x.ndim == 1:
@@ -260,11 +240,8 @@ def recurrence_plot(states, cfg: RqaConfig) -> RecurrencePlot:
     matrix = np.empty((len(x), len(x)), dtype=np.uint8)
     _threshold(x, cfg, matrix)
     np.fill_diagonal(matrix, 1)
-    # valid by construction, so the constructor's check is skipped
-    plot = object.__new__(RecurrencePlot)
-    object.__setattr__(plot, "matrix", matrix)
     matrix.setflags(write=False)
-    return plot
+    return matrix
 
 
 def ami_curve(series, max_lag: int, bins: int = 16) -> np.ndarray:
@@ -516,17 +493,18 @@ def write_rqa_csv(starts, X, path) -> None:
         for start, (rr, tra) in zip(starts.tolist(), X.tolist())))
 
 
-def write_rp_pgm(rp: RecurrencePlot, path) -> None:
-    """Export the matrix as binary PGM (P5), one pixel per cell.
+def write_rp_pgm(rp: np.ndarray, path) -> None:
+    """Export a ``recurrence_plot`` matrix as binary PGM (P5), one pixel
+    per cell.
 
     Pixel value 255 (white) marks a recurrent cell, 0 (black) a
     non-recurrent one; row i of the image is state i.
     """
-    n = rp.n_states
+    n = len(rp)
     header = f"P5\n{n} {n}\n255\n".encode("ascii")
     # one buffer for the whole file: the pixels are scaled straight into it
     data = bytearray(len(header) + n * n)
     data[:len(header)] = header
-    np.multiply(rp.matrix, np.uint8(255), out=np.frombuffer(
+    np.multiply(rp, np.uint8(255), out=np.frombuffer(
         data, dtype=np.uint8, offset=len(header)).reshape(n, n))
     write_file(path, data)

@@ -122,8 +122,8 @@ def test_01_recurrence_plot_matches_bruteforce_oracle():
         slow = naive_recurrence_matrix(states, epsilon, norm)
         elapsed += t1 - t0
         oracle_s += time.perf_counter() - t1
-        assert fast.n_states == n_states
-        if not np.array_equal(fast.matrix, slow):
+        assert len(fast) == n_states
+        if not np.array_equal(fast, slow):
             mismatches += 1
     verdict(1, mismatches == 0 and elapsed < 10.0,
             f"50/50 random plots identical to the double-loop oracle "
@@ -145,8 +145,8 @@ def test_02_rqa_invariants_and_window_count_formula():
                         norm=NORMS[trial % 3])
         rp = recurrence_plot(time_delay_embed(series, cfg), cfg)
         rr, tra = windowed_rqa(series, cfg)[0]
-        bounds_ok &= bool(np.array_equal(rp.matrix, rp.matrix.T))
-        bounds_ok &= bool((np.diag(rp.matrix) == 1).all())
+        bounds_ok &= bool(np.array_equal(rp, rp.T))
+        bounds_ok &= bool((np.diag(rp) == 1).all())
         bounds_ok &= 0.0 <= rr <= 1.0 and 0.0 <= tra <= 1.0
     series = rng.normal(size=400)
     rates = [windowed_rqa(series, RqaConfig(

@@ -1082,6 +1082,9 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
     ("importance", "--jobs", "0", "--jobs must be >= 1"),
     ("rp-export", "--start", "-1", "--start must be >= 0"),
     ("rp-export", "--length", "0", "--length must be >= 1"),
+    ("synth", "--seed", "-1", "--seed must be >= 0"),
+    ("evaluate", "--seed", "-5", "--seed must be >= 0"),
+    ("train-identifier", "--seed", "-1", "--seed must be >= 0"),
     *((command, "--cost", cost, "cost must be positive and finite")
       for command in ("train-identifier", "evaluate", "train-recognizer",
                       "importance")
@@ -1089,15 +1092,66 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
 ])
 def test_bad_setting_rejected_before_reading(command, option, value,
                                              message, tmp_path, capsys):
-    # the input does not exist: the setting's check comes first
+    # the input does not exist (synth reads none): the setting's check
+    # comes first
     out = tmp_path / "out"
     source = "--in" if command in ("rp-export", "rqa-features") else "--data"
+    inputs = [] if command == "synth" else [source, str(tmp_path / "missing")]
     target = "--report" if command == "evaluate" else "--out"
     # a 5-sample window holds 5 - 3 * 3 < 2 states of an m=4, tau=3
     # embedding
     more = {"rqa-features": ["--step", "5", "--dimension", "4",
                              "--delay", "3"]}.get(command, [])
-    assert dispatch([command, source, str(tmp_path / "missing"),
-                     target, str(out), option, value, *more]) == 3
+    assert dispatch([command, *inputs, target, str(out), option, value,
+                     *more]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_seed_in_params_rejected_before_writing(tmp_path, capsys):
+    params = tmp_path / "params.txt"
+    params.write_text("seed = -1\n")
+    out = tmp_path / "out"
+    assert dispatch(["synth", "--out", str(out), "--params", str(params)]) == 3
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pools_capped_at_task_count(data_dir, tmp_path, monkeypatch):
+    """synth opens at most one worker per subject and importance one per
+    feature, whatever --jobs asks for; the outputs are those of one
+    process."""
+    sizes = []
+
+    class Recorder:
+        """Records the pool size and maps in this process, starting no
+        worker."""
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    runs = {}
+    for jobs in ("1", "500"):
+        if jobs == "500":
+            monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recorder)
+        corpus = tmp_path / f"corpus{jobs}"
+        table = tmp_path / f"importance{jobs}.csv"
+        assert dispatch(["synth", "--out", str(corpus), "--subjects", "2",
+                         "--reps", "1", "--adl-minutes", "0",
+                         "--jobs", jobs]) == 0
+        assert dispatch(["importance", "--data", str(data_dir),
+                         "--out", str(table), "--classifier", "centroid",
+                         "--reps", "1", "--jobs", jobs]) == 0
+        runs[jobs] = ({p.relative_to(corpus): p.read_bytes()
+                       for p in corpus.rglob("*") if p.is_file()},
+                      table.read_bytes())
+    assert sizes == [2, 63]
+    assert runs["500"] == runs["1"]

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gesturekit import imu
-from gesturekit.cli import read_params
+from gesturekit.cli import _typed_overrides, build_parser, read_params
 from gesturekit.errors import ParseError
 from gesturekit.features import read_feature_csv, write_feature_csv
 from gesturekit.imu import (CHANNELS, ImuStream, LabeledDataset,
@@ -559,6 +559,67 @@ def test_label_bound_grammar(workdir, token):
             assert str(got.value) == f"{path}: non-integer bound at line 2"
 
 
+# feature CSV cells and numeric option values are read as a stream's
+# cells: "1_0" and "\u0663" are refused, a cell wrapped in "\x1f" is taken
+GRAMMAR_CELL_TOKENS = tuple(t for t in DIFF_TOKENS if t != "\r\n")
+
+
+@pytest.mark.parametrize("token", GRAMMAR_CELL_TOKENS, ids=token_id)
+def test_feature_cell_grammar(workdir, token):
+    """The token as the last feature cell of a feature CSV's first row,
+    a good row after it, with one feature or two: the value it reads as,
+    as a stream's channel cell, or that cell's message without its
+    tail."""
+    path = workdir / "grammar-features.csv"
+    want = STREAM_GRAMMAR[token][0]
+    for head in ([], [1.5]):
+        names = ",".join(f"f{i}" for i in range(len(head) + 1))
+        first = "".join(f"{v!r}," for v in head)
+        write_file(path, f"{names},label,subject\n{first}{token_cell(token)},"
+                         f"Up,s01\n{first}4.5,Down,s02\n")
+        if isinstance(want, float):
+            assert read_feature_csv(path).X.tobytes() == \
+                np.array([head + [want], head + [4.5]]).tobytes()
+        else:
+            with pytest.raises(ParseError) as got:
+                read_feature_csv(path)
+            assert str(got.value) == f"{path}: {want.partition(':')[0]}"
+
+
+@pytest.mark.parametrize("token", GRAMMAR_CELL_TOKENS, ids=token_id)
+def test_option_value_grammar(workdir, token, capsys):
+    """The token as an int and a float option value, on the command line
+    and in a ``--params`` file: the value it reads as, as a stream's
+    index or channel cell, or a usage error and a ParseError."""
+    cell = token_cell(token)
+    parser, subs = build_parser("rqa-features")
+    path = workdir / "grammar-params.txt"
+    for key, column, kind in (("window_len", 1, "int"),
+                              ("epsilon", 0, "float")):
+        want = STREAM_GRAMMAR[token][column]
+        write_file(path, f"{key} = {cell}\n")
+        argv = ["rqa-features", "--in", "a.csv", "--out", "b.csv",
+                f"--{key.replace('_', '-')}={cell}"]
+        if isinstance(want, str) and not want.startswith("non-finite"):
+            with pytest.raises(SystemExit) as code:
+                parser.parse_args(argv)
+            assert code.value.code == 1
+            assert f"invalid {kind} value" in capsys.readouterr().err
+            with pytest.raises(ParseError) as got:
+                _typed_overrides(subs["rqa-features"], path)
+            # read_params strips a value and refuses an empty one
+            assert (f"invalid value for {key!r}" if cell.strip()
+                    else "expected `key = value`") in str(got.value)
+            continue
+        got = (vars(parser.parse_args(argv))[key],
+               _typed_overrides(subs["rqa-features"], path)[key])
+        if isinstance(want, str):       # a non-finite float
+            assert not any(np.isfinite(got))
+        else:
+            assert [type(v) for v in got] == [type(want)] * 2
+            assert np.array(got).tobytes() == np.array([want] * 2).tobytes()
+
+
 @pytest.fixture(scope="module")
 def long_stream_lines(workdir):
     path = workdir / "diff-valid.csv"
@@ -627,8 +688,10 @@ def test_stream_parse_matches_block_loop(workdir, long_stream_lines, subs,
 
 def plain_cell(cell):
     """Whether a parse keeping acc_y checks ``cell``, as an acc_z cell,
-    without converting it."""
-    return imu._plain_block([f"7,1,1,{cell}" + ",1" * 6], [1]) is not None
+    without converting it: never if its row holds a NUL, else if
+    ``_plain`` takes the 24 bytes that ``np.loadtxt`` reads it as."""
+    return "\0" not in cell and bool(imu._plain(np.array([cell],
+                                                        imu._CELL))[0])
 
 
 @FUZZ

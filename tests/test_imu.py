@@ -231,14 +231,17 @@ def test_big_stream_crlf_and_blank_lines(big_stream, tmp_path):
 def test_kept_subset_parse_never_converts_a_written_block_whole(
         big_stream, tmp_path, monkeypatch):
     """Every block of a written stream parsed for fewer than nine channels
-    takes the kept-subset path: converting a block whole raises here."""
+    takes the kept-subset path: a ``_records`` call converting all nine
+    channels raises here."""
     stream, lines = big_stream
     p = tmp_path / "s.csv"
     p.write_text("\n".join(lines) + "\n")
+    records = imu._records
 
-    def whole(rows):
-        raise AssertionError("a block was converted whole")
-    monkeypatch.setattr(imu, "_numpy_rows", whole)
+    def subset_only(rows, keep):
+        assert len(set(keep)) < len(CHANNELS), "a block was converted whole"
+        return records(rows, keep)
+    monkeypatch.setattr(imu, "_records", subset_only)
     for names in (("acc_y",), ("gyro_z", "acc_x")):
         kept = [CHANNELS.index(c) for c in names]
         assert parse_imu_csv(p, names).channels.tobytes() == \

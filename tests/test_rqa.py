@@ -6,7 +6,7 @@ import pytest
 
 from gesturekit.errors import ValidationError
 from gesturekit import rqa
-from gesturekit.rqa import (NORMS, _BLOCK_CHUNK, RecurrencePlot, RqaConfig,
+from gesturekit.rqa import (NORMS, _BLOCK_CHUNK, RqaConfig,
                             ami_curve, estimate_delay, estimate_dimension,
                             fnn_fraction, recurrence_plot, time_delay_embed,
                             windowed_rqa, write_rp_pgm, write_rqa_csv)
@@ -51,7 +51,7 @@ def test_recurrence_plot_matches_oracle_small(monkeypatch):
         for norm in ("L1", "L2", "Linf"):
             plot = recurrence_plot(states, RqaConfig(epsilon=1.2, norm=norm))
             want = naive_recurrence_matrix(states, 1.2, norm)
-            assert np.array_equal(plot.matrix, want)
+            assert np.array_equal(plot, want)
 
 
 def test_recurrence_plot_blocks_equal_one_distance_matrix():
@@ -63,7 +63,7 @@ def test_recurrence_plot_blocks_equal_one_distance_matrix():
         plot = recurrence_plot(states, RqaConfig(epsilon=1.2, norm=norm))
         want = (cdist(states, states, metric=metric) <= 1.2).astype(np.uint8)
         np.fill_diagonal(want, 1)
-        assert np.array_equal(plot.matrix, want)
+        assert np.array_equal(plot, want)
 
 
 def cdist_plot(states, cfg):
@@ -88,12 +88,12 @@ def test_recurrence_plot_equals_cdist(norm, m):
     # a row count the block size does not divide, and states in a strided
     # view as time_delay_embed gives them
     states = rng.normal(size=(5 * rqa._THRESHOLD_ROWS + 3, m))
-    assert np.array_equal(recurrence_plot(states, cfg).matrix,
+    assert np.array_equal(recurrence_plot(states, cfg),
                           cdist_plot(states, cfg))
     for tau in (1, 3):
         embedded = time_delay_embed(rng.normal(scale=0.5, size=90),
                                     RqaConfig(dimension=m, delay=tau))
-        assert np.array_equal(recurrence_plot(embedded, cfg).matrix,
+        assert np.array_equal(recurrence_plot(embedded, cfg),
                               cdist_plot(embedded, cfg))
 
 
@@ -103,7 +103,7 @@ def test_recurrence_plot_ties_equal_cdist(norm, m):
     rng = np.random.default_rng([m, len(norm), 1])
     cfg = RqaConfig(epsilon=0.25, norm=norm)
     states = dyadic(rng, (60, m))
-    plot = recurrence_plot(states, cfg).matrix
+    plot = recurrence_plot(states, cfg)
     assert np.array_equal(plot, cdist_plot(states, cfg))
     from scipy.spatial.distance import cdist
     ties = cdist(states, states, CDIST_METRIC[norm]) == 0.25
@@ -123,7 +123,7 @@ def test_distances_past_the_float_range_do_not_warn(norm):
         got = window_table(r, cfg)
         plot = recurrence_plot(time_delay_embed(r, cfg), cfg)
     assert got == per_window_reference(r, cfg)
-    assert np.array_equal(plot.matrix,
+    assert np.array_equal(plot,
                           cdist_plot(time_delay_embed(r, cfg), cfg))
 
 
@@ -188,32 +188,22 @@ def test_recurrence_plot_tie_is_recurrence():
     # exact distance 1 at threshold 1: Heaviside(0) counts as recurrent
     states = np.array([[0.0], [1.0], [3.0]])
     plot = recurrence_plot(states, RqaConfig(epsilon=1.0, norm="L2"))
-    assert plot.matrix[0, 1] == 1 and plot.matrix[1, 0] == 1
-    assert plot.matrix[0, 2] == 0
-
-
-@pytest.mark.parametrize("matrix", [
-    np.zeros((3, 3)), 2 * np.eye(3), np.triu(np.ones((3, 3)))],
-    ids=["zero-diagonal", "not-0/1", "asymmetric"])
-def test_recurrence_plot_rejects_other_matrices(matrix):
-    # a matrix from outside must be one that thresholding distances makes
-    with pytest.raises(ValidationError):
-        RecurrencePlot(matrix)
+    assert plot[0, 1] == 1 and plot[1, 0] == 1
+    assert plot[0, 2] == 0
 
 
 @pytest.mark.parametrize("norm", NORMS)
 def test_built_plot_is_one_the_constructor_accepts(norm):
-    """recurrence_plot skips the constructor's check, so its plots must
-    pass it: square, symmetric 0/1 with a unit diagonal, and read-only,
-    as the constructor leaves a plot."""
+    """recurrence_plot, the one constructor of plots, returns a square
+    uint8 matrix, symmetric 0/1 with a unit diagonal, and read-only."""
     r = np.random.default_rng(5).normal(size=300)
     cfg = RqaConfig(dimension=3, delay=2, epsilon=0.8, norm=norm)
     plot = recurrence_plot(time_delay_embed(r, cfg), cfg)
-    assert plot.matrix.dtype == np.uint8 and not plot.matrix.flags.writeable
-    assert 0 < plot.matrix.mean() < 1
-    checked = RecurrencePlot(plot.matrix.copy())
-    assert np.array_equal(checked.matrix, plot.matrix)
-    assert not checked.matrix.flags.writeable
+    assert plot.dtype == np.uint8 and not plot.flags.writeable
+    assert plot.shape == (cfg.n_states(300),) * 2
+    assert np.array_equal(plot, plot.T)
+    assert set(np.unique(plot).tolist()) == {0, 1}
+    assert (plot.diagonal() == 1).all()
 
 
 @pytest.mark.parametrize("series,m,tau,epsilons", [
@@ -371,8 +361,8 @@ def per_window_reference(series, cfg):
         window = series[start: start + cfg.window_len]
         plot = recurrence_plot(naive_embed(window, cfg.dimension, cfg.delay),
                                cfg)
-        out.append((start, naive_recurrence_rate(plot.matrix),
-                    naive_transitivity(plot.matrix)))
+        out.append((start, naive_recurrence_rate(plot),
+                    naive_transitivity(plot)))
     return out
 
 
@@ -482,7 +472,7 @@ def test_rqa_csv_and_pgm(tmp_path):
     img = tmp_path / "rp.pgm"
     write_rp_pgm(plot, img)
     blob = img.read_bytes()
-    n = plot.n_states
+    n = len(plot)
     assert blob.startswith(f"P5\n{n} {n}\n255\n".encode())
     body = blob.split(b"\n", 3)[3]
     assert len(body) == n * n
