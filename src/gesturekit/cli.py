@@ -1,18 +1,19 @@
 """Command-line front door: synthesis, RQA extraction, training,
-identification, recognition, evaluation, importance, and augmentation.
+identification, recognition, evaluation, and importance.
 
 Every subcommand accepts ``--seed`` and derives all randomness from it,
 so repeating an invocation with identical flags writes byte-identical
 files; ``--jobs`` changes wall time only. ``--params FILE`` reads a flat
 ``key = value`` text file whose keys are long option names with
-underscores (``window_len = 250``); explicit flags still win. A number
-there or on the command line is read in the number grammar of every
-input (``imu.read_number``), and ``--seed`` must be >= 0. An option
-for a tuned setting takes its default from the library object that owns
-the setting (``RqaConfig``, ``IdentificationConfig``, ``SvmTrainer``,
-``SynthConfig`` or ``ForestConfig``), and its help line shows that
-default. Exit codes: 0 success, 1 usage, 2 unreadable input data, 3
-validation or convergence failure.
+underscores (``window_len = 250``); explicit flags still win, and the
+key of a required option is refused. A number there or on the command
+line is read in the number grammar of every input (``imu.read_number``),
+and ``--seed`` must be >= 0. An option for a tuned setting takes its
+default from the library object that owns the setting (``RqaConfig``,
+``IdentificationConfig``, ``SvmTrainer``, ``SynthConfig`` or
+``ForestConfig``), and its help line shows that default. Exit codes: 0
+success, 1 usage, 2 unreadable input data, 3 validation or convergence
+failure.
 """
 
 from __future__ import annotations
@@ -23,17 +24,15 @@ from pathlib import Path
 
 from .errors import ConvergenceError, ParseError, ValidationError
 from .features import (DEFAULT_SAMPLES, STAT_NAMES, check_samples,
-                       feature_names, featurize_segments, read_feature_csv,
-                       write_feature_csv)
+                       feature_names, featurize_segments)
 from .forest import ForestConfig
 from .imu import (CHANNELS, LabeledDataset, cut_segments, parse_imu_csv,
                   parse_label_csv, read_lines, read_number, write_file)
 from .pipeline import (CentroidTrainer, ForestTrainer, IdentificationConfig,
-                       SvmTrainer, check_reps, check_select, check_sigma,
+                       SvmTrainer, check_reps, check_select,
                        identify_segments, load_identifier,
                        permutation_importance, loso_evaluate, pool_map,
-                       standardize_augment, train_identifier,
-                       window_features, write_confusion_csv,
+                       train_identifier, window_features, write_confusion_csv,
                        write_importance_csv, write_report_csv)
 from .rqa import (NORMS, RqaConfig, recurrence_plot, time_delay_embed,
                   write_rp_pgm, write_rqa_csv)
@@ -203,7 +202,9 @@ def _typed_overrides(sub: argparse.ArgumentParser, params_path) -> dict:
     out = {}
     for key, value in raw.items():
         action = actions.get(key)
-        if action is None or key in ("help", "params"):
+        # a required option is parsed from the command line before the
+        # file is read, so a value for it here would never take effect
+        if action is None or action.required or key in ("help", "params"):
             raise ParseError(f"{params_path}: unknown parameter {key!r}")
         if action.choices is not None and value not in action.choices:
             raise ParseError(f"{params_path}: {key} must be one of "
@@ -366,20 +367,6 @@ def _cmd_importance(args) -> int:
     return 0
 
 
-def _cmd_augment(args) -> int:
-    check_sigma(args.sigma)
-    dataset = read_feature_csv(args.infile)
-    scaler, out = standardize_augment(dataset, args.sigma, seed=args.seed)
-    # back to raw units; the originals are copied, not round-tripped
-    n = len(dataset)
-    out.X[:n] = dataset.X
-    out.X[n:] = out.X[n:] * scaler.std + scaler.mean
-    write_feature_csv(out, args.outfile)
-    print(f"wrote {len(out)} rows ({n} original + {n} noisy) to "
-          f"{args.outfile}")
-    return 0
-
-
 def _synth_options(p):
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output dataset directory")
@@ -507,16 +494,6 @@ def _importance_options(p):
     _add_svm(p, _RECOGNITION)
 
 
-def _augment_options(p):
-    p.add_argument("--in", dest="infile", required=True, metavar="CSV",
-                   help="input feature table")
-    p.add_argument("--out", dest="outfile", required=True, metavar="CSV",
-                   help="output table with originals then noisy copies")
-    p.add_argument("--sigma", type=_FLOAT, default=0.5,
-                   help="noise scale in per-feature standard deviations "
-                        "(default %(default)s)")
-
-
 # name: (handler, help line, takes --jobs, adds the other options)
 _COMMANDS = {
     "synth": (_cmd_synth, "Generate a synthetic labeled IMU corpus.", True,
@@ -540,8 +517,6 @@ _COMMANDS = {
                  "labeled segments.", True, _evaluate_options),
     "importance": (_cmd_importance, "Permutation importance of segment "
                    "features.", True, _importance_options),
-    "augment": (_cmd_augment, "Append noisy copies to a feature table.",
-                False, _augment_options),
 }
 
 

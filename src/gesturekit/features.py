@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .imu import (CHANNELS, ImuStream, LabeledDataset, format_float,
-                  number_rows, read_lines, write_file)
+from .errors import ValidationError
+from .imu import CHANNELS, ImuStream, LabeledDataset
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
 DEFAULT_SAMPLES = 10
+# far above the tuned 10: one segment resampled to S points per axis costs
+# O(S) time and memory, so a model's [registry] cannot ask for 10**9
+MAX_SAMPLES = 1000
 _SAMPLE_NAME = re.compile(r"acc_[xyz]_s([0-9]+)")
 
 
@@ -49,14 +51,19 @@ def is_sample_feature(name: str) -> bool:
 
 def sample_count(names) -> int:
     """The resampled length S that ``names`` ask for: their largest sample
-    index, or DEFAULT_SAMPLES when none is a sample name."""
-    return max((int(m[1]) for m in map(_SAMPLE_NAME.fullmatch, names) if m),
-               default=DEFAULT_SAMPLES)
+    index, or DEFAULT_SAMPLES when none is a sample name; ValidationError
+    unless ``check_samples`` takes it."""
+    n_samples = max((int(m[1]) for m in map(_SAMPLE_NAME.fullmatch, names)
+                     if m), default=DEFAULT_SAMPLES)
+    check_samples(n_samples)
+    return n_samples
 
 
 def check_samples(n_samples: int) -> None:
     if n_samples < 2:
         raise ValidationError("need at least 2 output samples")
+    if n_samples > MAX_SAMPLES:
+        raise ValidationError(f"need at most {MAX_SAMPLES} output samples")
 
 
 def resample_linear(series, n_samples: int) -> np.ndarray:
@@ -146,42 +153,3 @@ class Scaler:
         std = X.std(axis=0)
         std = np.where(std > 0.0, std, 1.0)
         return cls(mean=mean, std=std)
-
-
-def write_feature_csv(dataset: LabeledDataset, path) -> None:
-    """Feature matrix CSV: feature names plus ``label,subject`` columns."""
-    header = list(dataset.feature_names) + ["label", "subject"]
-    rows = ([format_float(v) for v in x] + [label, subject]
-            for x, label, subject in zip(dataset.X, dataset.labels, dataset.subjects))
-    write_file(path, "".join(",".join(cells) + "\n" for cells in [header, *rows]))
-
-
-def read_feature_csv(path) -> LabeledDataset:
-    """Parse a feature matrix CSV; its feature cells are read in the
-    number grammar by ``number_rows``."""
-    lines = read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if len(header) < 3 or header[-2:] != ["label", "subject"]:
-        raise ParseError(f"{path}: feature CSV must end with label,subject columns")
-    names = header[:-2]
-    entries = [(lineno, ln.split(","))
-             for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    values = number_rows([cells[:-2] for _, cells in entries], float)
-    rows, labels, subjects = [], [], []
-    for lineno, cells in entries:
-        if len(cells) != len(header):
-            raise ParseError(f"{path}: wrong cell count at line {lineno}")
-        try:
-            rows.append(next(values))
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric cell at line {lineno}") from None
-        if not np.all(np.isfinite(rows[-1])):
-            raise ParseError(f"{path}: non-finite value at line {lineno}")
-        labels.append(cells[-2].strip())
-        subjects.append(cells[-1].strip())
-    if not rows:
-        raise ParseError(f"{path}: no feature rows")
-    return LabeledDataset(X=np.array(rows), labels=labels, subjects=subjects,
-                          feature_names=names)

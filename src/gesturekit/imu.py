@@ -24,8 +24,8 @@ kept cells, and checks each other cell as bytes: a plain cell
 (``_CELL``) is one the grammar reads as a finite number, and a block
 with any other cell is converted whole, so the grammar and every
 message stay the same. A block that fails is converted again row by
-row to name its first bad row. Label and feature CSVs convert their
-numeric cells through ``number_rows``.
+row to name its first bad row. A label CSV converts its bounds through
+``number_rows``.
 """
 
 from __future__ import annotations
@@ -271,19 +271,19 @@ def read_number(cell: str, kind: type[int] | type[float]) -> int | float:
                      + repr(cell)[:200])
 
 
-def number_rows(rows, kind: type[int] | type[float]):
-    """An iterator of the numbers of each row of ``rows`` (lists of
-    cells), read as ``kind`` by ``read_number``'s grammar: all rows by
-    one ``np.loadtxt`` call, or, if that call fails, a row at a time, so
-    that a bad cell raises ValueError or OverflowError when its row is
+def number_rows(rows):
+    """An iterator of the int64 values of each row of ``rows`` (lists of
+    cells), read by ``read_number``'s grammar: all rows by one
+    ``np.loadtxt`` call, or, if that call fails, a row at a time, so that
+    a bad cell raises ValueError or OverflowError when its row is
     reached."""
     block = loadtxt_or_none([",".join(cells) for cells in rows],
-                            dtype=np.int64 if kind is int else np.float64,
-                            delimiter=",", comments=None, ndmin=2)
+                            dtype=np.int64, delimiter=",", comments=None,
+                            ndmin=2)
     # loadtxt skips a line of whitespace, so the count is checked
     if block is not None and len(block) == len(rows):
         return iter(block.tolist())
-    return ([read_number(cell, kind) for cell in cells] for cells in rows)
+    return ([read_number(cell, int) for cell in cells] for cells in rows)
 
 
 # A cell a kept-subset parse need not convert: np.loadtxt reads an unkept
@@ -559,7 +559,7 @@ def parse_label_csv(path) -> list[LabeledInterval]:
         raise ParseError(f"{path}: unexpected header {header}, want {LABEL_HEADER}")
     rows = [(lineno, [c.strip() for c in ln.split(",")])
             for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    bounds = number_rows([cells[:2] for _, cells in rows], int)
+    bounds = number_rows([cells[:2] for _, cells in rows])
     intervals = []
     for lineno, cells in rows:
         if len(cells) != 4:

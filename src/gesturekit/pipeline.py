@@ -447,7 +447,7 @@ def check_select(k: int, n_stats: int) -> None:
                               "statistical feature count")
 
 
-def check_sigma(sigma: float) -> None:
+def _check_sigma(sigma: float) -> None:
     if not 0.0 <= sigma < np.inf:
         raise ValidationError("sigma must be non-negative and finite")
 
@@ -460,20 +460,12 @@ def noise_augment(train: LabeledDataset, sigma: float,
     is produced on z-scored features. Labels and subjects duplicate
     one-to-one, so class and subject marginals are preserved exactly.
     """
-    check_sigma(sigma)
+    _check_sigma(sigma)
     rng = derive_rng(seed, AUGMENT)
     n = len(train)
     out = train.take(np.tile(np.arange(n), 2))
     out.X[n:] += rng.normal(0.0, 1.0, train.X.shape) * sigma
     return out
-
-
-def standardize_augment(train: LabeledDataset, sigma: float, seed=0):
-    """``(scaler, augmented)``: z-score ``train`` with a scaler fit on its
-    own rows, then append the noisy copies of ``noise_augment``."""
-    scaler = Scaler.fit(train.X)
-    return scaler, noise_augment(replace(train, X=scaler.transform(train.X)),
-                                 sigma, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -526,7 +518,7 @@ class SvmTrainer:
         if self.select_k is not None and self.select_k < 1:
             raise ValidationError(f"select_k={self.select_k} must be >= 1")
         if self.augment_sigma is not None:
-            check_sigma(self.augment_sigma)
+            _check_sigma(self.augment_sigma)
 
     def model(self, train: LabeledDataset, seed=0) -> OvoSvmModel:
         """The pairwise ensemble fit on all of ``train``, standardized and
@@ -537,12 +529,13 @@ class SvmTrainer:
 
     def _training_set(self, train: LabeledDataset, seed):
         """``(dataset, scaler)`` as ``ovo_train`` takes them: ``train``
-        and None, or its standardized, augmented rows and their scaler."""
+        and None, or its rows z-scored by a scaler fit on them, followed
+        by their noisy copies from ``noise_augment``, and that scaler."""
         if self.augment_sigma is None:
             return train, None
-        scaler, augmented = standardize_augment(train, self.augment_sigma,
-                                                seed=seed)
-        return augmented, scaler
+        scaler = Scaler.fit(train.X)
+        return noise_augment(replace(train, X=scaler.transform(train.X)),
+                             self.augment_sigma, seed=seed), scaler
 
     def __call__(self, folds) -> list[np.ndarray]:
         """Each fold's predictions; the folds' models come from one

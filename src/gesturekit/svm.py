@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, ParseError, ValidationError
-from .features import Scaler
+from .features import Scaler, sample_count
 from .imu import (class_indices, loadtxt_or_none, read_lines, read_number,
                   write_file)
 
@@ -578,7 +578,8 @@ def load_model(path) -> OvoSvmModel:
     lines by one ``np.loadtxt`` call, and so all ``alpha_y`` lines and all
     ``bias`` lines (see ``_number_block``). An error names the section of
     the first bad line. A ``cost`` that is not positive and finite is
-    rejected, as no trainer takes it.
+    rejected, as no trainer takes it, and so is a ``[registry]`` whose
+    sample names ask for a length ``features.check_samples`` refuses.
     """
     path = Path(path)
     lines = read_lines(path)
@@ -633,6 +634,10 @@ def load_model(path) -> OvoSvmModel:
     names = [ln.strip() for ln in names]
     if not names or len(names) != len(mean):
         raise ParseError(f"{path}: registry size differs from scaler width")
+    try:
+        sample_count(names)
+    except ValidationError as e:
+        raise ParseError(f"{path}: bad [registry] section: {e}") from None
     sv = _number_block(path, repeat("[sv]"), rows, "sv", len(names))
 
     pair_title = re.compile(r"\[pair (\S+) (\S+)\]")

@@ -15,10 +15,10 @@ import pytest
 import gesturekit
 from gesturekit.cli import _kernel_from, build_parser, dispatch, read_params
 from gesturekit.errors import ParseError
-from gesturekit.features import read_feature_csv
+from gesturekit.features import DEFAULT_SAMPLES, MAX_SAMPLES
 from gesturekit.forest import ForestConfig
-from gesturekit.imu import cut_segments, extract_segment, parse_imu_csv, \
-    parse_label_csv, write_imu_csv
+from gesturekit.imu import extract_segment, parse_imu_csv, parse_label_csv, \
+    write_imu_csv
 from gesturekit import cli, forest, pipeline
 from gesturekit.pipeline import IdentificationConfig, SvmTrainer
 from gesturekit.rqa import RqaConfig
@@ -28,7 +28,7 @@ from gesturekit.synth import TEMPLATES, SynthConfig
 
 COMMANDS = ("synth", "rqa-features", "rp-export", "train-identifier",
             "identify", "train-recognizer", "recognize", "evaluate",
-            "importance", "augment")
+            "importance")
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +71,17 @@ class TestParsing:
         assert dispatch([]) == 1
         assert "usage" in capsys.readouterr().err
 
-    def test_unknown_command(self, capsys):
+    def test_unknown_command(self, tmp_path, capsys):
         assert dispatch(["frobnicate"]) == 1
+        # noise augmentation is --augment-sigma of train-recognizer and
+        # evaluate; no command reads or writes a feature table
+        table = tmp_path / "features.csv"
+        table.write_text("f0,label,subject\n1.0,Up,s01\n2.0,Down,s01\n")
+        out = tmp_path / "o.csv"
+        assert dispatch(["augment", "--in", str(table), "--out", str(out),
+                         "--sigma", "0.5"]) == 1
+        assert "invalid choice: 'augment'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_flag_value(self, tmp_path, capsys):
         code = dispatch(["synth", "--out", str(tmp_path / "d"),
@@ -286,15 +295,14 @@ def with_bad_byte(text: str, path: Path) -> Path:
 
 
 class TestUndecodableInput:
-    @pytest.mark.parametrize("reader", ["stream", "labels", "features",
-                                        "model", "params"])
+    @pytest.mark.parametrize("reader", ["stream", "labels", "model",
+                                        "params"])
     def test_reader_raises_parse_error(self, reader, stream_csv, identifier,
                                        tmp_path):
         labels = stream_csv.with_name(stream_csv.stem + "_labels.csv")
         read, text = {
             "stream": (parse_imu_csv, stream_csv.read_text()),
             "labels": (parse_label_csv, labels.read_text()),
-            "features": (read_feature_csv, "f0,label,subject\n1.0,Up,s01\n"),
             "model": (load_model, identifier[0].read_text()),
             "params": (read_params, "window_len = 250\n"),
         }[reader]
@@ -432,6 +440,32 @@ class TestParams:
         assert dispatch(["rqa-features", "--in", str(stream_csv),
                          "--out", str(tmp_path / "o.csv"),
                          "--params", str(params)]) == 2
+
+    @pytest.mark.parametrize("command,key", [
+        ("synth", "out"), ("rqa-features", "infile"),
+        ("rqa-features", "outfile"), ("identify", "model"),
+        ("train-recognizer", "data")])
+    def test_required_option_key_rejected(self, command, key, data_dir,
+                                          stream_csv, identifier, tmp_path,
+                                          capsys):
+        """A required option is parsed from the command line before the
+        file is read, so a key for it could never take effect: it is an
+        unknown parameter, and nothing is written."""
+        given = tmp_path / "given"
+        argv = {
+            "synth": ["--out", given, "--subjects", "2", "--reps", "1",
+                      "--adl-minutes", "0"],
+            "rqa-features": ["--in", stream_csv, "--out", given],
+            "identify": ["--in", stream_csv, "--model", identifier[0],
+                         "--out", given],
+            "train-recognizer": ["--data", data_dir, "--out", given],
+        }[command]
+        params = tmp_path / "p.params"
+        params.write_text(f"{key} = {tmp_path / 'other'}\n")
+        assert dispatch([command, *map(str, argv),
+                         "--params", str(params)]) == 2
+        assert f"unknown parameter {key!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [params]
 
     def test_read_params_syntax(self, tmp_path):
         p = tmp_path / "x.params"
@@ -811,6 +845,23 @@ class TestRecognize:
         assert captured.out == "Right\n"
         assert captured.err == "votes: Right=10, Down=10, Z=9\n"
 
+    def test_registry_past_the_sample_bound_exits_2(self, data_dir,
+                                                    recognizer, tmp_path,
+                                                    capsys):
+        """A hand-edited [registry] that asks for more than MAX_SAMPLES
+        resampled points is refused as the model loads, before any
+        segment is featurized."""
+        name = f"acc_z_s{DEFAULT_SAMPLES}\n"
+        text = recognizer.read_text()
+        assert text.count(name) == 1
+        model = tmp_path / "edited.model"
+        model.write_text(text.replace(name, f"acc_z_s{MAX_SAMPLES + 1}\n"))
+        assert dispatch(["recognize", "--model", str(model), "--in",
+                         str(data_dir / "recognition" / "s01.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: bad [registry] section: need at most "
+            f"{MAX_SAMPLES} output samples\n")
+
 
 # the commands that cut their folds into --jobs batches, each writing
 # every file it can into {out}
@@ -987,61 +1038,11 @@ class TestImportance:
         assert "baseline accuracy" in capsys.readouterr().out
 
 
-class TestAugment:
-    def test_doubles_feature_table(self, data_dir, recognizer, tmp_path,
-                                   capsys):
-        from gesturekit.cli import _load_streams
-        from gesturekit.features import featurize_segments, \
-            read_feature_csv, write_feature_csv
-        table = tmp_path / "features.csv"
-        dataset = featurize_segments(
-            cut_segments(_load_streams(data_dir / "recognition")))
-        write_feature_csv(dataset, table)
-        out = tmp_path / "augmented.csv"
-        assert dispatch(["augment", "--in", str(table),
-                         "--out", str(out), "--sigma", "0.5"]) == 0
-        augmented = read_feature_csv(out)
-        assert len(augmented) == 2 * len(dataset)
-        assert (augmented.X[:len(dataset)] == dataset.X).all()
-        assert "48 original + 48 noisy" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_cell_rejected(self, tmp_path, capsys, cell):
-        table = tmp_path / "features.csv"
-        table.write_text("f0,f1,label,subject\n1.0,2.0,Up,s01\n"
-                         f"3.0,{cell},Down,s01\n5.0,6.0,Up,s02\n")
-        out = tmp_path / "o.csv"
-        assert dispatch(["augment", "--in", str(table),
-                         "--out", str(out)]) == 2
-        assert "line 3" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_sigma_rejected(self, tmp_path):
-        table = tmp_path / "features.csv"
-        table.write_text("f0,label,subject\n1.0,Up,s01\n2.0,Down,s01\n")
-        assert dispatch(["augment", "--in", str(table),
-                         "--out", str(tmp_path / "o.csv"),
-                         "--sigma", "-1"]) == 3
-
-    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
-    def test_bad_sigma_rejected_before_reading(self, tmp_path, capsys,
-                                               sigma):
-        # the input table does not exist: the sigma check comes first
-        out = tmp_path / "o.csv"
-        assert dispatch(["augment", "--in", str(tmp_path / "missing.csv"),
-                         "--out", str(out), "--sigma", sigma]) == 3
-        assert ("sigma must be non-negative and finite"
-                in capsys.readouterr().err)
-        assert not out.exists()
-
-
 @pytest.mark.parametrize("command,option,value", [
     ("train-recognizer", "--coef0", "nan"),
     ("train-recognizer", "--coef0", "inf"),
     ("train-recognizer", "--gamma", "inf"),
     ("evaluate", "--gamma", "inf"),
-    ("augment", "--sigma", "nan"),
-    ("augment", "--sigma", "inf"),
     ("synth", "--rate", "nan"),
     ("synth", "--rate", "inf"),
     ("synth", "--adl-minutes", "nan"),
@@ -1053,12 +1054,8 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
     argv = {
         "train-recognizer": ["--data", str(data_dir), "--out", str(out)],
         "evaluate": ["--data", str(data_dir), "--report", str(out)],
-        "augment": ["--in", str(tmp_path / "features.csv"),
-                    "--out", str(out)],
         "synth": ["--out", str(out), "--subjects", "2", "--reps", "1"],
     }[command]
-    (tmp_path / "features.csv").write_text(
-        "f0,label,subject\n1.0,Up,s01\n2.0,Down,s01\n")
     assert dispatch([command, *argv, option, value]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -1072,6 +1069,10 @@ def test_non_finite_setting_exits_3_and_writes_nothing(
     ("evaluate", "--samples", "1", "at least 2 output samples"),
     ("evaluate", "--samples", "0", "at least 2 output samples"),
     ("train-recognizer", "--samples", "1", "at least 2 output samples"),
+    ("evaluate", "--samples", f"{MAX_SAMPLES + 1}",
+     f"at most {MAX_SAMPLES} output samples"),
+    ("train-recognizer", "--samples", f"{MAX_SAMPLES + 1}",
+     f"at most {MAX_SAMPLES} output samples"),
     ("importance", "--samples", "1", "at least 2 output samples"),
     ("importance", "--reps", "0", "n_reps"),
     ("importance", "--gamma", "inf", "gamma must be finite"),

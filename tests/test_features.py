@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from gesturekit.errors import ParseError, ValidationError
-from gesturekit.features import (DEFAULT_SAMPLES, STAT_NAMES, STATS, Scaler,
-                                 feature_names, featurize_segments,
-                                 is_sample_feature, read_feature_csv,
-                                 resample_linear, sample_count,
-                                 write_feature_csv)
+from gesturekit.errors import ValidationError
+from gesturekit.features import (DEFAULT_SAMPLES, MAX_SAMPLES, STAT_NAMES,
+                                 STATS, Scaler, check_samples, feature_names,
+                                 featurize_segments, is_sample_feature,
+                                 resample_linear, sample_count)
 from gesturekit.imu import ImuStream
 from oracles import loop_channel_statistics
 
@@ -141,6 +140,15 @@ def test_sample_names_and_count():
     assert not is_sample_feature("gyro_x_s1")
     assert sample_count(feature_names(4)) == 4
     assert sample_count(STAT_NAMES) == DEFAULT_SAMPLES
+    # --samples and a model's [registry] pass one bound, so no name can
+    # make a segment resample to 10**9 points
+    check_samples(MAX_SAMPLES)
+    assert sample_count([f"acc_y_s{MAX_SAMPLES}"]) == MAX_SAMPLES
+    for names in ([f"acc_x_s{MAX_SAMPLES + 1}"], ["acc_x_s1000000000"]):
+        with pytest.raises(ValidationError, match="at most 1000 output"):
+            sample_count(names)
+    with pytest.raises(ValidationError, match="at most 1000 output"):
+        check_samples(MAX_SAMPLES + 1)
 
 
 def test_featurize_segments_dataset():
@@ -205,29 +213,3 @@ def test_scaler_and_standardize():
     for bad in (np.zeros((0, 4)), np.zeros(4)):
         with pytest.raises(ValidationError, match="non-empty and 2-D"):
             Scaler.fit(bad)
-
-
-def test_feature_csv_roundtrip(tmp_path):
-    pairs = [(make_segment(40, seed=i), "Up" if i % 2 else "Down")
-             for i in range(4)]
-    ds = featurize_segments(pairs)
-    p = tmp_path / "f.csv"
-    write_feature_csv(ds, p)
-    back = read_feature_csv(p)
-    assert np.array_equal(back.X, ds.X)     # repr round-trips exactly
-    assert back.labels.tolist() == ds.labels.tolist()
-    assert back.subjects.tolist() == ds.subjects.tolist()
-    assert back.feature_names == list(ds.feature_names)
-
-
-def test_feature_csv_rejects_garbage(tmp_path):
-    p = tmp_path / "f.csv"
-    p.write_text("")
-    with pytest.raises(ParseError):
-        read_feature_csv(p)
-    p.write_text("a,b,label,subject\n1.0,nope,Up,s01\n")
-    with pytest.raises(ParseError, match="non-numeric"):
-        read_feature_csv(p)
-    p.write_text("a,b\n1.0,2.0\n")
-    with pytest.raises(ParseError):
-        read_feature_csv(p)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from gesturekit import imu
 from gesturekit.cli import _typed_overrides, build_parser, read_params
 from gesturekit.errors import ParseError
-from gesturekit.features import read_feature_csv, write_feature_csv
 from gesturekit.imu import (CHANNELS, ImuStream, LabeledDataset,
                             LabeledInterval, parse_imu_csv, parse_label_csv,
                             read_number, write_file, write_imu_csv,
@@ -336,19 +335,10 @@ def write_labels(path):
                      LabeledInterval(120, 160, "Pull", "s01")], path)
 
 
-def write_features(path):
-    r = np.random.default_rng(2)
-    write_feature_csv(LabeledDataset(X=r.normal(size=(4, 3)),
-                                     labels=["Up", "Down", "Up", "Down"],
-                                     subjects=["s01", "s01", "s02", "s02"],
-                                     feature_names=["f0", "f1", "f2"]), path)
-
-
 # each CSV reader with a writer for a small valid file it must accept
 CSV_READERS = {"stream": (parse_imu_csv, write_stream),
                "long-stream": (parse_imu_csv, write_long_stream),
-               "labels": (parse_label_csv, write_labels),
-               "features": (read_feature_csv, write_features)}
+               "labels": (parse_label_csv, write_labels)}
 
 
 @pytest.fixture(scope="module", params=sorted(CSV_READERS))
@@ -397,15 +387,12 @@ def read_digest(reader, path):
         return "ParseError"
     if isinstance(out, ImuStream):
         return out.channels.tobytes()
-    if isinstance(out, LabeledDataset):
-        return out.X.tobytes(), out.labels.tolist(), out.subjects.tolist()
     if isinstance(out, OvoSvmModel):
         return out.sv.tobytes(), out.coef.tobytes(), out.bias.tobytes()
     return out
 
 
-@pytest.mark.parametrize("name", ["stream", "labels", "features", "params",
-                                  "model"])
+@pytest.mark.parametrize("name", ["stream", "labels", "params", "model"])
 def test_every_reader_ends_lines_alike(workdir, model_bytes, name):
     """LF, CRLF and CR end lines in every reader; NEL and U+2028, which
     str.splitlines also splits at, end none."""
@@ -559,31 +546,30 @@ def test_label_bound_grammar(workdir, token):
             assert str(got.value) == f"{path}: non-integer bound at line 2"
 
 
-# feature CSV cells and numeric option values are read as a stream's
-# cells: "1_0" and "\u0663" are refused, a cell wrapped in "\x1f" is taken
+# a model's feature values and numeric option values are read as a
+# stream's cells: "1_0" and "\u0663" are refused, a value wrapped in "\x1f"
+# is taken
 GRAMMAR_CELL_TOKENS = tuple(t for t in DIFF_TOKENS if t != "\r\n")
 
 
 @pytest.mark.parametrize("token", GRAMMAR_CELL_TOKENS, ids=token_id)
-def test_feature_cell_grammar(workdir, token):
-    """The token as the last feature cell of a feature CSV's first row,
-    a good row after it, with one feature or two: the value it reads as,
-    as a stream's channel cell, or that cell's message without its
-    tail."""
-    path = workdir / "grammar-features.csv"
+def test_feature_cell_grammar(workdir, model_bytes, token):
+    """The token as the second feature value of a model's first support
+    vector: the value it reads as, as a stream's channel cell, or a load
+    error naming the [sv] section; the line-loop oracle agrees."""
+    lines = model_bytes.decode().split("\n")
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("sv "))
+    lines[k] = " ".join(lines[k].split(" ")[:2] + [token_cell(token)])
+    path = workdir / "grammar-features.model"
+    write_file(path, "\n".join(lines))
     want = STREAM_GRAMMAR[token][0]
-    for head in ([], [1.5]):
-        names = ",".join(f"f{i}" for i in range(len(head) + 1))
-        first = "".join(f"{v!r}," for v in head)
-        write_file(path, f"{names},label,subject\n{first}{token_cell(token)},"
-                         f"Up,s01\n{first}4.5,Down,s02\n")
-        if isinstance(want, float):
-            assert read_feature_csv(path).X.tobytes() == \
-                np.array([head + [want], head + [4.5]]).tobytes()
-        else:
-            with pytest.raises(ParseError) as got:
-                read_feature_csv(path)
-            assert str(got.value) == f"{path}: {want.partition(':')[0]}"
+    got = load_outcome(load_model, path)
+    assert got == load_outcome(loop_load_model, path)
+    if isinstance(want, float):
+        assert load_model(path).sv[0, 1].tobytes() == \
+            np.float64(want).tobytes()
+    else:
+        assert got.startswith(f"{path}: ") and got.endswith(" [sv] section")
 
 
 @pytest.mark.parametrize("token", GRAMMAR_CELL_TOKENS, ids=token_id)
