@@ -10,8 +10,9 @@ resamples each acceleration axis to a fixed length S (default 10), giving
 convention, and kurtosis is the non-excess m4/m2^2.
 
 ``featurize_segments`` is the one featurizer: training, evaluation and
-``recognize`` all build their rows through it, one pass per segment over
-all 9 channels, and it alone picks columns by name. This module alone
+``recognize`` all build their rows through it, one pass per segment
+length over all 9 channels of every segment of that length, and it alone
+picks columns by name. This module alone
 knows the sample-name format ``acc_{axis}_s{i}`` (``is_sample_feature``,
 ``sample_count``).
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .imu import CHANNELS, ImuStream, LabeledDataset
+from .imu import CHANNELS, LabeledDataset
 
 STATS = ("mean", "median", "rms", "std", "var", "skew", "kurt")
 DEFAULT_SAMPLES = 10
@@ -67,7 +68,8 @@ def check_samples(n_samples: int) -> None:
 
 
 def resample_linear(series, n_samples: int) -> np.ndarray:
-    """Linearly resample a series to a fixed length.
+    """Linearly resample a series, or each row of an array of series along
+    its last axis, to a fixed length.
 
     Output sample i interpolates the series at source position
     ``i * (N - 1) / (S - 1)``, so both endpoints are preserved exactly and
@@ -75,56 +77,76 @@ def resample_linear(series, n_samples: int) -> np.ndarray:
     """
     x = np.asarray(series, dtype=np.float64)
     check_samples(n_samples)
-    if len(x) < 2:
+    n = x.shape[-1]
+    if n < 2:
         raise ValidationError("need at least 2 input samples")
-    pos = np.arange(n_samples, dtype=np.float64) * (len(x) - 1) / (n_samples - 1)
-    return np.interp(pos, np.arange(len(x), dtype=np.float64), x)
+    pos = np.arange(n_samples, dtype=np.float64) * (n - 1) / (n_samples - 1)
+    grid = np.arange(n, dtype=np.float64)
+    return np.reshape([np.interp(pos, grid, row) for row in x.reshape(-1, n)],
+                      x.shape[:-1] + (n_samples,))
 
 
 def featurize_segments(segments, names=feature_names()) -> LabeledDataset:
     """A LabeledDataset of (segment, label) pairs with exactly the columns
     ``names``, in order, picked by name from the rows of
-    ``feature_names(sample_count(names))``."""
+    ``feature_names(sample_count(names))``.
+
+    Every segment is checked first, in input order. The rows are then
+    made one pass per segment length: the segments of one length n form
+    one C-contiguous (segments, 9, n) array, each statistic is one
+    reduction along its last axis, and the rows land in ``X`` in input
+    order. Each row is bit-equal to reducing its own (9, n) channel copy,
+    as the sums run over the same contiguous axis in the same order."""
     names = tuple(names)
     n_samples = sample_count(names)
     full = feature_names(n_samples)
-    if unknown := [nm for nm in names if nm not in full]:
+    column = {nm: k for k, nm in enumerate(full)}
+    if unknown := [nm for nm in names if nm not in column]:
         raise ValidationError(f"model expects feature {unknown[0]!r}, which "
                               "segment featurization does not produce")
     segments = list(segments)
     if not segments:
         raise ValidationError("no segments to featurize")
-    X = np.vstack([_segment_row(seg, n_samples) for seg, _ in segments])
-    if names != full:   # the whole set keeps vstack's C order
-        X = X[:, [full.index(nm) for nm in names]]
+    by_length = {}
+    for k, (seg, _) in enumerate(segments):
+        if len(seg) < 2:
+            raise ValidationError("segment must have at least 2 samples")
+        if seg.names != CHANNELS:
+            raise ValidationError("a segment needs all 9 channels in order")
+        by_length.setdefault(len(seg), []).append(k)
+    X = np.empty((len(segments), len(full)))
+    for rows in by_length.values():
+        X[rows] = _length_group_rows([segments[k][0] for k in rows],
+                                     n_samples)
+    if names != full:   # the whole set keeps X's C order
+        X = X[:, [column[nm] for nm in names]]
     return LabeledDataset(X=X, labels=[label for _, label in segments],
                           subjects=[seg.subject_id for seg, _ in segments],
                           feature_names=list(names))
 
 
-def _segment_row(segment: ImuStream, n_samples: int) -> np.ndarray:
-    """One row in ``feature_names`` order: each statistic is one reduction
-    over the rows of a (9, n) channel copy, then the x, y, z acceleration
-    samples."""
-    if len(segment) < 2:
-        raise ValidationError("segment must have at least 2 samples")
-    if segment.names != CHANNELS:
-        raise ValidationError("a segment needs all 9 channels in order")
-    c = np.ascontiguousarray(segment.channels.T, dtype=np.float64)
-    mean = c.mean(axis=1)
-    d = c - mean[:, None]
-    m2 = (d ** 2).mean(axis=1)
+def _length_group_rows(group, n_samples: int) -> np.ndarray:
+    """The rows, in ``feature_names`` order, of segments of one length:
+    each statistic is one reduction along the last axis of their (g, 9, n)
+    channel stack, then the x, y, z acceleration samples."""
+    c = np.ascontiguousarray(np.stack([seg.channels for seg in group])
+                             .transpose(0, 2, 1))
+    mean = c.mean(axis=-1)
+    d = c - mean[..., None]
+    m2 = (d ** 2).mean(axis=-1)
     # Python-float powers: numpy's array power rounds m2 ** 1.5 and
     # m2 ** 2 differently in the last bit
     shape = [(m3 / v ** 1.5, m4 / v ** 2) if v > 0.0 else (0.0, 0.0)
-             for m3, m4, v in zip((d ** 3).mean(axis=1).tolist(),
-                                  (d ** 4).mean(axis=1).tolist(),
-                                  m2.tolist())]
-    stats = np.column_stack([mean, np.median(c, axis=1),
-                             np.sqrt((c * c).mean(axis=1)), np.sqrt(m2), m2,
-                             np.array(shape)])
-    return np.concatenate([stats.ravel()] + [resample_linear(c[axis], n_samples)
-                                             for axis in range(3)])
+             for m3, m4, v in zip((d ** 3).mean(axis=-1).ravel().tolist(),
+                                  (d ** 4).mean(axis=-1).ravel().tolist(),
+                                  m2.ravel().tolist())]
+    stats = np.concatenate(
+        [np.stack([mean, np.median(c, axis=-1), np.sqrt((c * c).mean(axis=-1)),
+                   np.sqrt(m2), m2], axis=-1),
+         np.reshape(shape, c.shape[:2] + (2,))], axis=-1)
+    return np.hstack([stats.reshape(len(group), -1),
+                      resample_linear(c[:, :3], n_samples)
+                      .reshape(len(group), -1)])
 
 
 @dataclass(frozen=True)

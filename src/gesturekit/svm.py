@@ -6,7 +6,10 @@ trained model depends on its data and settings alone. Multiclass problems
 train one binary model per unordered class pair and combine them by
 voting. The pairs of a stream of datasets (the folds of an evaluation,
 say) are solved in zero-padded stacks that step in lockstep, which pays
-numpy's per-call cost once per step instead of once per pair. A stack
+numpy's per-call cost once per step instead of once per pair. A
+problem leaves its stack at the end of the step it converges in, with
+all others converging there, through one selection of the stacked
+solver state, and reports its step count and closing gap. A stack
 may span datasets and closes at a byte budget or a problem count, and
 each dataset's model streams out as soon as its last pair is solved.
 Every step is elementwise per problem, so each model is bit-equal to
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, ParseError, ValidationError
-from .features import Scaler, sample_count
+from .features import Scaler, feature_names, sample_count
 from .imu import (class_indices, loadtxt_or_none, read_lines, read_number,
                   write_file)
 
@@ -109,8 +112,20 @@ def check_cost(cost) -> None:
         raise ValidationError("cost must be positive and finite")
 
 
+class Solution(tuple):
+    """One problem's ``(alpha, bias)``, which unpacks as that pair, with
+    the solver's ``steps`` (the multiplier-pair updates it made) and
+    ``gap`` (its KKT gap at the step it left the stack, at most the
+    tolerance) as attributes."""
+
+    def __new__(cls, alpha, bias, steps, gap):
+        solution = super().__new__(cls, (alpha, bias))
+        solution.steps, solution.gap = steps, gap
+        return solution
+
+
 def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
-    """Solve several dual QPs in lockstep; one ``(alpha, bias)`` each.
+    """Solve several dual QPs in lockstep; one ``Solution`` each.
 
     Each step moves one pair of multipliers per problem, picked by
     second-order working-set selection (Fan, Chen & Lin 2005, JMLR
@@ -118,19 +133,23 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
     the points whose alpha y may grow, and j maximizes the gain b^2/a over
     I_low, those whose alpha y may shrink. Ties go to the lowest index, so
     a result depends on its own inputs alone. Curvature a <= 0 (an
-    indefinite kernel) is floored at 1e-12. A problem leaves the stack
-    once its gap max g(I_up) - min g(I_low) is at most ``tol``; one that
-    is still open after its ``max_iter`` steps (default max(MIN_STEPS,
-    100n) for its own n, a floor as in LIBSVM) raises ConvergenceError.
+    indefinite kernel) is floored at 1e-12. A problem closes once its gap
+    max g(I_up) - min g(I_low) is at most ``tol``; one that is still open
+    after its ``max_iter`` steps (default max(MIN_STEPS, 100n) for its own
+    n, a floor as in LIBSVM) raises ConvergenceError.
 
     The problems are zero-padded to a common size n, and a padded row sits
     in neither I_up nor I_low, so it never wins an argmax. Every step runs
     the one-problem arithmetic elementwise, row by row of the stack, and
-    the bias is settled per problem on a copy of its own unpadded Gram, so
-    each alpha and bias is bit-equal to solving that problem alone. ``Ks``
-    is read once, in order, into the padded stack, so it may form each
-    matrix on demand and hold none of them. The labels must be +1/-1 and
-    each Gram square over its labels' rows; the callers build them so.
+    the bias is settled per problem on its own unpadded Gram, contiguous
+    as when solved alone, so each alpha and bias is bit-equal to solving
+    that problem alone. A problem's multipliers, step count and gap are
+    recorded at the step it closes; its rows leave the stack at the end of
+    that step, all problems closing there at once, through one selection
+    of the stacked solver state. ``Ks`` is read once, in order, into the
+    padded stack, so it may form each matrix on demand and hold none of
+    them. The labels must be +1/-1 and each Gram square over its labels'
+    rows; the callers build them so.
     """
     cost = np.asarray(costs, dtype=np.float64)[:, None]
     check_cost(cost)
@@ -145,13 +164,18 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
                        else max_iter for m in sizes])
     # v = alpha y lives in the box [lo, hi] (lo is exactly hi - cost on a
     # real row), which is empty on padded rows; g = y - K v is the
-    # gradient. The loop keeps the rows of open problems, ids ``live``.
-    v = np.zeros_like(y)
-    hi = np.where(y > 0.0, cost, 0.0)
-    lo = np.where(y < 0.0, -cost, 0.0)
-    g = y.copy()
-    diag = np.einsum("pii->pi", K).copy()
+    # gradient. The five (open problems, n) arrays are the rows of one
+    # state array, so that dropping problems is one selection; the loop
+    # keeps the rows of open problems, ids ``live``. It is filled in
+    # place, as stacking five made arrays holds them twice at the peak.
+    state = np.zeros((5,) + y.shape)
+    v, hi, lo, g, diag = state
+    np.copyto(hi, cost, where=y > 0.0)
+    np.copyto(lo, -cost, where=y < 0.0)
+    np.copyto(g, y)
+    np.copyto(diag, np.einsum("pii->pi", K))
     final = np.zeros_like(y)
+    steps, gaps = np.zeros(len(ys), dtype=np.int64), np.zeros(len(ys))
     # Gathers and scatters go through flat indices, which numpy's take
     # and put serve faster than (row, column) pairs: element (p, k) of a
     # C-ordered (open problems, n) array sits at at[p] + k, and row k of
@@ -161,24 +185,22 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
     K_rows = K.reshape(-1, n)
     live = np.arange(len(ys))
     at, row_at = live * n, live * n
-    limit = budget.min()         # the first step an open budget runs out
+    limit = budget.min()    # no open budget runs out before this step
     for step in count():
         up_g = np.where(v < hi, g, -np.inf)     # g over I_up
         low_g = np.where(v > lo, g, np.inf)     # g over I_low
         i = up_g.argmax(axis=1)
         g_i = up_g.take(at + i)
         gap = g_i - low_g.take(at + low_g.argmin(axis=1))
-        if not (open_ := gap > tol).all():
-            final[live[~open_]] = v[~open_]
-            live, v, hi, lo, g, diag, budget, i, g_i, low_g, gap = (
-                a[open_] for a in (live, v, hi, lo, g, diag, budget, i,
-                                   g_i, low_g, gap))
-            if not len(live):
+        if closing := not (open_ := gap > tol).all():
+            shut = ~open_
+            closed = live[shut]
+            final[closed], steps[closed], gaps[closed] = (v[shut], step,
+                                                          gap[shut])
+            if not open_.any():
                 break
-            at, row_at = np.arange(len(live)) * n, live * n
-            limit = budget.min()
-        if step == limit:
-            p = int(np.argmax(budget == step))
+        if step == limit and (due := open_ & (budget == step)).any():
+            p = int(np.argmax(due))
             raise ConvergenceError(
                 f"SMO did not converge within {step} steps "
                 f"(n={sizes[live[p]]}, cost={costs[live[p]]}, "
@@ -206,19 +228,39 @@ def smo_solve_stack(Ks, ys, costs, tol=KKT_TOL, max_iter=None):
         v.put(j, np.where(t == cap_j, lo_j, v.take(j) - t))
         K_i *= t[:, None]
         g -= K_i
-    alphas = [np.abs(final[p, :m]) for p, m in enumerate(sizes)]
-    return [(a, _settle_bias(K[p, :m, :m].copy(), ys[p], a, costs[p]))
-            for p, (a, m) in enumerate(zip(alphas, sizes))]
-
-
-def _settle_bias(K, y, alpha, cost) -> float:
-    """The bias from final multipliers: unbound points pin it exactly,
-    otherwise the feasible interval's midpoint is taken. This drops the
-    drift the incremental updates accumulate."""
-    target = y - K @ (alpha * y)
+        if closing:
+            # the closed problems' rows took this step too, which changes
+            # nothing recorded and spares compacting the step's arrays;
+            # compress, unlike a mask index, keeps each state row C-ordered
+            state = state.compress(open_, axis=1)
+            live, budget = live[open_], budget[open_]
+            v, hi, lo, g, diag = state
+            at, row_at = np.arange(len(live)) * n, live * n
+            limit = budget.min()
+    # the elementwise parts of settling the biases, for all problems at
+    # once; padded entries are 0 and never unbound. alpha y takes the
+    # place of v, which is read no more, so no array is added while the
+    # padded Grams are held
+    alpha = np.abs(final)
+    weight = np.multiply(alpha, y, out=final)
     unbound = (alpha > 0.0) & (alpha < cost)
-    if unbound.any():
-        return float(target[unbound].mean())
+    return [Solution(alpha[p, :m], _settle_bias(
+                np.ascontiguousarray(K[p, :m, :m]), ys[p], alpha[p, :m],
+                weight[p, :m], unbound[p, :m], costs[p]), n_steps, gap)
+            for p, (m, n_steps, gap) in enumerate(
+                zip(sizes, steps.tolist(), gaps.tolist()))]
+
+
+def _settle_bias(K, y, alpha, weight, unbound, cost) -> float:
+    """The bias from final multipliers, given their ``weight`` alpha y and
+    which are ``unbound``: unbound points pin it exactly, otherwise the
+    feasible interval's midpoint is taken. This drops the drift the
+    incremental updates accumulate."""
+    target = y - K @ weight
+    if len(pinned := target[unbound]):
+        # np.mean's sum and its division by the count, without its
+        # per-call bookkeeping
+        return float(np.add.reduce(pinned)) / len(pinned)
     ends = []
     lo_mask = ((alpha == 0.0) & (y > 0.0)) | ((alpha == cost) & (y < 0.0))
     hi_mask = ((alpha == 0.0) & (y < 0.0)) | ((alpha == cost) & (y > 0.0))
@@ -389,7 +431,7 @@ def _pair_problems(dataset, cfg, cost, scaler):
     yields each of its ``n_pairs`` class pairs' ``(rows, y, pair_gram)`` in
     ``combinations`` order, where ``pair_gram()`` forms the pair's Gram
     matrix when its stack is solved, and ``build(fits)`` makes the model
-    from their ``(rows, y, alpha, bias)``. The model keeps the scaled rows,
+    from their ``(rows, y, solution)``. The model keeps the scaled rows,
     not the dataset.
 
     A radial kernel takes each pair's Gram out of one Gram over all rows,
@@ -410,12 +452,17 @@ def _pair_problems(dataset, cfg, cost, scaler):
     codes = class_indices(classes, dataset.labels)
     whole = cfg.kind == "radial" and len(Xs) ** 2 * 8 <= _STACK_BYTES // 4
     G = gram(cfg, Xs, Xs) if whole else None
-    pairs = list(combinations(range(len(classes)), 2))
+    # every pair's rows and labels at once: the pairs one after another,
+    # each pair's rows ascending, pair p in [ends[p - 1], ends[p])
+    a, b = _pair_sides(len(classes))
+    in_pair = (codes == a[:, None]) | (codes == b[:, None])
+    pair_of, all_rows = np.nonzero(in_pair)
+    all_y = np.where(codes[all_rows] == a[pair_of], 1.0, -1.0)
+    ends = np.cumsum(in_pair.sum(axis=1)).tolist()
 
     def problems():
-        for a, b in pairs:
-            rows = np.flatnonzero((codes == a) | (codes == b))
-            y = np.where(codes[rows] == a, 1.0, -1.0)
+        for start, end in zip([0] + ends, ends):
+            rows, y = all_rows[start:end], all_y[start:end]
             if G is None:
                 X = Xs[rows]
                 yield rows, y, partial(gram, cfg, X, X)
@@ -423,7 +470,7 @@ def _pair_problems(dataset, cfg, cost, scaler):
                 yield rows, y, partial(_submatrix, G, rows)
     build = partial(_shared_sv_model, tuple(classes),
                     tuple(dataset.feature_names), cfg, cost, fitted, Xs)
-    return build, len(pairs), problems()
+    return build, len(ends), problems()
 
 
 def _submatrix(G, rows) -> np.ndarray:
@@ -432,12 +479,14 @@ def _submatrix(G, rows) -> np.ndarray:
 
 def _solve(stack, cost) -> None:
     """Solve one stack, forming each Gram as it is padded in; each
-    problem's ``(rows, y, alpha, bias)`` joins the fits of its dataset."""
+    problem's ``(rows, y, solution)`` joins the fits of its dataset, the
+    ``Solution`` keeping the solver's step count and closing gap beside
+    its alpha and bias."""
     solved = smo_solve_stack((pair_gram() for _, _, pair_gram, _ in stack),
                              [y for _, y, _, _ in stack],
                              [cost] * len(stack))
-    for (rows, y, _, fits), (alpha, bias) in zip(stack, solved):
-        fits.append((rows, y, alpha, bias))
+    for (rows, y, _, fits), solution in zip(stack, solved):
+        fits.append((rows, y, solution))
 
 
 def _finished(waiting):
@@ -449,23 +498,25 @@ def _finished(waiting):
 
 def _shared_sv_model(classes, feature_names, cfg, cost, scaler, Xs,
                      fits) -> OvoSvmModel:
-    """Build one ensemble from its pairs' ``(rows, y, alpha, bias)``.
+    """Build one ensemble from its pairs' ``(rows, y, (alpha, bias))``.
 
     A row that is a support vector of several pairs is stored once, and
     equal rows merge with their weights added within each pair's column.
     Rows merge on their training index first, so the sort that merges
-    equal values (and orders ``sv``) runs only over distinct rows.
+    equal values (and orders ``sv``) runs only over distinct rows. The
+    pairs' rows, labels and multipliers are joined end to end, so each
+    step is one numpy call for all pairs.
     """
-    sv_of = [rows[alpha > 0.0] for rows, _, alpha, _ in fits]
-    index, first = np.unique(np.concatenate(sv_of), return_inverse=True)
+    rows, y, alpha = (np.concatenate(part) for part in zip(
+        *[(rows, y, alpha) for rows, y, (alpha, _) in fits]))
+    column = np.repeat(np.arange(len(fits)), [len(y) for _, y, _ in fits])
+    is_sv = alpha > 0.0
+    index, first = np.unique(rows[is_sv], return_inverse=True)
     sv, row = _unique_rows(Xs[index])
-    column = np.repeat(np.arange(len(fits)), [len(s) for s in sv_of])
     coef = np.zeros((len(sv), len(fits)))
-    np.add.at(coef, (row.ravel()[first], column),
-              np.concatenate([(alpha * y)[alpha > 0.0]
-                              for _, y, alpha, _ in fits]))
+    np.add.at(coef, (row.ravel()[first], column[is_sv]), (alpha * y)[is_sv])
     return OvoSvmModel(classes=classes, cfg=cfg, cost=cost, sv=sv, coef=coef,
-                       bias=np.array([bias for _, _, _, bias in fits]),
+                       bias=np.array([bias for _, _, (_, bias) in fits]),
                        scaler=scaler, feature_names=feature_names)
 
 
@@ -579,7 +630,10 @@ def load_model(path) -> OvoSvmModel:
     ``bias`` lines (see ``_number_block``). An error names the section of
     the first bad line. A ``cost`` that is not positive and finite is
     rejected, as no trainer takes it, and so is a ``[registry]`` whose
-    sample names ask for a length ``features.check_samples`` refuses.
+    sample names ask for a length ``features.check_samples`` refuses, or,
+    in a recognizer (no ``[rqa]`` section, and a registry that names a
+    segment feature), one that names a column ``featurize_segments`` does
+    not produce.
     """
     path = Path(path)
     lines = read_lines(path)
@@ -635,9 +689,16 @@ def load_model(path) -> OvoSvmModel:
     if not names or len(names) != len(mean):
         raise ParseError(f"{path}: registry size differs from scaler width")
     try:
-        sample_count(names)
+        produced = set(feature_names(sample_count(names)))
     except ValidationError as e:
         raise ParseError(f"{path}: bad [registry] section: {e}") from None
+    # a recognizer (no [rqa]) picks its columns from the segment features
+    # by name; an identifier's registry (rr, tra) names none of them, and
+    # one saved without [rqa] is left to load_identifier's message
+    if (not rqa and not produced.isdisjoint(names)
+            and (unknown := [nm for nm in names if nm not in produced])):
+        raise ParseError(f"{path}: bad [registry] section: segment "
+                         f"featurization does not produce {unknown[0]!r}")
     sv = _number_block(path, repeat("[sv]"), rows, "sv", len(names))
 
     pair_title = re.compile(r"\[pair (\S+) (\S+)\]")

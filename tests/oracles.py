@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from gesturekit.errors import ParseError, ValidationError
-from gesturekit.features import Scaler
+from gesturekit.features import Scaler, feature_names, sample_count
 from gesturekit.imu import ADL_LABEL
 from gesturekit.pipeline import GESTURE_WINDOW_LABEL
 from gesturekit.seeding import BALANCE, FINAL, derive_rng
@@ -795,6 +795,15 @@ def loop_load_model(path) -> OvoSvmModel:
     names = [ln.strip() for ln in names]
     if not names or len(names) != len(mean):
         raise ParseError(f"{path}: registry size differs from scaler width")
+    try:
+        produced = feature_names(sample_count(names))
+    except ValidationError as e:
+        raise ParseError(f"{path}: bad [registry] section: {e}") from None
+    recognizer = not rqa and any(name in produced for name in names)
+    for name in names if recognizer else ():
+        if name not in produced:
+            raise ParseError(f"{path}: bad [registry] section: segment "
+                             f"featurization does not produce {name!r}")
     sv = np.array([_loop_floats(path, "[sv]", ln, "sv", expect=len(names))
                    for ln in rows]).reshape(len(rows), len(names))
 

@@ -862,6 +862,23 @@ class TestRecognize:
             f"error: {model}: bad [registry] section: need at most "
             f"{MAX_SAMPLES} output samples\n")
 
+    @pytest.mark.parametrize("edited", ["acc_w_s10", "acc_x_s010"])
+    def test_registry_name_featurization_lacks_exits_2(self, recognizer,
+                                                       tmp_path, capsys,
+                                                       edited):
+        """A [registry] name that segment featurization does not produce
+        (an unknown axis, or a zero-padded sample index) is refused as
+        the model loads, before the segment is parsed."""
+        text = recognizer.read_text()
+        assert text.count("\nacc_x_s10\n") == 1
+        model = tmp_path / "edited.model"
+        model.write_text(text.replace("\nacc_x_s10\n", f"\n{edited}\n"))
+        assert dispatch(["recognize", "--model", str(model), "--in",
+                         str(tmp_path / "missing.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: bad [registry] section: segment featurization "
+            f"does not produce {edited!r}\n")
+
 
 # the commands that cut their folds into --jobs batches, each writing
 # every file it can into {out}

@@ -108,6 +108,45 @@ def test_featurize_segments_matches_channel_oracle_bytes():
     assert got.tobytes() == np.vstack(want).tobytes()
 
 
+def oracle_row(segment, n_samples=DEFAULT_SAMPLES):
+    """A segment's row with one reduction per channel and statistic."""
+    return np.concatenate(
+        [sum((loop_channel_statistics(segment.channels[:, c])
+              for c in range(9)), [])]
+        + [resample_linear(segment.channels[:, a], n_samples)
+           for a in range(3)])
+
+
+def test_length_groups_come_back_in_input_order():
+    # lengths 2-40 three times each and 41-120 once each, shuffled, so the
+    # length groups interleave and half of them hold one segment; each
+    # row is the channel oracle's, bit for bit, at its input position
+    rng = np.random.default_rng(12)
+    lengths = rng.permutation(np.concatenate(
+        [np.repeat(np.arange(2, 41), 3), np.arange(41, 121)]))
+    segments = []
+    for k, n in enumerate(lengths):
+        ch = rng.normal(size=(n, 9)) * rng.uniform(0.01, 5.0, 9)
+        ch[:, 6:] += rng.uniform(45.0, 55.0, 3)
+        ch[:, rng.integers(9)] = rng.choice([0.0, 50.3, 49.7 + 1e-9])
+        segments.append((ImuStream(subject_id=f"s{k}", channels=ch), f"c{k}"))
+    got = featurize_segments(segments)
+    assert got.labels.tolist() == [label for _, label in segments]
+    assert got.subjects.tolist() == [seg.subject_id for seg, _ in segments]
+    assert got.X.tobytes() == np.vstack(
+        [oracle_row(seg) for seg, _ in segments]).tobytes()
+
+
+def test_first_bad_segment_in_input_order_is_reported():
+    good = (make_segment(30), "Up")
+    short = (make_segment(1), "Up")
+    one_channel = (ImuStream("s01", np.zeros((20, 1)), ("acc_y",)), "Up")
+    with pytest.raises(ValidationError, match="all 9 channels"):
+        featurize_segments([good, one_channel, short])
+    with pytest.raises(ValidationError, match="at least 2 samples"):
+        featurize_segments([good, short, one_channel])
+
+
 def test_resample_linear_identity_and_endpoints():
     x = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
     assert np.array_equal(resample_linear(x, 5), x)
@@ -171,6 +210,22 @@ def test_featurize_segments_picks_columns_by_name():
     for k, nm in enumerate(names):
         col = full.X[:, full.feature_names.index(nm)]
         assert got.X[:, k].tobytes() == col.tobytes()
+
+
+def test_shuffled_subset_at_the_sample_bound_is_the_full_rows_columns():
+    # every name but one of feature_names(MAX_SAMPLES), shuffled, with the
+    # largest sample index kept so the subset asks for the same length
+    pairs = [(make_segment(30 + i, seed=i), "Up") for i in range(5)]
+    full = featurize_segments(pairs, feature_names(MAX_SAMPLES))
+    last = f"acc_z_s{MAX_SAMPLES}"
+    names = [last] + [nm for nm in np.random.default_rng(8).permutation(
+        full.feature_names).tolist() if nm != last][1:]
+    got = featurize_segments(pairs, names)
+    assert got.feature_names == names
+    column = {nm: k for k, nm in enumerate(full.feature_names)}
+    want = full.X[:, [column[nm] for nm in names]]
+    assert len(names) == len(full.feature_names) - 1
+    assert got.X.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_featurize_segments_rejects_an_unknown_name():

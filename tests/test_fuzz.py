@@ -43,7 +43,7 @@ def model_bytes(workdir):
                    for i in range(len(classes))])
     data = LabeledDataset(X=X, labels=[c for c in classes for _ in range(4)],
                           subjects=["s01", "s02"] * 6,
-                          feature_names=["f0", "f1"])
+                          feature_names=["acc_x_mean", "acc_x_median"])
     path = workdir / "valid.model"
     save_model(ovo_train(data, KernelConfig(kind="radial", gamma=0.5), 1.0),
                path)

@@ -337,6 +337,82 @@ class TestSmoStack:
         assert str(got.value) == str(want.value)
 
 
+def recomputed_gap(K, y, alpha, cost) -> float:
+    """max g(I_up) - min g(I_low) at the final multipliers, with the
+    gradient g = y - K(alpha y) formed afresh."""
+    g = y - K @ (alpha * y)
+    up = np.where(y > 0.0, alpha < cost, alpha > 0.0)
+    low = np.where(y > 0.0, alpha > 0.0, alpha < cost)
+    return float(g[up].max(initial=-np.inf) - g[low].min(initial=np.inf))
+
+
+class TestStackClosing:
+    """Problems leave a lockstep stack one by one, each at its own step,
+    with the solver's step count and closing gap."""
+
+    def test_returns_each_problems_steps_and_closing_gap(self):
+        # the TestSmoStack problems: the returned gap is the KKT gap of the
+        # final multipliers, at most KKT_TOL; the oracle's violation at the
+        # settled bias lies between half that gap and the gap; and the
+        # loop converges within exactly the returned step count
+        r = np.random.default_rng(909)
+        solved = 0
+        while solved < 320:
+            problems, _ = stacked_problems(r, int(r.integers(1, 12)))
+            for (K, y, cost), solution in zip(
+                    problems, smo_solve_stack(*zip(*problems))):
+                alpha, bias = solution
+                gap = solution.gap
+                assert gap <= svm.KKT_TOL
+                assert recomputed_gap(K, y, alpha, cost) == pytest.approx(
+                    gap, rel=1e-9, abs=1e-12)
+                violation = kkt_max_violation(K, y, alpha, bias, cost)
+                assert violation <= svm.KKT_TOL
+                assert (max(gap, 0.0) / 2 - 1e-12 <= violation
+                        <= max(gap, 0.0) + 1e-12)
+                loop_smo_solve(K, y, cost, max_iter=solution.steps)
+                if solution.steps:
+                    with pytest.raises(RuntimeError):
+                        loop_smo_solve(K, y, cost,
+                                       max_iter=solution.steps - 1)
+                solved += 1
+
+    def test_many_problems_close_at_many_steps(self):
+        # 96 problems that close at dozens of different steps, and one
+        # straggler that runs on alone for thousands of steps after the
+        # others have left: each alpha and bias is still the loop's
+        problems, _ = stacked_problems(np.random.default_rng(4), 95)
+        X, y = random_problem(5, n=60, d=3, separation=1.0)
+        problems.insert(40, (gram(KERNELS[0], X, X), y, 100.0))
+        got = smo_solve_stack(*zip(*problems))
+        for (K, y, cost), (alpha, bias) in zip(problems, got):
+            want_alpha, want_bias = loop_smo_solve(K, y, cost)
+            assert alpha.tobytes() == want_alpha.tobytes()
+            assert bias == want_bias
+        steps = [solution.steps for solution in got]
+        assert len(set(steps)) > 50
+        others = steps[:40] + steps[41:]
+        assert steps[40] > 3 * max(others) and min(others) < 10
+
+    def test_budget_error_skips_a_problem_closing_at_the_budget(self):
+        # with max_iter = s, problem 1 closes exactly at step s, problem 0
+        # closed before, and problems 2 and 3 are still open: the error is
+        # problem 2's, as the loop words it, and not problem 1's, though
+        # both have the same budget
+        pool, _ = stacked_problems(np.random.default_rng(31), 80)
+        steps = [solution.steps for solution in smo_solve_stack(*zip(*pool))]
+        order = np.argsort(steps, kind="stable")
+        early, closing = pool[order[0]], pool[order[40]]
+        s = steps[order[40]]
+        late = [pool[k] for k in order if steps[k] > s][:2]
+        assert steps[order[0]] < s and len(late) == 2
+        with pytest.raises(RuntimeError) as want:
+            loop_smo_solve(*late[0], max_iter=s)
+        with pytest.raises(ConvergenceError) as got:
+            smo_solve_stack(*zip(early, closing, *late), max_iter=s)
+        assert str(got.value) == str(want.value)
+
+
 class TestSmoTrain:
     """Binary SMO training: ``ovo_train`` on two classes."""
 
